@@ -1,10 +1,11 @@
-"""Timing comparison of the compiled and pure-numpy kernel paths.
+"""Timing of the hot kernels.
 
 Run as:  python3 benchmarks/bench_kernels.py [N]
 
-Covers the two hot loops: billiard ensemble transport (disk, specular) and
-the 1D survival walk used by the Monte Carlo mass oracle.  The compiled
-path is warmed up first so compile time is excluded.
+Covers billiard ensemble transport on the disk (specular), which has a
+single closed-form numpy kernel, and the 1D survival walk used by the Monte
+Carlo mass oracle, timed on both its compiled and pure-numpy paths.  The
+compiled path is warmed up first so compile time is excluded.
 """
 
 import sys
@@ -28,12 +29,7 @@ def timed(fn, repeats=3):
 def bench_disk(n):
     disk = Billiard("disk", center=(0.0, 0.0), radius=1.0, velocities=VelocitySpec("speeds", speeds=(1.0,)))
     ens = sample_ensemble(disk, n, seed=42)
-    results = {}
-    if HAS_NUMBA:
-        transport_ensemble(ens, 0.1, disk, use_numba=True)  # warm-up / compile
-        results["numba"] = timed(lambda: transport_ensemble(ens, 20.0, disk, use_numba=True))
-    results["numpy"] = timed(lambda: transport_ensemble(ens, 20.0, disk, use_numba=False))
-    return results
+    return {"closed": timed(lambda: transport_ensemble(ens, 20.0, disk))}
 
 
 def bench_ladder(n):
@@ -59,7 +55,7 @@ def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
     print(f"particles: {n}")
     if not HAS_NUMBA:
-        print("numba unavailable or disabled; timing the numpy path only")
+        print("numba unavailable or disabled; timing the ladder numpy path only")
     report(f"disk transport (t=20, N={n})", bench_disk(n))
     report(f"ladder survival walk (t=1.5, r=0.5, N={n})", bench_ladder(n))
 

@@ -1,10 +1,13 @@
 """Hot numerical kernels: billiard ensemble transport and the 1D ladder
 survival Monte Carlo.
 
-Every kernel exists twice: a numba ``@njit`` build and a vectorised numpy
-build performing the same arithmetic per particle, so results agree bitwise.
+The ladder walk and the polygon billiard step event by event, and exist
+twice: a numba ``@njit`` build and a vectorised numpy build performing the
+same arithmetic per particle, so results agree bitwise.
 ``HONESTFLOW_DISABLE_NUMBA=1`` (or an unavailable numba) selects the numpy
-path; the public wrappers dispatch automatically.
+path; the public wrappers dispatch automatically.  The disk billiard needs
+no stepping: it has one closed-form numpy kernel, O(1) work per particle
+whatever the number of rebounds.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -184,130 +187,94 @@ def ladder_survival(x0, k0, a, b, tail, r, t, seed, use_numba=None):
 # ---------------------------------------------------------------------------
 
 
-def _disk_py(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps, iter_cap):
-    n = pos.shape[0]
-    for i in range(n):
-        if degenerate[i]:
-            continue
-        x = pos[i, 0]
-        y = pos[i, 1]
-        vx = vel[i, 0]
-        vy = vel[i, 1]
-        rem = t
-        speed = np.sqrt(vx * vx + vy * vy)
-        it = 0
-        while rem > 0.0:
-            it += 1
-            if it > iter_cap:
-                degenerate[i] = True
-                break
-            # recomputed per bounce from the current velocity (reflection
-            # preserves speed only up to rounding)
-            v2 = vx * vx + vy * vy
-            rx = x - cx
-            ry = y - cy
-            bq = rx * vx + ry * vy
-            cq = rx * rx + ry * ry - radius * radius
-            disc = bq * bq - v2 * cq
-            if disc < 0.0:
-                disc = 0.0
-            root = np.sqrt(disc)
-            if bq > 0.0:
-                s = -cq / (bq + root)
-            else:
-                s = (root - bq) / v2
-            if s < 0.0:
-                s = 0.0
-            if s > rem:
-                x += vx * rem
-                y += vy * rem
-                rem = 0.0
-                break
-            x += vx * s
-            y += vy * s
-            rem -= s
-            # re-anchor onto the circle, reflect
-            rx = x - cx
-            ry = y - cy
-            nr = np.sqrt(rx * rx + ry * ry)
-            nx = rx / nr
-            ny = ry / nr
-            x = cx + radius * nx
-            y = cy + radius * ny
-            vn = vx * nx + vy * ny
-            if abs(vn) < eps * speed:
-                degenerate[i] = True
-                break
-            vx -= 2.0 * vn * nx
-            vy -= 2.0 * vn * ny
-            rebounds[i] += 1
-            weight[i] *= scale
-        pos[i, 0] = x
-        pos[i, 1] = y
-        vel[i, 0] = vx
-        vel[i, 1] = vy
+# The circle is integrable: reflection conserves the angular momentum about
+# the centre, so after its first wall hit a particle repeats one chord for
+# ever.  Every chord has the same flight time tau = 2R (v.n) / |v|^2 and
+# advances the hit point by the same central angle pi - 2 theta, theta the
+# angle of incidence, in the sense of the angular momentum.  The state at
+# time t is therefore the first hit and its reflection rotated k times, plus
+# the leftover flight, with k = floor((t - s0) / tau) further hits.
+
+# particles per slice of the closed-form kernel: bounds its temporaries
+# whatever the ensemble size
+DISK_CHUNK = 1 << 16
+
+
+def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps, iter_cap):
+    x, y = pos[:, 0], pos[:, 1]
+    vx, vy = vel[:, 0], vel[:, 1]
+    # first hit: the same stable quadratic as Billiard.exit_time
+    rx = x - cx
+    ry = y - cy
+    v2 = vx * vx + vy * vy
+    bq = rx * vx + ry * vy
+    cq = rx * rx + ry * ry - radius * radius
+    root = np.sqrt(np.maximum(bq * bq - v2 * cq, 0.0))
+    # where() evaluates both branches; mask the dead one's zero divisor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s0 = np.maximum(np.where(bq > 0.0, -cq / (bq + root), (root - bq) / v2), 0.0)
+    live = ~degenerate
+    fly = np.flatnonzero(live & (s0 > t))
+    x[fly] += vx[fly] * t
+    y[fly] += vy[fly] * t
+    hit = np.flatnonzero(live & (s0 <= t))
+    # re-anchor the first hit onto the circle
+    ax = vx[hit]
+    ay = vy[hit]
+    s0 = s0[hit]
+    rx = x[hit] + ax * s0 - cx
+    ry = y[hit] + ay * s0 - cy
+    nr = np.sqrt(rx * rx + ry * ry)
+    nx = rx / nr
+    ny = ry / nr
+    vn = ax * nx + ay * ny
+    graze = np.abs(vn) < eps * np.sqrt(v2[hit])
+    gz = hit[graze]
+    x[gz] = cx + radius * nx[graze]
+    y[gz] = cy + radius * ny[graze]
+    degenerate[gz] = True
+    ok = ~graze
+    idx = hit[ok]
+    nx, ny, ax, ay, vn = nx[ok], ny[ok], ax[ok], ay[ok], vn[ok]
+    rem = t - s0[ok]
+    tau = 2.0 * radius * np.abs(vn) / v2[idx]
+    k = np.floor(rem / tau)
+    # a particle owing more than iter_cap reflections stops at the last one
+    capped = k >= iter_cap
+    degenerate[idx[capped]] = True
+    k = np.minimum(k, iter_cap - 1)
+    # velocity after the first reflection, and the central angle between
+    # successive hits, 2 atan2(|v.n|, |n x v|): accurate near normal and
+    # grazing incidence alike, signed by the angular momentum
+    wx = ax - 2.0 * vn * nx
+    wy = ay - 2.0 * vn * ny
+    cross = nx * ay - ny * ax
+    step = 2.0 * np.arctan2(np.abs(vn), np.abs(cross))
+    ang = k * np.where(cross < 0.0, -step, step)
+    ca = np.cos(ang)
+    sa = np.sin(ang)
+    left = np.where(capped, 0.0, rem - k * tau)
+    ux = radius * nx + left * wx
+    uy = radius * ny + left * wy
+    x[idx] = cx + (ca * ux - sa * uy)
+    y[idx] = cy + (sa * ux + ca * uy)
+    vx[idx] = ca * wx - sa * wy
+    vy[idx] = sa * wx + ca * wy
+    hits = k.astype(np.int64) + 1
+    rebounds[idx] += hits
+    if scale != 1.0:
+        weight[idx] *= scale ** hits
+
+
+def _disk_closed_form(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps,
+                      iter_cap):
+    # at t = 0 nothing moves, not even a particle sitting on the wall
+    if t > 0.0:
+        for lo in range(0, pos.shape[0], DISK_CHUNK):
+            sl = slice(lo, lo + DISK_CHUNK)
+            _disk_slice(pos[sl], vel[sl], weight[sl], rebounds[sl], degenerate[sl],
+                        cx, cy, radius, t, scale, eps, iter_cap)
     return pos, vel, weight, rebounds, degenerate
-
-
-def _disk_np(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps, iter_cap):
-    n = pos.shape[0]
-    rem = np.where(degenerate, 0.0, t)
-    speed = np.sqrt(np.sum(vel * vel, axis=1))
-    idx_all = np.arange(n)
-    rounds = 0
-    while True:
-        act = idx_all[rem > 0.0]
-        if act.size == 0:
-            break
-        rounds += 1
-        if rounds > iter_cap:
-            degenerate[act] = True
-            break
-        rx = pos[act, 0] - cx
-        ry = pos[act, 1] - cy
-        vx = vel[act, 0]
-        vy = vel[act, 1]
-        v2 = vx * vx + vy * vy
-        bq = rx * vx + ry * vy
-        cq = rx * rx + ry * ry - radius * radius
-        disc = np.maximum(bq * bq - v2 * cq, 0.0)
-        root = np.sqrt(disc)
-        # where() evaluates both branches; mask the dead one's zero divisor
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(bq > 0.0, -cq / (bq + root), (root - bq) / v2)
-        s = np.maximum(s, 0.0)
-        fly = s > rem[act]
-        done = act[fly]
-        pos[done, 0] += vel[done, 0] * rem[done]
-        pos[done, 1] += vel[done, 1] * rem[done]
-        rem[done] = 0.0
-        hit = act[~fly]
-        sh = s[~fly]
-        pos[hit, 0] += vel[hit, 0] * sh
-        pos[hit, 1] += vel[hit, 1] * sh
-        rem[hit] -= sh
-        rx = pos[hit, 0] - cx
-        ry = pos[hit, 1] - cy
-        nr = np.sqrt(rx * rx + ry * ry)
-        nx = rx / nr
-        ny = ry / nr
-        pos[hit, 0] = cx + radius * nx
-        pos[hit, 1] = cy + radius * ny
-        vn = vel[hit, 0] * nx + vel[hit, 1] * ny
-        graze = np.abs(vn) < eps * speed[hit]
-        gz = hit[graze]
-        degenerate[gz] = True
-        rem[gz] = 0.0
-        ok = hit[~graze]
-        vel[ok, 0] -= 2.0 * vn[~graze] * nx[~graze]
-        vel[ok, 1] -= 2.0 * vn[~graze] * ny[~graze]
-        rebounds[ok] += 1
-        weight[ok] *= scale
-    return pos, vel, weight, rebounds, degenerate
-
-
-if HAS_NUMBA:
-    _disk_nb = numba.njit(cache=True)(_disk_py)
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +406,20 @@ def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t,
 
     ``scale`` multiplies the particle weight at every reflection (the
     boundary operator weight).  Grazing hits freeze the particle and set its
-    degenerate flag instead of reflecting.
+    degenerate flag instead of reflecting.  A particle that would need more
+    than ``iter_cap`` reflections stops moving and is marked degenerate too.
+    ``use_numba`` selects the polygon kernel build; the disk has a single
+    closed-form kernel.
     """
-    if t < 0.0:
-        raise ValueError("transport time must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError("transport time must be finite and nonnegative")
     if use_numba is None:
         use_numba = USE_NUMBA
     if geom.shape == "disk":
-        fn = _disk_nb if (use_numba and HAS_NUMBA) else _disk_np
         cx, cy = geom.center
-        return fn(pos, vel, weight, rebounds, degenerate, float(cx), float(cy),
-                  float(geom.radius), float(t), float(scale), float(eps), int(iter_cap))
+        return _disk_closed_form(pos, vel, weight, rebounds, degenerate, float(cx), float(cy),
+                                 float(geom.radius), float(t), float(scale), float(eps),
+                                 int(iter_cap))
     normals, offsets = geom.edge_normals()
     verts = np.array(geom.vertices, dtype=np.float64)
     fn = _polygon_nb if (use_numba and HAS_NUMBA) else _polygon_np

@@ -17,6 +17,7 @@ produced by a library call and only formatted here.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import honesty as _hon
@@ -78,6 +79,8 @@ def _parse_window(text: str) -> tuple:
         s, t = (float(x) for x in parts)
     except ValueError as exc:
         raise _sc.ConfigError(f"--window: expected 's,t', got {text!r}") from exc
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise _sc.ConfigError(f"--window: need finite s,t, got {text!r}")
     if not 0 <= s < t:
         raise _sc.ConfigError("--window: need 0 <= s < t")
     return s, t

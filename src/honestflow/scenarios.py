@@ -29,11 +29,11 @@ Config grammar (INI-style sections, ``key = value`` entries, ``#`` comments):
     kind = piecewise | ensemble
     pieces = 0, 1, 1.0     # lo, hi, value triples, semicolon separated
     count = 100000         # ensemble size
-    seed = 42              # required for ensembles
+    seed = 42              # required for ensembles, in [0, 2**64)
     region = domain | disk:cx,cy,r | box:x0,y0,x1,y1
 
     [run]
-    times = 0.5, 1.5, 3    # report times (time-series rows)
+    times = 0.5, 1.5, 3    # report times (time-series rows), finite
     tol = 1e-8             # expansion / diagnostic tolerance
     n_cap = 128            # order cap
     lambdas = 0.5, 1, 2    # resolvent test parameters (ladders only)
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,6 +66,12 @@ from .geometry import Billiard, IntervalUnion, VelocitySpec
 from . import honesty as _hon
 
 BUILTIN_NAMES = ("unit-ladder-honest", "geometric-ladder-dishonest", "disk-billiard")
+
+# ensemble seeds key counter-based draws as unsigned 64-bit integers
+_SEED_LIMIT = 2**64
+
+# sampling regions besides "domain": prefix -> the numbers that follow it
+_REGION_FIELDS = {"disk:": ("cx", "cy", "r"), "box:": ("x0", "y0", "x1", "y1")}
 
 
 class ConfigError(ValueError):
@@ -292,15 +299,25 @@ def _parse_density(sec: _Section, geometry) -> dict:
         if not sec.has("seed"):
             raise ConfigError("[density] seed: required whenever an ensemble is requested")
         seed = sec.integer("seed")
+        if not 0 <= seed < _SEED_LIMIT:
+            raise ConfigError(f"[density] seed: must lie in [0, 2**64), got {seed}")
         region = sec.text("region", "domain")
-        for prefix in ("domain", "disk:", "box:"):
-            if region == "domain" or region.startswith(prefix):
-                break
-        else:
-            raise ConfigError(f"[density] region: expected domain|disk:...|box:..., got {region!r}")
+        _check_region(region)
         sec.reject_unused()
         return dict(density_kind="ensemble", count=count, seed=seed, region=region)
     raise ConfigError(f"[density] kind: expected piecewise|ensemble, got {kind!r}")
+
+
+def _check_region(region: str):
+    if region == "domain":
+        return
+    for prefix, fields in _REGION_FIELDS.items():
+        if region.startswith(prefix):
+            vals = _floats(region[len(prefix):], "[density] region")
+            if len(vals) != len(fields):
+                raise ConfigError(f"[density] region: expected {prefix}{','.join(fields)}, got {region!r}")
+            return
+    raise ConfigError(f"[density] region: expected domain|disk:...|box:..., got {region!r}")
 
 
 def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
@@ -330,6 +347,8 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
     times = _floats(run.text("times", ""), "[run] times")
     if not times:
         raise ConfigError("[run] times: need at least one report time")
+    if not all(math.isfinite(t) for t in times):
+        raise ConfigError(f"[run] times: times must be finite, got {run.text('times')!r}")
     if any(t < 0 for t in times):
         raise ConfigError("[run] times: times must be nonnegative")
     tol = run.number("tol", DEFAULT_TOL)
@@ -343,6 +362,8 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
         raise ConfigError("[run] lambdas: resolvent parameters must be positive")
     windows = _pairs(run.text("windows", ""), "[run] windows")
     for s, t in windows:
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise ConfigError(f"[run] windows: need finite s,t, got {s},{t}")
         if not 0 <= s < t:
             raise ConfigError(f"[run] windows: need 0 <= s < t, got {s},{t}")
     grid_points = run.integer("grid_points", 8)
@@ -410,6 +431,8 @@ def with_overrides(cfg: ScenarioConfig, tol=None, n_cap=None, seed=None) -> Scen
     if seed is not None:
         if cfg.density_kind != "ensemble":
             raise ConfigError("seed override only applies to ensemble scenarios")
+        if not 0 <= seed < _SEED_LIMIT:
+            raise ConfigError(f"seed override must lie in [0, 2**64), got {seed}")
         changes["seed"] = int(seed)
     return replace(cfg, **changes) if changes else cfg
 

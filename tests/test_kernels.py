@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from honestflow import Billiard, VelocitySpec, sample_ensemble, transport_ensemble
+from honestflow import Billiard, VelocitySpec, rebound_sequence, sample_ensemble, transport_ensemble
 from honestflow import _kernels
 from honestflow._kernels import (
     HAS_NUMBA,
@@ -122,17 +123,6 @@ def square_table():
 
 class TestBilliardKernel:
     @needs_numba
-    def test_disk_paths_bitwise_equal(self):
-        ens = sample_ensemble(disk_table(), 20_000, seed=42)
-        via_nb = transport_ensemble(ens, 7.5, disk_table(), use_numba=True)
-        via_np = transport_ensemble(ens, 7.5, disk_table(), use_numba=False)
-        assert np.array_equal(via_nb.pos, via_np.pos)
-        assert np.array_equal(via_nb.vel, via_np.vel)
-        assert np.array_equal(via_nb.weight, via_np.weight)
-        assert np.array_equal(via_nb.rebounds, via_np.rebounds)
-        assert np.array_equal(via_nb.degenerate, via_np.degenerate)
-
-    @needs_numba
     def test_polygon_paths_bitwise_equal(self):
         ens = sample_ensemble(square_table(), 5000, seed=5)
         via_nb = transport_ensemble(ens, 3.25, square_table(), scale=0.9, use_numba=True)
@@ -155,6 +145,128 @@ class TestBilliardKernel:
         ens = sample_ensemble(disk_table(), 10, seed=1)
         with pytest.raises(ValueError):
             transport_ensemble(ens, -1.0, disk_table())
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        ens = sample_ensemble(disk_table(), 10, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            transport_ensemble(ens, t, disk_table())
+
+
+def off_centre_table():
+    return Billiard("disk", center=(0.3, -0.7), radius=2.5,
+                    velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+
+
+def oracle_state(pos, vel, t, geom):
+    """Final (pos, vel, rebounds, degenerate) by stepping rebound_sequence."""
+    events, degenerate = rebound_sequence((pos, vel), t, geom)
+    if not events:
+        return pos + t * vel, vel, 0, degenerate
+    t_k, x_k, v_k = events[-1]
+    return x_k + (t - t_k) * v_k, v_k, len(events), degenerate
+
+
+class TestDiskClosedForm:
+    """The closed-form disk kernel against the scalar stepping oracle."""
+
+    def test_matches_stepping_oracle(self):
+        geom = off_centre_table()
+        ens = sample_ensemble(geom, 300, seed=17)
+        t = 7.5
+        moved = transport_ensemble(ens, t, geom, scale=0.7)
+        assert moved.rebounds.max() > 5
+        for i in range(len(ens)):
+            pos, vel, n, degenerate = oracle_state(ens.pos[i], ens.vel[i], t, geom)
+            assert moved.rebounds[i] == n
+            assert moved.degenerate[i] == degenerate
+            assert np.allclose(moved.pos[i], pos, rtol=0.0, atol=1e-9)
+            assert np.allclose(moved.vel[i], vel, rtol=0.0, atol=1e-9)
+        expected = ens.weight * 0.7 ** moved.rebounds
+        assert np.allclose(moved.weight, expected, rtol=1e-15, atol=0.0)
+
+    def test_particle_short_of_the_wall_flies_straight(self):
+        geom = off_centre_table()
+        ens = sample_ensemble(geom, 4, seed=3)
+        ens.pos[:] = geom.center
+        ens.vel[:] = (0.5, 0.0)
+        moved = transport_ensemble(ens, 4.0, geom)  # the wall is 5 away
+        assert np.array_equal(moved.pos, ens.pos + 4.0 * ens.vel)
+        assert np.array_equal(moved.vel, ens.vel)
+        assert not moved.rebounds.any() and not moved.degenerate.any()
+
+    def test_grazing_first_hit_freezes(self):
+        geom = off_centre_table()
+        cx, cy = geom.center
+        ens = sample_ensemble(geom, 4, seed=3)
+        # tangent to the circle at (cx, cy + R), reached after unit time
+        ens.pos[0] = (cx - 1.0, cy + geom.radius)
+        ens.vel[0] = (1.0, 0.0)
+        events, degenerate = rebound_sequence((ens.pos[0], ens.vel[0]), 3.0, geom)
+        assert events == [] and degenerate
+        moved = transport_ensemble(ens, 3.0, geom, scale=0.5)
+        assert moved.degenerate[0]
+        assert moved.rebounds[0] == 0
+        assert moved.weight[0] == ens.weight[0]
+        assert np.array_equal(moved.vel[0], ens.vel[0])
+        assert np.allclose(moved.pos[0], (cx, cy + geom.radius), rtol=0.0, atol=1e-12)
+        assert not moved.degenerate[1:].any()
+
+    def test_zero_time_is_identity(self):
+        geom = off_centre_table()
+        ens = sample_ensemble(geom, 50, seed=8)
+        # a particle on the wall moving outward stays put at t = 0
+        ens.pos[0] = (geom.center[0] + geom.radius, geom.center[1])
+        ens.vel[0] = (1.0, 0.0)
+        moved = transport_ensemble(ens, 0.0, geom, scale=0.5)
+        for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
+            assert np.array_equal(getattr(moved, name), getattr(ens, name))
+
+    def test_degenerate_input_left_alone(self):
+        geom = off_centre_table()
+        ens = sample_ensemble(geom, 50, seed=8)
+        ens.degenerate[::7] = True
+        moved = transport_ensemble(ens, 6.0, geom, scale=0.5)
+        frozen = ens.degenerate
+        assert np.array_equal(moved.pos[frozen], ens.pos[frozen])
+        assert np.array_equal(moved.vel[frozen], ens.vel[frozen])
+        assert np.array_equal(moved.weight[frozen], ens.weight[frozen])
+        assert not moved.rebounds[frozen].any()
+        assert moved.rebounds[~frozen].all()
+
+    def test_rebounds_accumulate_across_calls(self):
+        geom = off_centre_table()
+        ens = sample_ensemble(geom, 200, seed=4)
+        once = transport_ensemble(ens, 6.0, geom, scale=0.7)
+        twice = transport_ensemble(transport_ensemble(ens, 2.5, geom, scale=0.7), 3.5, geom, scale=0.7)
+        assert np.array_equal(once.rebounds, twice.rebounds)
+        assert np.allclose(once.pos, twice.pos, rtol=0.0, atol=1e-12)
+        assert np.allclose(once.weight, twice.weight, rtol=1e-15, atol=0.0)
+
+    def test_reflection_cap_marks_degenerate(self):
+        geom = off_centre_table()
+        ens = sample_ensemble(geom, 200, seed=4)
+        moved = ens.copy()
+        _kernels.billiard_transport(moved.pos, moved.vel, moved.weight, moved.rebounds,
+                                    moved.degenerate, geom, 6.0, iter_cap=3)
+        free = transport_ensemble(ens, 6.0, geom)
+        over = free.rebounds > 3
+        assert over.any() and not over.all()
+        assert np.array_equal(moved.degenerate, over)
+        assert np.array_equal(moved.rebounds, np.minimum(free.rebounds, 3))
+        radii = np.hypot(*(moved.pos[over] - geom.center).T)
+        assert np.allclose(radii, geom.radius, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 5])
+    def test_chunking_does_not_change_results(self, monkeypatch, offset):
+        geom = off_centre_table()
+        ens = sample_ensemble(geom, 16 + offset, seed=6)
+        ens.degenerate[3] = True
+        whole = transport_ensemble(ens, 9.0, geom, scale=0.7)
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 16)
+        sliced = transport_ensemble(ens, 9.0, geom, scale=0.7)
+        for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
+            assert np.array_equal(getattr(sliced, name), getattr(whole, name))
 
 
 class TestEnvFlag:

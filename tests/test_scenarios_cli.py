@@ -180,6 +180,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="everywhere"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "region",
+        ["disk:0,0", "disk:0,0,0.5,1", "box:0,0,0.5", "disk:0,zero,0.5", "box:a,b,c,d", "domainwide"],
+    )
+    def test_malformed_region_is_named(self, region):
+        text = BILLIARD_TEXT.replace("region = domain", f"region = {region}")
+        with pytest.raises(ConfigError, match=r"\[density\] region: "):
+            parse_config(text)
+
+    def test_wellformed_regions_parse(self):
+        for region in ("disk:0.1,0,0.5", "box:-0.5,-0.5,0.5,0.5"):
+            cfg = parse_config(BILLIARD_TEXT.replace("region = domain", f"region = {region}"))
+            assert cfg.region == region
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "1e3"])
+    def test_seed_out_of_range_is_named(self, seed):
+        text = BILLIARD_TEXT.replace("seed = 7", f"seed = {seed}")
+        with pytest.raises(ConfigError, match=r"\[density\] seed"):
+            parse_config(text)
+
+    def test_largest_seed_accepted(self):
+        cfg = parse_config(BILLIARD_TEXT.replace("seed = 7", f"seed = {2**64 - 1}"))
+        assert len(initial_density(cfg)) == cfg.count
+
     def test_pieces_validated_against_geometry(self):
         text = LADDER_TEXT.replace("pieces = 0, 1, 1", "pieces = 0, 1.5, 1")
         with pytest.raises(ConfigError, match=r"\[density\] pieces"):
@@ -203,6 +227,18 @@ class TestParseConfig:
     def test_negative_time_rejected(self):
         text = LADDER_TEXT.replace("times = 0.5, 1.5", "times = -0.5, 1.5")
         with pytest.raises(ConfigError, match="nonnegative"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("times", ["0.5, nan", "inf", "-inf, 1"])
+    def test_non_finite_time_rejected(self, times):
+        text = LADDER_TEXT.replace("times = 0.5, 1.5", f"times = {times}")
+        with pytest.raises(ConfigError, match=r"\[run\] times: .*finite"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("window", ["0, inf", "nan, 1", "0, nan"])
+    def test_non_finite_window_rejected(self, window):
+        text = LADDER_TEXT.replace("label = demo", f"label = demo\nwindows = {window}")
+        with pytest.raises(ConfigError, match=r"\[run\] windows: .*finite"):
             parse_config(text)
 
     def test_bad_tol(self):
@@ -291,6 +327,13 @@ class TestOverrides:
             with_overrides(cfg, tol=0.0)
         with pytest.raises(ConfigError, match="n_cap override"):
             with_overrides(cfg, n_cap=0)
+
+    def test_seed_override_range(self):
+        cfg = parse_config(BILLIARD_TEXT)
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=r"seed override must lie in \[0, 2\*\*64\)"):
+                with_overrides(cfg, seed=seed)
+        assert with_overrides(cfg, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestInitialDensity:
@@ -528,6 +571,50 @@ class TestCli:
         code = cli.main(["run", "unit-ladder-honest", "--tol", "0"])
         assert code == 1
         assert "tol override" in capsys.readouterr().err
+
+    def _config_file(self, text, name="custom"):
+        path = self.tmp_path / f"{name}.cfg"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize("times", ["0.5, nan", "inf"])
+    @pytest.mark.parametrize("base", [LADDER_TEXT, BILLIARD_TEXT], ids=["ladder", "disk"])
+    def test_non_finite_times_exit_one(self, capsys, base, times):
+        old = "times = 0.5, 1.5" if base is LADDER_TEXT else "times = 0.5, 2"
+        code = cli.main(["run", self._config_file(base.replace(old, f"times = {times}"))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("honestflow: [run] times: ")
+
+    @pytest.mark.parametrize("window", ["0, inf", "0, nan"])
+    @pytest.mark.parametrize("base", [LADDER_TEXT, BILLIARD_TEXT], ids=["ladder", "disk"])
+    def test_non_finite_windows_exit_one(self, capsys, base, window):
+        text = base.replace("[run]\n", f"[run]\nwindows = {window}\n")
+        code = cli.main(["run", self._config_file(text)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("honestflow: [run] windows: ")
+
+    @pytest.mark.parametrize("window", ["0,inf", "0,nan"])
+    def test_non_finite_window_flag_exits_one(self, capsys, window):
+        code = cli.main(["honesty", self._config_file(BILLIARD_TEXT), "--window", window])
+        assert code == 1
+        assert "--window" in capsys.readouterr().err
+
+    def test_seed_out_of_range_exits_one(self, capsys):
+        text = BILLIARD_TEXT.replace("seed = 7", "seed = -1")
+        code = cli.main(["run", self._config_file(text)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("honestflow: [density] seed: ")
+        code = cli.main(["run", self._config_file(BILLIARD_TEXT), "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("honestflow: seed override must lie in ")
+
+    def test_short_region_exits_one(self, capsys):
+        text = BILLIARD_TEXT.replace("region = domain", "region = disk:0,0")
+        code = cli.main(["run", self._config_file(text)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("honestflow: [density] region: ")
 
     def test_usage_error_raises_string_exit(self):
         # argparse exits would collide with verdict codes; the parser is

@@ -37,6 +37,7 @@ __all__ = [
     "BoundaryVector",
     "BoundaryRule",
     "apply_rule",
+    "flux_gap",
     "damped_transit",
     "outgoing_resolvent_trace",
     "absorbing_resolvent_at",
@@ -88,9 +89,6 @@ class BoundaryVector:
 
     def __sub__(self, other: "BoundaryVector") -> "BoundaryVector":
         return self + other.scale(-1.0)
-
-    def min_entry(self) -> float:
-        return min((v for _, v in self.entries), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -155,6 +153,17 @@ def apply_rule(rule: BoundaryRule, trace: BoundaryVector, geom: IntervalUnion) -
         for j, p in rule.feeds(k, geom):
             out[j] = out.get(j, 0.0) + rule.scale * p * v
     return BoundaryVector.from_dict("incoming", out)
+
+
+def flux_gap(trace: BoundaryVector, rule: BoundaryRule, geom: IntervalUnion) -> float:
+    """Signed outgoing-minus-redistributed boundary flux of a trace.
+
+    For nonnegative traces this is the l1 norm lost in one boundary pass
+    (zero exactly when the rule is conservative on the trace's support).
+    """
+    if trace.side != "outgoing":
+        raise ValueError("flux gap consumes outgoing traces")
+    return trace.signed_sum() - apply_rule(rule, trace, geom).signed_sum()
 
 
 def apply_rule_histories(rule: BoundaryRule, hist: dict[int, StepFunction], geom: IntervalUnion):

@@ -22,7 +22,6 @@ import sys
 
 from . import honesty as _hon
 from . import scenarios as _sc
-from .densities import transport_ensemble
 from .geometry import Billiard
 
 EXIT_CODES = {_hon.HONEST: 0, _hon.DISHONEST: 2, _hon.INCONCLUSIVE: 3}
@@ -92,9 +91,7 @@ def _cmd_honesty(args) -> int:
     if isinstance(cfg.geometry, Billiard):
         if window[0] != 0.0:
             raise _sc.ConfigError("--window: billiard honesty windows must start at 0")
-        ens = _sc.initial_density(cfg)
-        moved = transport_ensemble(ens, window[1], cfg.geometry, scale=cfg.boundary.scale)
-        rep = _hon.ensemble_trace_decay(moved, window[1])
+        rep = _sc._window_decay(cfg, _sc.initial_density(cfg), window)
         sys.stdout.write(
             f"scenario: {cfg.label}\n"
             f"window: {_sc._fmt(window[0])},{_sc._fmt(window[1])}\n"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .boundary import BoundaryRule, BoundaryVector, apply_rule, apply_rule_histories
+from .boundary import BoundaryRule, BoundaryVector, apply_rule, apply_rule_histories, flux_gap
 from .densities import PiecewiseDensity, free_stream, sample_ladder_positions
 from .geometry import IntervalUnion
 from .steps import StepFunction
@@ -154,16 +154,38 @@ class Expansion:
             ),
         )
 
-    def incoming_integrated_trace(self, k: int, s: float, t: float) -> BoundaryVector:
-        self._check_t(t)
-        if not 0.0 <= s <= t:
-            raise ValueError("need 0 <= s <= t")
-        return BoundaryVector(
-            "incoming",
-            tuple(
-                (m, h.window_integral(s, t)) for m, h in self.incoming_history(k).items()
-            ),
-        )
+    def partial_sums(self, t: float, tol: float, n_cap: int, width: int = 0) -> "TruncationReport":
+        """The order pass at time t: order masses and [0, t] outgoing trace
+        norms, order by order, until a trace norm drops below tol (it bounds
+        all mass beyond that order) or order n_cap is reached.
+
+        ``absorbed`` sums the flux gaps of every order whose trace norm was
+        not below tol.  ``width`` only extends the recorded masses and norms
+        to that order when the cut comes earlier; the cut does not depend on
+        it."""
+        if tol <= 0.0:
+            raise ValueError("tol must be positive")
+        if n_cap < 0:
+            raise ValueError("n_cap must be nonnegative")
+        masses = []
+        norms = []
+        absorbed = 0.0
+        n_used = None
+        converged = False
+        for n in range(max(n_cap, width) + 1):
+            masses.append(self.order_mass(n, t))
+            tr = self.integrated_trace(n, 0.0, t)
+            norms.append(tr.norm())
+            if n_used is None:
+                converged = norms[-1] < tol
+                if not converged:
+                    absorbed += flux_gap(tr, self.rule, self.geom)
+                if converged or n == n_cap:
+                    n_used = n
+            if n_used is not None and n >= width:
+                break
+        return TruncationReport(n_used, norms[n_used], converged, tol, n_cap,
+                                tuple(masses), tuple(norms), absorbed)
 
 
 @dataclass(frozen=True)
@@ -172,7 +194,9 @@ class TruncationReport:
 
     ``residual_bound`` bounds the l1 mass of every order beyond the last one
     included; ``converged`` records whether it dropped under tol before the
-    order cap."""
+    order cap.  ``absorbed`` is the mass the boundary rule removed over the
+    orders before the cut, including the cut order itself when it did not
+    converge."""
 
     n_used: int
     residual_bound: float
@@ -181,6 +205,7 @@ class TruncationReport:
     n_cap: int
     order_masses: tuple
     trace_norms: tuple
+    absorbed: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -235,28 +260,10 @@ def evolve(
     order cap is hit, in which case the report says so and the density is
     the partial result.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if n_cap < 0:
-        raise ValueError("n_cap must be nonnegative")
     ex = Expansion(geom, rule, f, t)
-    total = PiecewiseDensity.zero()
-    masses = []
-    norms = []
-    n = 0
-    while True:
-        part = ex.order_density(n, t)
-        total = total + part
-        masses.append(part.mass())
-        residual = ex.integrated_trace(n, 0.0, t).norm()
-        norms.append(residual)
-        if residual < tol:
-            report = TruncationReport(n, residual, True, tol, n_cap, tuple(masses), tuple(norms))
-            return total, report
-        if n >= n_cap:
-            report = TruncationReport(n, residual, False, tol, n_cap, tuple(masses), tuple(norms))
-            return total, report
-        n += 1
+    report = ex.partial_sums(t, tol, n_cap)
+    total = sum((ex.order_density(n, t) for n in range(report.n_used + 1)), PiecewiseDensity.zero())
+    return total, report
 
 
 def evolve_scaled(

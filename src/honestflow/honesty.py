@@ -12,8 +12,9 @@ to the no-reentry resolvent trace decay to zero exactly for honest
 evolutions, for one (equivalently every) positive resolvent parameter.
 
 Stabilisation rule (both domains): the sequence is considered settled once
-5 consecutive increments stay below tol/10; the verdict then compares the
-last entry against tol.  Hitting the order cap first leaves the verdict
+5 consecutive increments stay below tol/10 (window defects also need the
+earliest trace arrival to have stopped moving); the verdict then compares
+the last entry against tol.  Hitting the order cap first leaves the verdict
 inconclusive.
 """
 
@@ -23,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryRule, BoundaryVector, apply_rule, damped_transit, outgoing_resolvent_trace
+from .boundary import (
+    BoundaryRule, BoundaryVector, apply_rule, damped_transit, flux_gap, outgoing_resolvent_trace,
+)
 from .densities import ParticleEnsemble, PiecewiseDensity
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, evolve
 from .geometry import IntervalUnion
@@ -139,13 +142,13 @@ def _run_sequence(step, tol: float, n_cap: int):
 def _settle_traces(ex: Expansion, s: float, t: float, tol: float, n_cap: int):
     """Window-defect sequence with a plateau-aware stopping rule.
 
-    An exactly repeating positive entry is ambiguous: it is the limit when
+    A (near-)repeating positive entry is ambiguous: it is the limit when
     the trace histories have stopped moving (arrival times frozen), but mass
     still marching toward the window end can break the plateau at a later
-    order.  So a zero increment only counts toward stabilisation when the
-    earliest arrival time of the order's histories also moved by less than
-    tol/10.  Orders whose histories vanish identically end the sequence
-    exactly: every later entry is zero.
+    order.  So an increment below tol/10 only counts toward stabilisation
+    when the earliest arrival time of the order's histories also moved by
+    less than tol/10.  Orders whose histories vanish identically end the
+    sequence exactly: every later entry is zero.
     """
     entries: list[float] = []
     arrivals: list[float] = []
@@ -164,23 +167,12 @@ def _settle_traces(ex: Expansion, s: float, t: float, tol: float, n_cap: int):
                 if diff >= tol / 10.0:
                     settled = False
                     break
-                if diff == 0.0 and abs(arrivals[i] - arrivals[i - 1]) >= tol / 10.0:
+                if abs(arrivals[i] - arrivals[i - 1]) >= tol / 10.0:
                     settled = False
                     break
             if settled:
                 return entries, True
     return entries, False
-
-
-def flux_gap(trace: BoundaryVector, rule: BoundaryRule, geom: IntervalUnion) -> float:
-    """Signed outgoing-minus-redistributed boundary flux of a trace.
-
-    For nonnegative traces this is the l1 norm lost in one boundary pass
-    (zero exactly when the rule is conservative on the trace's support).
-    """
-    if trace.side != "outgoing":
-        raise ValueError("flux gap consumes outgoing traces")
-    return trace.signed_sum() - apply_rule(rule, trace, geom).signed_sum()
 
 
 def mass_loss(
@@ -205,10 +197,6 @@ def mass_loss(
     return MassLossResult((s, t), d_s.mass() - d_t.mass(), rep_s.converged and rep_t.converged)
 
 
-def _defect_entries(ex: Expansion, s: float, t: float, tol: float, n_cap: int):
-    return _settle_traces(ex, s, t, tol, n_cap)
-
-
 def defect(
     s: float,
     t: float,
@@ -224,7 +212,7 @@ def defect(
         raise ValueError("need 0 <= s <= t")
     _require_nonnegative(f)
     ex = Expansion(geom, rule, f, t)
-    entries, stabilized = _defect_entries(ex, s, t, tol, n_cap)
+    entries, stabilized = _settle_traces(ex, s, t, tol, n_cap)
     return DefectReport(
         (s, t), tuple(entries), entries[-1], stabilized,
         _classify(entries, tol, stabilized), tol, n_cap,
@@ -259,7 +247,7 @@ def honesty_on_interval(
     for i in range(grid_points - 1):
         for j in range(i + 1, grid_points):
             lo, hi = float(grid[i]), float(grid[j])
-            entries, stabilized = _defect_entries(ex, lo, hi, tol, n_cap)
+            entries, stabilized = _settle_traces(ex, lo, hi, tol, n_cap)
             reports.append(
                 DefectReport((lo, hi), tuple(entries), entries[-1], stabilized,
                              _classify(entries, tol, stabilized), tol, n_cap)
@@ -367,21 +355,16 @@ def absorption_rate_estimate(
 ) -> tuple[float, bool]:
     """Estimate of the instantaneous boundary absorption rate of f.
 
-    Averages the per-order boundary flux gaps over [0, t]; this is a finite-
-    time, truncated-order *estimate* of the absorption functional, not a
-    certified value.  Returns (estimate, converged flag for the order sum).
+    Averages over [0, t] the boundary flux gaps of the orders that
+    :func:`mass_defect_estimate` counts as absorbed; this is a finite-time,
+    truncated-order *estimate* of the absorption functional, not a certified
+    value.  Returns (estimate, converged flag for the order sum).
     """
     if t <= 0.0:
         raise ValueError("need t > 0 for a rate estimate")
     _require_nonnegative(f)
-    ex = Expansion(geom, rule, f, t)
-    total = 0.0
-    for n in range(n_cap + 1):
-        tr = ex.integrated_trace(n, 0.0, t)
-        total += flux_gap(tr, rule, geom)
-        if tr.norm() < tol:
-            return total / t, True
-    return total / t, False
+    rep = Expansion(geom, rule, f, t).partial_sums(t, tol, n_cap)
+    return rep.absorbed / t, rep.converged
 
 
 def mass_defect_estimate(
@@ -396,24 +379,18 @@ def mass_defect_estimate(
     plus everything the boundary rule absorbed.  Zero for honest evolutions,
     strictly negative where mass escapes the accounting.  Returns
     (estimate, converged flag); the estimate carries the truncation error of
-    the partial sum, so pick tol accordingly."""
+    the partial sum, so pick tol accordingly.
+
+    The absorbed mass is the flux gap summed over every order whose [0, t]
+    trace norm was not below tol: the orders before the cut, and the cut
+    order itself when the order cap stopped the sum."""
     if t < 0.0:
         raise ValueError("need t >= 0")
     _require_nonnegative(f)
     if t == 0.0:
         return 0.0, True
-    ex = Expansion(geom, rule, f, t)
-    total = 0.0
-    absorbed = 0.0
-    eta = -f.mass()
-    for n in range(n_cap + 1):
-        total += ex.order_mass(n, t)
-        tr = ex.integrated_trace(n, 0.0, t)
-        eta = total + absorbed - f.mass()
-        if tr.norm() < tol:
-            return eta, True
-        absorbed += flux_gap(tr, rule, geom)
-    return eta, False
+    rep = Expansion(geom, rule, f, t).partial_sums(t, tol, n_cap)
+    return sum(rep.order_masses) + rep.absorbed - f.mass(), rep.converged
 
 
 def ensemble_trace_decay(ens: ParticleEnsemble, elapsed: float, stat_tol: float | None = None) -> EnsembleDecayReport:

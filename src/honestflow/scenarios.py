@@ -54,14 +54,13 @@ import configparser
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .boundary import BoundaryRule
 from .densities import PiecewiseDensity, ParticleEnsemble, sample_ensemble, transport_ensemble
-from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion
+from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, TruncationReport
 from .geometry import Billiard, IntervalUnion, VelocitySpec
 from . import honesty as _hon
 
@@ -499,74 +498,44 @@ class ScenarioResult:
         return _hon.HONEST
 
 
-def _ladder_row(ex: Expansion, f: PiecewiseDensity, t: float, tol: float, n_cap: int) -> TimeRow:
-    masses = []
-    traces = []
-    absorbed = 0.0
-    converged = False
-    residual = float("nan")
-    for n in range(n_cap + 1):
-        masses.append(ex.order_mass(n, t))
-        tr = ex.integrated_trace(n, 0.0, t)
-        traces.append(tr.norm())
-        residual = traces[-1]
-        if residual < tol:
-            converged = True
-            break
-        absorbed += _hon.flux_gap(tr, ex.rule, ex.geom)
-    mass = float(sum(masses))
+def _ladder_row(f: PiecewiseDensity, t: float, rep: TruncationReport) -> TimeRow:
+    """Row at time t from its order pass; the per-order columns run to
+    whatever width the pass recorded."""
+    mass = float(sum(rep.order_masses[:rep.n_used + 1]))
     return TimeRow(
         t=float(t),
         mass=mass,
-        mass_defect=mass + absorbed - f.mass(),
-        residual_bound=residual,
-        n_used=len(masses) - 1,
-        converged=converged,
-        order_masses=tuple(masses),
-        trace_norms=tuple(traces),
+        mass_defect=mass + rep.absorbed - f.mass(),
+        residual_bound=rep.residual_bound,
+        n_used=rep.n_used,
+        converged=rep.converged,
+        order_masses=rep.order_masses,
+        trace_norms=rep.trace_norms,
     )
-
-
-def _pad_orders(rows, ex: Expansion, n_orders: int):
-    """Extend every row's per-order columns to a common width with the true
-    higher-order values (zero once the expansion is exhausted)."""
-    out = []
-    for row in rows:
-        masses = list(row.order_masses)
-        traces = list(row.trace_norms)
-        for n in range(len(masses), n_orders + 1):
-            masses.append(ex.order_mass(n, row.t))
-            traces.append(ex.integrated_trace(n, 0.0, row.t).norm())
-        out.append(replace(row, order_masses=tuple(masses), trace_norms=tuple(traces)))
-    return tuple(out)
 
 
 def _run_ladder(cfg: ScenarioConfig) -> ScenarioResult:
     geom, rule = cfg.geometry, cfg.boundary
     f = PiecewiseDensity.from_pieces(geom, cfg.pieces)
     ex = Expansion(geom, rule, f, max(cfg.times))
-    rows = [_ladder_row(ex, f, t, cfg.tol, cfg.n_cap) for t in cfg.times]
-    n_orders = max(row.n_used for row in rows)
-    rows = _pad_orders(rows, ex, n_orders)
-
-    def window_job(window):
-        return _hon.honesty_on_interval(
-            window, f, geom, rule, tol=cfg.tol, n_cap=cfg.n_cap, grid_points=cfg.grid_points
-        )
-
-    def resolvent_job(lam):
-        return _hon.resolvent_defect(f, lam, geom, rule, tol=cfg.tol, n_cap=cfg.n_cap)
-
-    window_reports: tuple = ()
-    resolvent_reports: tuple = ()
-    jobs = len(cfg.windows) + len(cfg.lambdas)
-    if jobs:
-        with ThreadPoolExecutor(max_workers=min(4, jobs)) as pool:
-            wfut = [pool.submit(window_job, w) for w in cfg.windows]
-            rfut = [pool.submit(resolvent_job, lam) for lam in cfg.lambdas]
-            window_reports = tuple(fut.result() for fut in wfut)
-            resolvent_reports = tuple(fut.result() for fut in rfut)
-
+    reports = [ex.partial_sums(t, cfg.tol, cfg.n_cap) for t in cfg.times]
+    n_orders = max(rep.n_used for rep in reports)
+    # rows cut before the widest one get their higher orders' true values
+    # (zero once the expansion is exhausted), so every row has the same width
+    rows = tuple(
+        _ladder_row(f, t, rep if rep.n_used == n_orders
+                    else ex.partial_sums(t, cfg.tol, cfg.n_cap, n_orders))
+        for t, rep in zip(cfg.times, reports)
+    )
+    window_reports = tuple(
+        _hon.honesty_on_interval(w, f, geom, rule, tol=cfg.tol, n_cap=cfg.n_cap,
+                                 grid_points=cfg.grid_points)
+        for w in cfg.windows
+    )
+    resolvent_reports = tuple(
+        _hon.resolvent_defect(f, lam, geom, rule, tol=cfg.tol, n_cap=cfg.n_cap)
+        for lam in cfg.lambdas
+    )
     return ScenarioResult(
         config=cfg,
         kind="ladder",

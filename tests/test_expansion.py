@@ -14,6 +14,7 @@ from honestflow import (
     evolve_scaled,
     mass_balance,
 )
+from honestflow.boundary import flux_gap
 from honestflow.expansion import mc_mass_estimate
 
 from conftest import dyadics
@@ -115,6 +116,13 @@ class TestEvolve:
         assert missing <= rep_few.residual_bound + 1e-15
         assert missing == pytest.approx(rep_few.residual_bound, abs=1e-15)
 
+    def test_evolve_reports_the_order_pass(self, geometric_ladder, geo_box):
+        rule = BoundaryRule("shift", scale=0.9)
+        d, rep = evolve(1.5, geo_box, geometric_ladder, rule, tol=1e-12, n_cap=30)
+        assert rep == Expansion(geometric_ladder, rule, geo_box, 1.5).partial_sums(1.5, 1e-12, 30)
+        assert len(rep.order_masses) == rep.n_used + 1
+        assert d.mass() == pytest.approx(sum(rep.order_masses), abs=1e-15)
+
     @given(st.sampled_from([0.25, 0.5, 0.75, 1.0]), dyadics(0.25, 3.0, 4))
     @settings(max_examples=20, deadline=None)
     def test_mass_monotone_in_r(self, r, t):
@@ -126,6 +134,35 @@ class TestEvolve:
         d_r, _ = evolve_scaled(t, f, r, geom, rule, tol=1e-12)
         d_1, _ = evolve_scaled(t, f, 1.0, geom, rule, tol=1e-12)
         assert d_r.mass() <= d_1.mass() + 1e-12
+
+
+class TestPartialSums:
+    def test_capped_order_is_absorbed_too(self, geometric_ladder, geo_box):
+        rule = BoundaryRule("shift", scale=0.9)
+        ex = Expansion(geometric_ladder, rule, geo_box, 1.5)
+        rep = ex.partial_sums(1.5, 1e-12, 5)
+        assert not rep.converged
+        assert rep.n_used == 5
+        gaps = [flux_gap(ex.integrated_trace(n, 0.0, 1.5), rule, geometric_ladder)
+                for n in range(6)]
+        assert rep.absorbed == sum(gaps)
+
+    def test_width_extends_columns_not_the_cut(self, unit_ladder, unit_box, shift_rule):
+        ex = Expansion(unit_ladder, shift_rule, unit_box, 5.0)
+        short = ex.partial_sums(1.5, 1e-12, 64)
+        wide = ex.partial_sums(1.5, 1e-12, 64, width=6)
+        assert (wide.n_used, wide.converged, wide.residual_bound, wide.absorbed) == (
+            short.n_used, short.converged, short.residual_bound, short.absorbed)
+        assert wide.order_masses[:short.n_used + 1] == short.order_masses
+        assert len(wide.order_masses) == len(wide.trace_norms) == 7
+        assert wide.order_masses[short.n_used + 1:] == (0.0,) * (6 - short.n_used)
+
+    def test_validation(self, unit_ladder, unit_box, shift_rule):
+        ex = Expansion(unit_ladder, shift_rule, unit_box, 1.0)
+        with pytest.raises(ValueError):
+            ex.partial_sums(1.0, 0.0, 8)
+        with pytest.raises(ValueError):
+            ex.partial_sums(1.0, 1e-8, -1)
 
 
 class TestStructure:

@@ -65,6 +65,21 @@ class TestDefect:
         assert all(e == pytest.approx(1.0, abs=1e-12) for e in rep.entries[:10])
         assert rep.entries[-1] == 0.0
 
+    def test_rounding_level_plateau_does_not_fool_the_stop_rule(self, unit_ladder):
+        # a conservative spreading kernel: every order's trace over [0, 20]
+        # carries (nearly) the whole mass, so consecutive entries differ only
+        # by rounding while the earliest arrival keeps marching; the plateau
+        # must not settle at the total mass 0.2
+        rule = BoundaryRule(
+            "kernel", rows=tuple((k, ((k + 1, 0.5), (k + 2, 0.5))) for k in range(80))
+        )
+        f = PiecewiseDensity.from_pieces(unit_ladder, [(0.0, 0.5, 0.1), (0.5, 1.0, 0.3)])
+        rep = defect(0.0, 20.0, f, unit_ladder, rule, tol=1e-12, n_cap=128)
+        assert rep.stabilized
+        assert rep.verdict == "honest"
+        assert rep.limit_estimate == 0.0
+        assert len(rep.entries) == 21
+
     def test_dishonest_ladder_limit(self, geometric_ladder, geo_box, shift_rule):
         rep = defect(0.0, 1.5, geo_box, geometric_ladder, shift_rule, tol=1e-10)
         assert rep.verdict == "dishonest"

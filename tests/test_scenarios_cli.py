@@ -10,9 +10,12 @@ from honestflow import (
     ParticleEnsemble,
     PiecewiseDensity,
     ScenarioConfig,
+    absorption_rate_estimate,
     builtin_config_text,
+    evolve,
     initial_density,
     load_config,
+    mass_defect_estimate,
     parse_config,
     resolve_config,
     run_scenario,
@@ -42,6 +45,32 @@ pieces = 0, 1, 1
 [run]
 times = 0.5, 1.5
 label = demo
+"""
+
+# geometric ladder with a lossy shift and an order cap that the rows from
+# t = 1 on hit: every diagnostic must count the capped order's loss alike
+LOSSY_CAPPED_TEXT = """\
+[geometry]
+kind = interval-union
+rule = geometric
+start = 0
+spacing = 3
+length = 1
+ratio = 0.5
+
+[boundary]
+kind = shift
+scale = 0.9
+
+[density]
+kind = piecewise
+pieces = 0, 1, 1
+
+[run]
+times = 0.5, 1, 1.5, 2, 2.5
+tol = 1e-12
+n_cap = 30
+label = lossy-capped
 """
 
 BILLIARD_TEXT = """\
@@ -383,6 +412,24 @@ class TestRunScenario:
         widths = {len(row.order_masses) for row in result.rows}
         assert widths == {result.n_orders + 1}
         assert {len(row.trace_norms) for row in result.rows} == {result.n_orders + 1}
+
+    def test_diagnostics_agree_with_the_rows(self):
+        cfg = parse_config(LOSSY_CAPPED_TEXT)
+        result = run_scenario(cfg)
+        f = initial_density(cfg)
+        geom, rule = cfg.geometry, cfg.boundary
+        assert [row.converged for row in result.rows] == [True, False, False, False, False]
+        for row in result.rows:
+            eta, converged = mass_defect_estimate(f, row.t, geom, rule, tol=cfg.tol, n_cap=cfg.n_cap)
+            assert eta == pytest.approx(row.mass_defect, abs=1e-12)
+            assert converged == row.converged
+            absorbed = row.mass_defect - row.mass + f.mass()
+            rate, _ = absorption_rate_estimate(f, row.t, geom, rule, tol=cfg.tol, n_cap=cfg.n_cap)
+            assert rate * row.t == pytest.approx(absorbed, abs=1e-12)
+            _, rep = evolve(row.t, f, geom, rule, tol=cfg.tol, n_cap=cfg.n_cap)
+            assert rep.n_used == row.n_used
+            assert rep.order_masses == row.order_masses[:row.n_used + 1]
+            assert rep.trace_norms == row.trace_norms[:row.n_used + 1]
 
     def test_ensemble_bundle(self):
         result = run_scenario(parse_config(BILLIARD_TEXT))

@@ -28,6 +28,7 @@ from .densities import (
     sample_ensemble,
     sample_ladder_positions,
     transport_ensemble,
+    transport_ensemble_times,
 )
 from .expansion import (
     Expansion,

@@ -1,13 +1,13 @@
 """Hot numerical kernels: billiard ensemble transport and the 1D ladder
 survival Monte Carlo.
 
-The ladder walk and the polygon billiard step event by event, and exist
-twice: a numba ``@njit`` build and a vectorised numpy build performing the
-same arithmetic per particle, so results agree bitwise.
-``HONESTFLOW_DISABLE_NUMBA=1`` (or an unavailable numba) selects the numpy
-path; the public wrappers dispatch automatically.  The disk billiard needs
-no stepping: it has one closed-form numpy kernel, O(1) work per particle
-whatever the number of rebounds.
+The ladder walk steps hop by hop and exists twice: a numba ``@njit`` build
+and a vectorised numpy build performing the same arithmetic per particle, so
+results agree bitwise.  ``HONESTFLOW_DISABLE_NUMBA=1`` (or an unavailable
+numba) selects the numpy path; ``ladder_survival`` dispatches automatically.
+The billiards have one numpy kernel each.  The polygon steps event by event
+and takes every requested time in one sweep; the disk needs no stepping: its
+closed form costs O(1) per particle whatever the number of rebounds.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -282,122 +282,127 @@ def _disk_closed_form(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t,
 # ---------------------------------------------------------------------------
 
 
-def _polygon_py(pos, vel, weight, rebounds, degenerate, normals, offsets, verts,
-                t, scale, eps, vert_eps, iter_cap):
-    n = pos.shape[0]
-    ne = normals.shape[0]
-    nv = verts.shape[0]
-    for i in range(n):
-        if degenerate[i]:
-            continue
-        x = pos[i, 0]
-        y = pos[i, 1]
-        vx = vel[i, 0]
-        vy = vel[i, 1]
-        speed = np.sqrt(vx * vx + vy * vy)
-        rem = t
-        it = 0
-        while rem > 0.0:
-            it += 1
-            if it > iter_cap:
-                degenerate[i] = True
+# A particle's event sequence (hit time, hit point, reflected velocity, graze
+# and vertex tests) does not depend on the transport time; only the stop test
+# does.  The polygon kernel therefore steps each particle once, up to the
+# largest requested time, with one row of remaining time per requested time.
+# Every row goes through the same rounded subtractions that a transport to
+# its own time makes, so each snapshot is bitwise that transport's result.
+# Rounded subtraction is monotone, so rem[k] <= rem[k + 1] holds throughout:
+# rows close in time order, and a particle leaves the compacted working set
+# when its last row closes.
+
+
+def _snapshot(out, kk, cols, x, y, vx, vy, w, n, flagged):
+    pos, vel, weight, rebounds, degenerate = out
+    pos[kk, cols, 0] = x
+    pos[kk, cols, 1] = y
+    vel[kk, cols, 0] = vx
+    vel[kk, cols, 1] = vy
+    weight[kk, cols] = w
+    rebounds[kk, cols] = n
+    degenerate[kk, cols] = flagged
+
+
+def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, normals, offsets, verts,
+                       times, scale, eps, vert_eps, iter_cap):
+    # rows that close before the first round (input-degenerate particles,
+    # zero times) keep the input state
+    out = tuple(np.repeat(a[None], times.size, axis=0)
+                for a in (pos, vel, weight, rebounds, degenerate))
+    speed = np.sqrt(np.sum(vel * vel, axis=1))
+    idx = np.flatnonzero(~degenerate) if times.size and times[-1] > 0.0 else np.arange(0)
+    x, y = pos[idx, 0], pos[idx, 1]
+    vx, vy = vel[idx, 0], vel[idx, 1]
+    w, n, speed = weight[idx], rebounds[idx], speed[idx]
+    rem = np.repeat(times[:, None], idx.size, axis=1)
+    # rem holds rows row0, row0 + 1, ...: a row every particle has closed
+    # leaves the sweep
+    row0 = 0
+    rounds = 0
+    # a particle with no hit ahead (s = inf) only ever flies; the garbage its
+    # hit point gets in that round is dropped with it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while idx.size:
+            rounds += 1
+            if rounds > iter_cap:
+                kk, jj = np.nonzero(rem > 0.0)
+                _snapshot(out, row0 + kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj],
+                          True)
                 break
-            s = np.inf
-            edge = -1
-            for e in range(ne):
-                dv = normals[e, 0] * vx + normals[e, 1] * vy
-                if dv > 0.0:
-                    se = (offsets[e] - normals[e, 0] * x - normals[e, 1] * y) / dv
-                    if se < s:
-                        s = se
-                        edge = e
-            if s < 0.0:
-                s = 0.0
-            if s > rem:
-                x += vx * rem
-                y += vy * rem
-                rem = 0.0
-                break
-            x += vx * s
-            y += vy * s
-            rem -= s
-            hit_vertex = False
-            for w in range(nv):
-                dx = x - verts[w, 0]
-                dy = y - verts[w, 1]
-                if np.sqrt(dx * dx + dy * dy) < vert_eps:
-                    hit_vertex = True
-                    break
-            if hit_vertex:
-                degenerate[i] = True
-                break
+            # first hit: a running minimum over the edges; the strict < keeps
+            # the first of tied edges, as an argmin over all of them would
+            s = np.full(idx.size, np.inf)
+            edge = np.zeros(idx.size, dtype=np.intp)
+            for e, (ex, ey) in enumerate(normals):
+                dv = vx * ex + vy * ey
+                se = np.where(dv > 0.0, (offsets[e] - (x * ex + y * ey)) / dv, np.inf)
+                first = se < s
+                s = np.where(first, se, s)
+                edge = np.where(first, e, edge)
+            s = np.maximum(s, 0.0)
+            open_ = rem > 0.0
+            fly = s > rem
+            kk, jj = np.nonzero(open_ & fly)
+            r = rem[kk, jj]
+            _snapshot(out, row0 + kk, idx[jj], x[jj] + vx[jj] * r, y[jj] + vy[jj] * r,
+                      vx[jj], vy[jj], w[jj], n[jj], False)
+            hit = open_ & ~fly
+            rem = np.where(fly, 0.0, rem - s)
+            x = x + vx * s
+            y = y + vy * s
+            # sqrt is monotone and correctly rounded: one root of the least
+            # square is the least root
+            near = np.full(idx.size, np.inf)
+            for px, py in verts:
+                dx = x - px
+                dy = y - py
+                near = np.minimum(near, dx * dx + dy * dy)
+            near = np.sqrt(near)
             nx = normals[edge, 0]
             ny = normals[edge, 1]
             vn = vx * nx + vy * ny
-            if abs(vn) < eps * speed:
-                degenerate[i] = True
-                break
-            vx -= 2.0 * vn * nx
-            vy -= 2.0 * vn * ny
-            rebounds[i] += 1
-            weight[i] *= scale
-        pos[i, 0] = x
-        pos[i, 1] = y
-        vel[i, 0] = vx
-        vel[i, 1] = vy
-    return pos, vel, weight, rebounds, degenerate
+            graze = (np.abs(vn) < eps * speed) | (near < vert_eps)
+            vx = np.where(graze, vx, vx - 2.0 * vn * nx)
+            vy = np.where(graze, vy, vy - 2.0 * vn * ny)
+            n = n + ~graze
+            if scale != 1.0:
+                w = np.where(graze, w, w * scale)
+            # a graze freezes every row that reached this hit; a reflection
+            # closes the rows it leaves with no time
+            kk, jj = np.nonzero(hit & (graze | (rem == 0.0)))
+            _snapshot(out, row0 + kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj],
+                      graze[jj])
+            keep = ~graze & (rem[-1] > 0.0)
+            if not keep.all():
+                idx, x, y, vx, vy, w, n, speed = (
+                    a[keep] for a in (idx, x, y, vx, vy, w, n, speed))
+                rem = rem[:, keep]
+            while rem.shape[0] > 1 and not rem[0].any():
+                rem = rem[1:]
+                row0 += 1
+    return out
 
 
-def _polygon_np(pos, vel, weight, rebounds, degenerate, normals, offsets, verts,
-                t, scale, eps, vert_eps, iter_cap):
-    n = pos.shape[0]
-    rem = np.where(degenerate, 0.0, t)
-    speed = np.sqrt(np.sum(vel * vel, axis=1))
-    idx_all = np.arange(n)
-    rounds = 0
-    while True:
-        act = idx_all[rem > 0.0]
-        if act.size == 0:
-            break
-        rounds += 1
-        if rounds > iter_cap:
-            degenerate[act] = True
-            break
-        # elementwise products (not matmul) so rounding matches the scalar path
-        dv = vel[act, 0, None] * normals[None, :, 0] + vel[act, 1, None] * normals[None, :, 1]
-        proj = pos[act, 0, None] * normals[None, :, 0] + pos[act, 1, None] * normals[None, :, 1]
-        gap = offsets[None, :] - proj
-        with np.errstate(divide="ignore", invalid="ignore"):
-            times = np.where(dv > 0.0, gap / dv, np.inf)
-        edge = np.argmin(times, axis=1)
-        s = np.maximum(times[np.arange(act.size), edge], 0.0)
-        fly = s > rem[act]
-        done = act[fly]
-        pos[done] += vel[done] * rem[done, None]
-        rem[done] = 0.0
-        hit = act[~fly]
-        sh = s[~fly]
-        eh = edge[~fly]
-        pos[hit] += vel[hit] * sh[:, None]
-        rem[hit] -= sh
-        dist = np.min(np.linalg.norm(pos[hit][:, None, :] - verts[None, :, :], axis=2), axis=1)
-        nx = normals[eh, 0]
-        ny = normals[eh, 1]
-        vn = vel[hit, 0] * nx + vel[hit, 1] * ny
-        graze = (np.abs(vn) < eps * speed[hit]) | (dist < vert_eps)
-        gz = hit[graze]
-        degenerate[gz] = True
-        rem[gz] = 0.0
-        ok = hit[~graze]
-        vel[ok, 0] -= 2.0 * vn[~graze] * nx[~graze]
-        vel[ok, 1] -= 2.0 * vn[~graze] * ny[~graze]
-        rebounds[ok] += 1
-        weight[ok] *= scale
-    return pos, vel, weight, rebounds, degenerate
+def polygon_snapshots(pos, vel, weight, rebounds, degenerate, geom, times,
+                      scale=1.0, eps=1e-10, iter_cap=10_000_000):
+    """Billiard flow on a convex polygon to every one of ``times`` in one sweep.
 
-
-if HAS_NUMBA:
-    _polygon_nb = numba.njit(cache=True)(_polygon_py)
+    ``times`` must be finite, nonnegative, distinct and ascending.  The input
+    arrays are left alone.  Returns ``(pos, vel, weight, rebounds,
+    degenerate)`` with a leading axis over ``times``; row k is bitwise what
+    ``billiard_transport`` leaves on a copy of the inputs for ``times[k]``.
+    """
+    times = np.array(times, dtype=np.float64).reshape(-1)
+    if not np.all((times >= 0.0) & (times < np.inf)):
+        raise ValueError("transport time must be finite and nonnegative")
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("snapshot times must be distinct and ascending")
+    normals, offsets = geom.edge_normals()
+    verts = np.array(geom.vertices, dtype=np.float64)
+    return _polygon_snapshots(pos, vel, weight, rebounds, degenerate, normals, offsets, verts,
+                              times, float(scale), float(eps),
+                              float(eps) * max(1.0, float(np.max(np.abs(verts)))), int(iter_cap))
 
 
 def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t,
@@ -408,21 +413,19 @@ def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t,
     boundary operator weight).  Grazing hits freeze the particle and set its
     degenerate flag instead of reflecting.  A particle that would need more
     than ``iter_cap`` reflections stops moving and is marked degenerate too.
-    ``use_numba`` selects the polygon kernel build; the disk has a single
-    closed-form kernel.
+    ``use_numba`` is kept for API stability and ignored: both billiard
+    kernels are numpy only, and the flag now selects only the build of the
+    ladder walk (``ladder_survival``).
     """
     if not 0.0 <= t < np.inf:
         raise ValueError("transport time must be finite and nonnegative")
-    if use_numba is None:
-        use_numba = USE_NUMBA
     if geom.shape == "disk":
         cx, cy = geom.center
         return _disk_closed_form(pos, vel, weight, rebounds, degenerate, float(cx), float(cy),
                                  float(geom.radius), float(t), float(scale), float(eps),
                                  int(iter_cap))
-    normals, offsets = geom.edge_normals()
-    verts = np.array(geom.vertices, dtype=np.float64)
-    fn = _polygon_nb if (use_numba and HAS_NUMBA) else _polygon_np
-    return fn(pos, vel, weight, rebounds, degenerate, normals, offsets, verts,
-              float(t), float(scale), float(eps), float(eps) * max(1.0, float(np.max(np.abs(verts)))),
-              int(iter_cap))
+    arrays = (pos, vel, weight, rebounds, degenerate)
+    snaps = polygon_snapshots(*arrays, geom, (t,), scale=scale, eps=eps, iter_cap=iter_cap)
+    for a, snap in zip(arrays, snaps):
+        a[...] = snap[0]
+    return arrays

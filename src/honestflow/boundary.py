@@ -48,7 +48,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundaryVector:
-    """Finitely supported trace on one side of the boundary."""
+    """Finitely supported trace on one side of the boundary.
+
+    Values given for the same index add up; entries that come to zero are
+    dropped.
+    """
 
     side: str  # "incoming" | "outgoing"
     entries: tuple = ()  # sorted ((index, value), ...)
@@ -56,8 +60,12 @@ class BoundaryVector:
     def __post_init__(self):
         if self.side not in ("incoming", "outgoing"):
             raise ValueError(f"unknown boundary side {self.side!r}")
-        ent = tuple(sorted((int(k), float(v)) for k, v in dict(self.entries).items()))
-        object.__setattr__(self, "entries", tuple((k, v) for k, v in ent if v != 0.0))
+        summed: dict[int, float] = {}
+        for k, v in self.entries:
+            k, v = int(k), float(v)
+            summed[k] = summed[k] + v if k in summed else v
+        object.__setattr__(
+            self, "entries", tuple((k, v) for k, v in sorted(summed.items()) if v != 0.0))
 
     @classmethod
     def from_dict(cls, side: str, d: dict) -> "BoundaryVector":

@@ -29,6 +29,7 @@ __all__ = [
     "sample_ensemble",
     "sample_ladder_positions",
     "transport_ensemble",
+    "transport_ensemble_times",
 ]
 
 # draw-stream layout for counter-based sampling (per particle):
@@ -322,7 +323,8 @@ def transport_ensemble(
     Rebound counters accumulate one per reflection (the expansion order the
     particle currently contributes to); grazing hits freeze the particle and
     raise its degenerate flag.  ``scale`` is the per-reflection boundary
-    weight.
+    weight.  ``use_numba`` is kept for API stability and ignored: both
+    billiard kernels are numpy only.
     """
     out = ens.copy()
     _kernels.billiard_transport(
@@ -337,6 +339,25 @@ def transport_ensemble(
         use_numba=use_numba,
     )
     return out
+
+
+def transport_ensemble_times(ens: ParticleEnsemble, times, geom: Billiard, scale: float = 1.0):
+    """The trajectory of an ensemble at several times.
+
+    Returns an iterator of ``(t, ensemble)`` over the distinct ``times`` in
+    ascending order; each ensemble is bitwise ``transport_ensemble(ens, t,
+    geom, scale)``.  A polygon steps every particle's events once, up to the
+    largest time.  A disk transports lazily, one time per step: its closed
+    form costs O(N) whatever t, and holding every snapshot would not.
+    """
+    ts = sorted({float(t) for t in times})
+    if not all(0.0 <= t < np.inf for t in ts):
+        raise ValueError("transport time must be finite and nonnegative")
+    if geom.shape == "disk":
+        return ((t, transport_ensemble(ens, t, geom, scale)) for t in ts)
+    snaps = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                       ens.degenerate, geom, ts, scale=scale)
+    return ((t, ParticleEnsemble(*(a[k] for a in snaps), ens.seed)) for k, t in enumerate(ts))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ from importlib import resources
 from pathlib import Path
 
 from .boundary import BoundaryRule
-from .densities import PiecewiseDensity, ParticleEnsemble, sample_ensemble, transport_ensemble
+from .densities import (
+    PiecewiseDensity, ParticleEnsemble, sample_ensemble, transport_ensemble,
+    transport_ensemble_times,
+)
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, TruncationReport
 from .geometry import Billiard, IntervalUnion, VelocitySpec
 from . import honesty as _hon
@@ -547,57 +550,64 @@ def _run_ladder(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
+def _ensemble_row(t: float, ens_t: ParticleEnsemble, initial_mass: float) -> EnsembleRow:
+    return EnsembleRow(
+        t=float(t),
+        mass=ens_t.mass(),
+        mass_defect=ens_t.mass() - initial_mass,
+        degenerate_weight=float(ens_t.weight[ens_t.degenerate].sum()),
+        max_rebounds=int(ens_t.rebounds.max()) if len(ens_t) else 0,
+        rebound_masses=tuple(float(x) for x in ens_t.rebound_histogram()),
+        tail_weights=tuple(float(x) for x in ens_t.tail_weights()),
+    )
+
+
 def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:
     geom, rule = cfg.geometry, cfg.boundary
     ens0 = initial_density(cfg)
-    rows = []
-    n_orders = 0
-    final = ens0
-    for t in cfg.times:
-        ens_t = transport_ensemble(ens0, t, geom, scale=rule.scale)
-        hist = ens_t.rebound_histogram()
-        tails = ens_t.tail_weights()
-        rows.append(
-            EnsembleRow(
-                t=float(t),
-                mass=ens_t.mass(),
-                mass_defect=ens_t.mass() - ens0.mass(),
-                degenerate_weight=float(ens_t.weight[ens_t.degenerate].sum()),
-                max_rebounds=int(ens_t.rebounds.max()) if len(ens_t) else 0,
-                rebound_masses=tuple(float(x) for x in hist),
-                tail_weights=tuple(float(x) for x in tails),
-            )
+    ends = [_window_end(w) for w in cfg.windows]
+    t_max = max(cfg.times)
+    rows = [None] * len(cfg.times)
+    window_reports = [None] * len(ends)
+    # one pass over the trajectory; rows and windows keep config order
+    for t, ens_t in transport_ensemble_times(ens0, (*cfg.times, *ends), geom, scale=rule.scale):
+        for i, ti in enumerate(cfg.times):
+            if ti == t:
+                rows[i] = _ensemble_row(ti, ens_t, ens0.mass())
+        for i, end in enumerate(ends):
+            if end == t:
+                window_reports[i] = _hon.ensemble_trace_decay(ens_t, end)
+        if t == t_max:
+            decay = _hon.ensemble_trace_decay(ens_t, t_max)
+    n_orders = max(len(row.rebound_masses) - 1 for row in rows)
+    padded = tuple(
+        replace(
+            row,
+            rebound_masses=row.rebound_masses + (0.0,) * (n_orders + 1 - len(row.rebound_masses)),
+            tail_weights=row.tail_weights + (0.0,) * max(0, n_orders + 1 - len(row.tail_weights)),
         )
-        n_orders = max(n_orders, len(rows[-1].rebound_masses) - 1)
-        if t == max(cfg.times):
-            final = ens_t
-    padded = []
-    for row in rows:
-        pad = n_orders + 1 - len(row.rebound_masses)
-        padded.append(
-            replace(
-                row,
-                rebound_masses=row.rebound_masses + (0.0,) * pad,
-                tail_weights=row.tail_weights + (0.0,) * max(0, n_orders + 1 - len(row.tail_weights)),
-            )
-        )
-    decay = _hon.ensemble_trace_decay(final, max(cfg.times))
-    window_reports = tuple(_window_decay(cfg, ens0, w) for w in cfg.windows)
+        for row in rows
+    )
     return ScenarioResult(
         config=cfg,
         kind="ensemble",
         initial_mass=ens0.mass(),
-        rows=tuple(padded),
+        rows=padded,
         n_orders=n_orders,
-        window_reports=window_reports,
+        window_reports=tuple(window_reports),
         decay_report=decay,
     )
 
 
-def _window_decay(cfg: ScenarioConfig, ens0: ParticleEnsemble, window):
+def _window_end(window) -> float:
     s, t = window
     if s != 0.0:
         raise ConfigError("[run] windows: billiard honesty windows must start at 0")
+    return t
+
+
+def _window_decay(cfg: ScenarioConfig, ens0: ParticleEnsemble, window):
+    t = _window_end(window)
     ens_t = transport_ensemble(ens0, t, cfg.geometry, scale=cfg.boundary.scale)
     return _hon.ensemble_trace_decay(ens_t, t)
 

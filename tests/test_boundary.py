@@ -23,6 +23,11 @@ class TestBoundaryVector:
         assert v.norm() == 3.0
         assert v.signed_sum() == -1.0
 
+    def test_duplicate_indices_sum(self):
+        v = BoundaryVector("incoming", ((1, 0.5), (0, 2.0), (1, 0.25)))
+        assert v.entries == ((0, 2.0), (1, 0.75))
+        assert BoundaryVector("incoming", ((1, 0.5), (1, -0.5), (2, 1.0))).entries == ((2, 1.0),)
+
     def test_add_requires_same_side(self):
         v = BoundaryVector("outgoing", ((0, 1.0),))
         w = BoundaryVector("incoming", ((0, 1.0),))

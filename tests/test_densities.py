@@ -12,6 +12,7 @@ from honestflow import (
     sample_ensemble,
     sample_ladder_positions,
     transport_ensemble,
+    transport_ensemble_times,
 )
 
 
@@ -150,6 +151,34 @@ class TestEnsemble:
         # weight = scale^rebounds exactly
         want = ens0.weight * 0.5 ** full.rebounds
         assert np.allclose(damped.weight, want, rtol=0, atol=1e-17)
+
+
+def small_square():
+    return Billiard("polygon", vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+                    velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+
+
+class TestTransportTimes:
+    @pytest.mark.parametrize("table", [small_square, small_disk])
+    def test_snapshots_equal_separate_transports(self, table):
+        geom = table()
+        ens = sample_ensemble(geom, 500, seed=12)
+        got = list(transport_ensemble_times(ens, (5.0, 0.0, 2.5, 5.0), geom, 0.9))
+        assert [t for t, _ in got] == [0.0, 2.5, 5.0]
+        assert got[-1][1].rebounds.max() > 3
+        for t, snap in got:
+            ref = transport_ensemble(ens, t, geom, scale=0.9)
+            assert snap.seed == ref.seed
+            for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
+                assert np.array_equal(getattr(snap, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("table", [small_square, small_disk])
+    @pytest.mark.parametrize("t", [-1.0, float("inf"), float("nan")])
+    def test_bad_time_rejected(self, table, t):
+        geom = table()
+        ens = sample_ensemble(geom, 10, seed=1)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            transport_ensemble_times(ens, (1.0, t), geom)
 
 
 class TestLadderSampling:

@@ -116,23 +116,7 @@ def disk_table():
                     velocities=VelocitySpec("speeds", speeds=(1.0,)))
 
 
-def square_table():
-    return Billiard("polygon", vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
-                    velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
-
-
 class TestBilliardKernel:
-    @needs_numba
-    def test_polygon_paths_bitwise_equal(self):
-        ens = sample_ensemble(square_table(), 5000, seed=5)
-        via_nb = transport_ensemble(ens, 3.25, square_table(), scale=0.9, use_numba=True)
-        via_np = transport_ensemble(ens, 3.25, square_table(), scale=0.9, use_numba=False)
-        assert np.array_equal(via_nb.pos, via_np.pos)
-        assert np.array_equal(via_nb.vel, via_np.vel)
-        assert np.array_equal(via_nb.weight, via_np.weight)
-        assert np.array_equal(via_nb.rebounds, via_np.rebounds)
-        assert np.array_equal(via_nb.degenerate, via_np.degenerate)
-
     def test_transport_deterministic(self):
         ens = sample_ensemble(disk_table(), 3000, seed=1)
         a = transport_ensemble(ens, 4.0, disk_table())
@@ -267,6 +251,119 @@ class TestDiskClosedForm:
         sliced = transport_ensemble(ens, 9.0, geom, scale=0.7)
         for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
             assert np.array_equal(getattr(sliced, name), getattr(whole, name))
+
+
+def hexagon_table():
+    ang = [k * math.pi / 3 for k in range(6)]
+    return Billiard("polygon", vertices=tuple((math.cos(a), math.sin(a)) for a in ang),
+                    velocities=VelocitySpec("speeds", speeds=(1.0,)))
+
+
+def scalene_table():
+    return Billiard("polygon", vertices=((0.0, 0.0), (3.0, 0.0), (0.7, 1.9)),
+                    velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+
+
+def snapshots(ens, geom, times, **kw):
+    return _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                      ens.degenerate, geom, times, **kw)
+
+
+class TestPolygonSnapshots:
+    """The one-sweep polygon kernel against the scalar stepping oracle."""
+
+    @pytest.mark.parametrize("table, scale", [(hexagon_table, 1.0), (scalene_table, 0.7)])
+    def test_matches_stepping_oracle(self, table, scale):
+        geom = table()
+        ens = sample_ensemble(geom, 300, seed=23)
+        times = (0.0, 1.5, 4.0, 7.5)
+        pos, vel, weight, rebounds, degenerate = snapshots(ens, geom, times, scale=scale)
+        assert rebounds[-1].max() > 5
+        for k, t in enumerate(times):
+            for i in range(len(ens)):
+                p, v, n, flag = oracle_state(ens.pos[i], ens.vel[i], t, geom)
+                assert rebounds[k, i] == n
+                assert degenerate[k, i] == flag
+                assert np.allclose(pos[k, i], p, rtol=0.0, atol=1e-9)
+                assert np.allclose(vel[k, i], v, rtol=0.0, atol=1e-9)
+            expected = ens.weight * scale ** rebounds[k]
+            assert np.allclose(weight[k], expected, rtol=1e-14, atol=0.0)
+
+    def test_vertex_hit_freezes(self):
+        geom = hexagon_table()
+        ens = sample_ensemble(geom, 4, seed=3)
+        # straight at the vertex (1, 0), reached after unit time
+        ens.pos[0] = (0.0, 0.0)
+        ens.vel[0] = (1.0, 0.0)
+        events, flag = rebound_sequence((ens.pos[0], ens.vel[0]), 3.0, geom)
+        assert events == [] and flag
+        pos, vel, weight, rebounds, degenerate = snapshots(ens, geom, (0.5, 3.0), scale=0.5)
+        assert not degenerate[0, 0]
+        assert np.array_equal(pos[0, 0], (0.5, 0.0))
+        assert degenerate[1, 0] and rebounds[1, 0] == 0
+        assert weight[1, 0] == ens.weight[0]
+        assert np.array_equal(vel[1, 0], ens.vel[0])
+        assert np.allclose(pos[1, 0], (1.0, 0.0), rtol=0.0, atol=1e-12)
+        assert not degenerate[:, 1:].any()
+
+    def test_reflection_cap_marks_degenerate(self):
+        geom = hexagon_table()
+        ens = sample_ensemble(geom, 200, seed=4)
+        times = (0.5, 3.0)
+        free = snapshots(ens, geom, times)
+        pos, vel, weight, rebounds, degenerate = snapshots(ens, geom, times, iter_cap=3)
+        # the fourth round finds a particle with time left after 3 reflections
+        over = free[3] >= 3
+        assert over[1].any() and not over[1].all() and not over[0].any()
+        assert np.array_equal(degenerate, over)
+        assert np.array_equal(rebounds, np.minimum(free[3], 3))
+        # a capped particle stops at its third hit point
+        for i in np.flatnonzero(over[1]):
+            events, _ = rebound_sequence((ens.pos[i], ens.vel[i]), 3.0, geom)
+            assert np.allclose(pos[1, i], events[2][1], rtol=0.0, atol=1e-9)
+            assert np.allclose(vel[1, i], events[2][2], rtol=0.0, atol=1e-9)
+
+    def test_zero_time_leaves_a_particle_on_the_wall(self):
+        geom = scalene_table()
+        ens = sample_ensemble(geom, 50, seed=8)
+        # on the bottom wall, moving outward: at t > 0 it reflects at once
+        ens.pos[0] = (1.0, 0.0)
+        ens.vel[0] = (0.3, -1.0)
+        pos, vel, weight, rebounds, degenerate = snapshots(ens, geom, (0.0, 0.25), scale=0.5)
+        for got, orig in zip((pos, vel, weight, rebounds, degenerate),
+                             (ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate)):
+            assert np.array_equal(got[0], orig)
+        assert rebounds[1, 0] == 1 and not degenerate[1, 0]
+        assert np.allclose(pos[1, 0], (1.075, 0.25), rtol=0.0, atol=1e-15)
+        assert np.array_equal(vel[1, 0], (0.3, 1.0))
+
+    def test_degenerate_input_left_alone(self):
+        geom = scalene_table()
+        ens = sample_ensemble(geom, 50, seed=8)
+        ens.degenerate[::7] = True
+        ens.rebounds[::7] = 2
+        frozen = ens.degenerate
+        pos, vel, weight, rebounds, degenerate = snapshots(ens, geom, (2.0, 6.0), scale=0.5)
+        for got, orig in zip((pos, vel, weight, rebounds, degenerate),
+                             (ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate)):
+            assert np.array_equal(got[:, frozen], np.broadcast_to(orig[frozen], got[:, frozen].shape))
+        assert rebounds[1, ~frozen].all()
+
+    def test_inputs_are_not_mutated(self):
+        geom = hexagon_table()
+        ens = sample_ensemble(geom, 100, seed=2)
+        before = ens.copy()
+        snapshots(ens, geom, (1.0, 5.0), scale=0.5)
+        for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
+            assert np.array_equal(getattr(ens, name), getattr(before, name))
+
+    @pytest.mark.parametrize("times", [(2.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
+                                       (math.nan,)])
+    def test_times_must_ascend_and_be_finite(self, times):
+        geom = hexagon_table()
+        ens = sample_ensemble(geom, 10, seed=2)
+        with pytest.raises(ValueError):
+            snapshots(ens, geom, times)
 
 
 class TestEnvFlag:

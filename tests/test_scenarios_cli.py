@@ -25,6 +25,7 @@ from honestflow import (
     write_reports,
 )
 from honestflow import cli
+from honestflow.scenarios import _window_decay
 
 LADDER_TEXT = """\
 [geometry]
@@ -94,6 +95,30 @@ region = domain
 [run]
 times = 0.5, 2
 label = little-disk
+"""
+
+
+POLYGON_TEXT = """\
+[geometry]
+kind = billiard
+shape = polygon
+vertices = 0, 0; 3, 0; 0.7, 1.9
+speeds = 1
+
+[boundary]
+kind = specular
+scale = 0.9
+
+[density]
+kind = ensemble
+count = 2000
+seed = 11
+region = domain
+
+[run]
+times = 2, 0.5, 2
+windows = 0, 2; 0, 3.5
+label = little-triangle
 """
 
 
@@ -439,6 +464,17 @@ class TestRunScenario:
         for row in result.rows:
             assert row.mass == pytest.approx(1.0, abs=1e-12)
             assert row.tail_weights[-1] == 0.0
+
+    def test_polygon_reports_match_separate_transports(self):
+        # one window ends at a report time, one does not
+        cfg = parse_config(POLYGON_TEXT)
+        result = run_scenario(cfg)
+        ens0 = initial_density(cfg)
+        assert [row.t for row in result.rows] == [2.0, 0.5, 2.0]
+        assert result.rows[0] == result.rows[2]
+        assert result.window_reports == tuple(_window_decay(cfg, ens0, w) for w in cfg.windows)
+        assert result.decay_report == _window_decay(cfg, ens0, (0.0, 2.0))
+        assert result.window_reports[1].max_rebounds > result.decay_report.max_rebounds
 
     def test_ladder_csv_is_reproducible(self):
         cfg = resolve_config("geometric-ladder-dishonest")

@@ -304,21 +304,17 @@ def _snapshot(out, kk, cols, x, y, vx, vy, w, n, flagged):
     degenerate[kk, cols] = flagged
 
 
-def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, normals, offsets, verts,
+def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, offsets, verts,
                        times, scale, eps, vert_eps, iter_cap):
-    # rows that close before the first round (input-degenerate particles,
-    # zero times) keep the input state
-    out = tuple(np.repeat(a[None], times.size, axis=0)
-                for a in (pos, vel, weight, rebounds, degenerate))
+    # ``out`` holds the input state in every row: rows that close before the
+    # first round (input-degenerate particles, zero times) keep it.  The
+    # inputs are read before the first write, so ``out`` may be views of them.
     speed = np.sqrt(np.sum(vel * vel, axis=1))
     idx = np.flatnonzero(~degenerate) if times.size and times[-1] > 0.0 else np.arange(0)
     x, y = pos[idx, 0], pos[idx, 1]
     vx, vy = vel[idx, 0], vel[idx, 1]
     w, n, speed = weight[idx], rebounds[idx], speed[idx]
     rem = np.repeat(times[:, None], idx.size, axis=1)
-    # rem holds rows row0, row0 + 1, ...: a row every particle has closed
-    # leaves the sweep
-    row0 = 0
     rounds = 0
     # a particle with no hit ahead (s = inf) only ever flies; the garbage its
     # hit point gets in that round is dropped with it
@@ -327,8 +323,7 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, normals, offsets,
             rounds += 1
             if rounds > iter_cap:
                 kk, jj = np.nonzero(rem > 0.0)
-                _snapshot(out, row0 + kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj],
-                          True)
+                _snapshot(out, kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj], True)
                 break
             # first hit: a running minimum over the edges; the strict < keeps
             # the first of tied edges, as an argmin over all of them would
@@ -345,7 +340,7 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, normals, offsets,
             fly = s > rem
             kk, jj = np.nonzero(open_ & fly)
             r = rem[kk, jj]
-            _snapshot(out, row0 + kk, idx[jj], x[jj] + vx[jj] * r, y[jj] + vy[jj] * r,
+            _snapshot(out, kk, idx[jj], x[jj] + vx[jj] * r, y[jj] + vy[jj] * r,
                       vx[jj], vy[jj], w[jj], n[jj], False)
             hit = open_ & ~fly
             rem = np.where(fly, 0.0, rem - s)
@@ -371,61 +366,67 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, normals, offsets,
             # a graze freezes every row that reached this hit; a reflection
             # closes the rows it leaves with no time
             kk, jj = np.nonzero(hit & (graze | (rem == 0.0)))
-            _snapshot(out, row0 + kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj],
-                      graze[jj])
+            _snapshot(out, kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj], graze[jj])
             keep = ~graze & (rem[-1] > 0.0)
             if not keep.all():
                 idx, x, y, vx, vy, w, n, speed = (
                     a[keep] for a in (idx, x, y, vx, vy, w, n, speed))
                 rem = rem[:, keep]
-            while rem.shape[0] > 1 and not rem[0].any():
-                rem = rem[1:]
-                row0 += 1
     return out
+
+
+def _polygon_sweep(arrays, out, geom, times, scale, eps, iter_cap):
+    normals, offsets = geom.edge_normals()
+    verts = np.array(geom.vertices, dtype=np.float64)
+    vert_eps = float(eps) * max(1.0, float(np.max(np.abs(verts))))
+    return _polygon_snapshots(*arrays, out, normals, offsets, verts, times, float(scale),
+                              float(eps), vert_eps, int(iter_cap))
+
+
+def distinct_times(times) -> np.ndarray:
+    """The distinct ``times`` in ascending order, as a float64 array.
+
+    Raises ValueError unless every time is finite and nonnegative.
+    """
+    times = np.array(sorted({float(t) for t in times}), dtype=np.float64)
+    if not np.all((times >= 0.0) & (times < np.inf)):
+        raise ValueError("transport time must be finite and nonnegative")
+    return times
 
 
 def polygon_snapshots(pos, vel, weight, rebounds, degenerate, geom, times,
                       scale=1.0, eps=1e-10, iter_cap=10_000_000):
     """Billiard flow on a convex polygon to every one of ``times`` in one sweep.
 
-    ``times`` must be finite, nonnegative, distinct and ascending.  The input
-    arrays are left alone.  Returns ``(pos, vel, weight, rebounds,
-    degenerate)`` with a leading axis over ``times``; row k is bitwise what
-    ``billiard_transport`` leaves on a copy of the inputs for ``times[k]``.
+    The input arrays are left alone.  Returns ``(pos, vel, weight, rebounds,
+    degenerate)`` with a leading axis over ``distinct_times(times)``; row k is
+    bitwise what ``billiard_transport`` leaves on a copy of the inputs for the
+    k-th of them.  Memory grows with the number of rows: every row holds a
+    whole ensemble.
     """
-    times = np.array(times, dtype=np.float64).reshape(-1)
-    if not np.all((times >= 0.0) & (times < np.inf)):
-        raise ValueError("transport time must be finite and nonnegative")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("snapshot times must be distinct and ascending")
-    normals, offsets = geom.edge_normals()
-    verts = np.array(geom.vertices, dtype=np.float64)
-    return _polygon_snapshots(pos, vel, weight, rebounds, degenerate, normals, offsets, verts,
-                              times, float(scale), float(eps),
-                              float(eps) * max(1.0, float(np.max(np.abs(verts)))), int(iter_cap))
+    times = distinct_times(times)
+    arrays = (pos, vel, weight, rebounds, degenerate)
+    out = tuple(np.repeat(a[None], times.size, axis=0) for a in arrays)
+    return _polygon_sweep(arrays, out, geom, times, scale, eps, iter_cap)
 
 
 def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t,
-                       scale=1.0, eps=1e-10, iter_cap=10_000_000, use_numba=None):
+                       scale=1.0, eps=1e-10, iter_cap=10_000_000):
     """Advance a billiard ensemble by time t in place (arrays are mutated).
 
     ``scale`` multiplies the particle weight at every reflection (the
     boundary operator weight).  Grazing hits freeze the particle and set its
     degenerate flag instead of reflecting.  A particle that would need more
     than ``iter_cap`` reflections stops moving and is marked degenerate too.
-    ``use_numba`` is kept for API stability and ignored: both billiard
-    kernels are numpy only, and the flag now selects only the build of the
-    ladder walk (``ladder_survival``).
     """
     if not 0.0 <= t < np.inf:
         raise ValueError("transport time must be finite and nonnegative")
+    arrays = (pos, vel, weight, rebounds, degenerate)
     if geom.shape == "disk":
         cx, cy = geom.center
-        return _disk_closed_form(pos, vel, weight, rebounds, degenerate, float(cx), float(cy),
-                                 float(geom.radius), float(t), float(scale), float(eps),
-                                 int(iter_cap))
-    arrays = (pos, vel, weight, rebounds, degenerate)
-    snaps = polygon_snapshots(*arrays, geom, (t,), scale=scale, eps=eps, iter_cap=iter_cap)
-    for a, snap in zip(arrays, snaps):
-        a[...] = snap[0]
+        return _disk_closed_form(*arrays, float(cx), float(cy), float(geom.radius), float(t),
+                                 float(scale), float(eps), int(iter_cap))
+    # one row, written straight into the inputs
+    _polygon_sweep(arrays, tuple(a[None] for a in arrays), geom, np.array([float(t)]),
+                   scale, eps, iter_cap)
     return arrays

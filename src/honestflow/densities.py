@@ -316,29 +316,25 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
 
 
 def transport_ensemble(
-    ens: ParticleEnsemble, t: float, geom: Billiard, scale: float = 1.0, use_numba=None
+    ens: ParticleEnsemble, t: float, geom: Billiard, scale: float = 1.0
 ) -> ParticleEnsemble:
     """Billiard flow applied to every particle for time t.
 
     Rebound counters accumulate one per reflection (the expansion order the
     particle currently contributes to); grazing hits freeze the particle and
     raise its degenerate flag.  ``scale`` is the per-reflection boundary
-    weight.  ``use_numba`` is kept for API stability and ignored: both
-    billiard kernels are numpy only.
+    weight.
     """
     out = ens.copy()
     _kernels.billiard_transport(
-        out.pos,
-        out.vel,
-        out.weight,
-        out.rebounds,
-        out.degenerate,
-        geom,
-        t,
-        scale=scale,
-        use_numba=use_numba,
+        out.pos, out.vel, out.weight, out.rebounds, out.degenerate, geom, t, scale=scale
     )
     return out
+
+
+# particle states one polygon sweep may hold, summed over its times: bounds
+# the sweep's memory (about 57 bytes per state) whatever the number of times
+SWEEP_STATES = 1 << 20
 
 
 def transport_ensemble_times(ens: ParticleEnsemble, times, geom: Billiard, scale: float = 1.0):
@@ -346,18 +342,29 @@ def transport_ensemble_times(ens: ParticleEnsemble, times, geom: Billiard, scale
 
     Returns an iterator of ``(t, ensemble)`` over the distinct ``times`` in
     ascending order; each ensemble is bitwise ``transport_ensemble(ens, t,
-    geom, scale)``.  A polygon steps every particle's events once, up to the
-    largest time.  A disk transports lazily, one time per step: its closed
-    form costs O(N) whatever t, and holding every snapshot would not.
+    geom, scale)``.  Bad times raise ValueError here, not when iterating.
+    A polygon steps every particle's events once per group of times, up to
+    the group's largest, each group holding at most ``SWEEP_STATES`` particle
+    states.  A disk transports lazily, one time per step: its closed form
+    costs O(N) whatever t, and holding every snapshot would not.
     """
-    ts = sorted({float(t) for t in times})
-    if not all(0.0 <= t < np.inf for t in ts):
-        raise ValueError("transport time must be finite and nonnegative")
+    ts = _kernels.distinct_times(times)
     if geom.shape == "disk":
-        return ((t, transport_ensemble(ens, t, geom, scale)) for t in ts)
-    snaps = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
-                                       ens.degenerate, geom, ts, scale=scale)
-    return ((t, ParticleEnsemble(*(a[k] for a in snaps), ens.seed)) for k, t in enumerate(ts))
+        return ((t, transport_ensemble(ens, t, geom, scale)) for t in ts.tolist())
+    return _polygon_trajectory(ens, ts, geom, scale)
+
+
+def _polygon_trajectory(ens: ParticleEnsemble, ts, geom: Billiard, scale: float):
+    # every group starts from ens, so it stays bitwise; the snapshot the
+    # caller holds can keep the previous group alive while the next one runs
+    rows = max(1, SWEEP_STATES // max(1, len(ens)))
+    for lo in range(0, ts.size, rows):
+        group = ts[lo:lo + rows]
+        snaps = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                           ens.degenerate, geom, group, scale=scale)
+        for k, t in enumerate(group.tolist()):
+            yield t, ParticleEnsemble(*(a[k] for a in snaps), ens.seed)
+        del snaps
 
 
 # ---------------------------------------------------------------------------

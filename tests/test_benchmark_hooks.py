@@ -19,3 +19,39 @@ def test_tracer_finds_and_restores_every_patched_name(monkeypatch):
             assert vars(owner)[attr] is not original, f"{owner.__name__}.{attr} not wrapped"
     for owner, attr, original in before:
         assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} left patched"
+
+
+DISK_TEXT = """\
+[geometry]
+kind = billiard
+shape = disk
+center = 0, 0
+radius = 1
+speeds = 1
+
+[boundary]
+kind = specular
+scale = 1
+
+[density]
+kind = ensemble
+count = 200
+seed = 3
+region = domain
+
+[run]
+times = 0.5, 4
+label = traced-disk
+"""
+
+
+def test_traced_disk_run_counts_its_rebounds(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from honestflow import scenarios
+
+    cfg = scenarios.parse_config(DISK_TEXT)
+    with tracing.traced(tracing.Tracer()) as tracer:
+        scenarios.run_scenario(cfg)
+    assert tracer.counts["kernels.rebound_events"] > 0
+    assert sum(name == "kernels.transport" for _, name, *_ in tracer.spans) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from honestflow import _kernels, densities
 from honestflow import (
     Billiard,
     IntervalUnion,
@@ -171,6 +172,28 @@ class TestTransportTimes:
             assert snap.seed == ref.seed
             for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
                 assert np.array_equal(getattr(snap, name), getattr(ref, name))
+
+    def test_polygon_sweeps_are_bounded(self, monkeypatch):
+        geom = small_square()
+        ens = sample_ensemble(geom, 100, seed=12)
+        times = (0.0, 0.7, 1.5, 2.5, 4.0, 5.0, 7.25)
+        whole = list(transport_ensemble_times(ens, times, geom, 0.9))
+        sweeps = []
+        sweep = _kernels.polygon_snapshots
+
+        def counted(*args, **kwargs):
+            snaps = sweep(*args, **kwargs)
+            sweeps.append(snaps[0].shape[0])
+            return snaps
+
+        monkeypatch.setattr(_kernels, "polygon_snapshots", counted)
+        monkeypatch.setattr(densities, "SWEEP_STATES", 300)
+        grouped = list(transport_ensemble_times(ens, times, geom, 0.9))
+        assert sweeps == [3, 3, 1]
+        assert [t for t, _ in grouped] == [t for t, _ in whole] == list(times)
+        for (_, a), (_, b) in zip(grouped, whole):
+            for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("table", [small_square, small_disk])
     @pytest.mark.parametrize("t", [-1.0, float("inf"), float("nan")])

@@ -357,13 +357,33 @@ class TestPolygonSnapshots:
         for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
             assert np.array_equal(getattr(ens, name), getattr(before, name))
 
-    @pytest.mark.parametrize("times", [(2.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
-                                       (math.nan,)])
-    def test_times_must_ascend_and_be_finite(self, times):
+    def test_rows_follow_the_distinct_ascending_times(self):
+        geom = hexagon_table()
+        ens = sample_ensemble(geom, 100, seed=2)
+        got = snapshots(ens, geom, (5.0, 1.0, 5.0, 0.0), scale=0.5)
+        want = snapshots(ens, geom, (0.0, 1.0, 5.0), scale=0.5)
+        for a, b in zip(got, want):
+            assert a.shape[0] == 3
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("times", [(-1.0, 1.0), (1.0, math.inf), (math.nan,)])
+    def test_times_must_be_finite_and_nonnegative(self, times):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 10, seed=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             snapshots(ens, geom, times)
+
+    def test_transport_writes_in_place(self):
+        geom = scalene_table()
+        ens = sample_ensemble(geom, 80, seed=6)
+        ens.degenerate[::9] = True
+        want = snapshots(ens, geom, (3.5,), scale=0.7)
+        out = ens.copy()
+        arrays = (out.pos, out.vel, out.weight, out.rebounds, out.degenerate)
+        got = _kernels.billiard_transport(*arrays, geom, 3.5, scale=0.7)
+        for a, b, w in zip(got, arrays, want):
+            assert a is b
+            assert np.array_equal(a, w[0])
 
 
 class TestEnvFlag:

@@ -321,10 +321,6 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
     with np.errstate(divide="ignore", invalid="ignore"):
         while idx.size:
             rounds += 1
-            if rounds > iter_cap:
-                kk, jj = np.nonzero(rem > 0.0)
-                _snapshot(out, kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj], True)
-                break
             # first hit: a running minimum over the edges; the strict < keeps
             # the first of tied edges, as an argmin over all of them would
             s = np.full(idx.size, np.inf)
@@ -343,6 +339,12 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
             _snapshot(out, kk, idx[jj], x[jj] + vx[jj] * r, y[jj] + vy[jj] * r,
                       vx[jj], vy[jj], w[jj], n[jj], False)
             hit = open_ & ~fly
+            if rounds > iter_cap:
+                # a row owing more than iter_cap reflections stops at the last
+                # one; rows that reach their time first have flown out above
+                kk, jj = np.nonzero(hit)
+                _snapshot(out, kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj], True)
+                break
             rem = np.where(fly, 0.0, rem - s)
             x = x + vx * s
             y = y + vy * s

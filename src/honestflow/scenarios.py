@@ -38,7 +38,7 @@ Config grammar (INI-style sections, ``key = value`` entries, ``#`` comments):
     n_cap = 128            # order cap
     lambdas = 0.5, 1, 2    # resolvent test parameters (ladders only)
     windows = 0,1.5; 1,2   # honesty windows, semicolon separated
-    grid_points = 8        # subwindow grid for window verdicts
+    grid_points = 8        # subwindow grid for window verdicts, 2..256
     output_dir = reports
     label = my-scenario
 
@@ -71,6 +71,10 @@ BUILTIN_NAMES = ("unit-ladder-honest", "geometric-ladder-dishonest", "disk-billi
 
 # ensemble seeds key counter-based draws as unsigned 64-bit integers
 _SEED_LIMIT = 2**64
+
+# a ladder window holds G(G-1)/2 subwindow reports, built from one entry
+# table over all of them: 32 640 per window at G = 256
+MAX_GRID_POINTS = 256
 
 # sampling regions besides "domain": prefix -> the numbers that follow it
 _REGION_FIELDS = {"disk:": ("cx", "cy", "r"), "box:": ("x0", "y0", "x1", "y1")}
@@ -354,14 +358,14 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
     if any(t < 0 for t in times):
         raise ConfigError("[run] times: times must be nonnegative")
     tol = run.number("tol", DEFAULT_TOL)
-    if not tol > 0:
-        raise ConfigError("[run] tol: must be positive")
+    if not 0 < tol < math.inf:
+        raise ConfigError("[run] tol: must be positive and finite")
     n_cap = run.integer("n_cap", DEFAULT_N_CAP)
     if n_cap < 1:
         raise ConfigError("[run] n_cap: must be at least 1")
     lambdas = _floats(run.text("lambdas", ""), "[run] lambdas")
-    if any(l <= 0 for l in lambdas):
-        raise ConfigError("[run] lambdas: resolvent parameters must be positive")
+    if not all(0 < l < math.inf for l in lambdas):
+        raise ConfigError("[run] lambdas: resolvent parameters must be positive and finite")
     windows = _pairs(run.text("windows", ""), "[run] windows")
     for s, t in windows:
         if not (math.isfinite(s) and math.isfinite(t)):
@@ -371,6 +375,8 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
     grid_points = run.integer("grid_points", 8)
     if grid_points < 2:
         raise ConfigError("[run] grid_points: need at least 2")
+    if grid_points > MAX_GRID_POINTS:
+        raise ConfigError(f"[run] grid_points: at most {MAX_GRID_POINTS}")
     out_dir = run.text("output_dir", "reports")
     cfg_label = run.text("label", None) or label
     if not cfg_label:
@@ -423,8 +429,8 @@ def resolve_config(name_or_path: str) -> ScenarioConfig:
 def with_overrides(cfg: ScenarioConfig, tol=None, n_cap=None, seed=None) -> ScenarioConfig:
     changes = {}
     if tol is not None:
-        if not tol > 0:
-            raise ConfigError("tol override must be positive")
+        if not 0 < tol < math.inf:
+            raise ConfigError("tol override must be positive and finite")
         changes["tol"] = float(tol)
     if n_cap is not None:
         if n_cap < 1:

@@ -199,6 +199,24 @@ class StepFunction:
     def window_integral(self, lo: float, hi: float) -> float:
         return self.clip(lo, hi).integral()
 
+    def cumulative(self, points) -> np.ndarray:
+        """``integral of f over (-inf, x]`` at every x in ``points``.
+
+        One vectorised evaluation: no clipped copies are built.  Left of
+        the support the value is exactly 0 and right of it exactly the
+        running total of the last piece; for nonnegative f it is
+        nondecreasing in x also after rounding, so the difference at two
+        points is never negative and is exactly 0 on an interval that
+        misses the support.
+        """
+        x = np.asarray(points, dtype=np.float64)
+        if self.is_zero:
+            return np.zeros(x.shape)
+        cum = np.concatenate(([0.0], np.cumsum(self.vals * np.diff(self.xs))))
+        x = np.clip(x, self.xs[0], self.xs[-1])
+        k = np.minimum(np.searchsorted(self.xs, x, side="right") - 1, self.vals.size - 1)
+        return cum[k] + self.vals[k] * (x - self.xs[k])
+
     def abs_integral(self) -> float:
         if self.is_zero:
             return 0.0

@@ -9,6 +9,7 @@ from honestflow import (
     BoundaryRule,
     BoundaryVector,
     Expansion,
+    IntervalUnion,
     ParticleEnsemble,
     PiecewiseDensity,
     VelocitySpec,
@@ -24,6 +25,8 @@ from honestflow import (
     sufficient_honesty_check,
     transport_ensemble,
 )
+
+from honestflow.honesty import STABLE_SPAN
 
 from conftest import dyadics
 
@@ -159,6 +162,108 @@ class TestIntervalHonesty:
     def test_degenerate_window_rejected(self, unit_ladder, unit_box, shift_rule):
         with pytest.raises(ValueError):
             honesty_on_interval((1.0, 1.0), unit_box, unit_ladder, shift_rule)
+
+
+def _reference_sequence(ex, lo, hi, tol, n_cap):
+    """One subwindow's defect sequence, trace by trace: each entry is its
+    own ``integrated_trace(n, lo, hi).norm()``, under the plateau-aware
+    stopping rule (STABLE_SPAN increments below tol/10 with the earliest
+    arrival frozen; exhaustion ends the sequence exactly)."""
+    entries, arrivals = [], []
+    for n in range(n_cap + 1):
+        hist = ex.outgoing_history(n)
+        if not hist:
+            entries.append(0.0)
+            return entries, True
+        entries.append(ex.integrated_trace(n, lo, hi).norm())
+        arrivals.append(min(h.support()[0] for h in hist.values()))
+        if len(entries) > STABLE_SPAN and all(
+            abs(entries[i] - entries[i - 1]) < tol / 10.0
+            and abs(arrivals[i] - arrivals[i - 1]) < tol / 10.0
+            for i in range(len(entries) - STABLE_SPAN, len(entries))
+        ):
+            return entries, True
+    return entries, False
+
+
+def _spreading_kernel(n_rows):
+    return BoundaryRule("kernel", rows=tuple((k, ((k + 1, 0.5), (k + 2, 0.5))) for k in range(n_rows)))
+
+
+GRID_CASES = {
+    # geometric ladder, uneven pieces, the benchmark's G = 16 over an
+    # honest-then-dishonest window
+    "geometric": (
+        lambda: IntervalUnion("geometric", start=0.0, spacing=3.0, length=1.0, ratio=0.5),
+        lambda: BoundaryRule("shift"),
+        [(0.0, 0.25, 0.9), (0.25, 0.5, 1.3), (0.5, 0.75, 0.6), (0.75, 1.0, 1.1)],
+        (0.5, 2.0), 16, 1e-12, 64,
+    ),
+    # the arrivals freeze long before the entries of the subwindows around
+    # the escape time decay, so the pairs settle at different orders
+    "lossy-shift": (
+        lambda: IntervalUnion("geometric", start=0.0, spacing=3.0, length=1.0, ratio=0.5),
+        lambda: BoundaryRule("shift", scale=0.6),
+        [(0.0, 0.5, 1.0), (0.5, 1.0, 0.25)],
+        (0.5, 2.5), 8, 1e-10, 128,
+    ),
+    "kernel": (
+        lambda: IntervalUnion("affine", start=0.0, spacing=2.0, length=1.0),
+        lambda: _spreading_kernel(40),
+        [(0.0, 0.5, 0.1), (0.5, 1.0, 0.3)],
+        (0.0, 12.0), 5, 1e-12, 128,
+    ),
+    "unit": (
+        lambda: IntervalUnion("affine", start=0.0, spacing=2.0, length=1.0),
+        lambda: BoundaryRule("shift"),
+        [(0.0, 1.0, 1.0)],
+        (0.0, 10.0), 9, 1e-10, 128,
+    ),
+}
+
+
+class TestWindowGridOracle:
+    """The one-pass window table against one trace sequence per subwindow."""
+
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_every_subwindow_matches_its_own_trace_sequence(self, case):
+        make_geom, make_rule, pieces, window, grid_points, tol, n_cap = GRID_CASES[case]
+        geom, rule = make_geom(), make_rule()
+        f = PiecewiseDensity.from_pieces(geom, pieces)
+        rep = honesty_on_interval(window, f, geom, rule, tol=tol, n_cap=n_cap,
+                                  grid_points=grid_points)
+        assert len(rep.reports) == grid_points * (grid_points - 1) // 2
+        ex = Expansion(geom, rule, f, window[1])
+        limits = []
+        for sub in rep.reports:
+            entries, stabilized = _reference_sequence(ex, *sub.window, tol, n_cap)
+            assert len(sub.entries) == len(entries)
+            assert sub.stabilized == stabilized
+            verdict = ("inconclusive" if not stabilized
+                       else "honest" if entries[-1] <= tol else "dishonest")
+            assert sub.verdict == verdict
+            for got, want in zip(sub.entries, entries):
+                assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+            limits.append(entries[-1])
+        assert rep.witness_window == rep.reports[int(np.argmax(limits))].window
+        if case == "unit":
+            assert rep.verdict == "honest"
+            assert rep.witness_limit == 0.0
+        if case == "geometric":
+            assert rep.verdict == "dishonest"
+        if case == "lossy-shift":
+            assert len({len(sub.entries) for sub in rep.reports}) > 1
+
+    @pytest.mark.parametrize("s, t", [(0.0, 1.5), (0.25, 1.25), (1.0, 1.0)])
+    def test_defect_is_the_two_point_grid(self, geometric_ladder, geo_box, shift_rule, s, t):
+        rep = defect(s, t, geo_box, geometric_ladder, shift_rule, tol=1e-10)
+        if s < t:
+            grid = honesty_on_interval((s, t), geo_box, geometric_ladder, shift_rule,
+                                       tol=1e-10, grid_points=2)
+            assert grid.reports == (rep,)
+        ex = Expansion(geometric_ladder, shift_rule, geo_box, t)
+        entries, stabilized = _reference_sequence(ex, s, t, 1e-10, rep.n_cap)
+        assert (len(rep.entries), rep.stabilized) == (len(entries), stabilized)
 
 
 class TestResolventDefect:

@@ -312,8 +312,8 @@ class TestPolygonSnapshots:
         times = (0.5, 3.0)
         free = snapshots(ens, geom, times)
         pos, vel, weight, rebounds, degenerate = snapshots(ens, geom, times, iter_cap=3)
-        # the fourth round finds a particle with time left after 3 reflections
-        over = free[3] >= 3
+        # the fourth round finds a particle that owes a fourth reflection
+        over = free[3] > 3
         assert over[1].any() and not over[1].all() and not over[0].any()
         assert np.array_equal(degenerate, over)
         assert np.array_equal(rebounds, np.minimum(free[3], 3))
@@ -322,6 +322,22 @@ class TestPolygonSnapshots:
             events, _ = rebound_sequence((ens.pos[i], ens.vel[i]), 3.0, geom)
             assert np.allclose(pos[1, i], events[2][1], rtol=0.0, atol=1e-9)
             assert np.allclose(vel[1, i], events[2][2], rtol=0.0, atol=1e-9)
+
+    def test_exactly_iter_cap_reflections_fly_free(self):
+        geom = hexagon_table()
+        ens = sample_ensemble(geom, 3, seed=3)
+        # straight up and down: walls at y = +-sin(pi/3), two reflections by t = 3
+        ens.pos[0] = (0.0, 0.0)
+        ens.vel[0] = (0.0, 1.0)
+        events, flag = rebound_sequence((ens.pos[0], ens.vel[0]), 3.0, geom)
+        assert len(events) == 2 and not flag
+        free = snapshots(ens, geom, (3.0,))
+        capped = snapshots(ens, geom, (3.0,), iter_cap=2)
+        assert not capped[4][0, 0] and capped[3][0, 0] == 2
+        for a, b in zip(capped, free):
+            assert np.array_equal(a[0, 0], b[0, 0])
+        assert np.allclose(capped[0][0, 0], (0.0, 3.0 - 4.0 * math.sin(math.pi / 3)),
+                           rtol=0.0, atol=1e-12)
 
     def test_zero_time_leaves_a_particle_on_the_wall(self):
         geom = scalene_table()

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from honestflow import (
     BUILTIN_NAMES,
@@ -305,6 +307,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[run\] n_cap"):
             parse_config(text)
 
+    @pytest.mark.parametrize("field, value", [("tol", "inf"), ("tol", "nan"),
+                                              ("lambdas", "1, inf"), ("lambdas", "nan")])
+    def test_non_finite_tol_and_lambdas_rejected(self, field, value):
+        text = LADDER_TEXT.replace("label = demo", f"label = demo\n{field} = {value}")
+        with pytest.raises(ConfigError, match=rf"\[run\] {field}: .*finite"):
+            parse_config(text)
+
+    def test_grid_points_bounded(self, monkeypatch):
+        # refused at parse time: no grid or subwindow table is ever built
+        monkeypatch.setattr("honestflow.honesty.honesty_on_interval", None)
+        monkeypatch.setattr("numpy.linspace", None)
+        text = LADDER_TEXT.replace("label = demo", "label = demo\nwindows = 0, 1\ngrid_points = {}")
+        with pytest.raises(ConfigError, match=r"^\[run\] grid_points: at most 256$"):
+            parse_config(text.format(257))
+        with pytest.raises(ConfigError, match=r"\[run\] grid_points: at most 256"):
+            parse_config(text.format(10**12))
+        assert parse_config(text.format(256)).grid_points == 256
+
     def test_nonpositive_lambda_rejected(self):
         text = LADDER_TEXT.replace("label = demo", "label = demo\nlambdas = 0.5, -1")
         with pytest.raises(ConfigError, match=r"\[run\] lambdas"):
@@ -377,8 +397,9 @@ class TestOverrides:
 
     def test_invalid_override_values(self):
         cfg = parse_config(LADDER_TEXT)
-        with pytest.raises(ConfigError, match="tol override"):
-            with_overrides(cfg, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="tol override"):
+                with_overrides(cfg, tol=tol)
         with pytest.raises(ConfigError, match="n_cap override"):
             with_overrides(cfg, n_cap=0)
 
@@ -711,3 +732,51 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "unit-ladder-honest", "--tol", "abc"])
         assert isinstance(exc.value.code, str)
+
+
+def _fuzz_numbers(lo, hi):
+    """Mostly numbers in [lo, hi], one draw in four from the edge values."""
+    inside = st.floats(lo, hi)
+    edges = st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf])
+    return st.one_of(inside, inside, inside, edges)
+
+
+def _number_list(values):
+    return ", ".join(repr(v) for v in values)
+
+
+class TestLadderRunFuzz:
+    """Every ladder ``[run]`` input ends in a report (exit 0, 2 or 3) or a
+    named refusal (exit 1): no traceback and nothing else on stderr.
+    Billiards are left out: their transport has no work budget yet, so a
+    huge time would run for minutes."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        base=st.sampled_from([LADDER_TEXT, LOSSY_CAPPED_TEXT]),
+        times=st.lists(_fuzz_numbers(0.0, 12.0), min_size=1, max_size=3),
+        windows=st.lists(st.tuples(_fuzz_numbers(0.0, 6.0), _fuzz_numbers(0.0, 12.0)),
+                         max_size=2),
+        grid_points=st.integers(2, 12),
+        tol=_fuzz_numbers(1e-14, 1e-2),
+        n_cap=st.integers(1, 40),
+        lambdas=st.lists(_fuzz_numbers(0.0, 5.0), max_size=2),
+    )
+    def test_cli_run_exits_cleanly(self, tmp_path, monkeypatch, capsys, base, times, windows,
+                                   grid_points, tol, n_cap, lambdas):
+        monkeypatch.setenv("HONESTFLOW_OUTPUT_DIR", str(tmp_path / "reports"))
+        run = (
+            f"[run]\ntimes = {_number_list(times)}\n"
+            f"windows = {'; '.join(_number_list(w) for w in windows)}\n"
+            f"grid_points = {grid_points}\ntol = {tol!r}\nn_cap = {n_cap}\n"
+            f"lambdas = {_number_list(lambdas)}\nlabel = fuzz\n"
+        )
+        path = tmp_path / "fuzz.cfg"
+        path.write_text(base[:base.index("[run]")] + run)
+        code = cli.main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert all(line.startswith("honestflow: ") for line in err.splitlines())
+        if code == 1:
+            assert err.startswith("honestflow: [run] ")

@@ -132,6 +132,25 @@ class TestIntegrals:
         left = f.window_integral(a, b) + f.window_integral(b, c)
         assert left == pytest.approx(f.window_integral(a, c), abs=1e-10)
 
+    @given(pieces_strategy(), st.lists(dyadics(-14.0, 14.0), min_size=1, max_size=6))
+    @settings(max_examples=80)
+    def test_cumulative_matches_window_integrals(self, f, points):
+        # dyadic data: every product and partial sum is exact, so equality holds
+        got = f.cumulative(points)
+        assert got.shape == (len(points),)
+        for x, c in zip(points, got):
+            assert c == f.window_integral(-20.0, x)
+        assert f.cumulative([-20.0, 20.0]).tolist() == [0.0, f.integral()]
+
+    def test_cumulative_is_monotone_for_nonnegative_functions(self):
+        f = StepFunction.from_pieces([(0.1, 0.7, 1.0 / 3.0), (0.9, 2.3, 0.7)])
+        x = np.linspace(-1.0, 3.0, 401)
+        c = f.cumulative(x)
+        assert np.all(np.diff(c) >= 0.0)
+        assert c[x <= 0.1].tolist() == [0.0] * int(np.sum(x <= 0.1))
+        assert np.all(c[x >= 2.3] == c[-1])
+        assert StepFunction.zero().cumulative(x).tolist() == [0.0] * x.size
+
     def test_window_outside_support(self):
         f = StepFunction.indicator(0.0, 1.0, 1.0)
         assert f.window_integral(5.0, 6.0) == 0.0

@@ -23,10 +23,12 @@ from .boundary import (
 from .densities import (
     ParticleEnsemble,
     PiecewiseDensity,
+    ReboundCounts,
     free_stream,
     restrict,
     sample_ensemble,
     sample_ladder_positions,
+    transport_counts_times,
     transport_ensemble,
     transport_ensemble_times,
 )

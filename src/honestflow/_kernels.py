@@ -5,9 +5,11 @@ The ladder walk steps hop by hop and exists twice: a numba ``@njit`` build
 and a vectorised numpy build performing the same arithmetic per particle, so
 results agree bitwise.  ``HONESTFLOW_DISABLE_NUMBA=1`` (or an unavailable
 numba) selects the numpy path; ``ladder_survival`` dispatches automatically.
-The billiards have one numpy kernel each.  The polygon steps event by event
+The billiards have numpy kernels only.  The polygon steps event by event
 and takes every requested time in one sweep; the disk needs no stepping: its
-closed form costs O(1) per particle whatever the number of rebounds.
+closed form costs O(1) per particle whatever the number of rebounds, and a
+counts-only variant, for reports that read rebound counts alone, computes
+each particle's first hit and chord once for all requested times.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -51,21 +53,26 @@ def _mix64(z):
     return z ^ (z >> _U31)
 
 
-def _hash3(seed, index, stream):
-    # uint64 in, uint64 out; works elementwise on arrays
-    h = _mix64(seed + _GOLD)
-    h = _mix64(h + _GOLD * index)
-    return _mix64(h + _GOLD * stream)
+def index_hash(seed: int, index) -> np.ndarray:
+    """The per-index part of the draw hash, shared by all of an index's
+    streams: ``mix(mix(seed + G) + G * index)`` as uint64."""
+    s = np.uint64(seed)
+    idx = np.atleast_1d(np.asarray(index)).astype(np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix64(_mix64(s + _GOLD) + _GOLD * idx)
+
+
+def stream_draws(hashed, stream) -> np.ndarray:
+    """Uniform draws in [0, 1) of ``stream`` from ``index_hash`` values."""
+    st = np.atleast_1d(np.asarray(stream)).astype(np.uint64)
+    with np.errstate(over="ignore"):
+        h = _mix64(hashed + _GOLD * st)
+    return (h >> _U11) * _INV53
 
 
 def uniform_array(seed: int, index, stream) -> np.ndarray:
     """Vectorised uniform draws in [0, 1) keyed by (seed, index, stream)."""
-    s = np.uint64(seed)
-    idx = np.atleast_1d(np.asarray(index)).astype(np.uint64)
-    st = np.atleast_1d(np.asarray(stream)).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = _hash3(s, idx, st)
-    return (h >> _U11) * _INV53
+    return stream_draws(index_hash(seed, index), stream)
 
 
 if HAS_NUMBA:
@@ -193,16 +200,17 @@ def ladder_survival(x0, k0, a, b, tail, r, t, seed, use_numba=None):
 # advances the hit point by the same central angle pi - 2 theta, theta the
 # angle of incidence, in the sense of the angular momentum.  The state at
 # time t is therefore the first hit and its reflection rotated k times, plus
-# the leftover flight, with k = floor((t - s0) / tau) further hits.
+# the leftover flight, with k = floor((t - s0) / tau) further hits.  The
+# first-hit time s0, the graze test and tau do not depend on t; the helpers
+# below compute each of them one way, for the full-state kernel and for the
+# counts-only one alike, so the two agree bitwise.
 
-# particles per slice of the closed-form kernel: bounds its temporaries
+# particles per slice of the closed-form kernels: bounds their temporaries
 # whatever the ensemble size
 DISK_CHUNK = 1 << 16
 
 
-def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps, iter_cap):
-    x, y = pos[:, 0], pos[:, 1]
-    vx, vy = vel[:, 0], vel[:, 1]
+def _disk_exit(x, y, vx, vy, cx, cy, radius):
     # first hit: the same stable quadratic as Billiard.exit_time
     rx = x - cx
     ry = y - cy
@@ -213,36 +221,62 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     # where() evaluates both branches; mask the dead one's zero divisor
     with np.errstate(divide="ignore", invalid="ignore"):
         s0 = np.maximum(np.where(bq > 0.0, -cq / (bq + root), (root - bq) / v2), 0.0)
+    return s0, v2
+
+
+def _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius, eps):
+    # the first hit re-anchored onto the circle: its unit normal, the normal
+    # velocity, whether it grazes, and the chord period tau
+    rx = x + vx * s0 - cx
+    ry = y + vy * s0 - cy
+    nr = np.sqrt(rx * rx + ry * ry)
+    nx = rx / nr
+    ny = ry / nr
+    vn = vx * nx + vy * ny
+    graze = np.abs(vn) < eps * np.sqrt(v2)
+    tau = 2.0 * radius * np.abs(vn) / v2
+    return nx, ny, vn, graze, tau
+
+
+def _disk_hits(rem, tau, iter_cap):
+    # further hits k within the time rem left after the first one, the
+    # particles capped, and the rebounds made; a particle owing more than
+    # iter_cap reflections stops at the last one
+    k = np.floor(rem / tau)
+    capped = k >= iter_cap
+    k = np.minimum(k, iter_cap - 1)
+    return k, capped, k.astype(np.int64) + 1
+
+
+def _disk_tally(weight, rebounds, idx, hits, scale):
+    rebounds[idx] += hits
+    if scale != 1.0:
+        weight[idx] *= scale ** hits
+
+
+def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps, iter_cap):
+    x, y = pos[:, 0], pos[:, 1]
+    vx, vy = vel[:, 0], vel[:, 1]
+    s0, v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
     live = ~degenerate
     fly = np.flatnonzero(live & (s0 > t))
     x[fly] += vx[fly] * t
     y[fly] += vy[fly] * t
     hit = np.flatnonzero(live & (s0 <= t))
-    # re-anchor the first hit onto the circle
     ax = vx[hit]
     ay = vy[hit]
     s0 = s0[hit]
-    rx = x[hit] + ax * s0 - cx
-    ry = y[hit] + ay * s0 - cy
-    nr = np.sqrt(rx * rx + ry * ry)
-    nx = rx / nr
-    ny = ry / nr
-    vn = ax * nx + ay * ny
-    graze = np.abs(vn) < eps * np.sqrt(v2[hit])
+    nx, ny, vn, graze, tau = _disk_wall(x[hit], y[hit], ax, ay, v2[hit], s0, cx, cy, radius, eps)
     gz = hit[graze]
     x[gz] = cx + radius * nx[graze]
     y[gz] = cy + radius * ny[graze]
     degenerate[gz] = True
     ok = ~graze
     idx = hit[ok]
-    nx, ny, ax, ay, vn = nx[ok], ny[ok], ax[ok], ay[ok], vn[ok]
+    nx, ny, ax, ay, vn, tau = nx[ok], ny[ok], ax[ok], ay[ok], vn[ok], tau[ok]
     rem = t - s0[ok]
-    tau = 2.0 * radius * np.abs(vn) / v2[idx]
-    k = np.floor(rem / tau)
-    # a particle owing more than iter_cap reflections stops at the last one
-    capped = k >= iter_cap
+    k, capped, hits = _disk_hits(rem, tau, iter_cap)
     degenerate[idx[capped]] = True
-    k = np.minimum(k, iter_cap - 1)
     # velocity after the first reflection, and the central angle between
     # successive hits, 2 atan2(|v.n|, |n x v|): accurate near normal and
     # grazing incidence alike, signed by the angular momentum
@@ -260,10 +294,7 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     y[idx] = cy + (sa * ux + ca * uy)
     vx[idx] = ca * wx - sa * wy
     vy[idx] = sa * wx + ca * wy
-    hits = k.astype(np.int64) + 1
-    rebounds[idx] += hits
-    if scale != 1.0:
-        weight[idx] *= scale ** hits
+    _disk_tally(weight, rebounds, idx, hits, scale)
 
 
 def _disk_closed_form(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps,
@@ -275,6 +306,61 @@ def _disk_closed_form(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t,
             _disk_slice(pos[sl], vel[sl], weight[sl], rebounds[sl], degenerate[sl],
                         cx, cy, radius, t, scale, eps, iter_cap)
     return pos, vel, weight, rebounds, degenerate
+
+
+def _disk_chords(pos, vel, degenerate, cx, cy, radius, eps):
+    # the time-independent part of every particle, about 17 bytes each: the
+    # first-hit time (inf for an input-degenerate particle, which never
+    # moves), the graze flag and the chord period
+    n = pos.shape[0]
+    s0 = np.empty(n)
+    graze = np.empty(n, dtype=np.bool_)
+    tau = np.empty(n)
+    for lo in range(0, n, DISK_CHUNK):
+        sl = slice(lo, lo + DISK_CHUNK)
+        x, y = pos[sl, 0], pos[sl, 1]
+        vx, vy = vel[sl, 0], vel[sl, 1]
+        s0[sl], v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
+        _, _, _, graze[sl], tau[sl] = _disk_wall(x, y, vx, vy, v2, s0[sl], cx, cy, radius, eps)
+    s0[degenerate] = np.inf
+    return s0, graze, tau
+
+
+def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale, iter_cap):
+    s0, graze, tau = chords
+    for t in times.tolist():
+        w, n, flagged = weight.copy(), rebounds.copy(), degenerate.copy()
+        # at t = 0 nothing moves, not even a particle sitting on the wall
+        if t > 0.0:
+            for lo in range(0, w.size, DISK_CHUNK):
+                sl = slice(lo, lo + DISK_CHUNK)
+                hit = s0[sl] <= t
+                flagged[sl][hit & graze[sl]] = True
+                idx = np.flatnonzero(hit & ~graze[sl])
+                _, capped, hits = _disk_hits(t - s0[sl][idx], tau[sl][idx], iter_cap)
+                flagged[sl][idx[capped]] = True
+                _disk_tally(w[sl], n[sl], idx, hits, scale)
+        yield w, n, flagged
+
+
+def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times,
+                scale=1.0, eps=1e-10, iter_cap=10_000_000):
+    """Rebound counts of a disk ensemble at every one of ``times``.
+
+    The input arrays are left alone.  Returns an iterator of ``(weight,
+    rebounds, degenerate)`` over ``distinct_times(times)``; the k-th is
+    bitwise what ``billiard_transport`` leaves in those arrays on a copy of
+    the inputs for the k-th time.  Positions and velocities are never
+    transported: each particle's first-hit time, graze flag and chord
+    period are computed once, here, and every time then costs a few array
+    operations per particle.
+    """
+    times = distinct_times(times)
+    cx, cy = geom.center
+    chords = _disk_chords(pos, vel, degenerate, float(cx), float(cy), float(geom.radius),
+                          float(eps))
+    return _disk_count_steps(weight, rebounds, degenerate, chords, times, float(scale),
+                             int(iter_cap))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,18 @@ A :class:`ParticleEnsemble` carries positions, velocities, weights, rebound
 counters and degeneracy flags as flat numpy arrays.  Sampling is counter
 based (splitmix64 keyed by seed, particle index and draw stream), so an
 ensemble is a pure function of (geometry, spec, seed, size).
+
+A :class:`ReboundCounts` holds the last three arrays alone.  A particle's
+rebound count is the expansion order it contributes to, so these are all
+that the ensemble reports read: the rebound histogram, its tail weights and
+the degenerate weight.  ``transport_counts_times`` yields them along a
+trajectory without transporting positions on a disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +31,12 @@ from .steps import StepFunction
 __all__ = [
     "PiecewiseDensity",
     "ParticleEnsemble",
+    "ReboundCounts",
     "free_stream",
     "restrict",
     "sample_ensemble",
     "sample_ladder_positions",
+    "transport_counts_times",
     "transport_ensemble",
     "transport_ensemble_times",
 ]
@@ -172,6 +181,64 @@ def free_stream(f: PiecewiseDensity, t: float, geom: IntervalUnion) -> Piecewise
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class ReboundCounts:
+    """Weights, rebound counters and degeneracy flags of N particles.
+
+    Treat the arrays as read-only: the rebound histogram is built once, on
+    first use, and every report derived from this record reads that one.
+    """
+
+    weight: np.ndarray
+    rebounds: np.ndarray
+    degenerate: np.ndarray
+
+    def __len__(self) -> int:
+        return self.weight.shape[0]
+
+    def mass(self) -> float:
+        """Total weight, degenerate (frozen) particles included."""
+        return float(self.weight.sum())
+
+    def degenerate_weight(self) -> float:
+        return float(self.weight[self.degenerate].sum())
+
+    @cached_property
+    def _histogram(self) -> np.ndarray:
+        if len(self) == 0:
+            hist = np.zeros(1)
+        else:
+            top = int(self.rebounds.max())
+            hist = np.bincount(self.rebounds, weights=self.weight, minlength=top + 1)
+        hist.flags.writeable = False
+        return hist
+
+    def rebound_histogram(self) -> np.ndarray:
+        """Weight per rebound count, index n holding weight with exactly n.
+
+        The same read-only array on every call; its last index is the
+        largest rebound count."""
+        return self._histogram
+
+    def max_rebounds(self) -> int:
+        return self.rebound_histogram().size - 1
+
+    def tail_weights(self, n_max: int | None = None) -> np.ndarray:
+        """``out[n]`` = weight of particles with at least n+1 rebounds.
+
+        This estimates the time-integrated outgoing trace norm of expansion
+        order n: exactly the mass whose (n+1)-th boundary hit happened
+        within the elapsed time.  The array runs one order past the largest
+        observed rebound count, so its last entry is exactly zero.
+        """
+        hist = np.concatenate([self.rebound_histogram(), [0.0]])
+        if n_max is not None and n_max + 2 > hist.size:
+            hist = np.concatenate([hist, np.zeros(n_max + 2 - hist.size)])
+        tail = np.cumsum(hist[::-1])[::-1]
+        out = tail[1:]
+        return out if n_max is None else out[: n_max + 1]
+
+
 @dataclass
 class ParticleEnsemble:
     """Weighted billiard population.  Arrays share one length N."""
@@ -194,12 +261,17 @@ class ParticleEnsemble:
         ):
             raise ValueError("ensemble arrays have inconsistent shapes")
 
+    @property
+    def counts(self) -> ReboundCounts:
+        """The weights, rebound counters and flags, not copied."""
+        return ReboundCounts(self.weight, self.rebounds, self.degenerate)
+
     def __len__(self) -> int:
-        return self.pos.shape[0]
+        return len(self.counts)
 
     def mass(self) -> float:
         """Total weight, degenerate (frozen) particles included."""
-        return float(self.weight.sum())
+        return self.counts.mass()
 
     def speeds(self) -> np.ndarray:
         return np.sqrt(np.sum(self.vel * self.vel, axis=1))
@@ -215,26 +287,12 @@ class ParticleEnsemble:
         )
 
     def rebound_histogram(self) -> np.ndarray:
-        """Weight per rebound count, index n holding weight with exactly n."""
-        if len(self) == 0:
-            return np.zeros(1)
-        top = int(self.rebounds.max())
-        return np.bincount(self.rebounds, weights=self.weight, minlength=top + 1)
+        """Weight per rebound count, as ``ReboundCounts.rebound_histogram``."""
+        return self.counts.rebound_histogram()
 
     def tail_weights(self, n_max: int | None = None) -> np.ndarray:
-        """``out[n]`` = weight of particles with at least n+1 rebounds.
-
-        This estimates the time-integrated outgoing trace norm of expansion
-        order n: exactly the mass whose (n+1)-th boundary hit happened
-        within the elapsed time.  The array runs one order past the largest
-        observed rebound count, so its last entry is exactly zero.
-        """
-        hist = np.concatenate([self.rebound_histogram(), [0.0]])
-        if n_max is not None and n_max + 2 > hist.size:
-            hist = np.concatenate([hist, np.zeros(n_max + 2 - hist.size)])
-        tail = np.cumsum(hist[::-1])[::-1]
-        out = tail[1:]
-        return out if n_max is None else out[: n_max + 1]
+        """Tail weights per order, as ``ReboundCounts.tail_weights``."""
+        return self.counts.tail_weights(n_max)
 
 
 def _region_spec(region, geom: Billiard):
@@ -271,9 +329,10 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
         raise ValueError("billiard has no velocity spec to sample from")
     if n <= 0:
         raise ValueError("ensemble size must be positive")
-    idx = np.arange(n, dtype=np.int64)
-    u0 = _kernels.uniform_array(seed, idx, _POS_STREAMS[0])
-    u1 = _kernels.uniform_array(seed, idx, _POS_STREAMS[1])
+    # each particle's index is hashed once for all of its draw streams
+    hashed = _kernels.index_hash(seed, np.arange(n, dtype=np.int64))
+    u0 = _kernels.stream_draws(hashed, _POS_STREAMS[0])
+    u1 = _kernels.stream_draws(hashed, _POS_STREAMS[1])
     spec = _region_spec(region, geom)
     if spec[0] == "disk":
         _, cx, cy, rad = spec
@@ -294,12 +353,12 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
         cum = np.cumsum(areas) / areas.sum()
         tri = np.searchsorted(cum, u0, side="right")
         tri = np.minimum(tri, areas.size - 1)
-        u2 = _kernels.uniform_array(seed, idx, _POS_STREAMS[2])
+        u2 = _kernels.stream_draws(hashed, _POS_STREAMS[2])
         su = np.sqrt(u1)
         p0, p1, p2 = v0[None, :], rest[tri], rest[tri + 1]
         pos = (1.0 - su)[:, None] * p0 + (su * (1.0 - u2))[:, None] * p1 + (su * u2)[:, None] * p2
-    uv0 = _kernels.uniform_array(seed, idx, _VEL_STREAMS[0])
-    uv1 = _kernels.uniform_array(seed, idx, _VEL_STREAMS[1])
+    uv0 = _kernels.stream_draws(hashed, _VEL_STREAMS[0])
+    uv1 = _kernels.stream_draws(hashed, _VEL_STREAMS[1])
     vs = geom.velocities
     if vs.kind == "speeds":
         speeds = np.array(vs.speeds)
@@ -346,7 +405,8 @@ def transport_ensemble_times(ens: ParticleEnsemble, times, geom: Billiard, scale
     A polygon steps every particle's events once per group of times, up to
     the group's largest, each group holding at most ``SWEEP_STATES`` particle
     states.  A disk transports lazily, one time per step: its closed form
-    costs O(N) whatever t, and holding every snapshot would not.
+    costs O(N) whatever t, and holding every snapshot would not.  Reports
+    that read rebound counts alone take ``transport_counts_times`` instead.
     """
     ts = _kernels.distinct_times(times)
     if geom.shape == "disk":
@@ -365,6 +425,26 @@ def _polygon_trajectory(ens: ParticleEnsemble, ts, geom: Billiard, scale: float)
         for k, t in enumerate(group.tolist()):
             yield t, ParticleEnsemble(*(a[k] for a in snaps), ens.seed)
         del snaps
+
+
+def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: float = 1.0):
+    """The rebound counts of an ensemble's trajectory at several times.
+
+    Returns an iterator of ``(t, counts)`` over the distinct ``times`` in
+    ascending order; each ``counts`` is bitwise ``transport_ensemble(ens, t,
+    geom, scale).counts``.  Bad times raise ValueError here, not when
+    iterating.  A disk never transports positions: each particle's first
+    hit and chord are computed once, about 17 bytes per particle held for
+    the whole trajectory, and each time then costs a few array operations
+    per particle.  A polygon takes the counts of the sweep's snapshots in
+    ``transport_ensemble_times``, without copying them.
+    """
+    ts = _kernels.distinct_times(times)
+    if geom.shape == "disk":
+        steps = _kernels.disk_counts(ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate,
+                                     geom, ts, scale=scale)
+        return zip(ts.tolist(), (ReboundCounts(*arrays) for arrays in steps))
+    return ((t, snap.counts) for t, snap in _polygon_trajectory(ens, ts, geom, scale))
 
 
 # ---------------------------------------------------------------------------

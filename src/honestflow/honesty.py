@@ -27,7 +27,7 @@ import numpy as np
 from .boundary import (
     BoundaryRule, BoundaryVector, apply_rule, damped_transit, flux_gap, outgoing_resolvent_trace,
 )
-from .densities import ParticleEnsemble, PiecewiseDensity
+from .densities import ParticleEnsemble, PiecewiseDensity, ReboundCounts
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, evolve
 from .geometry import IntervalUnion
 
@@ -418,19 +418,22 @@ def mass_defect_estimate(
     return sum(rep.order_masses) + rep.absorbed - f.mass(), rep.converged
 
 
-def ensemble_trace_decay(ens: ParticleEnsemble, elapsed: float, stat_tol: float | None = None) -> EnsembleDecayReport:
-    """Trace-decay check for a transported billiard ensemble.
+def ensemble_trace_decay(ens: ParticleEnsemble | ReboundCounts, elapsed: float,
+                         stat_tol: float | None = None) -> EnsembleDecayReport:
+    """Trace-decay check for a transported billiard ensemble, or for its
+    rebound counts alone.
 
     ``tail_weights()[n]`` estimates the order-n integrated outgoing trace
     norm; for a bounded convex table it must reach zero at finite order.
     Degenerate (frozen) particles cannot finish their rebounds, so more than
     a statistical tolerance of degenerate weight leaves the check
     inconclusive."""
+    counts = ens.counts if isinstance(ens, ParticleEnsemble) else ens
     if stat_tol is None:
-        stat_tol = 3.0 / float(np.sqrt(max(len(ens), 1))) * max(ens.mass(), 1.0)
-    tails = ens.tail_weights()
-    degenerate_weight = float(ens.weight[ens.degenerate].sum())
-    max_rebounds = int(ens.rebounds.max()) if len(ens) else 0
+        stat_tol = 3.0 / float(np.sqrt(max(len(counts), 1))) * max(counts.mass(), 1.0)
+    tails = counts.tail_weights()
+    degenerate_weight = counts.degenerate_weight()
+    max_rebounds = counts.max_rebounds()
     if degenerate_weight > stat_tol:
         verdict = INCONCLUSIVE
     elif tails.size == 0 or tails[-1] <= stat_tol:

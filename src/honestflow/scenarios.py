@@ -28,7 +28,7 @@ Config grammar (INI-style sections, ``key = value`` entries, ``#`` comments):
     [density]
     kind = piecewise | ensemble
     pieces = 0, 1, 1.0     # lo, hi, value triples, semicolon separated
-    count = 100000         # ensemble size
+    count = 100000         # ensemble size, 1..10**7
     seed = 42              # required for ensembles, in [0, 2**64)
     region = domain | disk:cx,cy,r | box:x0,y0,x1,y1
 
@@ -60,8 +60,8 @@ from pathlib import Path
 
 from .boundary import BoundaryRule
 from .densities import (
-    PiecewiseDensity, ParticleEnsemble, sample_ensemble, transport_ensemble,
-    transport_ensemble_times,
+    PiecewiseDensity, ParticleEnsemble, ReboundCounts, sample_ensemble, transport_counts_times,
+    transport_ensemble,
 )
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, TruncationReport
 from .geometry import Billiard, IntervalUnion, VelocitySpec
@@ -75,6 +75,18 @@ _SEED_LIMIT = 2**64
 # a ladder window holds G(G-1)/2 subwindow reports, built from one entry
 # table over all of them: 32 640 per window at G = 256
 MAX_GRID_POINTS = 256
+
+# an ensemble holds 49 bytes per particle, about 0.5 GB at this many
+MAX_PARTICLES = 10**7
+
+# billiard radii and speeds lie in [MIN_SCALE, MAX_SCALE], and every table
+# coordinate within MAX_SCALE in magnitude: squares and products of them
+# then stay finite and normal in float64
+MIN_SCALE = 1e-150
+MAX_SCALE = 1e150
+# a table must span at least this fraction of its largest coordinate
+# magnitude, or its positions round onto too few points to tell apart
+MIN_RELATIVE_SIZE = 1e-6
 
 # sampling regions besides "domain": prefix -> the numbers that follow it
 _REGION_FIELDS = {"disk:": ("cx", "cy", "r"), "box:": ("x0", "y0", "x1", "y1")}
@@ -222,21 +234,35 @@ def _parse_geometry(sec: _Section):
             raise ConfigError(f"[geometry] shape: expected disk|polygon, got {shape!r}")
         if sec.has("speeds") == sec.has("speed_band"):
             raise ConfigError("[geometry] give exactly one of speeds / speed_band")
-        if sec.has("speeds"):
-            vel = VelocitySpec("speeds", speeds=_floats(sec.require("speeds"), "[geometry] speeds"))
-        else:
-            lo_hi = _floats(sec.require("speed_band"), "[geometry] speed_band")
-            if len(lo_hi) != 2:
-                raise ConfigError("[geometry] speed_band: expected 'lo, hi'")
-            vel = VelocitySpec("annulus", speed_min=lo_hi[0], speed_max=lo_hi[1])
         try:
+            if sec.has("speeds"):
+                speeds = _floats(sec.require("speeds"), "[geometry] speeds")
+                _check_scales(speeds, "[geometry] speeds")
+                vel = VelocitySpec("speeds", speeds=speeds)
+            else:
+                lo_hi = _floats(sec.require("speed_band"), "[geometry] speed_band")
+                if len(lo_hi) != 2:
+                    raise ConfigError("[geometry] speed_band: expected 'lo, hi'")
+                _check_scales(lo_hi, "[geometry] speed_band")
+                vel = VelocitySpec("annulus", speed_min=lo_hi[0], speed_max=lo_hi[1])
             if shape == "disk":
                 center = _floats(sec.text("center", "0, 0"), "[geometry] center")
                 if len(center) != 2:
                     raise ConfigError("[geometry] center: expected 'x, y'")
-                geom = Billiard("disk", center=center, radius=float(sec.require("radius")), velocities=vel)
+                _check_coordinates(center, "[geometry] center")
+                sec.require("radius")
+                radius = sec.number("radius")
+                _check_scales((radius,), "[geometry] radius")
+                _check_size(radius, center, "[geometry] radius")
+                geom = Billiard("disk", center=center, radius=radius, velocities=vel)
             else:
                 verts = _pairs(sec.require("vertices"), "[geometry] vertices")
+                coords = [c for v in verts for c in v]
+                _check_coordinates(coords, "[geometry] vertices")
+                if verts:
+                    xs, ys = zip(*verts)
+                    extent = max(max(xs) - min(xs), max(ys) - min(ys))
+                    _check_size(extent, coords, "[geometry] vertices")
                 geom = Billiard("polygon", vertices=verts, velocities=vel)
         except ConfigError:
             raise
@@ -245,6 +271,23 @@ def _parse_geometry(sec: _Section):
         sec.reject_unused()
         return geom
     raise ConfigError(f"[geometry] kind: expected interval-union|billiard, got {kind!r}")
+
+
+def _check_scales(values, where: str):
+    if not all(MIN_SCALE <= v <= MAX_SCALE for v in values):
+        raise ConfigError(f"{where}: every value must lie in [{MIN_SCALE:g}, {MAX_SCALE:g}]")
+
+
+def _check_coordinates(values, where: str):
+    if not all(abs(v) <= MAX_SCALE for v in values):
+        raise ConfigError(f"{where}: coordinates must lie within {MAX_SCALE:g} in magnitude")
+
+
+def _check_size(size: float, coords, where: str):
+    largest = max((abs(c) for c in coords), default=0.0)
+    if size < MIN_RELATIVE_SIZE * largest:
+        raise ConfigError(f"{where}: the table must span at least {MIN_RELATIVE_SIZE:g} "
+                          f"of its largest coordinate magnitude, {largest:g}")
 
 
 def _parse_boundary(sec: _Section) -> BoundaryRule:
@@ -302,6 +345,8 @@ def _parse_density(sec: _Section, geometry) -> dict:
         count = sec.integer("count", 0)
         if count is None or count < 1:
             raise ConfigError("[density] count: ensembles need count >= 1")
+        if count > MAX_PARTICLES:
+            raise ConfigError(f"[density] count: at most {MAX_PARTICLES}")
         if not sec.has("seed"):
             raise ConfigError("[density] seed: required whenever an ensemble is requested")
         seed = sec.integer("seed")
@@ -556,35 +601,38 @@ def _run_ladder(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _ensemble_row(t: float, ens_t: ParticleEnsemble, initial_mass: float) -> EnsembleRow:
+def _ensemble_row(t: float, counts: ReboundCounts, initial_mass: float) -> EnsembleRow:
+    mass = counts.mass()
     return EnsembleRow(
         t=float(t),
-        mass=ens_t.mass(),
-        mass_defect=ens_t.mass() - initial_mass,
-        degenerate_weight=float(ens_t.weight[ens_t.degenerate].sum()),
-        max_rebounds=int(ens_t.rebounds.max()) if len(ens_t) else 0,
-        rebound_masses=tuple(float(x) for x in ens_t.rebound_histogram()),
-        tail_weights=tuple(float(x) for x in ens_t.tail_weights()),
+        mass=mass,
+        mass_defect=mass - initial_mass,
+        degenerate_weight=counts.degenerate_weight(),
+        max_rebounds=counts.max_rebounds(),
+        rebound_masses=tuple(float(x) for x in counts.rebound_histogram()),
+        tail_weights=tuple(float(x) for x in counts.tail_weights()),
     )
 
 
 def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:
     geom, rule = cfg.geometry, cfg.boundary
     ens0 = initial_density(cfg)
+    initial_mass = ens0.mass()
     ends = [_window_end(w) for w in cfg.windows]
     t_max = max(cfg.times)
     rows = [None] * len(cfg.times)
     window_reports = [None] * len(ends)
-    # one pass over the trajectory; rows and windows keep config order
-    for t, ens_t in transport_ensemble_times(ens0, (*cfg.times, *ends), geom, scale=rule.scale):
+    # one pass over the trajectory's rebound counts, each snapshot's
+    # histogram built once; rows and windows keep config order
+    for t, counts in transport_counts_times(ens0, (*cfg.times, *ends), geom, scale=rule.scale):
         for i, ti in enumerate(cfg.times):
             if ti == t:
-                rows[i] = _ensemble_row(ti, ens_t, ens0.mass())
+                rows[i] = _ensemble_row(ti, counts, initial_mass)
         for i, end in enumerate(ends):
             if end == t:
-                window_reports[i] = _hon.ensemble_trace_decay(ens_t, end)
+                window_reports[i] = _hon.ensemble_trace_decay(counts, end)
         if t == t_max:
-            decay = _hon.ensemble_trace_decay(ens_t, t_max)
+            decay = _hon.ensemble_trace_decay(counts, t_max)
     n_orders = max(len(row.rebound_masses) - 1 for row in rows)
     padded = tuple(
         replace(
@@ -597,7 +645,7 @@ def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(
         config=cfg,
         kind="ensemble",
-        initial_mass=ens0.mass(),
+        initial_mass=initial_mass,
         rows=padded,
         n_orders=n_orders,
         window_reports=tuple(window_reports),

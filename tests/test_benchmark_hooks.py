@@ -46,12 +46,17 @@ label = traced-disk
 
 
 def test_traced_disk_run_counts_its_rebounds(monkeypatch):
+    # the tracer reads billiard_transport's positional rebound and flag
+    # arrays; disk reports read rebound counts without calling it, so the
+    # full-state transports drive it here
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
     from honestflow import scenarios
 
     cfg = scenarios.parse_config(DISK_TEXT)
+    ens = scenarios.initial_density(cfg)
     with tracing.traced(tracing.Tracer()) as tracer:
-        scenarios.run_scenario(cfg)
+        for t in cfg.times:
+            scenarios.transport_ensemble(ens, t, cfg.geometry, scale=cfg.boundary.scale)
     assert tracer.counts["kernels.rebound_events"] > 0
     assert sum(name == "kernels.transport" for _, name, *_ in tracer.spans) == 2

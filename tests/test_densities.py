@@ -7,11 +7,13 @@ from honestflow import (
     IntervalUnion,
     ParticleEnsemble,
     PiecewiseDensity,
+    ReboundCounts,
     VelocitySpec,
     free_stream,
     restrict,
     sample_ensemble,
     sample_ladder_positions,
+    transport_counts_times,
     transport_ensemble,
     transport_ensemble_times,
 )
@@ -132,6 +134,30 @@ class TestEnsemble:
         assert np.all(np.diff(tails) <= 1e-15)
         assert tails[-1] == 0.0
 
+    def test_counts_are_a_view_with_one_histogram(self):
+        disk = small_disk()
+        ens = transport_ensemble(sample_ensemble(disk, 500, seed=5), 3.0, disk)
+        counts = ens.counts
+        assert isinstance(counts, ReboundCounts)
+        for name in ("weight", "rebounds", "degenerate"):
+            assert getattr(counts, name) is getattr(ens, name)
+        hist = counts.rebound_histogram()
+        assert counts.rebound_histogram() is hist and not hist.flags.writeable
+        assert np.array_equal(hist, ens.rebound_histogram())
+        assert np.array_equal(counts.tail_weights(), ens.tail_weights())
+        assert np.array_equal(counts.tail_weights(40), ens.tail_weights(40))
+        assert len(counts) == len(ens) == 500
+        assert counts.mass() == ens.mass()
+        assert counts.max_rebounds() == int(ens.rebounds.max())
+        ens.degenerate[:7] = True
+        assert counts.degenerate_weight() == float(ens.weight[:7].sum())
+
+    def test_empty_counts(self):
+        counts = ReboundCounts(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+        assert np.array_equal(counts.rebound_histogram(), [0.0])
+        assert np.array_equal(counts.tail_weights(), [0.0])
+        assert counts.max_rebounds() == 0 and counts.mass() == 0.0
+
     def test_transport_conserves_weight_and_speed(self):
         disk = small_disk()
         ens0 = sample_ensemble(disk, 3000, seed=11)
@@ -152,6 +178,11 @@ class TestEnsemble:
         # weight = scale^rebounds exactly
         want = ens0.weight * 0.5 ** full.rebounds
         assert np.allclose(damped.weight, want, rtol=0, atol=1e-17)
+
+
+def off_centre_disk():
+    return Billiard("disk", center=(0.3, -0.7), radius=2.5,
+                    velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
 
 
 def small_square():
@@ -195,6 +226,67 @@ class TestTransportTimes:
             for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
+    @pytest.mark.parametrize("scale", [0.9, 1.0])
+    def test_disk_counts_equal_separate_transports(self, monkeypatch, scale):
+        geom = off_centre_disk()
+        cx, cy = geom.center
+        ens = sample_ensemble(geom, 500, seed=12)
+        # tangent to the circle at (cx, cy + R), reached after unit time
+        ens.pos[0] = (cx - 1.0, cy + geom.radius)
+        ens.vel[0] = (1.0, 0.0)
+        # from the centre the wall is exactly 2.5 away; on it, moving out,
+        # no time at all
+        ens.pos[1] = geom.center
+        ens.vel[1] = (1.0, 0.0)
+        ens.pos[2] = (cx + geom.radius, cy)
+        ens.vel[2] = (1.0, 0.0)
+        ens.degenerate[4] = True
+        # several slices, the last one short
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
+        times = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
+        got = list(transport_counts_times(ens, times, geom, scale))
+        assert [t for t, _ in got] == [0.0, 0.5, 2.5, 5.0, 9.0]
+        assert got[-1][1].rebounds.max() > 3
+        assert [bool(c.degenerate[0]) for _, c in got] == [False, False, True, True, True]
+        assert [int(c.rebounds[1]) for _, c in got] == [0, 0, 1, 1, 2]
+        assert got[0][1].rebounds[2] == 0 and got[1][1].rebounds[2] > 0
+        for t, counts in got:
+            ref = transport_ensemble(ens, t, geom, scale=scale)
+            assert isinstance(counts, ReboundCounts)
+            for name in ("weight", "rebounds", "degenerate"):
+                assert np.array_equal(getattr(counts, name), getattr(ref, name))
+            assert counts.rebounds[4] == 0 and counts.degenerate[4]
+        assert ens.rebounds.max() == 0 and ens.degenerate.sum() == 1
+
+    def test_disk_counts_obey_the_reflection_cap(self):
+        geom = off_centre_disk()
+        ens = sample_ensemble(geom, 300, seed=4)
+        arrays = (ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate)
+        times = (2.0, 6.0)
+        steps = _kernels.disk_counts(*arrays, geom, times, scale=0.7, iter_cap=3)
+        for t, (weight, rebounds, degenerate) in zip(times, steps):
+            ref = ens.copy()
+            _kernels.billiard_transport(ref.pos, ref.vel, ref.weight, ref.rebounds,
+                                        ref.degenerate, geom, t, scale=0.7, iter_cap=3)
+            assert np.array_equal(weight, ref.weight)
+            assert np.array_equal(rebounds, ref.rebounds)
+            assert np.array_equal(degenerate, ref.degenerate)
+        assert degenerate.any() and not degenerate.all()
+        assert rebounds.max() == 3
+
+    def test_polygon_counts_view_the_sweep(self):
+        geom = small_square()
+        ens = sample_ensemble(geom, 300, seed=12)
+        times = (0.0, 2.5, 2.5, 5.0)
+        snaps = list(transport_ensemble_times(ens, times, geom, 0.9))
+        got = list(transport_counts_times(ens, times, geom, 0.9))
+        assert [t for t, _ in got] == [t for t, _ in snaps] == [0.0, 2.5, 5.0]
+        for (_, counts), (_, snap) in zip(got, snaps):
+            for name in ("weight", "rebounds", "degenerate"):
+                assert np.array_equal(getattr(counts, name), getattr(snap, name))
+        # views of one sweep's snapshot rows
+        assert got[0][1].weight.base is got[2][1].weight.base is not None
+
     @pytest.mark.parametrize("table", [small_square, small_disk])
     @pytest.mark.parametrize("t", [-1.0, float("inf"), float("nan")])
     def test_bad_time_rejected(self, table, t):
@@ -202,6 +294,8 @@ class TestTransportTimes:
         ens = sample_ensemble(geom, 10, seed=1)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             transport_ensemble_times(ens, (1.0, t), geom)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            transport_counts_times(ens, (1.0, t), geom)
 
 
 class TestLadderSampling:

@@ -46,6 +46,31 @@ class TestUniformDraws:
         assert not np.array_equal(base, uniform_array(1, idx, 1))
         assert not np.array_equal(base, uniform_array(2, idx, 0))
 
+    @pytest.mark.parametrize("stream", [0, 1, 2, 3, 4, SURVIVAL_STREAM_BASE, 2**40])
+    def test_index_hash_then_stream_equals_uniform_array(self, stream):
+        idx = np.arange(5000, dtype=np.int64)
+        hashed = _kernels.index_hash(2**64 - 3, idx)
+        want = uniform_array(2**64 - 3, idx, stream)
+        assert np.array_equal(_kernels.stream_draws(hashed, stream), want)
+        # per-particle streams, as the ladder survival draws use them
+        streams = stream + idx % 7
+        assert np.array_equal(_kernels.stream_draws(hashed, streams),
+                              uniform_array(2**64 - 3, idx, streams))
+
+    def test_sampling_reads_the_documented_streams(self):
+        # box positions are affine in streams 0 and 1, annulus speeds read
+        # stream 3 and directions stream 4
+        geom = Billiard("disk", center=(0.0, 0.0), radius=1.0,
+                        velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+        ens = sample_ensemble(geom, 3000, seed=19, region="box:-0.5,-0.25,0.5,0.25")
+        idx = np.arange(3000, dtype=np.int64)
+        u = [uniform_array(19, idx, stream) for stream in range(5)]
+        assert np.array_equal(ens.pos[:, 0], -0.5 + 1.0 * u[0])
+        assert np.array_equal(ens.pos[:, 1], -0.25 + 0.5 * u[1])
+        speed = np.sqrt(0.5**2 + u[3] * (2.0**2 - 0.5**2))
+        ang = 2.0 * np.pi * u[4]
+        assert np.array_equal(ens.vel, np.stack([speed * np.cos(ang), speed * np.sin(ang)], axis=1))
+
     @needs_numba
     def test_scalar_draw_matches_vectorised(self):
         for seed, i, stream in ((0, 0, 0), (7, 123, 5), (42, 99_999, SURVIVAL_STREAM_BASE)):

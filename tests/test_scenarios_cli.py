@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,10 +25,11 @@ from honestflow import (
     run_scenario,
     summary_text,
     time_series_csv,
+    transport_ensemble,
     with_overrides,
     write_reports,
 )
-from honestflow import cli
+from honestflow import cli, scenarios
 from honestflow.scenarios import _window_decay
 
 LADDER_TEXT = """\
@@ -122,6 +125,35 @@ times = 2, 0.5, 2
 windows = 0, 2; 0, 3.5
 label = little-triangle
 """
+
+
+# off-centre disk, annulus speeds, lossy walls; one window ends at a report
+# time, one does not
+DISK_TEXT = """\
+[geometry]
+kind = billiard
+shape = disk
+center = 0.3, -0.7
+radius = 2.5
+speed_band = 0.5, 2
+
+[boundary]
+kind = specular
+scale = 0.9
+
+[density]
+kind = ensemble
+count = 2000
+seed = 11
+region = domain
+
+[run]
+times = 2, 0.5, 2
+windows = 0, 2; 0, 3.5
+label = little-off-centre-disk
+"""
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestParseConfig:
@@ -325,6 +357,57 @@ class TestParseConfig:
             parse_config(text.format(10**12))
         assert parse_config(text.format(256)).grid_points == 256
 
+    def test_ensemble_count_bounded(self, monkeypatch):
+        # refused at parse time: nothing is sampled
+        monkeypatch.setattr(scenarios, "sample_ensemble", None)
+        text = BILLIARD_TEXT.replace("count = 2000", "count = {}")
+        with pytest.raises(ConfigError, match=r"^\[density\] count: at most 10000000$"):
+            parse_config(text.format(10**7 + 1))
+        with pytest.raises(ConfigError, match=r"\[density\] count: at most"):
+            parse_config(text.format(10**13))
+        assert parse_config(text.format(10**7)).count == scenarios.MAX_PARTICLES == 10**7
+
+    @pytest.mark.parametrize("old, new, field", [
+        # NaN chord counts cast to negative integers
+        ("radius = 1", "radius = 1e-300", "radius"),
+        # |v|^2 overflows and half the weight reads as degenerate
+        ("speeds = 1", "speeds = 1e308", "speeds"),
+        # every sampled position rounds onto the centre
+        ("center = 0, 0", "center = 1e308, 0", "center"),
+    ])
+    def test_disk_float_breakdown_rejected(self, old, new, field, tmp_path, capsys):
+        text = BILLIARD_TEXT.replace(old, new)
+        with pytest.raises(ConfigError, match=rf"^\[geometry\] {field}: "):
+            parse_config(text)
+        path = tmp_path / "broken.cfg"
+        path.write_text(text)
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"honestflow: [geometry] {field}: ")
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("speeds = 1", "speeds = 1, 1e-151", "speeds"),
+        ("speeds = 1", "speeds = nan", "speeds"),
+        ("speeds = 1", "speed_band = 1, 1e151", "speed_band"),
+        ("radius = 1", "radius = inf", "radius"),
+        ("center = 0, 0", "center = 0, -1e151", "center"),
+        ("center = 0, 0", "center = 2e6, 0", "radius"),
+    ])
+    def test_disk_table_ranges(self, old, new, field):
+        with pytest.raises(ConfigError, match=rf"^\[geometry\] {field}: "):
+            parse_config(BILLIARD_TEXT.replace(old, new))
+        # the same table a little inside every bound parses
+        assert parse_config(BILLIARD_TEXT.replace("radius = 1", "radius = 1e150")
+                            .replace("speeds = 1", "speeds = 1e-150, 1e150")
+                            .replace("center = 0, 0", "center = 1e150, -1e150"))
+
+    @pytest.mark.parametrize("vertices", ["0, 0; 3, 0; 0.7, 1e151",
+                                          "1e7, 0; 10000003, 0; 1e7, 1"])
+    def test_polygon_table_ranges(self, vertices):
+        text = POLYGON_TEXT.replace("vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = {}")
+        with pytest.raises(ConfigError, match=r"^\[geometry\] vertices: "):
+            parse_config(text.format(vertices))
+        assert parse_config(text.format("1e6, 0; 1000003, 0; 1e6, 1"))
+
     def test_nonpositive_lambda_rejected(self):
         text = LADDER_TEXT.replace("label = demo", "label = demo\nlambdas = 0.5, -1")
         with pytest.raises(ConfigError, match=r"\[run\] lambdas"):
@@ -359,6 +442,13 @@ class TestConfigSources:
         for name in BUILTIN_NAMES:
             cfg = parse_config(builtin_config_text(name))
             assert cfg.label == name
+
+    def test_benchmark_configs_parse(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        for name, workload in workloads.WORKLOADS.items():
+            assert parse_config(workload.config(2**64 - 1)).label == name
 
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError, match="unknown builtin"):
@@ -496,6 +586,26 @@ class TestRunScenario:
         assert result.window_reports == tuple(_window_decay(cfg, ens0, w) for w in cfg.windows)
         assert result.decay_report == _window_decay(cfg, ens0, (0.0, 2.0))
         assert result.window_reports[1].max_rebounds > result.decay_report.max_rebounds
+
+    def test_disk_reports_match_separate_transports(self):
+        # rows and windows read rebound counts alone; the full-state
+        # transport of _window_decay is the reference
+        cfg = parse_config(DISK_TEXT)
+        result = run_scenario(cfg)
+        ens0 = initial_density(cfg)
+        assert [row.t for row in result.rows] == [2.0, 0.5, 2.0]
+        assert result.rows[0] == result.rows[2]
+        assert result.window_reports == tuple(_window_decay(cfg, ens0, w) for w in cfg.windows)
+        assert result.decay_report == _window_decay(cfg, ens0, (0.0, 2.0))
+        assert result.window_reports[1].max_rebounds > result.decay_report.max_rebounds
+        assert result.rows[0].mass < result.initial_mass
+        for row in result.rows:
+            ref = transport_ensemble(ens0, row.t, cfg.geometry, scale=0.9)
+            hist = ref.rebound_histogram()
+            assert row.mass == ref.mass()
+            assert row.rebound_masses[:hist.size] == tuple(hist)
+            assert row.max_rebounds == ref.rebounds.max()
+            assert row.degenerate_weight == float(ref.weight[ref.degenerate].sum())
 
     def test_ladder_csv_is_reproducible(self):
         cfg = resolve_config("geometric-ladder-dishonest")

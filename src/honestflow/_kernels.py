@@ -209,6 +209,10 @@ def ladder_survival(x0, k0, a, b, tail, r, t, seed, use_numba=None):
 # whatever the ensemble size
 DISK_CHUNK = 1 << 16
 
+# a hit whose normal velocity is below this fraction of the speed grazes:
+# the particle freezes and is flagged degenerate instead of reflecting
+GRAZE_EPS = 1e-10
+
 
 def _disk_exit(x, y, vx, vy, cx, cy, radius):
     # first hit: the same stable quadratic as Billiard.exit_time
@@ -308,7 +312,7 @@ def _disk_closed_form(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t,
     return pos, vel, weight, rebounds, degenerate
 
 
-def _disk_chords(pos, vel, degenerate, cx, cy, radius, eps):
+def _disk_chords(pos, vel, degenerate, cx, cy, radius):
     # the time-independent part of every particle, about 17 bytes each: the
     # first-hit time (inf for an input-degenerate particle, which never
     # moves), the graze flag and the chord period
@@ -321,7 +325,8 @@ def _disk_chords(pos, vel, degenerate, cx, cy, radius, eps):
         x, y = pos[sl, 0], pos[sl, 1]
         vx, vy = vel[sl, 0], vel[sl, 1]
         s0[sl], v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
-        _, _, _, graze[sl], tau[sl] = _disk_wall(x, y, vx, vy, v2, s0[sl], cx, cy, radius, eps)
+        _, _, _, graze[sl], tau[sl] = _disk_wall(x, y, vx, vy, v2, s0[sl], cx, cy, radius,
+                                                 GRAZE_EPS)
     s0[degenerate] = np.inf
     return s0, graze, tau
 
@@ -344,21 +349,20 @@ def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale, iter_c
 
 
 def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times,
-                scale=1.0, eps=1e-10, iter_cap=10_000_000):
+                scale=1.0, iter_cap=10_000_000):
     """Rebound counts of a disk ensemble at every one of ``times``.
 
     The input arrays are left alone.  Returns an iterator of ``(weight,
     rebounds, degenerate)`` over ``distinct_times(times)``; the k-th is
     bitwise what ``billiard_transport`` leaves in those arrays on a copy of
-    the inputs for the k-th time.  Positions and velocities are never
-    transported: each particle's first-hit time, graze flag and chord
-    period are computed once, here, and every time then costs a few array
-    operations per particle.
+    the inputs for the k-th time, at its default ``eps = GRAZE_EPS``.
+    Positions and velocities are never transported: each particle's
+    first-hit time, graze flag and chord period are computed once, here,
+    and every time then costs a few array operations per particle.
     """
     times = distinct_times(times)
     cx, cy = geom.center
-    chords = _disk_chords(pos, vel, degenerate, float(cx), float(cy), float(geom.radius),
-                          float(eps))
+    chords = _disk_chords(pos, vel, degenerate, float(cx), float(cy), float(geom.radius))
     return _disk_count_steps(weight, rebounds, degenerate, chords, times, float(scale),
                              int(iter_cap))
 
@@ -483,7 +487,7 @@ def distinct_times(times) -> np.ndarray:
 
 
 def polygon_snapshots(pos, vel, weight, rebounds, degenerate, geom, times,
-                      scale=1.0, eps=1e-10, iter_cap=10_000_000):
+                      scale=1.0, eps=GRAZE_EPS, iter_cap=10_000_000):
     """Billiard flow on a convex polygon to every one of ``times`` in one sweep.
 
     The input arrays are left alone.  Returns ``(pos, vel, weight, rebounds,
@@ -499,7 +503,7 @@ def polygon_snapshots(pos, vel, weight, rebounds, degenerate, geom, times,
 
 
 def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t,
-                       scale=1.0, eps=1e-10, iter_cap=10_000_000):
+                       scale=1.0, eps=GRAZE_EPS, iter_cap=10_000_000):
     """Advance a billiard ensemble by time t in place (arrays are mutated).
 
     ``scale`` multiplies the particle weight at every reflection (the

@@ -286,9 +286,15 @@ class ParticleEnsemble:
             self.seed,
         )
 
+    def degenerate_weight(self) -> float:
+        return self.counts.degenerate_weight()
+
     def rebound_histogram(self) -> np.ndarray:
         """Weight per rebound count, as ``ReboundCounts.rebound_histogram``."""
         return self.counts.rebound_histogram()
+
+    def max_rebounds(self) -> int:
+        return self.counts.max_rebounds()
 
     def tail_weights(self, n_max: int | None = None) -> np.ndarray:
         """Tail weights per order, as ``ReboundCounts.tail_weights``."""

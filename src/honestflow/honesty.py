@@ -421,19 +421,18 @@ def mass_defect_estimate(
 def ensemble_trace_decay(ens: ParticleEnsemble | ReboundCounts, elapsed: float,
                          stat_tol: float | None = None) -> EnsembleDecayReport:
     """Trace-decay check for a transported billiard ensemble, or for its
-    rebound counts alone.
+    rebound counts alone: both offer the same report methods.
 
     ``tail_weights()[n]`` estimates the order-n integrated outgoing trace
     norm; for a bounded convex table it must reach zero at finite order.
     Degenerate (frozen) particles cannot finish their rebounds, so more than
     a statistical tolerance of degenerate weight leaves the check
     inconclusive."""
-    counts = ens.counts if isinstance(ens, ParticleEnsemble) else ens
     if stat_tol is None:
-        stat_tol = 3.0 / float(np.sqrt(max(len(counts), 1))) * max(counts.mass(), 1.0)
-    tails = counts.tail_weights()
-    degenerate_weight = counts.degenerate_weight()
-    max_rebounds = counts.max_rebounds()
+        stat_tol = 3.0 / float(np.sqrt(max(len(ens), 1))) * max(ens.mass(), 1.0)
+    tails = ens.tail_weights()
+    degenerate_weight = ens.degenerate_weight()
+    max_rebounds = ens.max_rebounds()
     if degenerate_weight > stat_tol:
         verdict = INCONCLUSIVE
     elif tails.size == 0 or tails[-1] <= stat_tol:

@@ -80,10 +80,12 @@ MAX_GRID_POINTS = 256
 MAX_PARTICLES = 10**7
 
 # billiard radii and speeds lie in [MIN_SCALE, MAX_SCALE], and every table
-# coordinate within MAX_SCALE in magnitude: squares and products of them
-# then stay finite and normal in float64
-MIN_SCALE = 1e-150
-MAX_SCALE = 1e150
+# coordinate within MAX_SCALE in magnitude.  The disk's first-hit quadratic
+# is of fourth degree in them (|r|^2 |v|^2, about radius^2 speed^2), and
+# these bounds keep every such product within [1e-300, 1e300]: finite and
+# normal in float64
+MIN_SCALE = 1e-75
+MAX_SCALE = 1e75
 # a table must span at least this fraction of its largest coordinate
 # magnitude, or its positions round onto too few points to tell apart
 MIN_RELATIVE_SIZE = 1e-6
@@ -663,7 +665,8 @@ def _window_end(window) -> float:
 def _window_decay(cfg: ScenarioConfig, ens0: ParticleEnsemble, window):
     t = _window_end(window)
     ens_t = transport_ensemble(ens0, t, cfg.geometry, scale=cfg.boundary.scale)
-    return _hon.ensemble_trace_decay(ens_t, t)
+    # one record, so the report builds one histogram
+    return _hon.ensemble_trace_decay(ens_t.counts, t)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:

@@ -2,6 +2,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,11 +26,12 @@ from honestflow import (
     run_scenario,
     summary_text,
     time_series_csv,
+    transport_counts_times,
     transport_ensemble,
     with_overrides,
     write_reports,
 )
-from honestflow import cli, scenarios
+from honestflow import _kernels, cli, scenarios
 from honestflow.scenarios import _window_decay
 
 LADDER_TEXT = """\
@@ -385,22 +387,47 @@ class TestParseConfig:
         assert capsys.readouterr().err.startswith(f"honestflow: [geometry] {field}: ")
 
     @pytest.mark.parametrize("old, new, field", [
-        ("speeds = 1", "speeds = 1, 1e-151", "speeds"),
+        ("speeds = 1", "speeds = 1, 1e-76", "speeds"),
         ("speeds = 1", "speeds = nan", "speeds"),
-        ("speeds = 1", "speed_band = 1, 1e151", "speed_band"),
+        ("speeds = 1", "speed_band = 1, 1e76", "speed_band"),
         ("radius = 1", "radius = inf", "radius"),
-        ("center = 0, 0", "center = 0, -1e151", "center"),
+        ("radius = 1", "radius = 1e76", "radius"),
+        ("center = 0, 0", "center = 0, -1e76", "center"),
         ("center = 0, 0", "center = 2e6, 0", "radius"),
     ])
     def test_disk_table_ranges(self, old, new, field):
         with pytest.raises(ConfigError, match=rf"^\[geometry\] {field}: "):
             parse_config(BILLIARD_TEXT.replace(old, new))
-        # the same table a little inside every bound parses
-        assert parse_config(BILLIARD_TEXT.replace("radius = 1", "radius = 1e150")
-                            .replace("speeds = 1", "speeds = 1e-150, 1e150")
-                            .replace("center = 0, 0", "center = 1e150, -1e150"))
+        # the same table at every bound parses
+        assert parse_config(BILLIARD_TEXT.replace("radius = 1", "radius = 1e75")
+                            .replace("speeds = 1", "speeds = 1e-75, 1e75")
+                            .replace("center = 0, 0", "center = 1e75, -1e75"))
 
-    @pytest.mark.parametrize("vertices", ["0, 0; 3, 0; 0.7, 1e151",
+    @pytest.mark.parametrize("factor", [2.0**249, 2.0**-249])
+    def test_extreme_disk_counts_as_the_unit_disk(self, factor):
+        # radius, speed and centre scaled by a power of two near each bound
+        # (2**249 is 9.0e74): scaling by 2**k is exact in float64 while every
+        # product stays finite and normal, so every first hit is finite and
+        # the rebound counts are bitwise those of the unit table
+        unit = BILLIARD_TEXT.replace("center = 0, 0", "center = 1, -1")
+        scaled = (unit.replace("radius = 1", f"radius = {factor!r}")
+                  .replace("speeds = 1", f"speeds = {factor!r}")
+                  .replace("center = 1, -1", f"center = {factor!r}, {-factor!r}"))
+        cfg, ref = parse_config(scaled), parse_config(unit)
+        ens = initial_density(cfg)
+        s0, _, _ = _kernels._disk_chords(ens.pos, ens.vel, ens.degenerate,
+                                         factor, -factor, factor)
+        assert np.all(np.isfinite(s0))
+        got = transport_counts_times(ens, cfg.times, cfg.geometry)
+        want = transport_counts_times(initial_density(ref), ref.times, ref.geometry)
+        for (t, a), (u, b) in zip(got, want, strict=True):
+            assert t == u
+            assert np.array_equal(a.rebounds, b.rebounds)
+            assert np.array_equal(a.degenerate, b.degenerate)
+            assert not a.degenerate.any()
+        assert a.rebounds.sum() > 0
+
+    @pytest.mark.parametrize("vertices", ["0, 0; 3, 0; 0.7, 1e76",
                                           "1e7, 0; 10000003, 0; 1e7, 1"])
     def test_polygon_table_ranges(self, vertices):
         text = POLYGON_TEXT.replace("vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = {}")

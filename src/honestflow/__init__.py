@@ -30,7 +30,6 @@ from .densities import (
     sample_ladder_positions,
     transport_counts_times,
     transport_ensemble,
-    transport_ensemble_times,
 )
 from .expansion import (
     Expansion,

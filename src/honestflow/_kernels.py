@@ -1,15 +1,13 @@
 """Hot numerical kernels: billiard ensemble transport and the 1D ladder
 survival Monte Carlo.
 
-The ladder walk steps hop by hop and exists twice: a numba ``@njit`` build
-and a vectorised numpy build performing the same arithmetic per particle, so
-results agree bitwise.  ``HONESTFLOW_DISABLE_NUMBA=1`` (or an unavailable
-numba) selects the numpy path; ``ladder_survival`` dispatches automatically.
-The billiards have numpy kernels only.  The polygon steps event by event
-and takes every requested time in one sweep; the disk needs no stepping: its
-closed form costs O(1) per particle whatever the number of rebounds, and a
-counts-only variant, for reports that read rebound counts alone, computes
-each particle's first hit and chord once for all requested times.
+Each lane has one numpy kernel.  The ladder walk steps every particle hop by
+hop, vectorised over the particles still moving.  The polygon steps event by
+event and takes every requested time in one sweep; the disk needs no
+stepping: its closed form costs O(1) per particle whatever the number of
+rebounds, and a counts-only variant, for reports that read rebound counts
+alone, computes each particle's first hit and chord once for all requested
+times.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -19,19 +17,11 @@ or evaluation order.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("HONESTFLOW_DISABLE_NUMBA", "0") != "1"
+# perfbench/measure.py reads this for its environment record; the next
+# benchmark change drops that read, and this name with it
+USE_NUMBA = False
 
 # survival draws start at this stream index; lower streams seed positions
 # and velocities (see densities.sample_* for the layout)
@@ -75,17 +65,6 @@ def uniform_array(seed: int, index, stream) -> np.ndarray:
     return stream_draws(index_hash(seed, index), stream)
 
 
-if HAS_NUMBA:
-    _mix64_nb = numba.njit(cache=True)(_mix64)
-
-    @numba.njit(cache=True)
-    def _uniform_nb(seed, index, stream):
-        h = _mix64_nb(seed + _GOLD)
-        h = _mix64_nb(h + _GOLD * np.uint64(index))
-        h = _mix64_nb(h + _GOLD * np.uint64(stream))
-        return (h >> _U11) * _INV53
-
-
 # ---------------------------------------------------------------------------
 # 1D ladder survival Monte Carlo
 # ---------------------------------------------------------------------------
@@ -94,35 +73,6 @@ if HAS_NUMBA:
 # a_{k+1} instantly and survives each jump with probability r.  tail[k] holds
 # the total interval length from k on: once the remaining time covers the
 # whole tail the particle completes infinitely many jumps and is gone.
-
-
-def _ladder_py(x0, k0, a, b, tail, r, t, seed):
-    n = x0.shape[0]
-    nk = a.shape[0]
-    alive = np.ones(n, dtype=np.bool_)
-    hops = np.zeros(n, dtype=np.int64)
-    useed = np.uint64(seed)
-    for i in range(n):
-        pos = x0[i]
-        k = k0[i]
-        rem = t
-        while True:
-            flight = b[k] - pos
-            if flight > rem:
-                break
-            rem -= flight
-            if r < 1.0:
-                u = _uniform_nb(useed, i, SURVIVAL_STREAM_BASE + hops[i])
-                if u >= r:
-                    alive[i] = False
-                    break
-            hops[i] += 1
-            k += 1
-            if k >= nk or rem >= tail[k]:
-                alive[i] = False
-                break
-            pos = a[k]
-    return alive, hops
 
 
 def _ladder_np(x0, k0, a, b, tail, r, t, seed):
@@ -165,11 +115,7 @@ def _ladder_np(x0, k0, a, b, tail, r, t, seed):
     return alive, hops
 
 
-if HAS_NUMBA:
-    _ladder_nb = numba.njit(cache=True)(_ladder_py)
-
-
-def ladder_survival(x0, k0, a, b, tail, r, t, seed, use_numba=None):
+def ladder_survival(x0, k0, a, b, tail, r, t, seed):
     """Transport a sampled ladder population to time t.
 
     Returns ``(alive, hops)``: whether each particle is still inside some
@@ -182,10 +128,6 @@ def ladder_survival(x0, k0, a, b, tail, r, t, seed, use_numba=None):
     tail = np.asarray(tail, dtype=np.float64)
     if not 0.0 < r <= 1.0:
         raise ValueError("survival probability r must lie in (0, 1]")
-    if use_numba is None:
-        use_numba = USE_NUMBA
-    if use_numba and HAS_NUMBA:
-        return _ladder_nb(x0, k0, a, b, tail, float(r), float(t), int(seed))
     return _ladder_np(x0, k0, a, b, tail, float(r), float(t), int(seed))
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "sample_ladder_positions",
     "transport_counts_times",
     "transport_ensemble",
-    "transport_ensemble_times",
 ]
 
 # draw-stream layout for counter-based sampling (per particle):
@@ -308,12 +307,17 @@ def _region_spec(region, geom: Billiard):
         return ("polygon",)
     if isinstance(region, str) and region.startswith("disk:"):
         cx, cy, rad = (float(s) for s in region[5:].split(","))
+        # the region may touch the wall up to a slack relative to the table's
+        # own size: its radius, or a polygon's largest vertex distance from
+        # the vertex mean
         if geom.shape == "disk":
             gx, gy = geom.center
-            fits = np.hypot(cx - gx, cy - gy) + rad <= geom.radius + 1e-12
+            fits = np.hypot(cx - gx, cy - gy) + rad <= geom.radius + 1e-12 * geom.radius
         else:
+            verts = np.array(geom.vertices)
+            size = float(np.max(np.hypot(*(verts - verts.mean(axis=0)).T)))
             n, d = geom.edge_normals()
-            fits = np.all(n @ np.array([cx, cy]) + rad <= d + 1e-12)
+            fits = np.all(n @ np.array([cx, cy]) + rad <= d + 1e-12 * size)
         if not fits or rad <= 0:
             raise ValueError(f"region {region!r} does not sit inside the table")
         return ("disk", cx, cy, rad)
@@ -402,34 +406,17 @@ def transport_ensemble(
 SWEEP_STATES = 1 << 20
 
 
-def transport_ensemble_times(ens: ParticleEnsemble, times, geom: Billiard, scale: float = 1.0):
-    """The trajectory of an ensemble at several times.
-
-    Returns an iterator of ``(t, ensemble)`` over the distinct ``times`` in
-    ascending order; each ensemble is bitwise ``transport_ensemble(ens, t,
-    geom, scale)``.  Bad times raise ValueError here, not when iterating.
-    A polygon steps every particle's events once per group of times, up to
-    the group's largest, each group holding at most ``SWEEP_STATES`` particle
-    states.  A disk transports lazily, one time per step: its closed form
-    costs O(N) whatever t, and holding every snapshot would not.  Reports
-    that read rebound counts alone take ``transport_counts_times`` instead.
-    """
-    ts = _kernels.distinct_times(times)
-    if geom.shape == "disk":
-        return ((t, transport_ensemble(ens, t, geom, scale)) for t in ts.tolist())
-    return _polygon_trajectory(ens, ts, geom, scale)
-
-
 def _polygon_trajectory(ens: ParticleEnsemble, ts, geom: Billiard, scale: float):
-    # every group starts from ens, so it stays bitwise; the snapshot the
-    # caller holds can keep the previous group alive while the next one runs
+    # (t, counts) at the distinct ascending times ts, views of the snapshot
+    # rows; every group starts from ens, so it stays bitwise, and the counts
+    # the caller holds can keep the previous group alive while the next runs
     rows = max(1, SWEEP_STATES // max(1, len(ens)))
     for lo in range(0, ts.size, rows):
         group = ts[lo:lo + rows]
         snaps = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
                                            ens.degenerate, geom, group, scale=scale)
         for k, t in enumerate(group.tolist()):
-            yield t, ParticleEnsemble(*(a[k] for a in snaps), ens.seed)
+            yield t, ReboundCounts(*(a[k] for a in snaps[2:]))
         del snaps
 
 
@@ -442,15 +429,17 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     iterating.  A disk never transports positions: each particle's first
     hit and chord are computed once, about 17 bytes per particle held for
     the whole trajectory, and each time then costs a few array operations
-    per particle.  A polygon takes the counts of the sweep's snapshots in
-    ``transport_ensemble_times``, without copying them.
+    per particle.  A polygon steps every particle's events once per group of
+    times, up to the group's largest, each group holding at most
+    ``SWEEP_STATES`` particle states, and yields views of the counts in the
+    sweep's snapshots, without copying them.
     """
     ts = _kernels.distinct_times(times)
     if geom.shape == "disk":
         steps = _kernels.disk_counts(ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate,
                                      geom, ts, scale=scale)
         return zip(ts.tolist(), (ReboundCounts(*arrays) for arrays in steps))
-    return ((t, snap.counts) for t, snap in _polygon_trajectory(ens, ts, geom, scale))
+    return _polygon_trajectory(ens, ts, geom, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,6 @@ def mc_mass_estimate(
     geom: IntervalUnion,
     n_particles: int = 100_000,
     seed: int = 0,
-    use_numba=None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the evolved mass, with its standard error.
 
@@ -333,8 +332,8 @@ def mc_mass_estimate(
     probability r (counter-based draws).  This is a cross-check of the
     exact order sum, not an exact path.
     """
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("time must be finite and nonnegative")
     x0, k0 = sample_ladder_positions(f, geom, n_particles, seed)
     k_top = geom.reach_index(f.max_index(), t) + 2
     if math.isfinite(geom.n_intervals):
@@ -343,7 +342,7 @@ def mc_mass_estimate(
     a = np.array([geom.a(k) for k in idx])
     b = np.array([geom.b(k) for k in idx])
     tail = np.array([geom.tail_delta(k) for k in idx])
-    alive, _ = _kernels.ladder_survival(x0, k0, a, b, tail, r, t, seed, use_numba=use_numba)
+    alive, _ = _kernels.ladder_survival(x0, k0, a, b, tail, r, t, seed)
     total = f.mass()
     p = float(np.mean(alive))
     estimate = total * p

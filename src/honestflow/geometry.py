@@ -181,8 +181,8 @@ class IntervalUnion:
         lengths), the walk stops once interval lengths fall under
         ``min_delta``: anything shorter is below time resolution.
         """
-        if horizon < 0.0:
-            raise ValueError("horizon must be nonnegative")
+        if not 0.0 <= horizon < math.inf:
+            raise ValueError("horizon must be finite and nonnegative")
         j = k_from
         travelled = 0.0
         while True:

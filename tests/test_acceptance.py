@@ -3,8 +3,7 @@
 One test per shipped guarantee, each asserting its stated tolerance; the
 verbose test listing gives one pass/fail line per criterion and every test
 also prints an explicit summary line.  Timed criteria measure the
-computational core only (jit warm-up for the particle kernels is done before
-the clock starts, since compilation is a per-process fixed cost).
+computational core only.
 """
 
 import math
@@ -154,8 +153,6 @@ def test_criterion_05_mass_monotone_in_boundary_scale():
 
 def test_criterion_06_disk_billiard_ensemble():
     geom = Billiard("disk", center=(0.0, 0.0), radius=1.0, velocities=VelocitySpec("speeds", speeds=(1.0,)))
-    warm = sample_ensemble(geom, 64, seed=1)
-    transport_ensemble(warm, 1.0, geom)  # jit warm-up, excluded from the clock
 
     start = time.perf_counter()
     ens = sample_ensemble(geom, 100_000, seed=2026)

@@ -15,7 +15,6 @@ from honestflow import (
     sample_ladder_positions,
     transport_counts_times,
     transport_ensemble,
-    transport_ensemble_times,
 )
 
 
@@ -120,8 +119,23 @@ class TestEnsemble:
         assert np.all(np.abs(ens.pos) < 0.3 + 1e-12)
 
     def test_region_outside_rejected(self):
-        with pytest.raises(ValueError):
-            sample_ensemble(small_disk(), 10, seed=0, region="box:-2,-2,2,2")
+        tiny_disk = Billiard("disk", center=(0.0, 0.0), radius=1e-70,
+                             velocities=VelocitySpec("speeds", speeds=(1e-70,)))
+        tiny_triangle = Billiard("polygon", vertices=((0.0, 0.0), (1e-60, 0.0), (0.0, 1e-60)),
+                                 velocities=VelocitySpec("speeds", speeds=(1.0,)))
+        # the wall slack scales with the table: far outside a tiny one
+        for geom, region in ((small_disk(), "box:-2,-2,2,2"),
+                             (small_disk(), "disk:0,0,1.00000000001"),
+                             (tiny_disk, "disk:0,0,1e-12"),
+                             (tiny_disk, "disk:0,0,1.00000000001e-70"),
+                             (tiny_triangle, "disk:5e-13,5e-13,1e-13")):
+            with pytest.raises(ValueError, match="does not sit inside"):
+                sample_ensemble(geom, 10, seed=0, region=region)
+        # touching the wall up to rounding is inside, whatever the size
+        for region in ("disk:0,0,1e-70", "disk:0,0,1.0000000000001e-70"):
+            ens = sample_ensemble(tiny_disk, 10, seed=0, region=region)
+            assert np.all(np.hypot(ens.pos[:, 0], ens.pos[:, 1]) < 1.000001e-70)
+        sample_ensemble(small_disk(), 10, seed=0, region="disk:0,0,1.0000000000001")
 
     def test_rebound_histogram_and_tails(self):
         disk = small_disk()
@@ -195,20 +209,27 @@ class TestTransportTimes:
     def test_snapshots_equal_separate_transports(self, table):
         geom = table()
         ens = sample_ensemble(geom, 500, seed=12)
-        got = list(transport_ensemble_times(ens, (5.0, 0.0, 2.5, 5.0), geom, 0.9))
+        times = (5.0, 0.0, 2.5, 5.0)
+        got = list(transport_counts_times(ens, times, geom, 0.9))
         assert [t for t, _ in got] == [0.0, 2.5, 5.0]
         assert got[-1][1].rebounds.max() > 3
-        for t, snap in got:
-            ref = transport_ensemble(ens, t, geom, scale=0.9)
-            assert snap.seed == ref.seed
-            for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
-                assert np.array_equal(getattr(snap, name), getattr(ref, name))
+        refs = [transport_ensemble(ens, t, geom, scale=0.9) for t, _ in got]
+        for (_, counts), ref in zip(got, refs):
+            for name in ("weight", "rebounds", "degenerate"):
+                assert np.array_equal(getattr(counts, name), getattr(ref, name))
+        if geom.shape == "polygon":
+            # the sweep's full-state rows, not only their counts
+            rows = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                              ens.degenerate, geom, times, scale=0.9)
+            for k, ref in enumerate(refs):
+                for name, row in zip(("pos", "vel", "weight", "rebounds", "degenerate"), rows):
+                    assert np.array_equal(row[k], getattr(ref, name))
 
     def test_polygon_sweeps_are_bounded(self, monkeypatch):
         geom = small_square()
         ens = sample_ensemble(geom, 100, seed=12)
         times = (0.0, 0.7, 1.5, 2.5, 4.0, 5.0, 7.25)
-        whole = list(transport_ensemble_times(ens, times, geom, 0.9))
+        whole = list(transport_counts_times(ens, times, geom, 0.9))
         sweeps = []
         sweep = _kernels.polygon_snapshots
 
@@ -219,12 +240,17 @@ class TestTransportTimes:
 
         monkeypatch.setattr(_kernels, "polygon_snapshots", counted)
         monkeypatch.setattr(densities, "SWEEP_STATES", 300)
-        grouped = list(transport_ensemble_times(ens, times, geom, 0.9))
+        grouped = list(transport_counts_times(ens, times, geom, 0.9))
         assert sweeps == [3, 3, 1]
         assert [t for t, _ in grouped] == [t for t, _ in whole] == list(times)
-        for (_, a), (_, b) in zip(grouped, whole):
-            for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
+        for (t, a), (_, b) in zip(grouped, whole):
+            ref = transport_ensemble(ens, t, geom, scale=0.9)
+            for name in ("weight", "rebounds", "degenerate"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+                assert np.array_equal(getattr(a, name), getattr(ref, name))
+        # the rows of one group view one sweep
+        assert grouped[0][1].weight.base is grouped[2][1].weight.base is not None
+        assert grouped[3][1].weight.base is not grouped[2][1].weight.base
 
     @pytest.mark.parametrize("scale", [0.9, 1.0])
     def test_disk_counts_equal_separate_transports(self, monkeypatch, scale):
@@ -278,12 +304,14 @@ class TestTransportTimes:
         geom = small_square()
         ens = sample_ensemble(geom, 300, seed=12)
         times = (0.0, 2.5, 2.5, 5.0)
-        snaps = list(transport_ensemble_times(ens, times, geom, 0.9))
+        rows = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                          ens.degenerate, geom, times, scale=0.9)
         got = list(transport_counts_times(ens, times, geom, 0.9))
-        assert [t for t, _ in got] == [t for t, _ in snaps] == [0.0, 2.5, 5.0]
-        for (_, counts), (_, snap) in zip(got, snaps):
-            for name in ("weight", "rebounds", "degenerate"):
-                assert np.array_equal(getattr(counts, name), getattr(snap, name))
+        assert [t for t, _ in got] == [0.0, 2.5, 5.0]
+        for k, (_, counts) in enumerate(got):
+            assert isinstance(counts, ReboundCounts)
+            for name, row in zip(("weight", "rebounds", "degenerate"), rows[2:]):
+                assert np.array_equal(getattr(counts, name), row[k])
         # views of one sweep's snapshot rows
         assert got[0][1].weight.base is got[2][1].weight.base is not None
 
@@ -293,9 +321,9 @@ class TestTransportTimes:
         geom = table()
         ens = sample_ensemble(geom, 10, seed=1)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            transport_ensemble_times(ens, (1.0, t), geom)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
             transport_counts_times(ens, (1.0, t), geom)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            transport_ensemble(ens, t, geom)
 
 
 class TestLadderSampling:

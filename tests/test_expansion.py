@@ -211,3 +211,9 @@ class TestMonteCarlo:
         # beyond the total transit length nothing survives even with r = 1
         est, _ = mc_mass_estimate(geo_box, 2.5, 1.0, geometric_ladder, n_particles=2000, seed=2)
         assert est == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    def test_time_must_be_finite(self, unit_ladder, unit_box, geometric_ladder, geo_box, t):
+        for f, geom in ((unit_box, unit_ladder), (geo_box, geometric_ladder)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                mc_mass_estimate(f, t, 0.5, geom, n_particles=100, seed=1)

@@ -66,6 +66,13 @@ class TestIntervalUnion:
         j = geometric_ladder.reach_index(0, 10.0)
         assert j > 50
 
+    @pytest.mark.parametrize("horizon", [-0.5, math.inf, math.nan])
+    def test_reach_index_refuses_unbounded_horizon(self, unit_ladder, geometric_ladder, horizon):
+        # an infinite or nan horizon is never reached: the walk would not end
+        for geom in (unit_ladder, geometric_ladder):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                geom.reach_index(0, horizon)
+
     def test_explicit_validation(self):
         geo = IntervalUnion("explicit", intervals=((0.0, 1.0), (2.0, 2.5)))
         assert geo.n_intervals == 2

@@ -1,21 +1,11 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from honestflow import Billiard, VelocitySpec, rebound_sequence, sample_ensemble, transport_ensemble
 from honestflow import _kernels
-from honestflow._kernels import (
-    HAS_NUMBA,
-    SURVIVAL_STREAM_BASE,
-    ladder_survival,
-    uniform_array,
-)
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
+from honestflow._kernels import SURVIVAL_STREAM_BASE, ladder_survival, uniform_array
 
 
 def ladder_arrays(geom, top):
@@ -71,12 +61,25 @@ class TestUniformDraws:
         ang = 2.0 * np.pi * u[4]
         assert np.array_equal(ens.vel, np.stack([speed * np.cos(ang), speed * np.sin(ang)], axis=1))
 
-    @needs_numba
-    def test_scalar_draw_matches_vectorised(self):
-        for seed, i, stream in ((0, 0, 0), (7, 123, 5), (42, 99_999, SURVIVAL_STREAM_BASE)):
-            scalar = float(_kernels._uniform_nb(np.uint64(seed), i, stream))
-            vector = float(uniform_array(seed, np.array([i], dtype=np.int64), stream)[0])
-            assert scalar == vector
+
+def scalar_walk(geom, x, k, r, t, seed, i):
+    """One particle's (alive, hops) stepped interval by interval on ``geom``
+    itself: the draw at its j-th jump is stream SURVIVAL_STREAM_BASE + j."""
+    hops = 0
+    while True:
+        flight = geom.b(k) - x
+        if flight > t:
+            return True, hops
+        t -= flight
+        u = float(uniform_array(seed, [i], SURVIVAL_STREAM_BASE + hops)[0])
+        if u >= r:
+            return False, hops
+        hops += 1
+        k += 1
+        # the remaining time covers every later interval: infinitely many jumps
+        if t >= geom.tail_delta(k):
+            return False, hops
+        x = geom.a(k)
 
 
 class TestLadderKernel:
@@ -85,25 +88,6 @@ class TestLadderKernel:
         x0 = uniform_array(11, idx, 0)  # positions inside (0, 1)
         k0 = np.zeros(n, dtype=np.int64)
         return x0, k0
-
-    @needs_numba
-    def test_numba_numpy_bitwise_equal(self, unit_ladder):
-        a, b, tail = ladder_arrays(unit_ladder, 12)
-        x0, k0 = self._population(5000)
-        for r, t in ((0.5, 1.5), (0.8, 4.25), (1.0, 7.0)):
-            alive_nb, hops_nb = ladder_survival(x0, k0, a, b, tail, r, t, 3, use_numba=True)
-            alive_np, hops_np = ladder_survival(x0, k0, a, b, tail, r, t, 3, use_numba=False)
-            assert np.array_equal(alive_nb, alive_np)
-            assert np.array_equal(hops_nb, hops_np)
-
-    @needs_numba
-    def test_geometric_ladder_paths_agree(self, geometric_ladder):
-        a, b, tail = ladder_arrays(geometric_ladder, 40)
-        x0, k0 = self._population(5000)
-        alive_nb, hops_nb = ladder_survival(x0, k0, a, b, tail, 0.5, 1.5, 9, use_numba=True)
-        alive_np, hops_np = ladder_survival(x0, k0, a, b, tail, 0.5, 1.5, 9, use_numba=False)
-        assert np.array_equal(alive_nb, alive_np)
-        assert np.array_equal(hops_nb, hops_np)
 
     def test_deterministic(self, unit_ladder):
         a, b, tail = ladder_arrays(unit_ladder, 8)
@@ -127,6 +111,30 @@ class TestLadderKernel:
         x0, k0 = self._population(2000)
         alive, _ = ladder_survival(x0, k0, a, b, tail, 1.0, 2.5, 5)
         assert not np.any(alive)
+
+    @pytest.mark.parametrize("ladder, times", [("unit_ladder", (0.6, 1.5, 4.25, 7.0)),
+                                               ("geometric_ladder", (0.6, 1.3, 1.9, 2.5))])
+    @pytest.mark.parametrize("r", [0.5, 0.8])
+    def test_matches_scalar_walk(self, request, ladder, times, r):
+        geom = request.getfixturevalue(ladder)
+        n, seed = 300, 13
+        idx = np.arange(n, dtype=np.int64)
+        # starts spread over the first three intervals
+        k0 = (uniform_array(seed, idx, 1) * 3).astype(np.int64)
+        x0 = np.array([geom.a(k) for k in k0]) + uniform_array(seed, idx, 0) * np.array(
+            [geom.delta(k) for k in k0])
+        a, b, tail = ladder_arrays(geom, 40)
+        survivors, top = [], 0
+        for t in times:
+            alive, hops = ladder_survival(x0, k0, a, b, tail, r, t, seed)
+            want = [scalar_walk(geom, float(x0[i]), int(k0[i]), r, t, seed, i) for i in range(n)]
+            assert alive.tolist() == [w[0] for w in want]
+            assert hops.tolist() == [w[1] for w in want]
+            survivors.append(int(alive.sum()))
+            top = max(top, int(hops.max()))
+        # deaths and survivors side by side, and walks of several jumps
+        assert any(0 < m < n for m in survivors)
+        assert top >= 3
 
     def test_r_validation(self, unit_ladder):
         a, b, tail = ladder_arrays(unit_ladder, 4)
@@ -418,30 +426,14 @@ class TestPolygonSnapshots:
         geom = scalene_table()
         ens = sample_ensemble(geom, 80, seed=6)
         ens.degenerate[::9] = True
-        want = snapshots(ens, geom, (3.5,), scale=0.7)
-        out = ens.copy()
-        arrays = (out.pos, out.vel, out.weight, out.rebounds, out.degenerate)
-        got = _kernels.billiard_transport(*arrays, geom, 3.5, scale=0.7)
-        for a, b, w in zip(got, arrays, want):
-            assert a is b
-            assert np.array_equal(a, w[0])
-
-
-class TestEnvFlag:
-    def _flag_in_subprocess(self, value):
-        code = "import honestflow._kernels as k; print(k.USE_NUMBA)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, HONESTFLOW_DISABLE_NUMBA=value),
-            check=True,
-        )
-        return out.stdout.strip()
-
-    def test_disable_flag_forces_numpy_path(self):
-        assert self._flag_in_subprocess("1") == "False"
-
-    @needs_numba
-    def test_flag_off_keeps_numba(self):
-        assert self._flag_in_subprocess("0") == "True"
+        times = (0.0, 1.25, 3.5, 6.0)
+        want = snapshots(ens, geom, times, scale=0.7)
+        assert want[3][-1].max() > 3
+        # each row of one sweep is a separate in-place transport to its time
+        for k, t in enumerate(times):
+            out = ens.copy()
+            arrays = (out.pos, out.vel, out.weight, out.rebounds, out.degenerate)
+            got = _kernels.billiard_transport(*arrays, geom, t, scale=0.7)
+            for a, b, w in zip(got, arrays, want):
+                assert a is b
+                assert np.array_equal(a, w[k])

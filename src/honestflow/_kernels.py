@@ -3,11 +3,12 @@ survival Monte Carlo.
 
 Each lane has one numpy kernel.  The ladder walk steps every particle hop by
 hop, vectorised over the particles still moving.  The polygon steps event by
-event and takes every requested time in one sweep; the disk needs no
-stepping: its closed form costs O(1) per particle whatever the number of
-rebounds, and a counts-only variant, for reports that read rebound counts
-alone, computes each particle's first hit and chord once for all requested
-times.
+event and takes every requested time in one sweep, in one contiguous block
+of particles per CPU, each on its own thread; its rows hold full states, or,
+for reports that read rebound counts alone, only the weights, counts and
+flags.  The disk needs no stepping: its closed form costs O(1) per particle
+whatever the number of rebounds, and a counts-only variant computes each
+particle's first hit and chord once for all requested times.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -16,6 +17,9 @@ or evaluation order.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -155,6 +159,9 @@ DISK_CHUNK = 1 << 16
 # the particle freezes and is flagged degenerate instead of reflecting
 GRAZE_EPS = 1e-10
 
+# the default reflection cap of every billiard transport
+ITER_CAP = 10_000_000
+
 
 def _disk_exit(x, y, vx, vy, cx, cy, radius):
     # first hit: the same stable quadratic as Billiard.exit_time
@@ -291,7 +298,7 @@ def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale, iter_c
 
 
 def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times,
-                scale=1.0, iter_cap=10_000_000):
+                scale=1.0, iter_cap=ITER_CAP):
     """Rebound counts of a disk ensemble at every one of ``times``.
 
     The input arrays are left alone.  Returns an iterator of ``(weight,
@@ -325,12 +332,14 @@ def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times,
 # when its last row closes.
 
 
-def _snapshot(out, kk, cols, x, y, vx, vy, w, n, flagged):
-    pos, vel, weight, rebounds, degenerate = out
-    pos[kk, cols, 0] = x
-    pos[kk, cols, 1] = y
-    vel[kk, cols, 0] = vx
-    vel[kk, cols, 1] = vy
+def _snapshot(out, kk, cols, w, n, flagged, state):
+    # rows kk of particles cols; state() gives their positions and velocities
+    # and runs only when out holds them: a counts-only out is (weight,
+    # rebounds, degenerate)
+    *full, weight, rebounds, degenerate = out
+    if full:
+        pos, vel = full
+        pos[kk, cols, 0], pos[kk, cols, 1], vel[kk, cols, 0], vel[kk, cols, 1] = state()
     weight[kk, cols] = w
     rebounds[kk, cols] = n
     degenerate[kk, cols] = flagged
@@ -368,14 +377,15 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
             fly = s > rem
             kk, jj = np.nonzero(open_ & fly)
             r = rem[kk, jj]
-            _snapshot(out, kk, idx[jj], x[jj] + vx[jj] * r, y[jj] + vy[jj] * r,
-                      vx[jj], vy[jj], w[jj], n[jj], False)
+            _snapshot(out, kk, idx[jj], w[jj], n[jj], False,
+                      lambda: (x[jj] + vx[jj] * r, y[jj] + vy[jj] * r, vx[jj], vy[jj]))
             hit = open_ & ~fly
             if rounds > iter_cap:
                 # a row owing more than iter_cap reflections stops at the last
                 # one; rows that reach their time first have flown out above
                 kk, jj = np.nonzero(hit)
-                _snapshot(out, kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj], True)
+                _snapshot(out, kk, idx[jj], w[jj], n[jj], True,
+                          lambda: (x[jj], y[jj], vx[jj], vy[jj]))
                 break
             rem = np.where(fly, 0.0, rem - s)
             x = x + vx * s
@@ -400,7 +410,8 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
             # a graze freezes every row that reached this hit; a reflection
             # closes the rows it leaves with no time
             kk, jj = np.nonzero(hit & (graze | (rem == 0.0)))
-            _snapshot(out, kk, idx[jj], x[jj], y[jj], vx[jj], vy[jj], w[jj], n[jj], graze[jj])
+            _snapshot(out, kk, idx[jj], w[jj], n[jj], graze[jj],
+                      lambda: (x[jj], y[jj], vx[jj], vy[jj]))
             keep = ~graze & (rem[-1] > 0.0)
             if not keep.all():
                 idx, x, y, vx, vy, w, n, speed = (
@@ -409,12 +420,53 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
     return out
 
 
+# the least number of particles worth a block of its own: a round's fixed
+# cost is paid per block, and on a hexagon two blocks of 10^4 particles
+# about break even with one of 2 * 10^4.  Smaller ensembles are swept whole
+# on the calling thread.
+SWEEP_BLOCK_MIN = 1 << 14
+
+
+def _sweep_workers(n):
+    # one block per CPU this process may run on, none below SWEEP_BLOCK_MIN
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n // SWEEP_BLOCK_MIN))
+
+
 def _polygon_sweep(arrays, out, geom, times, scale, eps, iter_cap):
     normals, offsets = geom.edge_normals()
     verts = np.array(geom.vertices, dtype=np.float64)
-    vert_eps = float(eps) * max(1.0, float(np.max(np.abs(verts))))
-    return _polygon_snapshots(*arrays, out, normals, offsets, verts, times, float(scale),
-                              float(eps), vert_eps, int(iter_cap))
+    # relative to the largest coordinate, whose magnitude sets the rounding
+    # of every hit point, so a table and its scaled copies flag alike
+    vert_eps = float(eps) * float(np.max(np.abs(verts)))
+    consts = (normals, offsets, verts, times, float(scale), float(eps), vert_eps, int(iter_cap))
+
+    # Particles never interact and each one takes part in every round until
+    # it leaves, so a contiguous block of them, swept alone into its own
+    # columns of out, gets bitwise the rows a whole sweep gives it.  numpy
+    # releases the GIL inside its loops, so the blocks run side by side.
+    errors = []
+
+    def sweep(lo, hi):
+        try:
+            _polygon_snapshots(*(a[lo:hi] for a in arrays), tuple(o[:, lo:hi] for o in out),
+                               *consts)
+        except Exception as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    size = arrays[0].shape[0]
+    workers = _sweep_workers(size)
+    bounds = [size * b // workers for b in range(workers + 1)]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    threads = [threading.Thread(target=sweep, args=block) for block in blocks[1:]]
+    for thread in threads:
+        thread.start()
+    sweep(*blocks[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def distinct_times(times) -> np.ndarray:
@@ -429,7 +481,7 @@ def distinct_times(times) -> np.ndarray:
 
 
 def polygon_snapshots(pos, vel, weight, rebounds, degenerate, geom, times,
-                      scale=1.0, eps=GRAZE_EPS, iter_cap=10_000_000):
+                      scale=1.0, eps=GRAZE_EPS, iter_cap=ITER_CAP):
     """Billiard flow on a convex polygon to every one of ``times`` in one sweep.
 
     The input arrays are left alone.  Returns ``(pos, vel, weight, rebounds,
@@ -444,8 +496,23 @@ def polygon_snapshots(pos, vel, weight, rebounds, degenerate, geom, times,
     return _polygon_sweep(arrays, out, geom, times, scale, eps, iter_cap)
 
 
+def polygon_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
+    """The rebound counts of ``polygon_snapshots`` alone.
+
+    Returns ``(weight, rebounds, degenerate)`` with a leading axis over
+    ``distinct_times(times)``, bitwise those rows of ``polygon_snapshots``
+    at its default ``eps`` and ``iter_cap``.  The sweep is the same, but the
+    rows' positions and velocities are never written: a row costs 17 bytes
+    per particle instead of 49, plus 8 of remaining time while it runs.
+    """
+    times = distinct_times(times)
+    out = tuple(np.repeat(a[None], times.size, axis=0) for a in (weight, rebounds, degenerate))
+    return _polygon_sweep((pos, vel, weight, rebounds, degenerate), out, geom, times, scale,
+                          GRAZE_EPS, ITER_CAP)
+
+
 def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t,
-                       scale=1.0, eps=GRAZE_EPS, iter_cap=10_000_000):
+                       scale=1.0, eps=GRAZE_EPS, iter_cap=ITER_CAP):
     """Advance a billiard ensemble by time t in place (arrays are mutated).
 
     ``scale`` multiplies the particle weight at every reflection (the

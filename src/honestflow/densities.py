@@ -402,22 +402,23 @@ def transport_ensemble(
 
 
 # particle states one polygon sweep may hold, summed over its times: bounds
-# the sweep's memory (about 57 bytes per state) whatever the number of times
-SWEEP_STATES = 1 << 20
+# the sweep's memory (25 bytes per state: a row's weight, rebound count and
+# flag, and its remaining time) to about 52 MB whatever the number of times
+SWEEP_STATES = 1 << 21
 
 
 def _polygon_trajectory(ens: ParticleEnsemble, ts, geom: Billiard, scale: float):
-    # (t, counts) at the distinct ascending times ts, views of the snapshot
+    # (t, counts) at the distinct ascending times ts, views of the sweep's
     # rows; every group starts from ens, so it stays bitwise, and the counts
     # the caller holds can keep the previous group alive while the next runs
     rows = max(1, SWEEP_STATES // max(1, len(ens)))
     for lo in range(0, ts.size, rows):
         group = ts[lo:lo + rows]
-        snaps = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
-                                           ens.degenerate, geom, group, scale=scale)
+        counts = _kernels.polygon_counts(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                         ens.degenerate, geom, group, scale)
         for k, t in enumerate(group.tolist()):
-            yield t, ReboundCounts(*(a[k] for a in snaps[2:]))
-        del snaps
+            yield t, ReboundCounts(*(a[k] for a in counts))
+        del counts
 
 
 def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: float = 1.0):
@@ -431,8 +432,11 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     the whole trajectory, and each time then costs a few array operations
     per particle.  A polygon steps every particle's events once per group of
     times, up to the group's largest, each group holding at most
-    ``SWEEP_STATES`` particle states, and yields views of the counts in the
-    sweep's snapshots, without copying them.
+    ``SWEEP_STATES`` particle states of 25 bytes (weight, count and flag per
+    time, never positions or velocities, plus the remaining time), and
+    yields views of the sweep's rows, without copying them.  The sweep runs
+    one block of particles per CPU; its rows are the same bytes for any
+    number of blocks.
     """
     ts = _kernels.distinct_times(times)
     if geom.shape == "disk":

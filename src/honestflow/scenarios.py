@@ -59,6 +59,8 @@ from importlib import resources
 from pathlib import Path
 
 from .boundary import BoundaryRule
+# transport_ensemble is not called here; perfbench/tracing.py wraps it under
+# this name
 from .densities import (
     PiecewiseDensity, ParticleEnsemble, ReboundCounts, sample_ensemble, transport_counts_times,
     transport_ensemble,
@@ -664,9 +666,8 @@ def _window_end(window) -> float:
 
 def _window_decay(cfg: ScenarioConfig, ens0: ParticleEnsemble, window):
     t = _window_end(window)
-    ens_t = transport_ensemble(ens0, t, cfg.geometry, scale=cfg.boundary.scale)
-    # one record, so the report builds one histogram
-    return _hon.ensemble_trace_decay(ens_t.counts, t)
+    ((_, counts),) = transport_counts_times(ens0, (t,), cfg.geometry, scale=cfg.boundary.scale)
+    return _hon.ensemble_trace_decay(counts, t)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:

@@ -1,11 +1,29 @@
 """The benchmark's layer tracer (``perfbench/tracing.py``) wraps library names
 where their callers look them up.  Entering ``traced`` reads every one of
 them, so a library rename that would break a traced benchmark run fails
-here, in the library's own suite."""
+here, in the library's own suite.  The benchmark's ``setup_s`` times
+``import honestflow``; what that import must not load is guarded here too."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import honestflow
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_import_loads_no_thread_pool():
+    # the polygon sweep starts plain threads; concurrent.futures would add
+    # about 7 ms to every import
+    src = str(Path(honestflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, honestflow; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_tracer_finds_and_restores_every_patched_name(monkeypatch):

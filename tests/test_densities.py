@@ -231,14 +231,14 @@ class TestTransportTimes:
         times = (0.0, 0.7, 1.5, 2.5, 4.0, 5.0, 7.25)
         whole = list(transport_counts_times(ens, times, geom, 0.9))
         sweeps = []
-        sweep = _kernels.polygon_snapshots
+        sweep = _kernels.polygon_counts
 
-        def counted(*args, **kwargs):
-            snaps = sweep(*args, **kwargs)
-            sweeps.append(snaps[0].shape[0])
-            return snaps
+        def counted(*args):
+            counts = sweep(*args)
+            sweeps.append(counts[0].shape[0])
+            return counts
 
-        monkeypatch.setattr(_kernels, "polygon_snapshots", counted)
+        monkeypatch.setattr(_kernels, "polygon_counts", counted)
         monkeypatch.setattr(densities, "SWEEP_STATES", 300)
         grouped = list(transport_counts_times(ens, times, geom, 0.9))
         assert sweeps == [3, 3, 1]
@@ -251,6 +251,23 @@ class TestTransportTimes:
         # the rows of one group view one sweep
         assert grouped[0][1].weight.base is grouped[2][1].weight.base is not None
         assert grouped[3][1].weight.base is not grouped[2][1].weight.base
+
+    def test_polygon_group_size(self, monkeypatch):
+        # at 25 bytes per state a sweep of 10^5 particles takes 20 times,
+        # about 50 MB; the groups are counted, not swept
+        ens = sample_ensemble(small_square(), 100_000, seed=1)
+        sweeps = []
+
+        def counted(pos, vel, weight, rebounds, degenerate, geom, times, scale):
+            sweeps.append(len(times))
+            return tuple(np.broadcast_to(a, (len(times), len(a)))
+                         for a in (weight, rebounds, degenerate))
+
+        monkeypatch.setattr(_kernels, "polygon_counts", counted)
+        times = np.arange(1, 26) * 0.5
+        assert len(list(transport_counts_times(ens, times, small_square()))) == 25
+        assert sweeps == [20, 5]
+        assert 20 * len(ens) <= densities.SWEEP_STATES < 21 * len(ens)
 
     @pytest.mark.parametrize("scale", [0.9, 1.0])
     def test_disk_counts_equal_separate_transports(self, monkeypatch, scale):

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -437,3 +438,94 @@ class TestPolygonSnapshots:
             for a, b, w in zip(got, arrays, want):
                 assert a is b
                 assert np.array_equal(a, w[k])
+
+    @pytest.mark.parametrize("factor", [2.0**-200, 2.0**200])
+    def test_scaled_tables_flag_alike(self, factor):
+        # the vertex tolerance follows the coordinates: a table scaled by a
+        # power of two, with its particles, makes the same events
+        geom = scalene_table()
+        scaled = Billiard("polygon", vertices=tuple((x * factor, y * factor)
+                                                    for x, y in geom.vertices),
+                          velocities=geom.velocities)
+        ens = sample_ensemble(geom, 300, seed=5)
+        times = (0.0, 0.5, 2.0, 6.0)
+        want = snapshots(ens, geom, times, scale=0.7)
+        assert want[3][-1].max() > 3
+        got = _kernels.polygon_snapshots(ens.pos * factor, ens.vel * factor, ens.weight,
+                                         ens.rebounds, ens.degenerate, scaled, times, scale=0.7)
+        assert np.array_equal(got[0], want[0] * factor)
+        assert np.array_equal(got[1], want[1] * factor)
+        for a, b in zip(got[2:], want[2:]):
+            assert np.array_equal(a, b)
+
+
+class TestSweepBlocks:
+    """The polygon sweep split into one block of particles per worker gives
+    the bytes of a whole sweep, whatever the number of blocks."""
+
+    def _ensemble(self):
+        # 301 particles: blocks of 100, 100 and 101 for three workers
+        geom = scalene_table()
+        ens = sample_ensemble(geom, 301, seed=17)
+        ens.degenerate[::11] = True
+        ens.rebounds[::11] = 4
+        return geom, ens
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_rows_do_not_depend_on_the_blocks(self, monkeypatch, workers):
+        geom, ens = self._ensemble()
+        arrays = (ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate)
+        times = (0.0, 1.25, 3.5, 9.0)
+
+        def rows():
+            full = snapshots(ens, geom, times, scale=0.7, iter_cap=6)
+            counts = tuple(np.repeat(a[None], len(times), axis=0) for a in arrays[2:])
+            _kernels._polygon_sweep(arrays, counts, geom, np.array(times), 0.7,
+                                    _kernels.GRAZE_EPS, 6)
+            uncapped = _kernels.polygon_counts(*arrays, geom, times, 0.7)
+            moved = []
+            for t in times:
+                out = ens.copy()
+                state = (out.pos, out.vel, out.weight, out.rebounds, out.degenerate)
+                _kernels.billiard_transport(*state, geom, t, scale=0.7, iter_cap=6)
+                moved.append(state)
+            return full, counts, uncapped, moved
+
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
+        want = rows()
+        full, counts, uncapped, moved = want
+        # the cap binds, the cap-free sweep goes further, some input is frozen
+        assert full[4][-1].sum() > full[4][0].sum() > 0
+        assert full[3][-1].max() == 6 < uncapped[1][-1].max()
+        for a, b in zip(counts, full[2:]):
+            assert np.array_equal(a, b)
+        for k, state in enumerate(moved):
+            for a, b in zip(state, full):
+                assert np.array_equal(a, b[k])
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
+        got = rows()
+        for a, b in zip(got[0] + got[1] + got[2], want[0] + want[1] + want[2]):
+            assert np.array_equal(a, b)
+        for state, ref in zip(got[3], want[3]):
+            for a, b in zip(state, ref):
+                assert np.array_equal(a, b)
+
+    def test_worker_errors_propagate(self, monkeypatch):
+        geom, ens = self._ensemble()
+        sweep = _kernels._polygon_snapshots
+
+        def failing(pos, *args):
+            # only the last block, which runs on a thread of its own, fails
+            if pos.shape[0] == 101:
+                raise FloatingPointError("block failed")
+            return sweep(pos, *args)
+
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
+        monkeypatch.setattr(_kernels, "_polygon_snapshots", failing)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            snapshots(ens, geom, (1.0,))
+
+    def test_small_ensembles_run_whole(self):
+        assert _kernels._sweep_workers(300) == 1
+        assert _kernels._sweep_workers(0) == 1
+        assert 1 <= _kernels._sweep_workers(10**7) <= os.cpu_count()

@@ -17,6 +17,7 @@ from honestflow import (
     ScenarioConfig,
     absorption_rate_estimate,
     builtin_config_text,
+    ensemble_trace_decay,
     evolve,
     initial_density,
     load_config,
@@ -543,6 +544,21 @@ class TestInitialDensity:
         assert ens.mass() == pytest.approx(1.0, abs=1e-12)
 
 
+def _full_state_decay(cfg, ens0, t):
+    ens_t = transport_ensemble(ens0, t, cfg.geometry, scale=cfg.boundary.scale)
+    return ensemble_trace_decay(ens_t.counts, t)
+
+
+def _assert_windows_match_full_state(cfg, ens0, result):
+    # the run's window and t_max decay reports, and the `honesty` command's
+    # window report, each against a separate full-state transport
+    want = tuple(_full_state_decay(cfg, ens0, t) for _, t in cfg.windows)
+    assert result.window_reports == want
+    assert tuple(_window_decay(cfg, ens0, w) for w in cfg.windows) == want
+    assert result.decay_report == _full_state_decay(cfg, ens0, 2.0)
+    assert result.window_reports[1].max_rebounds > result.decay_report.max_rebounds
+
+
 class TestRunScenario:
     def test_honest_builtin_bundle(self):
         result = run_scenario(resolve_config("unit-ladder-honest"))
@@ -610,21 +626,17 @@ class TestRunScenario:
         ens0 = initial_density(cfg)
         assert [row.t for row in result.rows] == [2.0, 0.5, 2.0]
         assert result.rows[0] == result.rows[2]
-        assert result.window_reports == tuple(_window_decay(cfg, ens0, w) for w in cfg.windows)
-        assert result.decay_report == _window_decay(cfg, ens0, (0.0, 2.0))
-        assert result.window_reports[1].max_rebounds > result.decay_report.max_rebounds
+        _assert_windows_match_full_state(cfg, ens0, result)
 
     def test_disk_reports_match_separate_transports(self):
-        # rows and windows read rebound counts alone; the full-state
-        # transport of _window_decay is the reference
+        # rows and windows read rebound counts alone; separate full-state
+        # transports are the reference
         cfg = parse_config(DISK_TEXT)
         result = run_scenario(cfg)
         ens0 = initial_density(cfg)
         assert [row.t for row in result.rows] == [2.0, 0.5, 2.0]
         assert result.rows[0] == result.rows[2]
-        assert result.window_reports == tuple(_window_decay(cfg, ens0, w) for w in cfg.windows)
-        assert result.decay_report == _window_decay(cfg, ens0, (0.0, 2.0))
-        assert result.window_reports[1].max_rebounds > result.decay_report.max_rebounds
+        _assert_windows_match_full_state(cfg, ens0, result)
         assert result.rows[0].mass < result.initial_mass
         for row in result.rows:
             ref = transport_ensemble(ens0, row.t, cfg.geometry, scale=0.9)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .densities import PiecewiseDensity
 from .geometry import IntervalUnion
@@ -139,10 +140,14 @@ class BoundaryRule:
         """Same redistribution with overall weight r (replaces, not stacks)."""
         return BoundaryRule(self.kind, r, self.rows)
 
+    @cached_property
+    def _row_map(self) -> dict:
+        return dict(self.rows)
+
     def row(self, k: int):
         if self.kind == "shift":
             return ((k + 1, 1.0),)
-        return dict(self.rows).get(int(k), ())
+        return self._row_map.get(int(k), ())
 
     def feeds(self, outgoing_index: int, geom: IntervalUnion):
         """Row of (incoming index, weight) pairs, geometry bounds applied."""

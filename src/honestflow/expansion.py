@@ -32,7 +32,7 @@ from . import _kernels
 from .boundary import BoundaryRule, BoundaryVector, apply_rule, apply_rule_histories, flux_gap
 from .densities import PiecewiseDensity, free_stream, sample_ladder_positions
 from .geometry import IntervalUnion
-from .steps import StepFunction
+from .steps import StepFunction, clipped_integral
 
 __all__ = [
     "Expansion",
@@ -140,7 +140,15 @@ class Expansion:
         return h(t - (x - self.geom.a(kk)))
 
     def order_mass(self, k: int, t: float) -> float:
-        return self.order_density(k, t).mass()
+        """``order_density(k, t).mass()``, read from the history arrays: the
+        same breakpoint arithmetic and canonical pieces, no density built."""
+        self._check_t(t)
+        if k == 0:
+            return free_stream(self.f, t, self.geom).mass()
+        geom = self.geom
+        return float(sum(
+            clipped_integral((t - h.xs[::-1]) + geom.a(j), h.vals[::-1], geom.a(j), geom.b(j))
+            for j, h in self.incoming_history(k).items()))
 
     def integrated_trace(self, k: int, s: float, t: float) -> BoundaryVector:
         """Outgoing trace of order k integrated over the window [s, t]."""

@@ -8,17 +8,29 @@ pieces, so two equal functions have identical arrays.  Translation,
 reflection, truncation, linear combination and integration all stay inside
 the class; values are never interpolated, which is what keeps the transport
 bookkeeping exact.
+
+Only the public constructor ``StepFunction(xs, vals)`` validates its input.
+``shift``, ``reflect``, ``scale`` and ``clip`` start from a canonical
+function, so each checks the one thing its arithmetic can break (a shift or
+reflection can merge close breakpoints; a scale can underflow a value to 0
+or round two neighbours to the same value) and hands arrays that are still
+canonical straight to the object; when the check fails they take the
+validated path.  ``window_integral`` and :func:`clipped_integral` integrate
+the canonical arrays of a truncation without building the object, and give
+the float ``clip(lo, hi).integral()`` gives.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["StepFunction"]
+__all__ = ["StepFunction", "clipped_integral"]
 
 
 def _canonical(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if xs.size == 0:
+    if vals.size == 0:
         return np.empty(0), np.empty(0)
     # drop zero-width pieces
     keep = xs[1:] > xs[:-1]
@@ -45,6 +57,25 @@ def _canonical(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return xs, vals
 
 
+def _check_bounds(lo: float, hi: float):
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError(f"clip bounds must not be nan, got ({lo}, {hi})")
+
+
+def clipped_integral(xs: np.ndarray, vals: np.ndarray, lo: float, hi: float) -> float:
+    """Integral over (lo, hi) of the step function with finite nondecreasing
+    breakpoints ``xs`` and values ``vals``, canonical or not.
+
+    The truncation is brought to canonical form as arrays, so the float is
+    the one ``StepFunction(xs, vals).clip(lo, hi).integral()`` gives.
+    """
+    _check_bounds(lo, hi)
+    if not lo < hi:
+        return 0.0
+    xs, vals = _canonical(np.clip(xs, lo, hi), vals)
+    return float(np.dot(vals, np.diff(xs))) if vals.size else 0.0
+
+
 class StepFunction:
     """Piecewise-constant function with bounded support, canonical form."""
 
@@ -63,6 +94,13 @@ class StepFunction:
             if not np.all(xs[1:] >= xs[:-1]):
                 raise ValueError("breakpoints must be nondecreasing")
         self.xs, self.vals = _canonical(xs, vals)
+
+    @classmethod
+    def _trusted(cls, xs: np.ndarray, vals: np.ndarray) -> "StepFunction":
+        """Wrap arrays that are already canonical, without validation."""
+        out = object.__new__(cls)
+        out.xs, out.vals = xs, vals
+        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -111,6 +149,8 @@ class StepFunction:
 
     def __call__(self, x: float) -> float:
         """Pointwise value; right-continuous at breakpoints, 0 off support."""
+        if math.isnan(x):
+            raise ValueError("x must not be nan")
         if self.is_zero or x < self.xs[0] or x >= self.xs[-1]:
             return 0.0
         i = int(np.searchsorted(self.xs, x, side="right")) - 1
@@ -133,27 +173,37 @@ class StepFunction:
         """g(x) = f(x - dt)."""
         if self.is_zero or dt == 0.0:
             return self
-        return StepFunction(self.xs + dt, self.vals)
+        return self._moved(self.xs + dt, self.vals)
 
     def reflect(self, c: float) -> "StepFunction":
         """g(x) = f(c - x)."""
         if self.is_zero:
             return self
-        return StepFunction((c - self.xs)[::-1], self.vals[::-1])
+        return self._moved((c - self.xs)[::-1], self.vals[::-1])
+
+    @staticmethod
+    def _moved(xs: np.ndarray, vals: np.ndarray) -> "StepFunction":
+        # canonical values on breakpoints that stayed finite and distinct
+        if math.isfinite(xs[0]) and math.isfinite(xs[-1]) and (xs[1:] > xs[:-1]).all():
+            return StepFunction._trusted(xs, vals)
+        return StepFunction(xs, vals)
 
     def clip(self, lo: float, hi: float) -> "StepFunction":
         """Restriction to (lo, hi); zero outside."""
+        _check_bounds(lo, hi)
         if self.is_zero or not lo < hi:
             return StepFunction.zero()
         if lo <= self.xs[0] and hi >= self.xs[-1]:
             return self
-        xs = np.clip(self.xs, lo, hi)
-        return StepFunction(xs, self.vals)
+        return StepFunction._trusted(*_canonical(np.clip(self.xs, lo, hi), self.vals))
 
     def scale(self, a: float) -> "StepFunction":
         if self.is_zero:
             return self
-        return StepFunction(self.xs, a * self.vals)
+        vals = a * self.vals
+        if np.isfinite(vals).all() and vals.all() and (vals[1:] != vals[:-1]).all():
+            return StepFunction._trusted(self.xs, vals)
+        return StepFunction(self.xs, vals)
 
     def abs(self) -> "StepFunction":
         if self.is_zero:
@@ -197,7 +247,13 @@ class StepFunction:
         return float(np.dot(self.vals, np.diff(self.xs)))
 
     def window_integral(self, lo: float, hi: float) -> float:
-        return self.clip(lo, hi).integral()
+        """``clip(lo, hi).integral()``, without building the clipped copy."""
+        _check_bounds(lo, hi)
+        if self.is_zero or not lo < hi:
+            return 0.0
+        if lo <= self.xs[0] and hi >= self.xs[-1]:
+            return self.integral()
+        return clipped_integral(self.xs, self.vals, lo, hi)
 
     def cumulative(self, points) -> np.ndarray:
         """``integral of f over (-inf, x]`` at every x in ``points``.
@@ -232,8 +288,8 @@ class StepFunction:
         each piece discounted by the exponential clock run from the piece to
         the reference point ``ref``.
         """
-        if lam <= 0.0:
-            raise ValueError("lam must be positive")
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be positive and finite, got {lam}")
         if self.is_zero:
             return 0.0
         weights = np.exp(-lam * (ref - self.xs))

@@ -26,6 +26,26 @@ def test_import_loads_no_thread_pool():
     assert done.stdout.strip() == "False"
 
 
+def test_dishonest_ladder_builds_few_validated_step_functions(monkeypatch):
+    # the exact lane transforms and integrates histories on their arrays:
+    # one run of this builtin used to validate 1 703 StepFunction
+    # constructions and now validates 1 (the initial density's piece)
+    from honestflow import scenarios
+    from honestflow.steps import StepFunction
+
+    calls = []
+    init = StepFunction.__init__
+
+    def counted(self, xs, vals):
+        calls.append(1)
+        init(self, xs, vals)
+
+    cfg = scenarios.resolve_config("geometric-ladder-dishonest")
+    monkeypatch.setattr(StepFunction, "__init__", counted)
+    scenarios.run_scenario(cfg)
+    assert 0 < len(calls) <= 2
+
+
 def test_tracer_finds_and_restores_every_patched_name(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing

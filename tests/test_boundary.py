@@ -63,6 +63,14 @@ class TestBoundaryRule:
         ok = BoundaryRule("kernel", rows=((0, ((1, 0.5), (2, 0.5))),))
         assert ok.row(0) == ((1, 0.5), (2, 0.5))
 
+    def test_cached_rows_leave_equality_and_hash_to_the_fields(self):
+        rows = ((0, ((1, 0.5), (2, 0.5))), (3, ((4, 1.0),)))
+        used, fresh = BoundaryRule("kernel", rows=rows), BoundaryRule("kernel", rows=rows)
+        assert used.row(3) == ((4, 1.0),) and used.row(7) == ()
+        assert used == fresh and hash(used) == hash(fresh)
+        assert used != BoundaryRule("kernel", rows=rows[:1])
+        assert used.scaled(0.5).row(0) == ((1, 0.5), (2, 0.5))
+
     def test_scaled_replaces_weight(self):
         rule = BoundaryRule("shift", scale=0.9)
         assert rule.scaled(0.5).scale == 0.5

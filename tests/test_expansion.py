@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from honestflow import (
     BoundaryRule,
     Expansion,
+    IntervalUnion,
     PiecewiseDensity,
     composition_residual,
     evolve,
@@ -16,6 +18,7 @@ from honestflow import (
 )
 from honestflow.boundary import flux_gap
 from honestflow.expansion import mc_mass_estimate
+from honestflow.scenarios import initial_density, resolve_config
 
 from conftest import dyadics
 
@@ -77,6 +80,66 @@ class TestOrders:
         # order k exits through b_k during (k, k+1); beyond t_max it is clipped away
         assert ex.outgoing_history(2)
         assert not ex.outgoing_history(3)
+
+
+def random_ladders(n=24, seed=1018):
+    """Ladder cases (geom, rule, density, times, tol, n_cap) with shift and
+    kernel rules, weights 0.5..1 and caps 3..64.  Kernel rules stay on
+    affine ladders: a two-way kernel on a geometric ladder doubles the
+    history pieces at every order."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            geom = IntervalUnion("affine", start=0.0, spacing=rng.choice([1.5, 2.0, 3.0]), length=1.0)
+        else:
+            geom = IntervalUnion("geometric", start=0.0, spacing=3.0, length=1.0,
+                                 ratio=rng.uniform(0.3, 0.8))
+        scale = rng.uniform(0.5, 1.0)
+        if geom.rule == "affine" and rng.random() < 0.5:
+            rows = []
+            for k in range(12):
+                p = rng.uniform(0.1, 0.9)
+                rows.append((k, ((k + 1, p), (k + 2, 1.0 - p))))
+            rule = BoundaryRule("kernel", scale, tuple(rows))
+        else:
+            rule = BoundaryRule("shift", scale)
+        pieces, x = [], 0.0
+        while len(pieces) < 4:
+            w = rng.uniform(0.05, 0.3)
+            if x + w > 1.0:
+                break
+            pieces.append((x, x + w, rng.uniform(0.2, 2.0)))
+            x += w + rng.uniform(0.0, 0.1)
+        times = sorted(rng.uniform(0.1, 4.0) for _ in range(4))
+        cases.append((geom, rule, PiecewiseDensity.from_pieces(geom, pieces), times,
+                      rng.choice([1e-12, 1e-8]), rng.randint(3, 64)))
+    return cases
+
+
+def builtin_ladders():
+    cases = []
+    for name in ("unit-ladder-honest", "geometric-ladder-dishonest"):
+        cfg = resolve_config(name)
+        cases.append((cfg.geometry, cfg.boundary, initial_density(cfg), cfg.times, cfg.tol,
+                      cfg.n_cap))
+    return cases
+
+
+class TestOrderMassFromArrays:
+    """order_mass reads the history arrays; it must give the float that
+    building the order density and summing its parts gives."""
+
+    @pytest.mark.parametrize("case", builtin_ladders() + random_ladders())
+    def test_order_mass_is_the_density_mass(self, case):
+        geom, rule, f, times, tol, n_cap = case
+        ex = Expansion(geom, rule, f, max(times))
+        for t in times:
+            rep = ex.partial_sums(t, tol, n_cap)
+            for k in range(rep.n_used + 1):
+                got, want = ex.order_mass(k, t), ex.order_density(k, t).mass()
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (k, t)
+                assert got == rep.order_masses[k]
 
 
 class TestEvolve:

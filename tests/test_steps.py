@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honestflow import StepFunction
+from honestflow.steps import clipped_integral
 
 from conftest import dyadics
 
@@ -15,6 +16,20 @@ def pieces_strategy(max_pieces=4):
         lambda p: (p[0], p[0] + p[1], p[2])
     )
     return st.lists(piece, min_size=0, max_size=max_pieces).map(StepFunction.from_pieces)
+
+
+def float_functions():
+    """Canonical step functions on arbitrary floats: the arrays go through
+    the validated constructor, which drops, merges and trims as needed."""
+    value = st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-1e3, 1e3, allow_nan=False)
+    return st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=0, max_size=8).flatmap(
+        lambda xs: st.lists(value, min_size=max(len(xs) - 1, 0), max_size=max(len(xs) - 1, 0))
+        .map(lambda vals: StepFunction(sorted(xs), vals) if xs else StepFunction.zero()))
+
+
+def same(f, g):
+    """Bitwise equality of two step functions' arrays."""
+    return f.xs.tobytes() == g.xs.tobytes() and f.vals.tobytes() == g.vals.tobytes()
 
 
 class TestConstruction:
@@ -94,6 +109,99 @@ class TestTransforms:
     @settings(max_examples=60)
     def test_reflect_preserves_integral(self, f, c):
         assert f.reflect(c).integral() == pytest.approx(f.integral(), abs=1e-12)
+
+
+class TestTrustedTransforms:
+    """shift, reflect, scale and clip skip validation when a cheap guard
+    holds; their arrays must be the ones the validated constructor gives."""
+
+    @given(float_functions(), st.floats(-1e17, 1e17, allow_nan=False), st.floats(-1e3, 1e3),
+           st.floats(-2.0, 2.0, allow_nan=False))
+    @settings(max_examples=150)
+    def test_transforms_match_validated_construction(self, f, dt, c, a):
+        # a zero shift returns f itself, keeping a breakpoint at -0.0 as it is
+        assert same(f.shift(dt), f if dt == 0.0 else StepFunction(f.xs + dt, f.vals))
+        assert same(f.reflect(c), StepFunction((c - f.xs)[::-1], f.vals[::-1]))
+        assert same(f.scale(a), StepFunction(f.xs, a * f.vals))
+
+    @given(float_functions(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    @settings(max_examples=150)
+    def test_clip_and_window_integral_match_validated_construction(self, f, lo, hi):
+        want = StepFunction(np.clip(f.xs, lo, hi), f.vals) if lo < hi else StepFunction.zero()
+        assert same(f.clip(lo, hi), want)
+        assert np.float64(f.window_integral(lo, hi)).tobytes() == np.float64(want.integral()).tobytes()
+
+    def test_shift_merging_one_ulp_apart(self):
+        x1 = math.nextafter(1.0, 2.0)
+        f = StepFunction([0.0, 1.0, x1, 2.0], [1.0, 3.0, 2.0])
+        g = f.shift(2.0**52)
+        assert g.xs.size < f.xs.size  # the guard tripped: a piece was dropped
+        assert same(g, StepFunction(f.xs + 2.0**52, f.vals))
+        h = f.reflect(2.0**52)
+        assert h.xs.size < f.xs.size
+        assert same(h, StepFunction((2.0**52 - f.xs)[::-1], f.vals[::-1]))
+
+    def test_scale_underflow_to_zero(self):
+        f = StepFunction([0.0, 1.0, 2.0], [5e-324, 1.0])
+        g = f.scale(0.5)
+        assert same(g, StepFunction([1.0, 2.0], [0.5]))
+        assert same(g, StepFunction(f.xs, 0.5 * f.vals))
+
+    def test_scale_rounding_neighbours_together(self):
+        f = StepFunction([0.0, 1.0, 2.0], [1.0, math.nextafter(1.0, 2.0)])
+        g = f.scale(1e-320)
+        assert g.vals.size == 1  # both values round to the same subnormal
+        assert same(g, StepFunction(f.xs, 1e-320 * f.vals))
+
+    def test_clip_drops_zero_width_piece_between_equal_values(self):
+        # a shift merges the middle piece; the truncation is then canonicalised,
+        # which here changes the rounded integral (90.08999999999999, not 90.09)
+        x0 = np.array([0.0, 24.0, 24.25, 63.0])
+        xs, vals = x0 + 2.0**52, np.array([1.43, 0.7, 1.43])
+        lo, hi = 2.0**52 - 8.0, 2.0**52 + 64.0
+        want = StepFunction(np.clip(xs, lo, hi), vals)
+        assert want.vals.size == 1
+        assert want.integral() != float(np.dot(vals, np.diff(np.clip(xs, lo, hi))))
+        got = clipped_integral(xs, vals, lo, hi)
+        assert np.float64(got).tobytes() == np.float64(want.integral()).tobytes()
+        f = StepFunction(x0, vals)
+        assert same(f.shift(2.0**52).clip(lo, hi), want)
+        assert f.shift(2.0**52).window_integral(lo, hi) == got
+
+    def test_clip_at_interior_breakpoint(self):
+        f = StepFunction([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0])
+        assert same(f.clip(0.5, 1.0), StepFunction([0.5, 1.0], [1.0]))
+        assert same(f.clip(1.0, 2.0), StepFunction.zero())
+        assert f.window_integral(1.0, 2.0) == 0.0
+
+
+class TestNan:
+    def test_call_at_nan_names_x(self):
+        with pytest.raises(ValueError, match="x"):
+            StepFunction([0.0, 1.0, 2.0], [1.0, 2.0])(float("nan"))
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, 0.0, -1.0])
+    def test_exp_integral_refuses_bad_lam(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            StepFunction.indicator(0.0, 1.0).exp_integral(lam, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)])
+    def test_nan_bounds_refused(self, lo, hi):
+        f = StepFunction.indicator(0.0, 1.0)
+        for g in (f, StepFunction.zero()):
+            with pytest.raises(ValueError, match="nan"):
+                g.clip(lo, hi)
+            with pytest.raises(ValueError, match="nan"):
+                g.window_integral(lo, hi)
+        with pytest.raises(ValueError, match="nan"):
+            clipped_integral(f.xs, f.vals, lo, hi)
+
+    def test_infinite_bounds_stay_legal(self):
+        f = StepFunction.from_pieces([(0.0, 1.0, 2.0), (1.5, 2.0, 1.0)])
+        assert f.clip(-math.inf, math.inf) == f
+        assert f.window_integral(-math.inf, math.inf) == f.integral()
+        assert f.window_integral(-math.inf, 1.0) == 2.0
+        assert clipped_integral(f.xs, f.vals, 1.0, math.inf) == 0.5
 
 
 class TestAlgebra:

@@ -3,12 +3,15 @@ survival Monte Carlo.
 
 Each lane has one numpy kernel.  The ladder walk steps every particle hop by
 hop, vectorised over the particles still moving.  The polygon steps event by
-event and takes every requested time in one sweep, in one contiguous block
-of particles per CPU, each on its own thread; its rows hold full states, or,
-for reports that read rebound counts alone, only the weights, counts and
-flags.  The disk needs no stepping: its closed form costs O(1) per particle
-whatever the number of rebounds, and a counts-only variant computes each
-particle's first hit and chord once for all requested times.
+event and takes every requested time in one sweep; its rows hold full
+states, or, for reports that read rebound counts alone, only the weights,
+counts and flags.  The disk needs no stepping: its closed form costs O(1)
+per particle whatever the number of rebounds, and a counts-only variant
+computes each particle's first hit and chord once for all requested times,
+from states it is handed one slice at a time, so a sampler can feed it
+without an ensemble ever being held whole.  The polygon sweep and the disk
+chords run through one block runner: one contiguous block of particles per
+CPU, each on its own thread, bitwise the same as one block.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -133,6 +136,50 @@ def ladder_survival(x0, k0, a, b, tail, r, t, seed):
     if not 0.0 < r <= 1.0:
         raise ValueError("survival probability r must lie in (0, 1]")
     return _ladder_np(x0, k0, a, b, tail, float(r), float(t), int(seed))
+
+
+# ---------------------------------------------------------------------------
+# one block of particles per CPU
+# ---------------------------------------------------------------------------
+
+
+# the least number of particles worth a block of its own: a polygon round's
+# fixed cost is paid per block, and on a hexagon two blocks of 10^4 particles
+# about break even with one of 2 * 10^4.  Smaller ensembles run whole on the
+# calling thread.
+SWEEP_BLOCK_MIN = 1 << 14
+
+
+def _sweep_workers(n):
+    # one block per CPU this process may run on, none below SWEEP_BLOCK_MIN
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n // SWEEP_BLOCK_MIN))
+
+
+def _run_blocks(size, work):
+    # work(lo, hi) on one contiguous block of range(size) per worker: the
+    # first block on the calling thread, each other one on a thread of its
+    # own.  numpy releases the GIL inside its loops, so the blocks run side
+    # by side.  A worker's exception is raised again here after the join.
+    errors = []
+
+    def run(lo, hi):
+        try:
+            work(lo, hi)
+        except Exception as exc:
+            errors.append(exc)
+
+    workers = _sweep_workers(size)
+    bounds = [size * b // workers for b in range(workers + 1)]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    threads = [threading.Thread(target=run, args=block) for block in blocks[1:]]
+    for thread in threads:
+        thread.start()
+    run(*blocks[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +308,35 @@ def _disk_closed_form(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t,
     return pos, vel, weight, rebounds, degenerate
 
 
-def _disk_chords(pos, vel, degenerate, cx, cy, radius):
-    # the time-independent part of every particle, about 17 bytes each: the
-    # first-hit time (inf for an input-degenerate particle, which never
-    # moves), the graze flag and the chord period
-    n = pos.shape[0]
+def _disk_chord_blocks(states, n, cx, cy, radius):
+    # the time-independent part of particles 0..n-1, about 17 bytes each: the
+    # first-hit time, the graze flag and the chord period.  states(lo, hi)
+    # gives the positions and velocities x, y, vx, vy of particles lo..hi-1,
+    # asked for one DISK_CHUNK slice at a time, so a state only ever exists
+    # for the slice in hand.  Every value depends on its own particle alone,
+    # so one block of slices per CPU gives the bytes of one whole pass.
     s0 = np.empty(n)
     graze = np.empty(n, dtype=np.bool_)
     tau = np.empty(n)
-    for lo in range(0, n, DISK_CHUNK):
-        sl = slice(lo, lo + DISK_CHUNK)
-        x, y = pos[sl, 0], pos[sl, 1]
-        vx, vy = vel[sl, 0], vel[sl, 1]
-        s0[sl], v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
-        _, _, _, graze[sl], tau[sl] = _disk_wall(x, y, vx, vy, v2, s0[sl], cx, cy, radius,
-                                                 GRAZE_EPS)
+
+    def chords(lo, hi):
+        for start in range(lo, hi, DISK_CHUNK):
+            sl = slice(start, min(start + DISK_CHUNK, hi))
+            x, y, vx, vy = states(sl.start, sl.stop)
+            s0[sl], v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
+            _, _, _, graze[sl], tau[sl] = _disk_wall(x, y, vx, vy, v2, s0[sl], cx, cy, radius,
+                                                     GRAZE_EPS)
+
+    _run_blocks(n, chords)
+    return s0, graze, tau
+
+
+def _disk_chords(pos, vel, degenerate, cx, cy, radius):
+    # the chords of a held ensemble; an input-degenerate particle never
+    # moves, so its first hit is at inf
+    s0, graze, tau = _disk_chord_blocks(
+        lambda lo, hi: (pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1]),
+        pos.shape[0], cx, cy, radius)
     s0[degenerate] = np.inf
     return s0, graze, tau
 
@@ -420,19 +481,6 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
     return out
 
 
-# the least number of particles worth a block of its own: a round's fixed
-# cost is paid per block, and on a hexagon two blocks of 10^4 particles
-# about break even with one of 2 * 10^4.  Smaller ensembles are swept whole
-# on the calling thread.
-SWEEP_BLOCK_MIN = 1 << 14
-
-
-def _sweep_workers(n):
-    # one block per CPU this process may run on, none below SWEEP_BLOCK_MIN
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cpus or 1, n // SWEEP_BLOCK_MIN))
-
-
 def _polygon_sweep(arrays, out, geom, times, scale, eps, iter_cap):
     normals, offsets = geom.edge_normals()
     verts = np.array(geom.vertices, dtype=np.float64)
@@ -443,29 +491,9 @@ def _polygon_sweep(arrays, out, geom, times, scale, eps, iter_cap):
 
     # Particles never interact and each one takes part in every round until
     # it leaves, so a contiguous block of them, swept alone into its own
-    # columns of out, gets bitwise the rows a whole sweep gives it.  numpy
-    # releases the GIL inside its loops, so the blocks run side by side.
-    errors = []
-
-    def sweep(lo, hi):
-        try:
-            _polygon_snapshots(*(a[lo:hi] for a in arrays), tuple(o[:, lo:hi] for o in out),
-                               *consts)
-        except Exception as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    size = arrays[0].shape[0]
-    workers = _sweep_workers(size)
-    bounds = [size * b // workers for b in range(workers + 1)]
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    threads = [threading.Thread(target=sweep, args=block) for block in blocks[1:]]
-    for thread in threads:
-        thread.start()
-    sweep(*blocks[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    # columns of out, gets bitwise the rows a whole sweep gives it.
+    _run_blocks(arrays[0].shape[0], lambda lo, hi: _polygon_snapshots(
+        *(a[lo:hi] for a in arrays), tuple(o[:, lo:hi] for o in out), *consts))
     return out
 
 

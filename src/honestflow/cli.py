@@ -91,7 +91,7 @@ def _cmd_honesty(args) -> int:
     if isinstance(cfg.geometry, Billiard):
         if window[0] != 0.0:
             raise _sc.ConfigError("--window: billiard honesty windows must start at 0")
-        rep = _sc._window_decay(cfg, _sc.initial_density(cfg), window)
+        rep = _sc._window_decay(cfg, window)
         sys.stdout.write(
             f"scenario: {cfg.label}\n"
             f"window: {_sc._fmt(window[0])},{_sc._fmt(window[1])}\n"

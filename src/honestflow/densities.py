@@ -8,13 +8,17 @@ stream are closed on this class, so 1D evolution is exact.
 A :class:`ParticleEnsemble` carries positions, velocities, weights, rebound
 counters and degeneracy flags as flat numpy arrays.  Sampling is counter
 based (splitmix64 keyed by seed, particle index and draw stream), so an
-ensemble is a pure function of (geometry, spec, seed, size).
+ensemble is a pure function of (geometry, spec, seed, size), and any slice
+of indices can be drawn alone.
 
 A :class:`ReboundCounts` holds the last three arrays alone.  A particle's
 rebound count is the expansion order it contributes to, so these are all
 that the ensemble reports read: the rebound histogram, its tail weights and
 the degenerate weight.  ``transport_counts_times`` yields them along a
-trajectory without transporting positions on a disk.
+trajectory without transporting positions on a disk, and
+``sample_disk_counts`` yields them for a sampled disk without ever holding
+its positions or velocities: each slice of indices is drawn, through the
+same draw helper as ``sample_ensemble``, reduced to its chords and dropped.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ __all__ = [
     "ReboundCounts",
     "free_stream",
     "restrict",
+    "sample_disk_chords",
+    "sample_disk_counts",
     "sample_ensemble",
     "sample_ladder_positions",
     "transport_counts_times",
@@ -332,27 +338,16 @@ def _region_spec(region, geom: Billiard):
     raise ValueError(f"unknown sampling region {region!r}")
 
 
-def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> ParticleEnsemble:
-    """Uniform positions on the region, isotropic velocities per the table's
-    velocity spec, unit total weight."""
+def _state_sampler(geom: Billiard, n: int, seed: int, region):
+    # validates a request for n particles and returns draw(lo, hi): the
+    # positions and velocities x, y, vx, vy of particles lo..hi-1, each a
+    # pure function of (seed, index), so any slicing gives the same bits
     if geom.velocities is None:
         raise ValueError("billiard has no velocity spec to sample from")
     if n <= 0:
         raise ValueError("ensemble size must be positive")
-    # each particle's index is hashed once for all of its draw streams
-    hashed = _kernels.index_hash(seed, np.arange(n, dtype=np.int64))
-    u0 = _kernels.stream_draws(hashed, _POS_STREAMS[0])
-    u1 = _kernels.stream_draws(hashed, _POS_STREAMS[1])
     spec = _region_spec(region, geom)
-    if spec[0] == "disk":
-        _, cx, cy, rad = spec
-        r = rad * np.sqrt(u0)
-        ang = 2.0 * np.pi * u1
-        pos = np.stack([cx + r * np.cos(ang), cy + r * np.sin(ang)], axis=1)
-    elif spec[0] == "box":
-        _, x0, y0, x1, y1 = spec
-        pos = np.stack([x0 + (x1 - x0) * u0, y0 + (y1 - y0) * u1], axis=1)
-    else:
+    if spec[0] == "polygon":
         # fan triangulation of the convex polygon, area-weighted
         verts = np.array(geom.vertices)
         v0, rest = verts[0], verts[1:]
@@ -361,27 +356,93 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
             - (rest[1:, 0] - v0[0]) * (rest[:-1, 1] - v0[1])
         )
         cum = np.cumsum(areas) / areas.sum()
-        tri = np.searchsorted(cum, u0, side="right")
-        tri = np.minimum(tri, areas.size - 1)
-        u2 = _kernels.stream_draws(hashed, _POS_STREAMS[2])
-        su = np.sqrt(u1)
-        p0, p1, p2 = v0[None, :], rest[tri], rest[tri + 1]
-        pos = (1.0 - su)[:, None] * p0 + (su * (1.0 - u2))[:, None] * p1 + (su * u2)[:, None] * p2
-    uv0 = _kernels.stream_draws(hashed, _VEL_STREAMS[0])
-    uv1 = _kernels.stream_draws(hashed, _VEL_STREAMS[1])
     vs = geom.velocities
-    if vs.kind == "speeds":
-        speeds = np.array(vs.speeds)
-        pick = np.minimum((uv0 * speeds.size).astype(np.int64), speeds.size - 1)
-        speed = speeds[pick]
-    else:
-        speed = np.sqrt(vs.speed_min**2 + uv0 * (vs.speed_max**2 - vs.speed_min**2))
-    ang = 2.0 * np.pi * uv1
-    vel = np.stack([speed * np.cos(ang), speed * np.sin(ang)], axis=1)
-    weight = np.full(n, 1.0 / n)
-    return ParticleEnsemble(
-        pos, vel, weight, np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.bool_), int(seed)
-    )
+    speeds = np.array(vs.speeds) if vs.kind == "speeds" else None
+
+    def draw(lo, hi):
+        # each particle's index is hashed once for all of its draw streams
+        hashed = _kernels.index_hash(seed, np.arange(lo, hi, dtype=np.int64))
+        u0 = _kernels.stream_draws(hashed, _POS_STREAMS[0])
+        u1 = _kernels.stream_draws(hashed, _POS_STREAMS[1])
+        if spec[0] == "disk":
+            _, cx, cy, rad = spec
+            r = rad * np.sqrt(u0)
+            ang = 2.0 * np.pi * u1
+            x, y = cx + r * np.cos(ang), cy + r * np.sin(ang)
+        elif spec[0] == "box":
+            _, x0, y0, x1, y1 = spec
+            x, y = x0 + (x1 - x0) * u0, y0 + (y1 - y0) * u1
+        else:
+            tri = np.minimum(np.searchsorted(cum, u0, side="right"), cum.size - 1)
+            u2 = _kernels.stream_draws(hashed, _POS_STREAMS[2])
+            su = np.sqrt(u1)
+            a, b, c = 1.0 - su, su * (1.0 - u2), su * u2
+            p1, p2 = rest[tri], rest[tri + 1]
+            x = a * v0[0] + b * p1[:, 0] + c * p2[:, 0]
+            y = a * v0[1] + b * p1[:, 1] + c * p2[:, 1]
+        uv0 = _kernels.stream_draws(hashed, _VEL_STREAMS[0])
+        uv1 = _kernels.stream_draws(hashed, _VEL_STREAMS[1])
+        if speeds is not None:
+            pick = np.minimum((uv0 * speeds.size).astype(np.int64), speeds.size - 1)
+            speed = speeds[pick]
+        else:
+            speed = np.sqrt(vs.speed_min**2 + uv0 * (vs.speed_max**2 - vs.speed_min**2))
+        ang = 2.0 * np.pi * uv1
+        return x, y, speed * np.cos(ang), speed * np.sin(ang)
+
+    return draw
+
+
+def _initial_counts(n: int) -> ReboundCounts:
+    # unit total weight, no rebounds, nothing flagged
+    return ReboundCounts(np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64),
+                         np.zeros(n, dtype=np.bool_))
+
+
+def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> ParticleEnsemble:
+    """Uniform positions on the region, isotropic velocities per the table's
+    velocity spec, unit total weight."""
+    draw = _state_sampler(geom, n, seed, region)
+    pos, vel = np.empty((n, 2)), np.empty((n, 2))
+    pos[:, 0], pos[:, 1], vel[:, 0], vel[:, 1] = draw(0, n)
+    counts = _initial_counts(n)
+    return ParticleEnsemble(pos, vel, counts.weight, counts.rebounds, counts.degenerate,
+                            int(seed))
+
+
+def sample_disk_chords(geom: Billiard, n: int, seed: int, region):
+    """The first-hit time, graze flag and chord period of every particle of
+    ``sample_ensemble(geom, n, seed, region)`` on a disk, as float64, bool
+    and float64 arrays.
+
+    They are bitwise the chords ``transport_counts_times`` computes from
+    that ensemble, but no particle state is ever held whole: each
+    ``_kernels.DISK_CHUNK`` slice of indices is drawn, reduced to its
+    chords and dropped, one block of slices per CPU.
+    """
+    if geom.shape != "disk":
+        raise ValueError("chords are defined on a disk table")
+    draw = _state_sampler(geom, n, seed, region)
+    cx, cy = geom.center
+    return _kernels._disk_chord_blocks(draw, n, float(cx), float(cy), float(geom.radius))
+
+
+def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: float):
+    """The initial counts and the rebound-count trajectory of a sampled disk
+    ensemble, from its chords alone.
+
+    Returns ``(counts0, trajectory)``: ``counts0`` is bitwise
+    ``sample_ensemble(geom, n, seed, region).counts``, and ``trajectory``
+    yields bitwise what ``transport_counts_times`` yields for that ensemble,
+    ``times``, ``geom`` and ``scale``.  Bad times raise ValueError here.
+    The particles cost 17 bytes each for chords plus 17 for their counts.
+    """
+    ts = _kernels.distinct_times(times)
+    chords = sample_disk_chords(geom, n, seed, region)
+    counts0 = _initial_counts(n)
+    steps = _kernels._disk_count_steps(counts0.weight, counts0.rebounds, counts0.degenerate,
+                                       chords, ts, float(scale), _kernels.ITER_CAP)
+    return counts0, _trajectory(ts, steps)
 
 
 def transport_ensemble(
@@ -440,10 +501,14 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     """
     ts = _kernels.distinct_times(times)
     if geom.shape == "disk":
-        steps = _kernels.disk_counts(ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate,
-                                     geom, ts, scale=scale)
-        return zip(ts.tolist(), (ReboundCounts(*arrays) for arrays in steps))
+        return _trajectory(ts, _kernels.disk_counts(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                                    ens.degenerate, geom, ts, scale=scale))
     return _polygon_trajectory(ens, ts, geom, scale)
+
+
+def _trajectory(ts, steps):
+    # (t, counts) pairs from the disk kernel's (weight, rebounds, degenerate)
+    return zip(ts.tolist(), (ReboundCounts(*arrays) for arrays in steps))
 
 
 # ---------------------------------------------------------------------------

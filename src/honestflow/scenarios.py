@@ -62,7 +62,7 @@ from .boundary import BoundaryRule
 # transport_ensemble is not called here; perfbench/tracing.py wraps it under
 # this name
 from .densities import (
-    PiecewiseDensity, ParticleEnsemble, ReboundCounts, sample_ensemble, transport_counts_times,
+    PiecewiseDensity, ReboundCounts, sample_disk_counts, sample_ensemble, transport_counts_times,
     transport_ensemble,
 )
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, TruncationReport
@@ -618,17 +618,27 @@ def _ensemble_row(t: float, counts: ReboundCounts, initial_mass: float) -> Ensem
     )
 
 
+def _sampled_counts(cfg: ScenarioConfig, times):
+    # the configured ensemble's initial counts and its rebound-count
+    # trajectory at times; a disk is sampled straight into chords and never
+    # holds a particle state
+    geom, scale = cfg.geometry, cfg.boundary.scale
+    if geom.shape == "disk":
+        return sample_disk_counts(geom, cfg.count, cfg.seed, cfg.region, times, scale)
+    ens0 = sample_ensemble(geom, cfg.count, cfg.seed, cfg.region)
+    return ens0.counts, transport_counts_times(ens0, times, geom, scale=scale)
+
+
 def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:
-    geom, rule = cfg.geometry, cfg.boundary
-    ens0 = initial_density(cfg)
-    initial_mass = ens0.mass()
     ends = [_window_end(w) for w in cfg.windows]
+    counts0, trajectory = _sampled_counts(cfg, (*cfg.times, *ends))
+    initial_mass = counts0.mass()
     t_max = max(cfg.times)
     rows = [None] * len(cfg.times)
     window_reports = [None] * len(ends)
     # one pass over the trajectory's rebound counts, each snapshot's
     # histogram built once; rows and windows keep config order
-    for t, counts in transport_counts_times(ens0, (*cfg.times, *ends), geom, scale=rule.scale):
+    for t, counts in trajectory:
         for i, ti in enumerate(cfg.times):
             if ti == t:
                 rows[i] = _ensemble_row(ti, counts, initial_mass)
@@ -664,9 +674,9 @@ def _window_end(window) -> float:
     return t
 
 
-def _window_decay(cfg: ScenarioConfig, ens0: ParticleEnsemble, window):
+def _window_decay(cfg: ScenarioConfig, window):
     t = _window_end(window)
-    ((_, counts),) = transport_counts_times(ens0, (t,), cfg.geometry, scale=cfg.boundary.scale)
+    _, ((_, counts),) = _sampled_counts(cfg, (t,))
     return _hon.ensemble_trace_decay(counts, t)
 
 

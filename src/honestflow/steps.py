@@ -213,13 +213,16 @@ class StepFunction:
     # -- linear combination --------------------------------------------------
 
     def _values_on(self, grid: np.ndarray) -> np.ndarray:
-        """Values on each cell of a breakpoint grid covering the supports."""
+        """Values on each cell of a breakpoint grid that holds every
+        breakpoint of this function.  Each cell is read at its left end,
+        which is exact: a cell one ulp wide has no midpoint between its
+        ends."""
         if self.is_zero:
             return np.zeros(grid.size - 1)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        idx = np.searchsorted(self.xs, mids, side="right") - 1
+        left = grid[:-1]
+        idx = np.searchsorted(self.xs, left, side="right") - 1
         out = np.zeros(grid.size - 1)
-        inside = (idx >= 0) & (idx < self.vals.size) & (mids > self.xs[0]) & (mids < self.xs[-1])
+        inside = (left >= self.xs[0]) & (left < self.xs[-1])
         out[inside] = self.vals[idx[inside]]
         return out
 

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from honestflow import (
     ParticleEnsemble,
     PiecewiseDensity,
     ReboundCounts,
+    StepFunction,
     VelocitySpec,
     free_stream,
     restrict,
@@ -34,6 +38,12 @@ class TestPiecewiseDensity:
             PiecewiseDensity.from_pieces(unit_ladder, [(0.5, 2.5, 1.0)])  # spans intervals
         with pytest.raises(ValueError):
             PiecewiseDensity.from_pieces(unit_ladder, [(0.8, 0.2, 1.0)])  # empty
+
+    def test_from_pieces_keeps_a_piece_one_ulp_wide(self, unit_ladder):
+        ulp = math.nextafter(0.3, 1.0)
+        f = PiecewiseDensity.from_pieces(unit_ladder, [(0.0, 0.3, 0.1), (0.3, ulp, 2.0)])
+        assert f.part(0) == StepFunction([0.0, 0.3, ulp], [0.1, 2.0])
+        assert f(0.3, unit_ladder) == 2.0
 
     def test_accepts_left_endpoint(self, unit_ladder):
         f = PiecewiseDensity.from_pieces(unit_ladder, [(2.0, 2.5, 1.0)])
@@ -341,6 +351,101 @@ class TestTransportTimes:
             transport_counts_times(ens, (1.0, t), geom)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             transport_ensemble(ens, t, geom)
+
+
+def three_speed_disk():
+    return Billiard("disk", center=(-1.0, 2.0), radius=1.5,
+                    velocities=VelocitySpec("speeds", speeds=(0.5, 1.0, 3.0)))
+
+
+# (table, region): every region kind, both velocity specs
+CHORD_CASES = [
+    (small_disk, "domain"),
+    (off_centre_disk, "disk:0.8,-0.2,1.1"),
+    (three_speed_disk, "box:-1.5,1.25,-0.25,2.5"),
+]
+
+
+def same_arrays(got, want):
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestDiskChords:
+    """A disk sampled straight into chords: each slice of indices is drawn,
+    reduced to its chords and dropped, and the chords are bitwise those of
+    the sampled ensemble, for any slicing and any number of blocks."""
+
+    @pytest.mark.parametrize("case", range(len(CHORD_CASES)))
+    @pytest.mark.parametrize("n", [1000, _kernels.DISK_CHUNK, 2 * _kernels.DISK_CHUNK + 777])
+    def test_chords_are_the_sampled_ensembles(self, monkeypatch, case, n):
+        table, region = CHORD_CASES[case]
+        geom = table()
+        cx, cy = geom.center
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
+        ens = sample_ensemble(geom, n, seed=2024, region=region)
+        want = _kernels._disk_chords(ens.pos, ens.vel, ens.degenerate, cx, cy, geom.radius)
+        assert np.all(np.isfinite(want[0])) and want[2].min() > 0.0
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
+            assert same_arrays(densities.sample_disk_chords(geom, n, 2024, region), want)
+
+    @pytest.mark.parametrize("scale", [0.7, 1.0])
+    def test_counts_are_the_sampled_ensembles(self, scale):
+        geom = off_centre_disk()
+        ens = sample_ensemble(geom, 3000, seed=31, region="box:0,-1,1.5,0")
+        times = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
+        counts0, got = densities.sample_disk_counts(geom, 3000, 31, "box:0,-1,1.5,0", times,
+                                                    scale)
+        assert same_arrays((counts0.weight, counts0.rebounds, counts0.degenerate),
+                           (ens.weight, ens.rebounds, ens.degenerate))
+        want = list(transport_counts_times(ens, times, geom, scale))
+        got = list(got)
+        assert [t for t, _ in got] == [t for t, _ in want] == [0.0, 0.5, 2.5, 5.0, 9.0]
+        assert got[-1][1].rebounds.max() > 3
+        for (_, a), (_, b) in zip(got, want):
+            assert same_arrays((a.weight, a.rebounds, a.degenerate),
+                               (b.weight, b.rebounds, b.degenerate))
+
+    def test_bad_requests_rejected(self):
+        with pytest.raises(ValueError, match="disk"):
+            densities.sample_disk_chords(small_square(), 10, 1, "domain")
+        with pytest.raises(ValueError, match="positive"):
+            densities.sample_disk_chords(small_disk(), 0, 1, "domain")
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            densities.sample_disk_counts(small_disk(), 10, 1, "domain", (1.0, -1.0), 1.0)
+        bare = Billiard("disk", center=(0.0, 0.0), radius=1.0)
+        with pytest.raises(ValueError, match="velocity spec"):
+            densities.sample_disk_chords(bare, 10, 1, "domain")
+
+    def test_many_workers_under_frequent_switches(self, monkeypatch):
+        # eight blocks on fewer cores, the interpreter switching threads
+        # every microsecond: a slice lost or written twice changes the bytes
+        geom = off_centre_disk()
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
+        want = densities.sample_disk_chords(geom, 20_011, 8, "domain")
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = densities.sample_disk_chords(geom, 20_011, 8, "domain")
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_arrays(got, want)
+
+    def test_worker_errors_propagate(self, monkeypatch):
+        wall = _kernels._disk_wall
+
+        def failing(x, *args):
+            # only the last block, which runs on a thread of its own, fails
+            if x.shape[0] == 101:
+                raise FloatingPointError("block failed")
+            return wall(x, *args)
+
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
+        monkeypatch.setattr(_kernels, "_disk_wall", failing)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            densities.sample_disk_chords(small_disk(), 301, 5, "domain")
 
 
 class TestLadderSampling:

@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -529,3 +530,35 @@ class TestSweepBlocks:
         assert _kernels._sweep_workers(300) == 1
         assert _kernels._sweep_workers(0) == 1
         assert 1 <= _kernels._sweep_workers(10**7) <= os.cpu_count()
+
+
+class TestRunBlocks:
+    """The one block runner of the polygon sweep and the disk chords."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_cover_the_range_once(self, monkeypatch, workers):
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
+        seen = []
+        _kernels._run_blocks(10, lambda lo, hi: seen.append((lo, hi, threading.current_thread())))
+        blocks = sorted(seen, key=lambda b: b[0])
+        assert len(blocks) == workers
+        assert [lo for lo, _, _ in blocks[1:]] == [hi for _, hi, _ in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == 10
+        # the first block runs on the calling thread, every other on its own
+        threads = [thread for _, _, thread in blocks]
+        assert threads[0] is threading.current_thread()
+        assert len(set(threads)) == workers
+
+    @pytest.mark.parametrize("failing_block", [0, 2])
+    def test_errors_reach_the_caller_after_every_block_ran(self, monkeypatch, failing_block):
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
+        ran = []
+
+        def work(lo, hi):
+            ran.append(lo)
+            if lo == (0, 3, 6)[failing_block]:
+                raise FloatingPointError(f"block {lo} failed")
+
+        with pytest.raises(FloatingPointError, match="failed"):
+            _kernels._run_blocks(10, work)
+        assert sorted(ran) == [0, 3, 6]

@@ -32,7 +32,7 @@ from honestflow import (
     with_overrides,
     write_reports,
 )
-from honestflow import _kernels, cli, scenarios
+from honestflow import _kernels, cli, densities, scenarios
 from honestflow.scenarios import _window_decay
 
 LADDER_TEXT = """\
@@ -554,7 +554,7 @@ def _assert_windows_match_full_state(cfg, ens0, result):
     # window report, each against a separate full-state transport
     want = tuple(_full_state_decay(cfg, ens0, t) for _, t in cfg.windows)
     assert result.window_reports == want
-    assert tuple(_window_decay(cfg, ens0, w) for w in cfg.windows) == want
+    assert tuple(_window_decay(cfg, w) for w in cfg.windows) == want
     assert result.decay_report == _full_state_decay(cfg, ens0, 2.0)
     assert result.window_reports[1].max_rebounds > result.decay_report.max_rebounds
 
@@ -645,6 +645,28 @@ class TestRunScenario:
             assert row.rebound_masses[:hist.size] == tuple(hist)
             assert row.max_rebounds == ref.rebounds.max()
             assert row.degenerate_weight == float(ref.weight[ref.degenerate].sum())
+
+    def test_disk_runs_hold_no_particle_state(self, monkeypatch):
+        # a disk is sampled straight into chords: with every way to build a
+        # particle state refused, the run and the honesty window give the
+        # same reports
+        cfg = parse_config(DISK_TEXT)
+        want = run_scenario(cfg)
+        windows = [_window_decay(cfg, w) for w in cfg.windows]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a disk run built a particle state")
+
+        monkeypatch.setattr(densities, "sample_ensemble", refuse)
+        monkeypatch.setattr(scenarios, "sample_ensemble", refuse)
+        monkeypatch.setattr(ParticleEnsemble, "__post_init__", refuse)
+        got = run_scenario(cfg)
+        assert got == want
+        assert time_series_csv(got) == time_series_csv(want)
+        assert summary_text(got) == summary_text(want)
+        assert [_window_decay(cfg, w) for w in cfg.windows] == windows
+        with pytest.raises(AssertionError, match="particle state"):
+            run_scenario(parse_config(POLYGON_TEXT))
 
     def test_ladder_csv_is_reproducible(self):
         cfg = resolve_config("geometric-ladder-dishonest")

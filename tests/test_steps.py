@@ -210,6 +210,27 @@ class TestAlgebra:
     def test_add_is_pointwise(self, f, g, x):
         assert (f + g)(x) == f(x) + g(x)
 
+    @given(float_functions(), float_functions())
+    @settings(max_examples=80)
+    def test_add_is_pointwise_at_every_breakpoint(self, f, g):
+        # the sum is constant on each cell of the union grid, so its value
+        # at a cell's left end is the value on the whole cell
+        grid = np.union1d(f.xs, g.xs)
+        for x in grid.tolist():
+            assert (f + g)(x) == f(x) + g(x)
+
+    def test_add_keeps_a_piece_one_ulp_wide(self):
+        # the midpoint of a cell one ulp wide rounds onto its right end, which
+        # belongs to the next piece; reading the left end keeps the piece
+        ulp = math.nextafter(0.3, 1.0)
+        f = StepFunction.indicator(0.0, 0.3, 0.1)
+        g = StepFunction.indicator(0.3, ulp, 2.0)
+        want = StepFunction([0.0, 0.3, ulp], [0.1, 2.0])
+        assert same(f + g, want)
+        assert same(g + f, want)
+        assert (f + g)(0.3) == 2.0
+        assert (f + g).integral() == f.integral() + g.integral()
+
     @given(pieces_strategy(), pieces_strategy())
     @settings(max_examples=60)
     def test_add_integral_linear(self, f, g):

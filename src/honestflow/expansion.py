@@ -51,6 +51,11 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 DEFAULT_N_CAP = 128
 
+# most history pieces one order may hold.  Breakpoints that never realign (a
+# two-way kernel rule on a geometric ladder) double the pieces at every
+# order; the largest order of any builtin or benchmark workload holds 200
+MAX_ORDER_PIECES = 10**6
+
 
 class Expansion:
     """Lazy per-order boundary histories of one initial density up to a time
@@ -73,6 +78,8 @@ class Expansion:
         self._outgoing: list[dict[int, StepFunction]] = [psi0]
         self._incoming: list[dict[int, StepFunction]] = [{}]  # order 0 has no incoming part
         self._exhausted_at: int | None = 0 if not psi0 else None
+        # (order, t) -> (order mass, [0, t] trace norm, flux gap of that trace)
+        self._pass: dict[tuple[int, float], tuple[float, float, float]] = {}
 
     def _ensure(self, k: int):
         while len(self._outgoing) <= k:
@@ -81,6 +88,13 @@ class Expansion:
                 self._outgoing.append({})
                 continue
             u = apply_rule_histories(self.rule, self._outgoing[-1], self.geom)
+            pieces = sum(h.vals.size for h in u.values())
+            if pieces > MAX_ORDER_PIECES:
+                raise ValueError(
+                    f"[run] n_cap: order {len(self._outgoing)} of the expansion holds {pieces} "
+                    f"history pieces, above the budget of {MAX_ORDER_PIECES}; lower n_cap, "
+                    "or the times and window ends"
+                )
             psi = {}
             for m, h in u.items():
                 g = h.shift(self.geom.delta(m)).clip(0.0, self.t_max)
@@ -146,9 +160,11 @@ class Expansion:
         if k == 0:
             return free_stream(self.f, t, self.geom).mass()
         geom = self.geom
-        return float(sum(
-            clipped_integral((t - h.xs[::-1]) + geom.a(j), h.vals[::-1], geom.a(j), geom.b(j))
-            for j, h in self.incoming_history(k).items()))
+        total = 0
+        for j, h in self.incoming_history(k).items():
+            a = geom.a(j)
+            total += clipped_integral((t - h.xs[::-1]) + a, h.vals[::-1], a, geom.b(j))
+        return float(total)
 
     def integrated_trace(self, k: int, s: float, t: float) -> BoundaryVector:
         """Outgoing trace of order k integrated over the window [s, t]."""
@@ -162,6 +178,22 @@ class Expansion:
             ),
         )
 
+    def _order_pass(self, n: int, t: float) -> tuple[float, float, float]:
+        """Order n at time t as the order pass reads it: its mass, its [0, t]
+        outgoing trace norm and that trace's flux gap, computed once.  An
+        order whose incoming histories all start at or after t has not
+        entered the ladder by t, and its outgoing ones start later still:
+        all three are exactly 0."""
+        got = self._pass.get((n, t))
+        if got is None:
+            if n and all(h.xs[0] >= t for h in self.incoming_history(n).values()):
+                got = (0.0, 0.0, 0.0)
+            else:
+                tr = self.integrated_trace(n, 0.0, t)
+                got = (self.order_mass(n, t), tr.norm(), flux_gap(tr, self.rule, self.geom))
+            self._pass[(n, t)] = got
+        return got
+
     def partial_sums(self, t: float, tol: float, n_cap: int, width: int = 0) -> "TruncationReport":
         """The order pass at time t: order masses and [0, t] outgoing trace
         norms, order by order, until a trace norm drops below tol (it bounds
@@ -170,7 +202,8 @@ class Expansion:
         ``absorbed`` sums the flux gaps of every order whose trace norm was
         not below tol.  ``width`` only extends the recorded masses and norms
         to that order when the cut comes earlier; the cut does not depend on
-        it."""
+        it.  Each order is evaluated once per t, so a second pass at the same
+        t computes only the orders the first one did not reach."""
         if tol <= 0.0:
             raise ValueError("tol must be positive")
         if n_cap < 0:
@@ -181,13 +214,13 @@ class Expansion:
         n_used = None
         converged = False
         for n in range(max(n_cap, width) + 1):
-            masses.append(self.order_mass(n, t))
-            tr = self.integrated_trace(n, 0.0, t)
-            norms.append(tr.norm())
+            mass, norm, gap = self._order_pass(n, t)
+            masses.append(mass)
+            norms.append(norm)
             if n_used is None:
-                converged = norms[-1] < tol
+                converged = norm < tol
                 if not converged:
-                    absorbed += flux_gap(tr, self.rule, self.geom)
+                    absorbed += gap
                 if converged or n == n_cap:
                     n_used = n
             if n_used is not None and n >= width:

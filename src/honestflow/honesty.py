@@ -143,6 +143,11 @@ def _settle_windows(ex: Expansion, points, tol: float, n_cap: int) -> list[Defec
     """Window-defect sequences of every subwindow ``[points[i], points[j]]``,
     i < j, in the order of ``np.triu_indices``, from one pass over the orders.
 
+    The points ascend to an end t within the expansion's horizon, and only
+    [0, t] is read: every shift is positive, so left of t the histories are
+    those of an expansion to t, and a history starting at or after t is
+    skipped, as that expansion would have clipped it away.
+
     The histories are nonnegative, so order n's trace norm on [g_i, g_j] is
     ``C_n(g_j) - C_n(g_i)``, where ``C_n(g)`` integrates all of order n's
     outgoing histories over (-inf, g].  Each order evaluates C_n at the G
@@ -157,10 +162,11 @@ def _settle_windows(ex: Expansion, points, tol: float, n_cap: int) -> list[Defec
     time of the orders' histories (one per order, shared by every pair)
     moved by less than tol/10 over the same span.  A settled pair takes no
     more entries; the pass ends when every pair has settled or the order
-    cap is reached.  Orders whose histories vanish identically end every
-    open sequence exactly: every later entry is zero.
+    cap is reached.  Orders whose histories vanish identically on [0, t]
+    end every open sequence exactly: every later entry is zero.
     """
     points = np.asarray(points, dtype=np.float64)
+    end = points[-1]
     lo, hi = np.triu_indices(points.size, k=1)
     n_pairs = lo.size
     table: list[np.ndarray] = []  # entries of order n for every pair
@@ -169,16 +175,16 @@ def _settle_windows(ex: Expansion, points, tol: float, n_cap: int) -> list[Defec
     stabilized = np.zeros(n_pairs, dtype=bool)
     open_pairs = np.arange(n_pairs)
     for n in range(n_cap + 1):
-        hist = ex.outgoing_history(n)
+        hist = [h for h in ex.outgoing_history(n).values() if h.xs[0] < end]
         if not hist:
-            # exhausted: all remaining orders are identically zero
+            # exhausted: all remaining orders are identically zero on [0, t]
             table.append(np.zeros(n_pairs))
             counts[open_pairs] = n + 1
             stabilized[open_pairs] = True
             break
-        cum = sum(h.cumulative(points) for h in hist.values())
+        cum = sum(h.cumulative(points) for h in hist)
         table.append(cum[hi] - cum[lo])
-        arrivals.append(min(h.support()[0] for h in hist.values()))
+        arrivals.append(min(h.xs[0] for h in hist))
         if n < STABLE_SPAN:
             continue
         recent = arrivals[-(STABLE_SPAN + 1):]
@@ -254,6 +260,8 @@ def honesty_on_interval(
     tol: float = DEFAULT_TOL,
     n_cap: int = DEFAULT_N_CAP,
     grid_points: int = 8,
+    *,
+    _expansion: Expansion | None = None,
 ) -> IntervalHonestyReport:
     """Honesty verdict on a time interval via a grid of subwindows.
 
@@ -268,6 +276,9 @@ def honesty_on_interval(
     array, so the cost is O(orders x (histories x G + P)) rather than one
     trace sequence per subwindow.  Each subwindow keeps its own stopping
     rule (see :func:`_settle_windows`).
+
+    ``_expansion``, an expansion of f whose horizon reaches t, is read
+    instead of building one to t; the report is the same.
     """
     s, t = (float(window[0]), float(window[1]))
     if not 0.0 <= s < t:
@@ -275,8 +286,13 @@ def honesty_on_interval(
     if grid_points < 2:
         raise ValueError("need at least two grid points")
     _require_nonnegative(f)
+    ex = _expansion
+    if ex is None:
+        ex = Expansion(geom, rule, f, t)
+    elif t > ex.t_max:
+        raise ValueError(f"window end {t} beyond the expansion horizon {ex.t_max}")
     grid = np.linspace(s, t, grid_points)
-    reports = _settle_windows(Expansion(geom, rule, f, t), grid, tol, n_cap)
+    reports = _settle_windows(ex, grid, tol, n_cap)
     worst = max(reports, key=lambda r: r.limit_estimate)
     if any(r.verdict == DISHONEST for r in reports):
         verdict = DISHONEST

@@ -575,7 +575,8 @@ def _ladder_row(f: PiecewiseDensity, t: float, rep: TruncationReport) -> TimeRow
 def _run_ladder(cfg: ScenarioConfig) -> ScenarioResult:
     geom, rule = cfg.geometry, cfg.boundary
     f = PiecewiseDensity.from_pieces(geom, cfg.pieces)
-    ex = Expansion(geom, rule, f, max(cfg.times))
+    t_max = max(cfg.times)
+    ex = Expansion(geom, rule, f, t_max)
     reports = [ex.partial_sums(t, cfg.tol, cfg.n_cap) for t in cfg.times]
     n_orders = max(rep.n_used for rep in reports)
     # rows cut before the widest one get their higher orders' true values
@@ -585,9 +586,12 @@ def _run_ladder(cfg: ScenarioConfig) -> ScenarioResult:
                     else ex.partial_sums(t, cfg.tol, cfg.n_cap, n_orders))
         for t, rep in zip(cfg.times, reports)
     )
+    # a window ending by t_max reads the rows' expansion; one ending later
+    # builds its own
     window_reports = tuple(
         _hon.honesty_on_interval(w, f, geom, rule, tol=cfg.tol, n_cap=cfg.n_cap,
-                                 grid_points=cfg.grid_points)
+                                 grid_points=cfg.grid_points,
+                                 _expansion=ex if w[1] <= t_max else None)
         for w in cfg.windows
     )
     resolvent_reports = tuple(

@@ -70,10 +70,11 @@ def clipped_integral(xs: np.ndarray, vals: np.ndarray, lo: float, hi: float) -> 
     the one ``StepFunction(xs, vals).clip(lo, hi).integral()`` gives.
     """
     _check_bounds(lo, hi)
-    if not lo < hi:
+    # breakpoints all at or beyond one bound clip to zero-width pieces
+    if not lo < hi or not vals.size or xs[0] >= hi or xs[-1] <= lo:
         return 0.0
     xs, vals = _canonical(np.clip(xs, lo, hi), vals)
-    return float(np.dot(vals, np.diff(xs))) if vals.size else 0.0
+    return float(np.dot(vals, xs[1:] - xs[:-1])) if vals.size else 0.0
 
 
 class StepFunction:
@@ -247,7 +248,7 @@ class StepFunction:
     def integral(self) -> float:
         if self.is_zero:
             return 0.0
-        return float(np.dot(self.vals, np.diff(self.xs)))
+        return float(np.dot(self.vals, self.xs[1:] - self.xs[:-1]))
 
     def window_integral(self, lo: float, hi: float) -> float:
         """``clip(lo, hi).integral()``, without building the clipped copy."""
@@ -271,7 +272,7 @@ class StepFunction:
         x = np.asarray(points, dtype=np.float64)
         if self.is_zero:
             return np.zeros(x.shape)
-        cum = np.concatenate(([0.0], np.cumsum(self.vals * np.diff(self.xs))))
+        cum = np.concatenate(([0.0], np.cumsum(self.vals * (self.xs[1:] - self.xs[:-1]))))
         x = np.clip(x, self.xs[0], self.xs[-1])
         k = np.minimum(np.searchsorted(self.xs, x, side="right") - 1, self.vals.size - 1)
         return cum[k] + self.vals[k] * (x - self.xs[k])

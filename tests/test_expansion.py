@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from honestflow import (
     evolve_scaled,
     mass_balance,
 )
+from honestflow import expansion
 from honestflow.boundary import flux_gap
 from honestflow.expansion import mc_mass_estimate
 from honestflow.scenarios import initial_density, resolve_config
@@ -226,6 +228,35 @@ class TestPartialSums:
             ex.partial_sums(1.0, 0.0, 8)
         with pytest.raises(ValueError):
             ex.partial_sums(1.0, 1e-8, -1)
+
+
+class TestPieceBudget:
+    """A two-way kernel rule on a geometric ladder: unequal lengths never
+    realign the breakpoints, so every order holds about twice the history
+    pieces of the one before.  The budget is lowered so the test stays
+    small."""
+
+    @staticmethod
+    def _spreading():
+        geom = IntervalUnion("geometric", start=0.0, spacing=3.0, length=1.0, ratio=0.34)
+        rows = tuple((k, ((k + 1, 0.5), (k + 2, 0.5))) for k in range(48))
+        f = PiecewiseDensity.from_pieces(geom, [(0.0, 1.0, 1.0)])
+        return Expansion(geom, BoundaryRule("kernel", rows=rows), f, 2.5)
+
+    def test_an_order_over_the_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(expansion, "MAX_ORDER_PIECES", 64)
+        ex = self._spreading()
+        with pytest.raises(ValueError, match=r"^\[run\] n_cap: order (\d+) .* (\d+) history "
+                                             r"pieces, above the budget of 64") as err:
+            ex.partial_sums(2.5, 1e-12, 42)
+        order, pieces = map(int, re.search(r"order (\d+) .* (\d+) history", str(err.value)).groups())
+        assert pieces > 64
+        assert 0 < sum(h.vals.size for h in ex.incoming_history(order - 1).values()) <= 64
+
+    def test_the_budget_leaves_lower_orders_alone(self, monkeypatch):
+        monkeypatch.setattr(expansion, "MAX_ORDER_PIECES", 64)
+        rep = self._spreading().partial_sums(2.5, 1e-12, 3)
+        assert rep.n_used == 3
 
 
 class TestStructure:

@@ -266,6 +266,54 @@ class TestWindowGridOracle:
         assert (len(rep.entries), rep.stabilized) == (len(entries), stabilized)
 
 
+class TestSharedExpansion:
+    """A window read from an expansion with a later horizon gives the report
+    an expansion to the window's end gives."""
+
+    @staticmethod
+    def _shared_and_fresh(window, f, geom, rule, **kw):
+        ex = Expansion(geom, rule, f, 2.0 * window[1] + 1.0)
+        shared = honesty_on_interval(window, f, geom, rule, _expansion=ex, **kw)
+        return ex, shared, honesty_on_interval(window, f, geom, rule, **kw)
+
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_grid_cases(self, case):
+        make_geom, make_rule, pieces, window, grid_points, tol, n_cap = GRID_CASES[case]
+        geom, rule = make_geom(), make_rule()
+        f = PiecewiseDensity.from_pieces(geom, pieces)
+        ex, shared, fresh = self._shared_and_fresh(window, f, geom, rule, tol=tol, n_cap=n_cap,
+                                                   grid_points=grid_points)
+        assert shared == fresh
+        if geom.rule == "affine":
+            # mass never leaves an affine ladder, so the shared expansion
+            # holds history beyond the window
+            assert any(h.xs[-1] > window[1]
+                       for n in range(n_cap + 1) for h in ex.outgoing_history(n).values())
+
+    def test_window_ending_at_a_history_breakpoint(self, unit_ladder, shift_rule):
+        f = PiecewiseDensity.from_pieces(unit_ladder, [(0.0, 0.5, 1.0), (0.5, 1.0, 2.0)])
+        window = (0.1, 0.5)
+        ex, shared, fresh = self._shared_and_fresh(window, f, unit_ladder, shift_rule,
+                                                   tol=1e-12, grid_points=5)
+        (h,) = ex.outgoing_history(0).values()
+        assert 0.5 in h.xs[1:-1]
+        assert shared == fresh
+
+    def test_window_before_an_order_arrives(self, unit_ladder, unit_box, shift_rule):
+        # order 1 leaves b_1 from t = 1 on: on [0, 1] it is exhausted
+        window = (0.25, 1.0)
+        ex, shared, fresh = self._shared_and_fresh(window, unit_box, unit_ladder, shift_rule,
+                                                   tol=1e-12, grid_points=4)
+        assert min(h.xs[0] for h in ex.outgoing_history(1).values()) == 1.0
+        assert shared == fresh
+        assert all(len(r.entries) == 2 and r.stabilized for r in shared.reports)
+
+    def test_horizon_must_reach_the_window(self, unit_ladder, unit_box, shift_rule):
+        ex = Expansion(unit_ladder, shift_rule, unit_box, 1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            honesty_on_interval((0.0, 1.5), unit_box, unit_ladder, shift_rule, _expansion=ex)
+
+
 class TestResolventDefect:
     def test_honest_entries_exact_decay(self, unit_ladder, unit_box, shift_rule):
         rep = resolvent_defect(unit_box, 1.0, unit_ladder, shift_rule, tol=1e-8)

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ from honestflow import (
     with_overrides,
     write_reports,
 )
-from honestflow import _kernels, cli, densities, scenarios
+from honestflow import _kernels, cli, densities, expansion, scenarios
+from honestflow.expansion import Expansion
 from honestflow.scenarios import _window_decay
 
 LADDER_TEXT = """\
@@ -80,6 +82,31 @@ times = 0.5, 1, 1.5, 2, 2.5
 tol = 1e-12
 n_cap = 30
 label = lossy-capped
+"""
+
+SPREADING_GEOMETRIC_TEXT = """\
+[geometry]
+kind = interval-union
+rule = geometric
+start = 0
+spacing = 3
+length = 1
+ratio = 0.34
+
+[boundary]
+kind = kernel
+scale = 1
+""" + "".join(f"row_{k} = {k + 1}:0.5, {k + 2}:0.5\n" for k in range(48)) + """
+[density]
+kind = piecewise
+pieces = 0, 1, 1
+
+[run]
+times = 0.5, 2.5
+tol = 1e-12
+n_cap = 42
+windows = 0, 2.5
+label = spreading
 """
 
 BILLIARD_TEXT = """\
@@ -592,6 +619,44 @@ class TestRunScenario:
         assert widths == {result.n_orders + 1}
         assert {len(row.trace_norms) for row in result.rows} == {result.n_orders + 1}
 
+    def test_one_expansion_per_ladder_run(self, monkeypatch):
+        # both windows of this builtin end by its last report time, so the
+        # rows' expansion serves them too
+        horizons = []
+        init = Expansion.__init__
+
+        def counted(self, geom, rule, f, t_max):
+            horizons.append(t_max)
+            init(self, geom, rule, f, t_max)
+
+        monkeypatch.setattr(Expansion, "__init__", counted)
+        cfg = resolve_config("geometric-ladder-dishonest")
+        run_scenario(cfg)
+        assert horizons == [max(cfg.times)]
+        horizons.clear()
+        run_scenario(replace(cfg, windows=((1.0, 2.0), (0.5, 3.0))))
+        assert horizons == [max(cfg.times), 3.0]
+
+    def test_order_mass_once_per_order_and_time(self, monkeypatch):
+        calls = []
+        order_mass = Expansion.order_mass
+
+        def counted(self, k, t):
+            calls.append((k, t))
+            return order_mass(self, k, t)
+
+        monkeypatch.setattr(Expansion, "order_mass", counted)
+        result = run_scenario(resolve_config("geometric-ladder-dishonest"))
+        assert len(calls) == len(set(calls))
+        # every order of every row is read once, except those that have not
+        # entered the ladder by the row's time: their columns are 0 unread
+        read = {(k, row.t) for row in result.rows for k in range(result.n_orders + 1)
+                if row.order_masses[k] or row.trace_norms[k]}
+        assert read <= set(calls) <= {(k, row.t) for row in result.rows
+                                      for k in range(result.n_orders + 1)}
+        # a row cut early was widened without evaluating its orders again
+        assert min(row.n_used for row in result.rows) < result.n_orders
+
     def test_diagnostics_agree_with_the_rows(self):
         cfg = parse_config(LOSSY_CAPPED_TEXT)
         result = run_scenario(cfg)
@@ -738,6 +803,18 @@ class TestCli:
         assert "overall-verdict: honest" in out
         assert (self.out_dir / "unit-ladder-honest-series.csv").exists()
         assert (self.out_dir / "unit-ladder-honest-summary.txt").exists()
+
+    def test_run_over_the_piece_budget_exits_one(self, capsys, monkeypatch):
+        # a two-way kernel rule on a geometric ladder doubles the history
+        # pieces at every order; a low budget stops it early
+        monkeypatch.setattr(expansion, "MAX_ORDER_PIECES", 64)
+        path = self.tmp_path / "spreading.cfg"
+        path.write_text(SPREADING_GEOMETRIC_TEXT)
+        assert cli.main(["run", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("honestflow: [run] n_cap: order ")
+        assert "history pieces, above the budget of 64" in captured.err
+        assert not self.out_dir.exists()
 
     def test_run_dishonest_exits_two(self, capsys):
         code = cli.main(["run", "geometric-ladder-dishonest"])

@@ -1,17 +1,18 @@
 """Hot numerical kernels: billiard ensemble transport and the 1D ladder
 survival Monte Carlo.
 
-Each lane has one numpy kernel.  The ladder walk steps every particle hop by
-hop, vectorised over the particles still moving.  The polygon steps event by
-event and takes every requested time in one sweep; its rows hold full
-states, or, for reports that read rebound counts alone, only the weights,
-counts and flags.  The disk needs no stepping: its closed form costs O(1)
-per particle whatever the number of rebounds, and a counts-only variant
-computes each particle's first hit and chord once for all requested times,
-from states it is handed one slice at a time, so a sampler can feed it
-without an ensemble ever being held whole.  The polygon sweep and the disk
-chords run through one block runner: one contiguous block of particles per
-CPU, each on its own thread, bitwise the same as one block.
+The ladder walk steps every particle hop by hop.  A billiard has one
+full-state transport to one time, ``billiard_transport``, and, for reports
+that read rebound counts alone, one counts kernel per shape.  The polygon
+steps event by event and ``polygon_counts`` takes every requested time in
+one sweep.  The disk needs no stepping: its closed form costs O(1) per
+particle whatever the number of rebounds, and ``disk_counts`` computes each
+particle's first hit and chord once for all requested times, from states a
+source hands it one slice at a time, so a sampler can feed it without an
+ensemble ever being held whole.  The polygon sweep and the disk chords run
+through one block runner: one contiguous block of particles per CPU, each on
+its own thread, bitwise the same as one block.  Every billiard kernel reads
+the graze threshold ``GRAZE_EPS`` and the reflection cap ``ITER_CAP``.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -25,6 +26,8 @@ import os
 import threading
 
 import numpy as np
+
+from .geometry import TANGENT_EPS
 
 # perfbench/measure.py reads this for its environment record; the next
 # benchmark change drops that read, and this name with it
@@ -204,9 +207,10 @@ DISK_CHUNK = 1 << 16
 
 # a hit whose normal velocity is below this fraction of the speed grazes:
 # the particle freezes and is flagged degenerate instead of reflecting
-GRAZE_EPS = 1e-10
+GRAZE_EPS = TANGENT_EPS
 
-# the default reflection cap of every billiard transport
+# the reflection cap of every billiard transport: a particle owing more
+# reflections stops at the last one and is flagged degenerate
 ITER_CAP = 10_000_000
 
 
@@ -224,7 +228,7 @@ def _disk_exit(x, y, vx, vy, cx, cy, radius):
     return s0, v2
 
 
-def _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius, eps):
+def _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius):
     # the first hit re-anchored onto the circle: its unit normal, the normal
     # velocity, whether it grazes, and the chord period tau
     rx = x + vx * s0 - cx
@@ -233,18 +237,17 @@ def _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius, eps):
     nx = rx / nr
     ny = ry / nr
     vn = vx * nx + vy * ny
-    graze = np.abs(vn) < eps * np.sqrt(v2)
+    graze = np.abs(vn) < GRAZE_EPS * np.sqrt(v2)
     tau = 2.0 * radius * np.abs(vn) / v2
     return nx, ny, vn, graze, tau
 
 
-def _disk_hits(rem, tau, iter_cap):
+def _disk_hits(rem, tau):
     # further hits k within the time rem left after the first one, the
-    # particles capped, and the rebounds made; a particle owing more than
-    # iter_cap reflections stops at the last one
+    # particles capped, and the rebounds made
     k = np.floor(rem / tau)
-    capped = k >= iter_cap
-    k = np.minimum(k, iter_cap - 1)
+    capped = k >= ITER_CAP
+    k = np.minimum(k, ITER_CAP - 1)
     return k, capped, k.astype(np.int64) + 1
 
 
@@ -254,7 +257,7 @@ def _disk_tally(weight, rebounds, idx, hits, scale):
         weight[idx] *= scale ** hits
 
 
-def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps, iter_cap):
+def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale):
     x, y = pos[:, 0], pos[:, 1]
     vx, vy = vel[:, 0], vel[:, 1]
     s0, v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
@@ -266,7 +269,7 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     ax = vx[hit]
     ay = vy[hit]
     s0 = s0[hit]
-    nx, ny, vn, graze, tau = _disk_wall(x[hit], y[hit], ax, ay, v2[hit], s0, cx, cy, radius, eps)
+    nx, ny, vn, graze, tau = _disk_wall(x[hit], y[hit], ax, ay, v2[hit], s0, cx, cy, radius)
     gz = hit[graze]
     x[gz] = cx + radius * nx[graze]
     y[gz] = cy + radius * ny[graze]
@@ -275,7 +278,7 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     idx = hit[ok]
     nx, ny, ax, ay, vn, tau = nx[ok], ny[ok], ax[ok], ay[ok], vn[ok], tau[ok]
     rem = t - s0[ok]
-    k, capped, hits = _disk_hits(rem, tau, iter_cap)
+    k, capped, hits = _disk_hits(rem, tau)
     degenerate[idx[capped]] = True
     # velocity after the first reflection, and the central angle between
     # successive hits, 2 atan2(|v.n|, |n x v|): accurate near normal and
@@ -297,17 +300,6 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     _disk_tally(weight, rebounds, idx, hits, scale)
 
 
-def _disk_closed_form(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale, eps,
-                      iter_cap):
-    # at t = 0 nothing moves, not even a particle sitting on the wall
-    if t > 0.0:
-        for lo in range(0, pos.shape[0], DISK_CHUNK):
-            sl = slice(lo, lo + DISK_CHUNK)
-            _disk_slice(pos[sl], vel[sl], weight[sl], rebounds[sl], degenerate[sl],
-                        cx, cy, radius, t, scale, eps, iter_cap)
-    return pos, vel, weight, rebounds, degenerate
-
-
 def _disk_chord_blocks(states, n, cx, cy, radius):
     # the time-independent part of particles 0..n-1, about 17 bytes each: the
     # first-hit time, the graze flag and the chord period.  states(lo, hi)
@@ -324,24 +316,13 @@ def _disk_chord_blocks(states, n, cx, cy, radius):
             sl = slice(start, min(start + DISK_CHUNK, hi))
             x, y, vx, vy = states(sl.start, sl.stop)
             s0[sl], v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
-            _, _, _, graze[sl], tau[sl] = _disk_wall(x, y, vx, vy, v2, s0[sl], cx, cy, radius,
-                                                     GRAZE_EPS)
+            _, _, _, graze[sl], tau[sl] = _disk_wall(x, y, vx, vy, v2, s0[sl], cx, cy, radius)
 
     _run_blocks(n, chords)
     return s0, graze, tau
 
 
-def _disk_chords(pos, vel, degenerate, cx, cy, radius):
-    # the chords of a held ensemble; an input-degenerate particle never
-    # moves, so its first hit is at inf
-    s0, graze, tau = _disk_chord_blocks(
-        lambda lo, hi: (pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1]),
-        pos.shape[0], cx, cy, radius)
-    s0[degenerate] = np.inf
-    return s0, graze, tau
-
-
-def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale, iter_cap):
+def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale):
     s0, graze, tau = chords
     for t in times.tolist():
         w, n, flagged = weight.copy(), rebounds.copy(), degenerate.copy()
@@ -352,29 +333,32 @@ def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale, iter_c
                 hit = s0[sl] <= t
                 flagged[sl][hit & graze[sl]] = True
                 idx = np.flatnonzero(hit & ~graze[sl])
-                _, capped, hits = _disk_hits(t - s0[sl][idx], tau[sl][idx], iter_cap)
+                _, capped, hits = _disk_hits(t - s0[sl][idx], tau[sl][idx])
                 flagged[sl][idx[capped]] = True
                 _disk_tally(w[sl], n[sl], idx, hits, scale)
         yield w, n, flagged
 
 
-def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times,
-                scale=1.0, iter_cap=ITER_CAP):
+def disk_counts(states, weight, rebounds, degenerate, geom, times, scale):
     """Rebound counts of a disk ensemble at every one of ``times``.
 
-    The input arrays are left alone.  Returns an iterator of ``(weight,
-    rebounds, degenerate)`` over ``distinct_times(times)``; the k-th is
-    bitwise what ``billiard_transport`` leaves in those arrays on a copy of
-    the inputs for the k-th time, at its default ``eps = GRAZE_EPS``.
-    Positions and velocities are never transported: each particle's
-    first-hit time, graze flag and chord period are computed once, here,
-    and every time then costs a few array operations per particle.
+    ``states(lo, hi)`` gives the positions and velocities ``x, y, vx, vy``
+    of particles lo..hi-1; the arrays are left alone.  Returns an iterator
+    of ``(weight, rebounds, degenerate)`` over ``distinct_times(times)``;
+    the k-th is bitwise what ``billiard_transport`` leaves in those arrays
+    on a copy of the ensemble for the k-th time.  Positions and velocities
+    are never transported: each particle's first-hit time, graze flag and
+    chord period are computed once, here, and every time then costs a few
+    array operations per particle.
     """
     times = distinct_times(times)
     cx, cy = geom.center
-    chords = _disk_chords(pos, vel, degenerate, float(cx), float(cy), float(geom.radius))
-    return _disk_count_steps(weight, rebounds, degenerate, chords, times, float(scale),
-                             int(iter_cap))
+    s0, graze, tau = _disk_chord_blocks(states, weight.shape[0], float(cx), float(cy),
+                                        float(geom.radius))
+    # an input-degenerate particle never moves, so its first hit is at inf
+    s0[degenerate] = np.inf
+    return _disk_count_steps(weight, rebounds, degenerate, (s0, graze, tau), times,
+                             float(scale))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +371,7 @@ def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times,
 # does.  The polygon kernel therefore steps each particle once, up to the
 # largest requested time, with one row of remaining time per requested time.
 # Every row goes through the same rounded subtractions that a transport to
-# its own time makes, so each snapshot is bitwise that transport's result.
+# its own time makes, so each row is bitwise that transport's result.
 # Rounded subtraction is monotone, so rem[k] <= rem[k + 1] holds throughout:
 # rows close in time order, and a particle leaves the compacted working set
 # when its last row closes.
@@ -406,8 +390,8 @@ def _snapshot(out, kk, cols, w, n, flagged, state):
     degenerate[kk, cols] = flagged
 
 
-def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, offsets, verts,
-                       times, scale, eps, vert_eps, iter_cap):
+def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, verts,
+                 times, scale, vert_eps):
     # ``out`` holds the input state in every row: rows that close before the
     # first round (input-degenerate particles, zero times) keep it.  The
     # inputs are read before the first write, so ``out`` may be views of them.
@@ -441,8 +425,8 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
             _snapshot(out, kk, idx[jj], w[jj], n[jj], False,
                       lambda: (x[jj] + vx[jj] * r, y[jj] + vy[jj] * r, vx[jj], vy[jj]))
             hit = open_ & ~fly
-            if rounds > iter_cap:
-                # a row owing more than iter_cap reflections stops at the last
+            if rounds > ITER_CAP:
+                # a row owing more than ITER_CAP reflections stops at the last
                 # one; rows that reach their time first have flown out above
                 kk, jj = np.nonzero(hit)
                 _snapshot(out, kk, idx[jj], w[jj], n[jj], True,
@@ -462,7 +446,7 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
             nx = normals[edge, 0]
             ny = normals[edge, 1]
             vn = vx * nx + vy * ny
-            graze = (np.abs(vn) < eps * speed) | (near < vert_eps)
+            graze = (np.abs(vn) < GRAZE_EPS * speed) | (near < vert_eps)
             vx = np.where(graze, vx, vx - 2.0 * vn * nx)
             vy = np.where(graze, vy, vy - 2.0 * vn * ny)
             n = n + ~graze
@@ -481,18 +465,18 @@ def _polygon_snapshots(pos, vel, weight, rebounds, degenerate, out, normals, off
     return out
 
 
-def _polygon_sweep(arrays, out, geom, times, scale, eps, iter_cap):
+def _polygon_sweep(arrays, out, geom, times, scale):
     normals, offsets = geom.edge_normals()
     verts = np.array(geom.vertices, dtype=np.float64)
     # relative to the largest coordinate, whose magnitude sets the rounding
     # of every hit point, so a table and its scaled copies flag alike
-    vert_eps = float(eps) * float(np.max(np.abs(verts)))
-    consts = (normals, offsets, verts, times, float(scale), float(eps), vert_eps, int(iter_cap))
+    vert_eps = GRAZE_EPS * float(np.max(np.abs(verts)))
+    consts = (normals, offsets, verts, times, float(scale), vert_eps)
 
     # Particles never interact and each one takes part in every round until
     # it leaves, so a contiguous block of them, swept alone into its own
     # columns of out, gets bitwise the rows a whole sweep gives it.
-    _run_blocks(arrays[0].shape[0], lambda lo, hi: _polygon_snapshots(
+    _run_blocks(arrays[0].shape[0], lambda lo, hi: _sweep_block(
         *(a[lo:hi] for a in arrays), tuple(o[:, lo:hi] for o in out), *consts))
     return out
 
@@ -508,54 +492,43 @@ def distinct_times(times) -> np.ndarray:
     return times
 
 
-def polygon_snapshots(pos, vel, weight, rebounds, degenerate, geom, times,
-                      scale=1.0, eps=GRAZE_EPS, iter_cap=ITER_CAP):
-    """Billiard flow on a convex polygon to every one of ``times`` in one sweep.
-
-    The input arrays are left alone.  Returns ``(pos, vel, weight, rebounds,
-    degenerate)`` with a leading axis over ``distinct_times(times)``; row k is
-    bitwise what ``billiard_transport`` leaves on a copy of the inputs for the
-    k-th of them.  Memory grows with the number of rows: every row holds a
-    whole ensemble.
-    """
-    times = distinct_times(times)
-    arrays = (pos, vel, weight, rebounds, degenerate)
-    out = tuple(np.repeat(a[None], times.size, axis=0) for a in arrays)
-    return _polygon_sweep(arrays, out, geom, times, scale, eps, iter_cap)
-
-
 def polygon_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
-    """The rebound counts of ``polygon_snapshots`` alone.
+    """Rebound counts of a polygon ensemble at every one of ``times``.
 
-    Returns ``(weight, rebounds, degenerate)`` with a leading axis over
-    ``distinct_times(times)``, bitwise those rows of ``polygon_snapshots``
-    at its default ``eps`` and ``iter_cap``.  The sweep is the same, but the
-    rows' positions and velocities are never written: a row costs 17 bytes
-    per particle instead of 49, plus 8 of remaining time while it runs.
+    The input arrays are left alone.  Returns ``(weight, rebounds,
+    degenerate)`` with a leading axis over ``distinct_times(times)``; row k
+    is bitwise what ``billiard_transport`` leaves in those arrays on a copy
+    of the inputs for the k-th time.  One sweep steps each particle's events
+    once, up to the largest time, and never writes the rows' positions or
+    velocities: a row costs 17 bytes per particle, plus 8 of remaining time
+    while it runs.
     """
     times = distinct_times(times)
     out = tuple(np.repeat(a[None], times.size, axis=0) for a in (weight, rebounds, degenerate))
-    return _polygon_sweep((pos, vel, weight, rebounds, degenerate), out, geom, times, scale,
-                          GRAZE_EPS, ITER_CAP)
+    return _polygon_sweep((pos, vel, weight, rebounds, degenerate), out, geom, times, scale)
 
 
-def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t,
-                       scale=1.0, eps=GRAZE_EPS, iter_cap=ITER_CAP):
+def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t, scale=1.0):
     """Advance a billiard ensemble by time t in place (arrays are mutated).
 
     ``scale`` multiplies the particle weight at every reflection (the
-    boundary operator weight).  Grazing hits freeze the particle and set its
-    degenerate flag instead of reflecting.  A particle that would need more
-    than ``iter_cap`` reflections stops moving and is marked degenerate too.
+    boundary operator weight).  Grazing hits (below ``GRAZE_EPS``) and
+    polygon vertex hits freeze the particle and set its degenerate flag
+    instead of reflecting.  A particle that would need more than
+    ``ITER_CAP`` reflections stops at the last one and is marked degenerate
+    too.  Returns the five arrays.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError("transport time must be finite and nonnegative")
     arrays = (pos, vel, weight, rebounds, degenerate)
     if geom.shape == "disk":
         cx, cy = geom.center
-        return _disk_closed_form(*arrays, float(cx), float(cy), float(geom.radius), float(t),
-                                 float(scale), float(eps), int(iter_cap))
+        # at t = 0 nothing moves, not even a particle sitting on the wall
+        if t > 0.0:
+            for lo in range(0, pos.shape[0], DISK_CHUNK):
+                _disk_slice(*(a[lo:lo + DISK_CHUNK] for a in arrays), float(cx), float(cy),
+                            float(geom.radius), float(t), float(scale))
+        return arrays
     # one row, written straight into the inputs
-    _polygon_sweep(arrays, tuple(a[None] for a in arrays), geom, np.array([float(t)]),
-                   scale, eps, iter_cap)
+    _polygon_sweep(arrays, tuple(a[None] for a in arrays), geom, np.array([float(t)]), scale)
     return arrays

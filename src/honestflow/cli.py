@@ -123,8 +123,8 @@ def _cmd_resolvent(args) -> int:
     cfg = _load(args)
     if isinstance(cfg.geometry, Billiard):
         raise _sc.ConfigError("resolvent diagnostics are not defined for billiard scenarios")
-    if not args.lam > 0:
-        raise _sc.ConfigError("--lambda: resolvent parameter must be positive")
+    if not 0 < args.lam < math.inf:
+        raise _sc.ConfigError("--lambda: resolvent parameter must be positive and finite")
     f = _sc.initial_density(cfg)
     rep = _hon.resolvent_defect(f, args.lam, cfg.geometry, cfg.boundary, tol=cfg.tol, n_cap=cfg.n_cap)
     sys.stdout.write(

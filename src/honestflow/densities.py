@@ -17,8 +17,9 @@ that the ensemble reports read: the rebound histogram, its tail weights and
 the degenerate weight.  ``transport_counts_times`` yields them along a
 trajectory without transporting positions on a disk, and
 ``sample_disk_counts`` yields them for a sampled disk without ever holding
-its positions or velocities: each slice of indices is drawn, through the
-same draw helper as ``sample_ensemble``, reduced to its chords and dropped.
+its positions or velocities.  Both feed ``_kernels.disk_counts`` one slice
+of states at a time: views of the held ensemble, or draws of the helper
+that ``sample_ensemble`` uses, each reduced to its chords and dropped.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "ReboundCounts",
     "free_stream",
     "restrict",
-    "sample_disk_chords",
     "sample_disk_counts",
     "sample_ensemble",
     "sample_ladder_positions",
@@ -410,23 +410,6 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
                             int(seed))
 
 
-def sample_disk_chords(geom: Billiard, n: int, seed: int, region):
-    """The first-hit time, graze flag and chord period of every particle of
-    ``sample_ensemble(geom, n, seed, region)`` on a disk, as float64, bool
-    and float64 arrays.
-
-    They are bitwise the chords ``transport_counts_times`` computes from
-    that ensemble, but no particle state is ever held whole: each
-    ``_kernels.DISK_CHUNK`` slice of indices is drawn, reduced to its
-    chords and dropped, one block of slices per CPU.
-    """
-    if geom.shape != "disk":
-        raise ValueError("chords are defined on a disk table")
-    draw = _state_sampler(geom, n, seed, region)
-    cx, cy = geom.center
-    return _kernels._disk_chord_blocks(draw, n, float(cx), float(cy), float(geom.radius))
-
-
 def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: float):
     """The initial counts and the rebound-count trajectory of a sampled disk
     ensemble, from its chords alone.
@@ -434,15 +417,45 @@ def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: 
     Returns ``(counts0, trajectory)``: ``counts0`` is bitwise
     ``sample_ensemble(geom, n, seed, region).counts``, and ``trajectory``
     yields bitwise what ``transport_counts_times`` yields for that ensemble,
-    ``times``, ``geom`` and ``scale``.  Bad times raise ValueError here.
-    The particles cost 17 bytes each for chords plus 17 for their counts.
+    ``times``, ``geom`` and ``scale``.  Bad requests and times raise
+    ValueError here.  No particle state is ever held whole: the particles
+    cost 17 bytes each for chords plus 17 for their counts.
     """
+    if geom.shape != "disk":
+        raise ValueError("disk counts are defined on a disk table")
+    draw = _state_sampler(geom, n, seed, region)
     ts = _kernels.distinct_times(times)
-    chords = sample_disk_chords(geom, n, seed, region)
     counts0 = _initial_counts(n)
-    steps = _kernels._disk_count_steps(counts0.weight, counts0.rebounds, counts0.degenerate,
-                                       chords, ts, float(scale), _kernels.ITER_CAP)
+    steps = _kernels.disk_counts(draw, counts0.weight, counts0.rebounds, counts0.degenerate,
+                                 geom, ts, scale)
     return counts0, _trajectory(ts, steps)
+
+
+# a position may lie this far outside the table, relative to the table's
+# largest coordinate magnitude: that magnitude sets the rounding of every
+# position on the table, transported ones on the wall included
+_OUTSIDE_SLACK = 1e-12
+
+
+def _check_on_table(ens: ParticleEnsemble, geom: Billiard):
+    # the kernels move a particle outside the table through its walls
+    # silently wrong, so such a state is refused, naming the first one
+    x, y = ens.pos[:, 0], ens.pos[:, 1]
+    if geom.shape == "disk":
+        cx, cy = geom.center
+        outside = np.hypot(x - cx, y - cy) - geom.radius
+        reach = max(abs(cx), abs(cy)) + geom.radius
+    else:
+        normals, offsets = geom.edge_normals()
+        outside = np.full(len(ens), -np.inf)
+        for (nx, ny), d in zip(normals, offsets):
+            outside = np.maximum(outside, x * nx + y * ny - d)
+        reach = float(np.max(np.abs(geom.vertices)))
+    # NaN positions fail the comparison and are refused too
+    bad = np.flatnonzero(~(outside <= _OUTSIDE_SLACK * reach))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"particle {i} at {ens.pos[i].tolist()} lies outside the table")
 
 
 def transport_ensemble(
@@ -453,8 +466,10 @@ def transport_ensemble(
     Rebound counters accumulate one per reflection (the expansion order the
     particle currently contributes to); grazing hits freeze the particle and
     raise its degenerate flag.  ``scale`` is the per-reflection boundary
-    weight.
+    weight.  A particle outside the table, by more than rounding can put a
+    transported one there, raises ValueError naming its index.
     """
+    _check_on_table(ens, geom)
     out = ens.copy()
     _kernels.billiard_transport(
         out.pos, out.vel, out.weight, out.rebounds, out.degenerate, geom, t, scale=scale
@@ -487,7 +502,8 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
 
     Returns an iterator of ``(t, counts)`` over the distinct ``times`` in
     ascending order; each ``counts`` is bitwise ``transport_ensemble(ens, t,
-    geom, scale).counts``.  Bad times raise ValueError here, not when
+    geom, scale).counts``.  Bad times, and particles outside the table as
+    ``transport_ensemble`` refuses them, raise ValueError here, not when
     iterating.  A disk never transports positions: each particle's first
     hit and chord are computed once, about 17 bytes per particle held for
     the whole trajectory, and each time then costs a few array operations
@@ -500,9 +516,13 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     number of blocks.
     """
     ts = _kernels.distinct_times(times)
+    _check_on_table(ens, geom)
     if geom.shape == "disk":
-        return _trajectory(ts, _kernels.disk_counts(ens.pos, ens.vel, ens.weight, ens.rebounds,
-                                                    ens.degenerate, geom, ts, scale=scale))
+        pos, vel = ens.pos, ens.vel
+        steps = _kernels.disk_counts(
+            lambda lo, hi: (pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1]),
+            ens.weight, ens.rebounds, ens.degenerate, geom, ts, scale)
+        return _trajectory(ts, steps)
     return _polygon_trajectory(ens, ts, geom, scale)
 
 

@@ -464,8 +464,10 @@ def rebound_sequence(p, t_max, geom):
     Returns ``(events, degenerate)`` where events is a list of
     ``(t_k, x_k, v_k)`` tuples: the k-th boundary hit time, hit position and
     post-reflection velocity (pointing inward).  Tangential hits
-    (``|v.n|/|v| < TANGENT_EPS``) and polygon vertex hits are not reflected:
-    the sequence stops there and ``degenerate`` is True.
+    (``|v.n|/|v| < TANGENT_EPS``) and polygon vertex hits (closer to a vertex
+    than ``TANGENT_EPS`` times the largest vertex-coordinate magnitude, so
+    that scaled copies of a table flag alike) are not reflected: the
+    sequence stops there and ``degenerate`` is True.
     """
     if not isinstance(geom, Billiard):
         raise TypeError("rebound sequences are defined for billiard tables")
@@ -475,6 +477,8 @@ def rebound_sequence(p, t_max, geom):
     speed = float(np.linalg.norm(vel))
     if speed == 0.0:
         raise ValueError("velocity must be nonzero")
+    if geom.shape == "polygon":
+        vert_eps = TANGENT_EPS * float(np.max(np.abs(geom.vertices)))
     events = []
     elapsed = 0.0
     while True:
@@ -491,7 +495,7 @@ def rebound_sequence(p, t_max, geom):
             pos = c + geom.radius * rel
             n = rel
         else:
-            if geom.nearest_vertex_distance(pos) < TANGENT_EPS * max(1.0, speed):
+            if geom.nearest_vertex_distance(pos) < vert_eps:
                 return events, True
             n = geom.outward_normal(pos)
         vn = float(vel @ n)

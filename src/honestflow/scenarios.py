@@ -78,6 +78,11 @@ _SEED_LIMIT = 2**64
 # table over all of them: 32 640 per window at G = 256
 MAX_GRID_POINTS = 256
 
+# the largest expansion order a run may ask for: its cost grows linearly in
+# the orders (the dishonest ladder builtin takes about 1.8 s and 50 MB at
+# this cap on a 2-core machine)
+MAX_N_CAP = 10**4
+
 # an ensemble holds 49 bytes per particle, about 0.5 GB at this many
 MAX_PARTICLES = 10**7
 
@@ -412,6 +417,8 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
     n_cap = run.integer("n_cap", DEFAULT_N_CAP)
     if n_cap < 1:
         raise ConfigError("[run] n_cap: must be at least 1")
+    if n_cap > MAX_N_CAP:
+        raise ConfigError(f"[run] n_cap: at most {MAX_N_CAP}")
     lambdas = _floats(run.text("lambdas", ""), "[run] lambdas")
     if not all(0 < l < math.inf for l in lambdas):
         raise ConfigError("[run] lambdas: resolvent parameters must be positive and finite")
@@ -484,6 +491,8 @@ def with_overrides(cfg: ScenarioConfig, tol=None, n_cap=None, seed=None) -> Scen
     if n_cap is not None:
         if n_cap < 1:
             raise ConfigError("n_cap override must be at least 1")
+        if n_cap > MAX_N_CAP:
+            raise ConfigError(f"n_cap override must be at most {MAX_N_CAP}")
         changes["n_cap"] = int(n_cap)
     if seed is not None:
         if cfg.density_kind != "ensemble":

@@ -214,6 +214,20 @@ def small_square():
                     velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
 
 
+def views(ens):
+    """The state source of a held ensemble: views of its slices."""
+    return lambda lo, hi: (ens.pos[lo:hi, 0], ens.pos[lo:hi, 1],
+                           ens.vel[lo:hi, 0], ens.vel[lo:hi, 1])
+
+
+def transported(ens, geom, t, scale):
+    """A copy of ``ens`` moved by ``billiard_transport`` itself."""
+    moved = ens.copy()
+    _kernels.billiard_transport(moved.pos, moved.vel, moved.weight, moved.rebounds,
+                                moved.degenerate, geom, t, scale=scale)
+    return moved
+
+
 class TestTransportTimes:
     @pytest.mark.parametrize("table", [small_square, small_disk])
     def test_snapshots_equal_separate_transports(self, table):
@@ -227,13 +241,6 @@ class TestTransportTimes:
         for (_, counts), ref in zip(got, refs):
             for name in ("weight", "rebounds", "degenerate"):
                 assert np.array_equal(getattr(counts, name), getattr(ref, name))
-        if geom.shape == "polygon":
-            # the sweep's full-state rows, not only their counts
-            rows = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
-                                              ens.degenerate, geom, times, scale=0.9)
-            for k, ref in enumerate(refs):
-                for name, row in zip(("pos", "vel", "weight", "rebounds", "degenerate"), rows):
-                    assert np.array_equal(row[k], getattr(ref, name))
 
     def test_polygon_sweeps_are_bounded(self, monkeypatch):
         geom = small_square()
@@ -297,30 +304,35 @@ class TestTransportTimes:
         # several slices, the last one short
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
         times = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
-        got = list(transport_counts_times(ens, times, geom, scale))
+        # the tangent start lies outside the table: transport_counts_times
+        # refuses it, and the kernel it calls counts whatever it is given
+        with pytest.raises(ValueError, match="particle 0 "):
+            transport_counts_times(ens, times, geom, scale)
+        steps = _kernels.disk_counts(views(ens), ens.weight, ens.rebounds, ens.degenerate, geom,
+                                     times, scale)
+        got = list(zip(_kernels.distinct_times(times), (ReboundCounts(*a) for a in steps)))
         assert [t for t, _ in got] == [0.0, 0.5, 2.5, 5.0, 9.0]
         assert got[-1][1].rebounds.max() > 3
         assert [bool(c.degenerate[0]) for _, c in got] == [False, False, True, True, True]
         assert [int(c.rebounds[1]) for _, c in got] == [0, 0, 1, 1, 2]
         assert got[0][1].rebounds[2] == 0 and got[1][1].rebounds[2] > 0
         for t, counts in got:
-            ref = transport_ensemble(ens, t, geom, scale=scale)
+            ref = transported(ens, geom, t, scale)
             assert isinstance(counts, ReboundCounts)
             for name in ("weight", "rebounds", "degenerate"):
                 assert np.array_equal(getattr(counts, name), getattr(ref, name))
             assert counts.rebounds[4] == 0 and counts.degenerate[4]
         assert ens.rebounds.max() == 0 and ens.degenerate.sum() == 1
 
-    def test_disk_counts_obey_the_reflection_cap(self):
+    def test_disk_counts_obey_the_reflection_cap(self, monkeypatch):
         geom = off_centre_disk()
         ens = sample_ensemble(geom, 300, seed=4)
-        arrays = (ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate)
         times = (2.0, 6.0)
-        steps = _kernels.disk_counts(*arrays, geom, times, scale=0.7, iter_cap=3)
+        monkeypatch.setattr(_kernels, "ITER_CAP", 3)
+        steps = _kernels.disk_counts(views(ens), ens.weight, ens.rebounds, ens.degenerate, geom,
+                                     times, 0.7)
         for t, (weight, rebounds, degenerate) in zip(times, steps):
-            ref = ens.copy()
-            _kernels.billiard_transport(ref.pos, ref.vel, ref.weight, ref.rebounds,
-                                        ref.degenerate, geom, t, scale=0.7, iter_cap=3)
+            ref = transported(ens, geom, t, 0.7)
             assert np.array_equal(weight, ref.weight)
             assert np.array_equal(rebounds, ref.rebounds)
             assert np.array_equal(degenerate, ref.degenerate)
@@ -331,13 +343,13 @@ class TestTransportTimes:
         geom = small_square()
         ens = sample_ensemble(geom, 300, seed=12)
         times = (0.0, 2.5, 2.5, 5.0)
-        rows = _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
-                                          ens.degenerate, geom, times, scale=0.9)
+        rows = _kernels.polygon_counts(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                       ens.degenerate, geom, times, 0.9)
         got = list(transport_counts_times(ens, times, geom, 0.9))
         assert [t for t, _ in got] == [0.0, 2.5, 5.0]
         for k, (_, counts) in enumerate(got):
             assert isinstance(counts, ReboundCounts)
-            for name, row in zip(("weight", "rebounds", "degenerate"), rows[2:]):
+            for name, row in zip(("weight", "rebounds", "degenerate"), rows):
                 assert np.array_equal(getattr(counts, name), row[k])
         # views of one sweep's snapshot rows
         assert got[0][1].weight.base is got[2][1].weight.base is not None
@@ -353,6 +365,58 @@ class TestTransportTimes:
             transport_ensemble(ens, t, geom)
 
 
+def far_triangle():
+    # coordinates near 10^6 on a table of size 3: rounding of every position
+    # is about 10^-10, far above 10^-12 of the table's size
+    return Billiard("polygon", vertices=((1e6, 0.0), (1e6 + 3.0, 0.0), (1e6 + 0.7, 1.9)),
+                    velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+
+
+class TestStatesOutsideTheTable:
+    """A particle outside the table is refused, naming its index, by both
+    transports; states on the wall pass, every transported state included."""
+
+    @pytest.mark.parametrize("table, pos, vel", [
+        (small_square, (2.0, 0.5), (-1.0, 0.1)),
+        (small_disk, (2.0, 0.0), (-1.0, 0.0)),
+        (off_centre_disk, (0.3, 1.8 + 1e-11), (1.0, 0.0)),
+        (far_triangle, (1e6 + 1.0, -1e-5), (0.0, 1.0)),
+    ])
+    def test_outside_particle_refused(self, table, pos, vel):
+        geom = table()
+        ens = sample_ensemble(geom, 20, seed=3)
+        ens.pos[7] = pos
+        ens.vel[7] = vel
+        ens.pos[11] = (math.nan, 0.0)
+        with pytest.raises(ValueError, match=r"^particle 7 at .* lies outside the table"):
+            transport_ensemble(ens, 3.0, geom)
+        with pytest.raises(ValueError, match=r"^particle 7 at .* lies outside the table"):
+            transport_counts_times(ens, (1.0, 3.0), geom)
+        # a position that is not a number is refused too
+        ens.pos[7] = ens.pos[0]
+        with pytest.raises(ValueError, match=r"^particle 11 at \[nan, 0.0\]"):
+            transport_ensemble(ens, 3.0, geom)
+
+    @pytest.mark.parametrize("table", [small_square, small_disk, off_centre_disk, far_triangle])
+    def test_wall_states_pass(self, table):
+        geom = table()
+        ens = sample_ensemble(geom, 2000, seed=5)
+        # a vertex, or the top of the circle, and a step outside within the
+        # slack
+        if geom.shape == "disk":
+            cx, cy = geom.center
+            ens.pos[0] = (cx, cy + geom.radius)
+            ens.pos[1] = (cx, cy - geom.radius * (1.0 + 1e-13))
+        else:
+            ens.pos[0] = geom.vertices[1]
+            ens.pos[1] = (geom.vertices[1][0] - 1.0, -1e-13)
+        for t in (0.0, 0.5, 3.0, 7.25):
+            moved = transport_ensemble(ens, t, geom, scale=0.9)
+            again = transport_ensemble(moved, 1.0, geom, scale=0.9)
+            assert again.rebounds.sum() > moved.rebounds.sum()
+            assert len(list(transport_counts_times(moved, (0.5, 1.0), geom))) == 2
+
+
 def three_speed_disk():
     return Billiard("disk", center=(-1.0, 2.0), radius=1.5,
                     velocities=VelocitySpec("speeds", speeds=(0.5, 1.0, 3.0)))
@@ -364,6 +428,14 @@ CHORD_CASES = [
     (off_centre_disk, "disk:0.8,-0.2,1.1"),
     (three_speed_disk, "box:-1.5,1.25,-0.25,2.5"),
 ]
+
+
+def sampled_chords(geom, n, seed, region):
+    """The chords of the particles ``sample_ensemble`` would draw, straight
+    from the sampler's draws."""
+    cx, cy = geom.center
+    draw = densities._state_sampler(geom, n, seed, region)
+    return _kernels._disk_chord_blocks(draw, n, cx, cy, geom.radius)
 
 
 def same_arrays(got, want):
@@ -383,11 +455,11 @@ class TestDiskChords:
         cx, cy = geom.center
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
         ens = sample_ensemble(geom, n, seed=2024, region=region)
-        want = _kernels._disk_chords(ens.pos, ens.vel, ens.degenerate, cx, cy, geom.radius)
+        want = _kernels._disk_chord_blocks(views(ens), n, cx, cy, geom.radius)
         assert np.all(np.isfinite(want[0])) and want[2].min() > 0.0
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
-            assert same_arrays(densities.sample_disk_chords(geom, n, 2024, region), want)
+            assert same_arrays(sampled_chords(geom, n, 2024, region), want)
 
     @pytest.mark.parametrize("scale", [0.7, 1.0])
     def test_counts_are_the_sampled_ensembles(self, scale):
@@ -408,14 +480,14 @@ class TestDiskChords:
 
     def test_bad_requests_rejected(self):
         with pytest.raises(ValueError, match="disk"):
-            densities.sample_disk_chords(small_square(), 10, 1, "domain")
+            densities.sample_disk_counts(small_square(), 10, 1, "domain", (1.0,), 1.0)
         with pytest.raises(ValueError, match="positive"):
-            densities.sample_disk_chords(small_disk(), 0, 1, "domain")
+            densities.sample_disk_counts(small_disk(), 0, 1, "domain", (1.0,), 1.0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             densities.sample_disk_counts(small_disk(), 10, 1, "domain", (1.0, -1.0), 1.0)
         bare = Billiard("disk", center=(0.0, 0.0), radius=1.0)
         with pytest.raises(ValueError, match="velocity spec"):
-            densities.sample_disk_chords(bare, 10, 1, "domain")
+            densities.sample_disk_counts(bare, 10, 1, "domain", (1.0,), 1.0)
 
     def test_many_workers_under_frequent_switches(self, monkeypatch):
         # eight blocks on fewer cores, the interpreter switching threads
@@ -423,12 +495,12 @@ class TestDiskChords:
         geom = off_centre_disk()
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
-        want = densities.sample_disk_chords(geom, 20_011, 8, "domain")
+        want = sampled_chords(geom, 20_011, 8, "domain")
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = densities.sample_disk_chords(geom, 20_011, 8, "domain")
+            got = sampled_chords(geom, 20_011, 8, "domain")
         finally:
             sys.setswitchinterval(interval)
         assert same_arrays(got, want)
@@ -445,7 +517,7 @@ class TestDiskChords:
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
         monkeypatch.setattr(_kernels, "_disk_wall", failing)
         with pytest.raises(FloatingPointError, match="block failed"):
-            densities.sample_disk_chords(small_disk(), 301, 5, "domain")
+            densities.sample_disk_counts(small_disk(), 301, 5, "domain", (1.0,), 1.0)
 
 
 class TestLadderSampling:

@@ -186,6 +186,16 @@ def oracle_state(pos, vel, t, geom):
     return x_k + (t - t_k) * v_k, v_k, len(events), degenerate
 
 
+STATE = ("pos", "vel", "weight", "rebounds", "degenerate")
+
+
+def transported(ens, geom, t, scale=1.0):
+    """A copy of ``ens`` moved by ``billiard_transport`` itself."""
+    moved = ens.copy()
+    _kernels.billiard_transport(*(getattr(moved, name) for name in STATE), geom, t, scale=scale)
+    return moved
+
+
 class TestDiskClosedForm:
     """The closed-form disk kernel against the scalar stepping oracle."""
 
@@ -223,7 +233,9 @@ class TestDiskClosedForm:
         ens.vel[0] = (1.0, 0.0)
         events, degenerate = rebound_sequence((ens.pos[0], ens.vel[0]), 3.0, geom)
         assert events == [] and degenerate
-        moved = transport_ensemble(ens, 3.0, geom, scale=0.5)
+        # the start lies outside the table, which transport_ensemble refuses;
+        # the kernel moves whatever it is given
+        moved = transported(ens, geom, 3.0, scale=0.5)
         assert moved.degenerate[0]
         assert moved.rebounds[0] == 0
         assert moved.weight[0] == ens.weight[0]
@@ -262,13 +274,12 @@ class TestDiskClosedForm:
         assert np.allclose(once.pos, twice.pos, rtol=0.0, atol=1e-12)
         assert np.allclose(once.weight, twice.weight, rtol=1e-15, atol=0.0)
 
-    def test_reflection_cap_marks_degenerate(self):
+    def test_reflection_cap_marks_degenerate(self, monkeypatch):
         geom = off_centre_table()
         ens = sample_ensemble(geom, 200, seed=4)
-        moved = ens.copy()
-        _kernels.billiard_transport(moved.pos, moved.vel, moved.weight, moved.rebounds,
-                                    moved.degenerate, geom, 6.0, iter_cap=3)
         free = transport_ensemble(ens, 6.0, geom)
+        monkeypatch.setattr(_kernels, "ITER_CAP", 3)
+        moved = transport_ensemble(ens, 6.0, geom)
         over = free.rebounds > 3
         assert over.any() and not over.all()
         assert np.array_equal(moved.degenerate, over)
@@ -299,13 +310,21 @@ def scalene_table():
                     velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
 
 
-def snapshots(ens, geom, times, **kw):
-    return _kernels.polygon_snapshots(ens.pos, ens.vel, ens.weight, ens.rebounds,
-                                      ens.degenerate, geom, times, **kw)
+def snapshots(ens, geom, times, scale=1.0):
+    """``(pos, vel, weight, rebounds, degenerate)`` with a leading axis over
+    the distinct ascending ``times``: one ``billiard_transport`` per time,
+    each on a copy of ``ens``."""
+    rows = [transported(ens, geom, t, scale) for t in _kernels.distinct_times(times)]
+    return tuple(np.stack([getattr(row, name) for row in rows]) for name in STATE)
+
+
+def counts(ens, geom, times, scale=1.0):
+    return _kernels.polygon_counts(*(getattr(ens, name) for name in STATE), geom, times, scale)
 
 
 class TestPolygonSnapshots:
-    """The one-sweep polygon kernel against the scalar stepping oracle."""
+    """Polygon transport to several times against the scalar stepping
+    oracle, and the counts sweep's own contract."""
 
     @pytest.mark.parametrize("table, scale", [(hexagon_table, 1.0), (scalene_table, 0.7)])
     def test_matches_stepping_oracle(self, table, scale):
@@ -341,12 +360,13 @@ class TestPolygonSnapshots:
         assert np.allclose(pos[1, 0], (1.0, 0.0), rtol=0.0, atol=1e-12)
         assert not degenerate[:, 1:].any()
 
-    def test_reflection_cap_marks_degenerate(self):
+    def test_reflection_cap_marks_degenerate(self, monkeypatch):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 200, seed=4)
         times = (0.5, 3.0)
         free = snapshots(ens, geom, times)
-        pos, vel, weight, rebounds, degenerate = snapshots(ens, geom, times, iter_cap=3)
+        monkeypatch.setattr(_kernels, "ITER_CAP", 3)
+        pos, vel, weight, rebounds, degenerate = snapshots(ens, geom, times)
         # the fourth round finds a particle that owes a fourth reflection
         over = free[3] > 3
         assert over[1].any() and not over[1].all() and not over[0].any()
@@ -358,7 +378,7 @@ class TestPolygonSnapshots:
             assert np.allclose(pos[1, i], events[2][1], rtol=0.0, atol=1e-9)
             assert np.allclose(vel[1, i], events[2][2], rtol=0.0, atol=1e-9)
 
-    def test_exactly_iter_cap_reflections_fly_free(self):
+    def test_exactly_iter_cap_reflections_fly_free(self, monkeypatch):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 3, seed=3)
         # straight up and down: walls at y = +-sin(pi/3), two reflections by t = 3
@@ -367,7 +387,8 @@ class TestPolygonSnapshots:
         events, flag = rebound_sequence((ens.pos[0], ens.vel[0]), 3.0, geom)
         assert len(events) == 2 and not flag
         free = snapshots(ens, geom, (3.0,))
-        capped = snapshots(ens, geom, (3.0,), iter_cap=2)
+        monkeypatch.setattr(_kernels, "ITER_CAP", 2)
+        capped = snapshots(ens, geom, (3.0,))
         assert not capped[4][0, 0] and capped[3][0, 0] == 2
         for a, b in zip(capped, free):
             assert np.array_equal(a[0, 0], b[0, 0])
@@ -404,15 +425,15 @@ class TestPolygonSnapshots:
         geom = hexagon_table()
         ens = sample_ensemble(geom, 100, seed=2)
         before = ens.copy()
-        snapshots(ens, geom, (1.0, 5.0), scale=0.5)
-        for name in ("pos", "vel", "weight", "rebounds", "degenerate"):
+        counts(ens, geom, (1.0, 5.0), scale=0.5)
+        for name in STATE:
             assert np.array_equal(getattr(ens, name), getattr(before, name))
 
     def test_rows_follow_the_distinct_ascending_times(self):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 100, seed=2)
-        got = snapshots(ens, geom, (5.0, 1.0, 5.0, 0.0), scale=0.5)
-        want = snapshots(ens, geom, (0.0, 1.0, 5.0), scale=0.5)
+        got = counts(ens, geom, (5.0, 1.0, 5.0, 0.0), scale=0.5)
+        want = counts(ens, geom, (0.0, 1.0, 5.0), scale=0.5)
         for a, b in zip(got, want):
             assert a.shape[0] == 3
             assert np.array_equal(a, b)
@@ -422,22 +443,24 @@ class TestPolygonSnapshots:
         geom = hexagon_table()
         ens = sample_ensemble(geom, 10, seed=2)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            snapshots(ens, geom, times)
+            counts(ens, geom, times)
 
     def test_transport_writes_in_place(self):
         geom = scalene_table()
         ens = sample_ensemble(geom, 80, seed=6)
         ens.degenerate[::9] = True
         times = (0.0, 1.25, 3.5, 6.0)
-        want = snapshots(ens, geom, times, scale=0.7)
-        assert want[3][-1].max() > 3
-        # each row of one sweep is a separate in-place transport to its time
+        want = counts(ens, geom, times, scale=0.7)
+        assert want[1][-1].max() > 3
+        # each row of one counts sweep is a separate in-place transport to
+        # its time
         for k, t in enumerate(times):
             out = ens.copy()
-            arrays = (out.pos, out.vel, out.weight, out.rebounds, out.degenerate)
+            arrays = tuple(getattr(out, name) for name in STATE)
             got = _kernels.billiard_transport(*arrays, geom, t, scale=0.7)
-            for a, b, w in zip(got, arrays, want):
+            for a, b in zip(got, arrays):
                 assert a is b
+            for a, w in zip(got[2:], want):
                 assert np.array_equal(a, w[k])
 
     @pytest.mark.parametrize("factor", [2.0**-200, 2.0**200])
@@ -452,12 +475,33 @@ class TestPolygonSnapshots:
         times = (0.0, 0.5, 2.0, 6.0)
         want = snapshots(ens, geom, times, scale=0.7)
         assert want[3][-1].max() > 3
-        got = _kernels.polygon_snapshots(ens.pos * factor, ens.vel * factor, ens.weight,
-                                         ens.rebounds, ens.degenerate, scaled, times, scale=0.7)
+        big = ens.copy()
+        big.pos *= factor
+        big.vel *= factor
+        got = snapshots(big, scaled, times, scale=0.7)
         assert np.array_equal(got[0], want[0] * factor)
         assert np.array_equal(got[1], want[1] * factor)
         for a, b in zip(got[2:], want[2:]):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("factor", [2.0**-40, 2.0**40])
+    def test_oracle_flags_scaled_tables_as_the_sweep(self, factor):
+        # rebound_sequence's vertex test follows the coordinates too, so on
+        # a scaled table it makes the sweep's events, not a vertex hit at
+        # every first hit
+        geom = scalene_table()
+        scaled = Billiard("polygon", vertices=tuple((x * factor, y * factor)
+                                                    for x, y in geom.vertices),
+                          velocities=geom.velocities)
+        ens = sample_ensemble(geom, 200, seed=5)
+        ens.pos *= factor
+        ens.vel *= factor
+        moved = transported(ens, scaled, 6.0)
+        assert moved.rebounds.min() > 0 and moved.rebounds.max() > 3
+        for i in range(len(ens)):
+            events, flag = rebound_sequence((ens.pos[i], ens.vel[i]), 6.0, scaled)
+            assert len(events) == moved.rebounds[i]
+            assert flag == moved.degenerate[i]
 
 
 class TestSweepBlocks:
@@ -475,45 +519,34 @@ class TestSweepBlocks:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_rows_do_not_depend_on_the_blocks(self, monkeypatch, workers):
         geom, ens = self._ensemble()
-        arrays = (ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate)
         times = (0.0, 1.25, 3.5, 9.0)
+        cap = _kernels.ITER_CAP
 
         def rows():
-            full = snapshots(ens, geom, times, scale=0.7, iter_cap=6)
-            counts = tuple(np.repeat(a[None], len(times), axis=0) for a in arrays[2:])
-            _kernels._polygon_sweep(arrays, counts, geom, np.array(times), 0.7,
-                                    _kernels.GRAZE_EPS, 6)
-            uncapped = _kernels.polygon_counts(*arrays, geom, times, 0.7)
-            moved = []
-            for t in times:
-                out = ens.copy()
-                state = (out.pos, out.vel, out.weight, out.rebounds, out.degenerate)
-                _kernels.billiard_transport(*state, geom, t, scale=0.7, iter_cap=6)
-                moved.append(state)
-            return full, counts, uncapped, moved
+            # full states from in-place transports, and a counts sweep, both
+            # capped; then the cap-free counts sweep
+            monkeypatch.setattr(_kernels, "ITER_CAP", 6)
+            full = snapshots(ens, geom, times, scale=0.7)
+            capped = counts(ens, geom, times, scale=0.7)
+            monkeypatch.setattr(_kernels, "ITER_CAP", cap)
+            return full, capped, counts(ens, geom, times, scale=0.7)
 
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
         want = rows()
-        full, counts, uncapped, moved = want
+        full, capped, uncapped = want
         # the cap binds, the cap-free sweep goes further, some input is frozen
         assert full[4][-1].sum() > full[4][0].sum() > 0
         assert full[3][-1].max() == 6 < uncapped[1][-1].max()
-        for a, b in zip(counts, full[2:]):
+        for a, b in zip(capped, full[2:]):
             assert np.array_equal(a, b)
-        for k, state in enumerate(moved):
-            for a, b in zip(state, full):
-                assert np.array_equal(a, b[k])
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
         got = rows()
         for a, b in zip(got[0] + got[1] + got[2], want[0] + want[1] + want[2]):
             assert np.array_equal(a, b)
-        for state, ref in zip(got[3], want[3]):
-            for a, b in zip(state, ref):
-                assert np.array_equal(a, b)
 
     def test_worker_errors_propagate(self, monkeypatch):
         geom, ens = self._ensemble()
-        sweep = _kernels._polygon_snapshots
+        sweep = _kernels._sweep_block
 
         def failing(pos, *args):
             # only the last block, which runs on a thread of its own, fails
@@ -522,7 +555,7 @@ class TestSweepBlocks:
             return sweep(pos, *args)
 
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
-        monkeypatch.setattr(_kernels, "_polygon_snapshots", failing)
+        monkeypatch.setattr(_kernels, "_sweep_block", failing)
         with pytest.raises(FloatingPointError, match="block failed"):
             snapshots(ens, geom, (1.0,))
 

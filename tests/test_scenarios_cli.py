@@ -369,6 +369,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[run\] n_cap"):
             parse_config(text)
 
+    def test_n_cap_bounded(self):
+        # refused at parse time: the order loop's time and memory grow
+        # linearly in n_cap
+        text = LADDER_TEXT.replace("label = demo", "label = demo\nn_cap = {}")
+        with pytest.raises(ConfigError, match=r"^\[run\] n_cap: at most 10000$"):
+            parse_config(text.format(scenarios.MAX_N_CAP + 1))
+        assert parse_config(text.format(scenarios.MAX_N_CAP)).n_cap == 10_000
+
     @pytest.mark.parametrize("field, value", [("tol", "inf"), ("tol", "nan"),
                                               ("lambdas", "1, inf"), ("lambdas", "nan")])
     def test_non_finite_tol_and_lambdas_rejected(self, field, value):
@@ -443,9 +451,16 @@ class TestParseConfig:
                   .replace("center = 1, -1", f"center = {factor!r}, {-factor!r}"))
         cfg, ref = parse_config(scaled), parse_config(unit)
         ens = initial_density(cfg)
-        s0, _, _ = _kernels._disk_chords(ens.pos, ens.vel, ens.degenerate,
-                                         factor, -factor, factor)
-        assert np.all(np.isfinite(s0))
+        chords = _kernels._disk_chord_blocks(
+            lambda lo, hi: (ens.pos[lo:hi, 0], ens.pos[lo:hi, 1], ens.vel[lo:hi, 0],
+                            ens.vel[lo:hi, 1]),
+            len(ens), factor, -factor, factor)
+        assert np.all(np.isfinite(chords[0]))
+        # the sampler's draws give the held ensemble's chords, bit for bit
+        draw = densities._state_sampler(cfg.geometry, cfg.count, cfg.seed, cfg.region)
+        drawn = _kernels._disk_chord_blocks(draw, cfg.count, factor, -factor, factor)
+        for x, y in zip(drawn, chords, strict=True):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         got = transport_counts_times(ens, cfg.times, cfg.geometry)
         want = transport_counts_times(initial_density(ref), ref.times, ref.geometry)
         for (t, a), (u, b) in zip(got, want, strict=True):
@@ -898,6 +913,22 @@ class TestCli:
         code = cli.main(["resolvent", "unit-ladder-honest", "--lambda", "-1"])
         assert code == 1
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_resolvent_rejects_non_finite_lambda(self, capsys, lam):
+        assert cli.main(["resolvent", "unit-ladder-honest", "--lambda", lam]) == 1
+        assert capsys.readouterr().err == (
+            "honestflow: --lambda: resolvent parameter must be positive and finite\n")
+
+    @pytest.mark.parametrize("command", [["run"], ["honesty", "--window", "0,1"],
+                                         ["resolvent", "--lambda", "1"]])
+    def test_n_cap_override_bounded(self, capsys, command):
+        # refused before any order is built
+        code = cli.main([command[0], "geometric-ladder-dishonest", *command[1:],
+                         "--n-cap", "100000000"])
+        assert code == 1
+        assert capsys.readouterr().err == "honestflow: n_cap override must be at most 10000\n"
+        assert not self.out_dir.exists()
 
     def test_unknown_scenario_exits_one(self, capsys):
         code = cli.main(["run", "not-a-scenario"])

@@ -251,12 +251,6 @@ def _disk_hits(rem, tau):
     return k, capped, k.astype(np.int64) + 1
 
 
-def _disk_tally(weight, rebounds, idx, hits, scale):
-    rebounds[idx] += hits
-    if scale != 1.0:
-        weight[idx] *= scale ** hits
-
-
 def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale):
     x, y = pos[:, 0], pos[:, 1]
     vx, vy = vel[:, 0], vel[:, 1]
@@ -297,7 +291,9 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     y[idx] = cy + (sa * ux + ca * uy)
     vx[idx] = ca * wx - sa * wy
     vy[idx] = sa * wx + ca * wy
-    _disk_tally(weight, rebounds, idx, hits, scale)
+    rebounds[idx] += hits
+    if scale != 1.0:
+        weight[idx] *= scale ** hits
 
 
 def _disk_chord_blocks(states, n, cx, cy, radius):
@@ -323,19 +319,35 @@ def _disk_chord_blocks(states, n, cx, cy, radius):
 
 
 def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale):
+    # One streaming pass per time and slice, with no gather or scatter.  A
+    # particle that does not move (s0 = inf for an input-degenerate one,
+    # s0 > t, or a graze) gets hits = 0, so its count gains +0 and its weight
+    # * 1.0; every moving one goes through the full-state kernel's own
+    # expressions, so the rows are its bits.  At scale 1 no weight changes
+    # and every time yields the one read-only weight array.
     s0, graze, tau = chords
+    if scale == 1.0 and weight.flags.writeable:
+        weight = weight.view()
+        weight.flags.writeable = False
     for t in times.tolist():
-        w, n, flagged = weight.copy(), rebounds.copy(), degenerate.copy()
-        # at t = 0 nothing moves, not even a particle sitting on the wall
-        if t > 0.0:
-            for lo in range(0, w.size, DISK_CHUNK):
+        if t == 0.0:
+            # nothing moves, not even a particle sitting on the wall
+            yield (weight if scale == 1.0 else weight.copy()), rebounds.copy(), degenerate.copy()
+            continue
+        w = weight if scale == 1.0 else np.empty_like(weight)
+        n, flagged = np.empty_like(rebounds), np.empty_like(degenerate)
+        # the masked lanes divide by tau = 0 and cast the inf or nan k it gives
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, n.size, DISK_CHUNK):
                 sl = slice(lo, lo + DISK_CHUNK)
                 hit = s0[sl] <= t
-                flagged[sl][hit & graze[sl]] = True
-                idx = np.flatnonzero(hit & ~graze[sl])
-                _, capped, hits = _disk_hits(t - s0[sl][idx], tau[sl][idx])
-                flagged[sl][idx[capped]] = True
-                _disk_tally(w[sl], n[sl], idx, hits, scale)
+                move = hit & ~graze[sl]
+                _, capped, hits = _disk_hits(t - s0[sl], tau[sl])
+                hits = np.where(move, hits, 0)
+                np.add(rebounds[sl], hits, out=n[sl])
+                flagged[sl] = degenerate[sl] | (hit & graze[sl]) | (move & capped)
+                if scale != 1.0:
+                    np.multiply(weight[sl], scale ** hits, out=w[sl])
         yield w, n, flagged
 
 
@@ -346,10 +358,12 @@ def disk_counts(states, weight, rebounds, degenerate, geom, times, scale):
     of particles lo..hi-1; the arrays are left alone.  Returns an iterator
     of ``(weight, rebounds, degenerate)`` over ``distinct_times(times)``;
     the k-th is bitwise what ``billiard_transport`` leaves in those arrays
-    on a copy of the ensemble for the k-th time.  Positions and velocities
-    are never transported: each particle's first-hit time, graze flag and
-    chord period are computed once, here, and every time then costs a few
-    array operations per particle.
+    on a copy of the ensemble for the k-th time.  At scale 1 no weight
+    changes, and every time yields one read-only weight array: ``weight``
+    itself if it is read-only, else a read-only view of it.  Positions and
+    velocities are never transported: each particle's first-hit time, graze
+    flag and chord period are computed once, here, and every time then costs
+    one streaming pass over them.
     """
     times = distinct_times(times)
     cx, cy = geom.center
@@ -380,14 +394,21 @@ def disk_counts(states, weight, rebounds, degenerate, geom, times, scale):
 def _snapshot(out, kk, cols, w, n, flagged, state):
     # rows kk of particles cols; state() gives their positions and velocities
     # and runs only when out holds them: a counts-only out is (weight,
-    # rebounds, degenerate)
+    # rebounds, degenerate).  w is None at scale 1, where no weight changes
+    # and out's weight rows are left as they are
     *full, weight, rebounds, degenerate = out
     if full:
         pos, vel = full
         pos[kk, cols, 0], pos[kk, cols, 1], vel[kk, cols, 0], vel[kk, cols, 1] = state()
-    weight[kk, cols] = w
+    if w is not None:
+        weight[kk, cols] = w
     rebounds[kk, cols] = n
     degenerate[kk, cols] = flagged
+
+
+def _take(w, jj):
+    # working weights jj; None stays None
+    return None if w is None else w[jj]
 
 
 def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, verts,
@@ -399,7 +420,9 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
     idx = np.flatnonzero(~degenerate) if times.size and times[-1] > 0.0 else np.arange(0)
     x, y = pos[idx, 0], pos[idx, 1]
     vx, vy = vel[idx, 0], vel[idx, 1]
-    w, n, speed = weight[idx], rebounds[idx], speed[idx]
+    n, speed = rebounds[idx], speed[idx]
+    # the working weights; at scale 1 there are none to track
+    w = weight[idx] if scale != 1.0 else None
     rem = np.repeat(times[:, None], idx.size, axis=1)
     rounds = 0
     # a particle with no hit ahead (s = inf) only ever flies; the garbage its
@@ -422,14 +445,14 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
             fly = s > rem
             kk, jj = np.nonzero(open_ & fly)
             r = rem[kk, jj]
-            _snapshot(out, kk, idx[jj], w[jj], n[jj], False,
+            _snapshot(out, kk, idx[jj], _take(w, jj), n[jj], False,
                       lambda: (x[jj] + vx[jj] * r, y[jj] + vy[jj] * r, vx[jj], vy[jj]))
             hit = open_ & ~fly
             if rounds > ITER_CAP:
                 # a row owing more than ITER_CAP reflections stops at the last
                 # one; rows that reach their time first have flown out above
                 kk, jj = np.nonzero(hit)
-                _snapshot(out, kk, idx[jj], w[jj], n[jj], True,
+                _snapshot(out, kk, idx[jj], _take(w, jj), n[jj], True,
                           lambda: (x[jj], y[jj], vx[jj], vy[jj]))
                 break
             rem = np.where(fly, 0.0, rem - s)
@@ -450,17 +473,18 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
             vx = np.where(graze, vx, vx - 2.0 * vn * nx)
             vy = np.where(graze, vy, vy - 2.0 * vn * ny)
             n = n + ~graze
-            if scale != 1.0:
+            if w is not None:
                 w = np.where(graze, w, w * scale)
             # a graze freezes every row that reached this hit; a reflection
             # closes the rows it leaves with no time
             kk, jj = np.nonzero(hit & (graze | (rem == 0.0)))
-            _snapshot(out, kk, idx[jj], w[jj], n[jj], graze[jj],
+            _snapshot(out, kk, idx[jj], _take(w, jj), n[jj], graze[jj],
                       lambda: (x[jj], y[jj], vx[jj], vy[jj]))
             keep = ~graze & (rem[-1] > 0.0)
             if not keep.all():
-                idx, x, y, vx, vy, w, n, speed = (
-                    a[keep] for a in (idx, x, y, vx, vy, w, n, speed))
+                idx, x, y, vx, vy, n, speed = (
+                    a[keep] for a in (idx, x, y, vx, vy, n, speed))
+                w = _take(w, keep)
                 rem = rem[:, keep]
     return out
 
@@ -501,10 +525,15 @@ def polygon_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
     of the inputs for the k-th time.  One sweep steps each particle's events
     once, up to the largest time, and never writes the rows' positions or
     velocities: a row costs 17 bytes per particle, plus 8 of remaining time
-    while it runs.
+    while it runs.  At scale 1 no weight changes: the weight rows are one
+    read-only broadcast of ``weight``, and a row costs 9 bytes.
     """
     times = distinct_times(times)
-    out = tuple(np.repeat(a[None], times.size, axis=0) for a in (weight, rebounds, degenerate))
+    if scale == 1.0:
+        weights = np.broadcast_to(weight, (times.size, weight.shape[0]))
+    else:
+        weights = np.repeat(weight[None], times.size, axis=0)
+    out = (weights, *(np.repeat(a[None], times.size, axis=0) for a in (rebounds, degenerate)))
     return _polygon_sweep((pos, vel, weight, rebounds, degenerate), out, geom, times, scale)
 
 

@@ -192,6 +192,8 @@ class ReboundCounts:
 
     Treat the arrays as read-only: the rebound histogram is built once, on
     first use, and every report derived from this record reads that one.
+    Along a trajectory at scale 1 no weight changes, and every time's
+    record holds one shared read-only weight array.
     """
 
     weight: np.ndarray
@@ -419,13 +421,16 @@ def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: 
     yields bitwise what ``transport_counts_times`` yields for that ensemble,
     ``times``, ``geom`` and ``scale``.  Bad requests and times raise
     ValueError here.  No particle state is ever held whole: the particles
-    cost 17 bytes each for chords plus 17 for their counts.
+    cost 17 bytes each for chords plus 17 for their counts, and each time
+    in hand 17 more, or 9 at scale 1.  ``counts0.weight`` is read-only, and
+    at scale 1 every time's weight is that array itself.
     """
     if geom.shape != "disk":
         raise ValueError("disk counts are defined on a disk table")
     draw = _state_sampler(geom, n, seed, region)
     ts = _kernels.distinct_times(times)
     counts0 = _initial_counts(n)
+    counts0.weight.flags.writeable = False
     steps = _kernels.disk_counts(draw, counts0.weight, counts0.rebounds, counts0.degenerate,
                                  geom, ts, scale)
     return counts0, _trajectory(ts, steps)
@@ -483,14 +488,15 @@ def transport_ensemble(
 SWEEP_STATES = 1 << 21
 
 
-def _polygon_trajectory(ens: ParticleEnsemble, ts, geom: Billiard, scale: float):
+def _polygon_trajectory(ens: ParticleEnsemble, weight, ts, geom: Billiard, scale: float):
     # (t, counts) at the distinct ascending times ts, views of the sweep's
-    # rows; every group starts from ens, so it stays bitwise, and the counts
-    # the caller holds can keep the previous group alive while the next runs
+    # rows; every group starts from ens, with weight for its weights, so it
+    # stays bitwise, and the counts the caller holds can keep the previous
+    # group alive while the next runs
     rows = max(1, SWEEP_STATES // max(1, len(ens)))
     for lo in range(0, ts.size, rows):
         group = ts[lo:lo + rows]
-        counts = _kernels.polygon_counts(ens.pos, ens.vel, ens.weight, ens.rebounds,
+        counts = _kernels.polygon_counts(ens.pos, ens.vel, weight, ens.rebounds,
                                          ens.degenerate, geom, group, scale)
         for k, t in enumerate(group.tolist()):
             yield t, ReboundCounts(*(a[k] for a in counts))
@@ -504,26 +510,30 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     ascending order; each ``counts`` is bitwise ``transport_ensemble(ens, t,
     geom, scale).counts``.  Bad times, and particles outside the table as
     ``transport_ensemble`` refuses them, raise ValueError here, not when
-    iterating.  A disk never transports positions: each particle's first
-    hit and chord are computed once, about 17 bytes per particle held for
-    the whole trajectory, and each time then costs a few array operations
-    per particle.  A polygon steps every particle's events once per group of
-    times, up to the group's largest, each group holding at most
-    ``SWEEP_STATES`` particle states of 25 bytes (weight, count and flag per
-    time, never positions or velocities, plus the remaining time), and
-    yields views of the sweep's rows, without copying them.  The sweep runs
-    one block of particles per CPU; its rows are the same bytes for any
-    number of blocks.
+    iterating.  The weights are copied once, read-only, per call: at scale 1
+    every time's counts hold that one copy, and no later write to
+    ``ens.weight`` reaches them.  A disk never transports positions: each
+    particle's first hit and chord are computed once, about 17 bytes per
+    particle held for the whole trajectory, and each time then costs one
+    streaming pass over them.  A polygon steps every particle's events once
+    per group of times, up to the group's largest, each group holding at
+    most ``SWEEP_STATES`` particle states of 25 bytes (weight, count and
+    flag per time, never positions or velocities, plus the remaining time;
+    17 at scale 1, with no weight), and yields views of the sweep's rows,
+    without copying them.  The sweep runs one block of particles per CPU;
+    its rows are the same bytes for any number of blocks.
     """
     ts = _kernels.distinct_times(times)
     _check_on_table(ens, geom)
+    weight = ens.weight.copy()
+    weight.flags.writeable = False
     if geom.shape == "disk":
         pos, vel = ens.pos, ens.vel
         steps = _kernels.disk_counts(
             lambda lo, hi: (pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1]),
-            ens.weight, ens.rebounds, ens.degenerate, geom, ts, scale)
+            weight, ens.rebounds, ens.degenerate, geom, ts, scale)
         return _trajectory(ts, steps)
-    return _polygon_trajectory(ens, ts, geom, scale)
+    return _polygon_trajectory(ens, weight, ts, geom, scale)
 
 
 def _trajectory(ts, steps):

@@ -1,5 +1,7 @@
 import math
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +214,9 @@ def off_centre_disk():
 def small_square():
     return Billiard("polygon", vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
                     velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+
+
+STATE = ("pos", "vel", "weight", "rebounds", "degenerate")
 
 
 def views(ens):
@@ -518,6 +523,163 @@ class TestDiskChords:
         monkeypatch.setattr(_kernels, "_disk_wall", failing)
         with pytest.raises(FloatingPointError, match="block failed"):
             densities.sample_disk_counts(small_disk(), 301, 5, "domain", (1.0,), 1.0)
+
+
+def hexagon():
+    ang = [k * math.pi / 3 for k in range(6)]
+    return Billiard("polygon", vertices=tuple((math.cos(a), math.sin(a)) for a in ang),
+                    velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+
+
+def rows_of(trajectory):
+    return [counts for _, counts in trajectory]
+
+
+def assert_read_only(weight):
+    assert not weight.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        weight[0] = 1.0
+
+
+class TestSharedWeights:
+    """At scale 1 no weight changes: every time of a trajectory holds one
+    shared read-only weight array, never the caller's writable one.  Below 1
+    every time holds weights of its own."""
+
+    TIMES = (0.0, 1.0, 4.0)
+
+    def test_sampled_disk_times_hold_the_initial_weights(self):
+        counts0, trajectory = densities.sample_disk_counts(small_disk(), 3000, 5, "domain",
+                                                           self.TIMES, 1.0)
+        rows = rows_of(trajectory)
+        assert rows[-1].rebounds.max() > 0
+        for counts in rows:
+            assert counts.weight is counts0.weight
+        assert_read_only(counts0.weight)
+
+    @pytest.mark.parametrize("table", [small_disk, hexagon])
+    def test_trajectory_holds_one_read_only_copy(self, table):
+        geom = table()
+        ens = sample_ensemble(geom, 3000, seed=5)
+        want = ens.weight.copy()
+        trajectory = transport_counts_times(ens, self.TIMES, geom)
+        # after the call, and before a polygon's lazy sweep runs
+        ens.weight[:] = 7.0
+        rows = rows_of(trajectory)
+        ens.weight[:] = 9.0
+        assert rows[-1].rebounds.max() > 0
+        for counts in rows:
+            assert np.shares_memory(counts.weight, rows[0].weight)
+            assert not np.shares_memory(counts.weight, ens.weight)
+            assert np.array_equal(counts.weight, want)
+            assert_read_only(counts.weight)
+        # the ensemble itself stays writable
+        assert all(getattr(ens, name).flags.writeable for name in STATE)
+
+    def test_polygon_rows_broadcast_the_input_weights(self):
+        geom = hexagon()
+        ens = sample_ensemble(geom, 300, seed=5)
+        weight, rebounds, _ = _kernels.polygon_counts(*(getattr(ens, name) for name in STATE),
+                                                      geom, self.TIMES, 1.0)
+        assert rebounds[-1].max() > 0
+        assert weight.shape == (3, 300)
+        for row in weight:
+            assert np.shares_memory(row, weight[0]) and np.shares_memory(row, ens.weight)
+            assert np.array_equal(row, ens.weight)
+            assert_read_only(row)
+        assert ens.weight.flags.writeable
+
+    def test_sampled_ensembles_stay_writable(self):
+        for table in (small_disk, hexagon):
+            ens = sample_ensemble(table(), 10, seed=1)
+            assert all(getattr(ens, name).flags.writeable for name in STATE)
+
+    @pytest.mark.parametrize("table", [off_centre_disk, hexagon])
+    def test_scaled_times_hold_weights_of_their_own(self, table):
+        geom = table()
+        ens = sample_ensemble(geom, 3000, seed=5)
+        trajectories = [transport_counts_times(ens, self.TIMES, geom, 0.7)]
+        if geom.shape == "disk":
+            trajectories.append(
+                densities.sample_disk_counts(geom, 3000, 5, "domain", self.TIMES, 0.7)[1])
+        for rows in map(rows_of, trajectories):
+            for k, (t, counts) in enumerate(zip(self.TIMES, rows)):
+                ref = transported(ens, geom, t, 0.7)
+                assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
+                                   (ref.weight, ref.rebounds, ref.degenerate))
+                assert not np.shares_memory(counts.weight, ens.weight)
+                assert not any(np.shares_memory(counts.weight, other.weight)
+                               for other in rows[k + 1:])
+            assert rows[-1].weight.min() < rows[0].weight.min()
+
+
+def edge_disk():
+    return Billiard("disk", center=(0.0, 0.0), radius=1.0,
+                    velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+
+
+class TestStreamingCountSteps:
+    """The disk count step runs every particle through one masked pass; the
+    lanes it masks (no first hit, a zero chord period, a cap) raise no
+    floating-point warning and come out bitwise the full-state kernel's."""
+
+    TIMES = (0.0, 1.0, 1.5, 6.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_masked_lanes_match_the_full_state_kernel(self, monkeypatch, scale):
+        geom = edge_disk()
+        ens = sample_ensemble(geom, 200, seed=21)
+        # input-degenerate: its first hit is at s0 = inf
+        ens.degenerate[3] = True
+        # tangent at (0, 1) after unit time: a graze with tau exactly 0, at
+        # t = 1 dividing 0 by 0 and later 1 by 0
+        ens.pos[5], ens.vel[5] = (-1.0, 1.0), (1.0, 0.0)
+        # on the wall and tangent to it: a graze at s0 = 0
+        ens.pos[6], ens.vel[6] = (0.0, 1.0), (1.0, 0.0)
+        # on the wall moving out: a hit at s0 = 0, which t = 0 leaves alone
+        ens.pos[7], ens.vel[7] = (1.0, 0.0), (1.0, 0.0)
+        monkeypatch.setattr(_kernels, "ITER_CAP", 3)
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = list(_kernels.disk_counts(views(ens), ens.weight, ens.rebounds,
+                                              ens.degenerate, geom, self.TIMES, scale))
+            refs = [transported(ens, geom, t, scale) for t in self.TIMES]
+        for (weight, rebounds, degenerate), ref in zip(steps, refs):
+            assert same_arrays((weight, rebounds, degenerate),
+                               (ref.weight, ref.rebounds, ref.degenerate))
+        flags = np.array([d for _, _, d in steps])
+        counts = np.array([n for _, n, _ in steps])
+        assert flags[:, 3].all() and not counts[:, 3].any()
+        assert flags[:, 5].tolist() == [False, True, True, True]
+        assert flags[:, 6].tolist() == [False, True, True, True]
+        assert counts[:, 7].tolist()[:2] == [0, 1]
+        # capped particles: flagged with ITER_CAP rebounds, the rest below it
+        capped = flags[-1] & (counts[-1] == 3)
+        assert capped.sum() > 10 and counts[-1].max() == 3
+        assert np.flatnonzero(flags[0]).tolist() == [3]
+        if scale == 1.0:
+            assert all(weight is steps[0][0] for weight, _, _ in steps)
+
+
+def test_count_steps_hold_nine_bytes_per_particle_and_time():
+    # at scale 1 a time in hand costs 9 bytes per particle (a count and a
+    # flag, the weight shared), 17 with a weight of its own.  Four times
+    # held after the first, plus one slice's temporaries, read about 47
+    # bytes per particle at 2^18 particles; 17-byte times read about 83
+    n = 1 << 18
+    _, trajectory = densities.sample_disk_counts(small_disk(), n, 7, "domain",
+                                                 (0.5, 2.0, 5.0, 10.0, 20.0), 1.0)
+    steps = iter(trajectory)
+    first = next(steps)
+    tracemalloc.start()
+    try:
+        held = list(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 56.0, peak / n
+    assert len(held) == 4 and first[1].weight is held[-1][1].weight
 
 
 class TestLadderSampling:

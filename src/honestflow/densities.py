@@ -73,8 +73,14 @@ class PiecewiseDensity:
         """Build from ``(lo, hi, value)`` pieces, validating that every piece
         sits inside a single interval of the geometry."""
         parts: dict[int, StepFunction] = {}
+        # the mass bound is NaN or inf once a number is, or once the pieces
+        # hold more mass than a float can
+        mass = 0.0
         for lo, hi, value in pieces:
             lo, hi, value = float(lo), float(hi), float(value)
+            mass += (hi - lo) * abs(value)
+            if not np.isfinite(mass):
+                raise ValueError(f"piece ({lo}, {hi}, {value}) makes the mass not finite")
             if not lo < hi:
                 raise ValueError(f"piece ({lo}, {hi}) is empty")
             klo = geom.index_of(lo)
@@ -86,7 +92,9 @@ class PiecewiseDensity:
                     f"piece ({lo}, {hi}) does not sit inside one interval of the geometry"
                 )
             f = StepFunction.indicator(lo, hi, value)
-            parts[klo] = parts[klo] + f if klo in parts else f
+            # pieces summing past the largest float are refused as not finite
+            with np.errstate(over="ignore"):
+                parts[klo] = parts[klo] + f if klo in parts else f
         return cls(parts)
 
     # -- queries -------------------------------------------------------------
@@ -308,13 +316,33 @@ class ParticleEnsemble:
         return self.counts.tail_weights(n_max)
 
 
+def _numbers(text: str) -> tuple:
+    # comma separated numbers; a ValueError names the text
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise ValueError(f"expected comma separated numbers, got {text!r}") from None
+
+
+# sampling regions besides "domain": prefix -> the numbers that follow it
+_REGIONS = {"disk:": ("cx", "cy", "r"), "box:": ("x0", "y0", "x1", "y1")}
+
+
 def _region_spec(region, geom: Billiard):
+    # the sampling region as a tuple, once it parses and sits inside the
+    # table; a ValueError says why not
     if region == "domain":
         if geom.shape == "disk":
             return ("disk", geom.center[0], geom.center[1], geom.radius)
         return ("polygon",)
-    if isinstance(region, str) and region.startswith("disk:"):
-        cx, cy, rad = (float(s) for s in region[5:].split(","))
+    prefix = next((p for p in _REGIONS if isinstance(region, str) and region.startswith(p)), None)
+    if prefix is None:
+        raise ValueError(f"expected domain|disk:...|box:..., got {region!r}")
+    values = _numbers(region[len(prefix):])
+    if len(values) != len(_REGIONS[prefix]):
+        raise ValueError(f"expected {prefix}{','.join(_REGIONS[prefix])}, got {region!r}")
+    if prefix == "disk:":
+        cx, cy, rad = values
         # the region may touch the wall up to a slack relative to the table's
         # own size: its radius, or a polygon's largest vertex distance from
         # the vertex mean
@@ -327,17 +355,15 @@ def _region_spec(region, geom: Billiard):
             n, d = geom.edge_normals()
             fits = np.all(n @ np.array([cx, cy]) + rad <= d + 1e-12 * size)
         if not fits or rad <= 0:
-            raise ValueError(f"region {region!r} does not sit inside the table")
+            raise ValueError(f"{region!r} does not sit inside the table")
         return ("disk", cx, cy, rad)
-    if isinstance(region, str) and region.startswith("box:"):
-        x0, y0, x1, y1 = (float(s) for s in region[4:].split(","))
-        if not (x0 < x1 and y0 < y1):
-            raise ValueError(f"region {region!r} is empty")
-        corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
-        if not all(geom.contains(c) for c in corners):
-            raise ValueError(f"region {region!r} does not sit inside the table")
-        return ("box", x0, y0, x1, y1)
-    raise ValueError(f"unknown sampling region {region!r}")
+    x0, y0, x1, y1 = values
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"{region!r} is empty")
+    corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
+    if not all(geom.contains(c) for c in corners):
+        raise ValueError(f"{region!r} does not sit inside the table")
+    return ("box", x0, y0, x1, y1)
 
 
 def _state_sampler(geom: Billiard, n: int, seed: int, region):
@@ -422,15 +448,16 @@ def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: 
     ``times``, ``geom`` and ``scale``.  Bad requests and times raise
     ValueError here.  No particle state is ever held whole: the particles
     cost 17 bytes each for chords plus 17 for their counts, and each time
-    in hand 17 more, or 9 at scale 1.  ``counts0.weight`` is read-only, and
-    at scale 1 every time's weight is that array itself.
+    in hand 17 more, or 9 at scale 1.  ``counts0``'s arrays are read-only,
+    and at scale 1 every time's weight is ``counts0.weight`` itself.
     """
     if geom.shape != "disk":
         raise ValueError("disk counts are defined on a disk table")
     draw = _state_sampler(geom, n, seed, region)
     ts = _kernels.distinct_times(times)
     counts0 = _initial_counts(n)
-    counts0.weight.flags.writeable = False
+    for array in (counts0.weight, counts0.rebounds, counts0.degenerate):
+        array.flags.writeable = False
     steps = _kernels.disk_counts(draw, counts0.weight, counts0.rebounds, counts0.degenerate,
                                  geom, ts, scale)
     return counts0, _trajectory(ts, steps)
@@ -490,14 +517,26 @@ SWEEP_STATES = 1 << 21
 
 def _polygon_trajectory(ens: ParticleEnsemble, weight, ts, geom: Billiard, scale: float):
     # (t, counts) at the distinct ascending times ts, views of the sweep's
-    # rows; every group starts from ens, with weight for its weights, so it
-    # stays bitwise, and the counts the caller holds can keep the previous
-    # group alive while the next runs
+    # rows.  The first group of times sweeps here, and later groups as they
+    # are reached, from a copy of ens taken here; each group starts from
+    # ens, with weight for its weights, so it stays bitwise
     rows = max(1, SWEEP_STATES // max(1, len(ens)))
+    if ts.size > rows:
+        ens = ens.copy()
+
+    def sweep(group):
+        return _kernels.polygon_counts(ens.pos, ens.vel, weight, ens.rebounds, ens.degenerate,
+                                       geom, group, scale)
+
+    return _polygon_rows(sweep, sweep(ts[:rows]), ts, rows)
+
+
+def _polygon_rows(sweep, counts, ts, rows):
+    # counts holds the rows of the first group; the counts the caller holds
+    # can keep the previous group alive while the next runs
     for lo in range(0, ts.size, rows):
         group = ts[lo:lo + rows]
-        counts = _kernels.polygon_counts(ens.pos, ens.vel, weight, ens.rebounds,
-                                         ens.degenerate, geom, group, scale)
+        counts = counts if lo == 0 else sweep(group)
         for k, t in enumerate(group.tolist()):
             yield t, ReboundCounts(*(a[k] for a in counts))
         del counts
@@ -510,18 +549,21 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     ascending order; each ``counts`` is bitwise ``transport_ensemble(ens, t,
     geom, scale).counts``.  Bad times, and particles outside the table as
     ``transport_ensemble`` refuses them, raise ValueError here, not when
-    iterating.  The weights are copied once, read-only, per call: at scale 1
-    every time's counts hold that one copy, and no later write to
-    ``ens.weight`` reaches them.  A disk never transports positions: each
-    particle's first hit and chord are computed once, about 17 bytes per
-    particle held for the whole trajectory, and each time then costs one
-    streaming pass over them.  A polygon steps every particle's events once
-    per group of times, up to the group's largest, each group holding at
-    most ``SWEEP_STATES`` particle states of 25 bytes (weight, count and
-    flag per time, never positions or velocities, plus the remaining time;
-    17 at scale 1, with no weight), and yields views of the sweep's rows,
-    without copying them.  The sweep runs one block of particles per CPU;
-    its rows are the same bytes for any number of blocks.
+    iterating.  The result is a snapshot of ``ens`` at the call: no later
+    write to the ensemble reaches it.  The weights are copied once,
+    read-only, per call, and at scale 1 every time's counts hold that one
+    copy.  A disk copies the rebound counters and flags too (9 bytes per
+    particle), and never transports positions: each particle's first hit
+    and chord are computed at the call, about 17 bytes per particle held for
+    the whole trajectory, and each time then costs one streaming pass over
+    them.  A polygon steps every particle's events once per group of times,
+    up to the group's largest, each group holding at most ``SWEEP_STATES``
+    particle states of 25 bytes (weight, count and flag per time, never
+    positions or velocities, plus the remaining time; 17 at scale 1, with
+    no weight), and yields views of the sweep's rows, without copying them.
+    The first group sweeps at the call, and the ensemble is copied only
+    when there are more groups.  The sweep runs one block of particles per
+    CPU; its rows are the same bytes for any number of blocks.
     """
     ts = _kernels.distinct_times(times)
     _check_on_table(ens, geom)
@@ -531,7 +573,7 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
         pos, vel = ens.pos, ens.vel
         steps = _kernels.disk_counts(
             lambda lo, hi: (pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1]),
-            weight, ens.rebounds, ens.degenerate, geom, ts, scale)
+            weight, ens.rebounds.copy(), ens.degenerate.copy(), geom, ts, scale)
         return _trajectory(ts, steps)
     return _polygon_trajectory(ens, weight, ts, geom, scale)
 

@@ -85,6 +85,9 @@ class IntervalUnion:
     intervals: tuple = field(default=())
 
     def __post_init__(self):
+        for name in ("start", "spacing", "length", "ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
         if self.rule == "affine":
             if not (0.0 < self.length <= self.spacing):
                 raise ValueError("affine rule needs 0 < length <= spacing")
@@ -98,6 +101,8 @@ class IntervalUnion:
             if not ivs:
                 raise ValueError("explicit rule needs at least one interval")
             for a, b in ivs:
+                if not (math.isfinite(a) and math.isfinite(b)):
+                    raise ValueError(f"intervals: endpoints must be finite, got ({a}, {b})")
                 if not a < b:
                     raise ValueError(f"degenerate interval ({a}, {b})")
             for (_, b0), (a1, _) in zip(ivs, ivs[1:]):
@@ -209,8 +214,9 @@ class IntervalUnion:
             starts = [a for a, _ in self.intervals]
             k = bisect.bisect_right(starts, x) - 1
             return k if 0 <= k < len(self.intervals) else None
-        k = math.floor((x - self.start) / self.spacing)
-        return int(k) if k >= 0 else None
+        # an index past every float (or a NaN point) is outside
+        k = (x - self.start) / self.spacing
+        return int(k) if 0 <= k < math.inf else None
 
     def classify(self, x: float) -> tuple[str, int | None]:
         """('interior'|'incoming'|'outgoing'|'outside', index)."""

@@ -1,7 +1,8 @@
 """Config-driven scenario runner: geometry + boundary rule + initial density,
 bound into reproducible experiments with machine-readable reports.
 
-Config grammar (INI-style sections, ``key = value`` entries, ``#`` comments):
+Config grammar (INI-style sections, ``key = value`` entries, ``#`` comments);
+``_FIELDS`` holds each key's parser, default and bounds:
 
     [geometry]
     kind = interval-union | billiard
@@ -23,22 +24,22 @@ Config grammar (INI-style sections, ``key = value`` entries, ``#`` comments):
     [boundary]
     kind = shift | kernel | specular
     scale = 1.0            # per-crossing weight, in (0, 1]
-    row_0 = 1:0.5, 2:0.5   # kernel rows (outgoing index -> incoming weights)
+    row_<k> = 1:0.5, 2:0.5 # kernel row of outgoing index k: incoming weights
 
     [density]
     kind = piecewise | ensemble
     pieces = 0, 1, 1.0     # lo, hi, value triples, semicolon separated
-    count = 100000         # ensemble size, 1..10**7
-    seed = 42              # required for ensembles, in [0, 2**64)
-    region = domain | disk:cx,cy,r | box:x0,y0,x1,y1
+    count = 100000         # ensemble size
+    seed = 42              # required for ensembles
+    region = domain | disk:cx,cy,r | box:x0,y0,x1,y1   # inside the table
 
     [run]
-    times = 0.5, 1.5, 3    # report times (time-series rows), finite
+    times = 0.5, 1.5, 3    # report times (time-series rows)
     tol = 1e-8             # expansion / diagnostic tolerance
     n_cap = 128            # order cap
     lambdas = 0.5, 1, 2    # resolvent test parameters (ladders only)
     windows = 0,1.5; 1,2   # honesty windows, semicolon separated
-    grid_points = 8        # subwindow grid for window verdicts, 2..256
+    grid_points = 8        # subwindow grid for window verdicts
     output_dir = reports
     label = my-scenario
 
@@ -62,17 +63,14 @@ from .boundary import BoundaryRule
 # transport_ensemble is not called here; perfbench/tracing.py wraps it under
 # this name
 from .densities import (
-    PiecewiseDensity, ReboundCounts, sample_disk_counts, sample_ensemble, transport_counts_times,
-    transport_ensemble,
+    PiecewiseDensity, ReboundCounts, _numbers, _region_spec, sample_disk_counts, sample_ensemble,
+    transport_counts_times, transport_ensemble,
 )
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, TruncationReport
 from .geometry import Billiard, IntervalUnion, VelocitySpec
 from . import honesty as _hon
 
 BUILTIN_NAMES = ("unit-ladder-honest", "geometric-ladder-dishonest", "disk-billiard")
-
-# ensemble seeds key counter-based draws as unsigned 64-bit integers
-_SEED_LIMIT = 2**64
 
 # a ladder window holds G(G-1)/2 subwindow reports, built from one entry
 # table over all of them: 32 640 per window at G = 256
@@ -97,94 +95,68 @@ MAX_SCALE = 1e75
 # magnitude, or its positions round onto too few points to tell apart
 MIN_RELATIVE_SIZE = 1e-6
 
-# sampling regions besides "domain": prefix -> the numbers that follow it
-_REGION_FIELDS = {"disk:": ("cx", "cy", "r"), "box:": ("x0", "y0", "x1", "y1")}
-
 
 class ConfigError(ValueError):
     """Raised when a scenario config fails validation; names the field."""
 
 
-# -- parsing helpers --------------------------------------------------------
+# -- value parsers ----------------------------------------------------------
+#
+# Each takes a value's text and returns the value, or raises ValueError
+# with the message tail that follows "[section] key: ".
 
 
-def _floats(text: str, where: str) -> tuple:
+def _number(text: str) -> float:
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected comma separated numbers, got {text!r}") from exc
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected a number, got {text!r}") from None
 
 
-def _pairs(text: str, where: str) -> tuple:
+def _integer(text: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
+# what a grouped value holds, by group size
+_GROUP_NAMES = {2: "pairs 'a,b'", 3: "triples 'lo,hi,value'"}
+
+
+def _groups(text: str, size: int) -> tuple:
+    """Semicolon separated groups of ``size`` comma separated numbers."""
     out = []
-    for chunk in text.split(";"):
-        if not chunk.strip():
-            continue
-        vals = _floats(chunk, where)
-        if len(vals) != 2:
-            raise ConfigError(f"{where}: expected pairs 'a,b', got {chunk.strip()!r}")
-        out.append((vals[0], vals[1]))
+    for chunk in filter(str.strip, text.split(";")):
+        values = _numbers(chunk)
+        if len(values) != size:
+            raise ValueError(f"expected {_GROUP_NAMES[size]}, got {chunk.strip()!r}")
+        out.append(values)
     return tuple(out)
 
 
-def _triples(text: str, where: str) -> tuple:
-    out = []
-    for chunk in text.split(";"):
-        if not chunk.strip():
-            continue
-        vals = _floats(chunk, where)
-        if len(vals) != 3:
-            raise ConfigError(f"{where}: expected triples 'lo,hi,value', got {chunk.strip()!r}")
-        out.append((vals[0], vals[1], vals[2]))
-    return tuple(out)
+def _windows(text: str) -> tuple:
+    windows = _groups(text, 2)
+    for s, t in windows:
+        if not (math.isfinite(s) and math.isfinite(t)):
+            raise ValueError(f"need finite s,t, got {s},{t}")
+        if not 0 <= s < t:
+            raise ValueError(f"need 0 <= s < t, got {s},{t}")
+    return windows
 
 
-class _Section:
-    """One config section with used-key tracking and typed lookups."""
-
-    def __init__(self, name: str, items: dict):
-        self.name = name
-        self.items = items
-        self.used: set = set()
-
-    def has(self, key: str) -> bool:
-        return key in self.items
-
-    def raw(self, key: str, default=None):
-        self.used.add(key)
-        return self.items.get(key, default)
-
-    def require(self, key: str) -> str:
-        if key not in self.items:
-            raise ConfigError(f"[{self.name}] missing required key {key!r}")
-        return self.raw(key)
-
-    def text(self, key: str, default=None):
-        v = self.raw(key, default)
-        return v if v is None else str(v).strip()
-
-    def number(self, key: str, default=None):
-        v = self.raw(key, default)
-        if v is None or isinstance(v, float):
-            return v
+def _row(text: str) -> tuple:
+    # one kernel row: (incoming index, weight) entries
+    entries = []
+    for chunk in filter(str.strip, text.split(",")):
+        if ":" not in chunk:
+            raise ValueError("entries look like 'incoming:weight'")
+        j, p = chunk.split(":", 1)
         try:
-            return float(v)
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key}: expected a number, got {v!r}") from exc
-
-    def integer(self, key: str, default=None):
-        v = self.raw(key, default)
-        if v is None or isinstance(v, int):
-            return v
-        try:
-            return int(str(v).strip())
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {key}: expected an integer, got {v!r}") from exc
-
-    def reject_unused(self):
-        stray = sorted(set(self.items) - self.used)
-        if stray:
-            raise ConfigError(f"[{self.name}] unknown key {stray[0]!r}")
+            entries.append((int(j), float(p)))
+        except ValueError:
+            raise ValueError(f"bad entry {chunk.strip()!r}") from None
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -212,84 +184,168 @@ class ScenarioConfig:
         return isinstance(self.geometry, Billiard)
 
 
+# -- the field table --------------------------------------------------------
+#
+# section -> key -> (parser, default, *bounds).  The parser is a value
+# parser above, or a tuple of choices.  The default is the value of a key
+# left out, or _REQUIRED.  A bound is (lo, hi, tail), inclusive limits on
+# every number of the value, or (predicate, tail); the first bound a value
+# fails is reported as "[section] key: <tail>", the tail formatted with the
+# value and its text (raw).  Overrides report "<key> override <tail>".
+
+_REQUIRED = object()
+# the least positive and the largest finite float: 0 < x < inf reads as
+# _LEAST <= x <= _LARGEST
+_LEAST, _LARGEST = math.ulp(0.0), math.nextafter(math.inf, 0.0)
+_SCALES = (MIN_SCALE, MAX_SCALE, f"every value must lie in [{MIN_SCALE:g}, {MAX_SCALE:g}]")
+_COORDINATES = (-MAX_SCALE, MAX_SCALE, f"coordinates must lie within {MAX_SCALE:g} in magnitude")
+
+_FIELDS = {
+    "geometry": {
+        "kind": (("interval-union", "billiard"), None),
+        "rule": (("affine", "geometric", "explicit"), None),
+        "start": (_number, 0.0),
+        "spacing": (_number, _REQUIRED),
+        "length": (_number, _REQUIRED),
+        "ratio": (_number, _REQUIRED),
+        "intervals": (lambda text: _groups(text, 2), _REQUIRED),
+        "shape": (("disk", "polygon"), None),
+        "center": (_numbers, (0.0, 0.0), (lambda v: len(v) == 2, "expected 'x, y'"),
+                   _COORDINATES),
+        "radius": (_number, _REQUIRED, _SCALES),
+        "vertices": (lambda text: _groups(text, 2), _REQUIRED, _COORDINATES),
+        "speeds": (_numbers, _REQUIRED, _SCALES),
+        "speed_band": (_numbers, _REQUIRED, (lambda v: len(v) == 2, "expected 'lo, hi'"),
+                       _SCALES),
+    },
+    "boundary": {
+        "kind": (("shift", "kernel", "specular"), None),
+        "scale": (_number, 1.0),
+        "row_<k>": (_row, _REQUIRED),
+    },
+    "density": {
+        "kind": (("piecewise", "ensemble"), None),
+        "pieces": (lambda text: _groups(text, 3), _REQUIRED),
+        "count": (_integer, 0, (1, math.inf, "ensembles need count >= 1"),
+                  (-math.inf, MAX_PARTICLES, f"at most {MAX_PARTICLES}")),
+        # seeds key counter-based draws as unsigned 64-bit integers
+        "seed": (_integer, None,
+                 (lambda v: v is not None, "required whenever an ensemble is requested"),
+                 (0, 2**64 - 1, "must lie in [0, 2**64), got {value}")),
+        "region": (str.strip, "domain"),
+    },
+    # read in this order, each into the ScenarioConfig field of its name
+    "run": {
+        "times": (_numbers, (), (bool, "need at least one report time"),
+                  (-_LARGEST, _LARGEST, "times must be finite, got {raw!r}"),
+                  (0.0, math.inf, "times must be nonnegative")),
+        "tol": (_number, ScenarioConfig.tol, (_LEAST, _LARGEST, "must be positive and finite")),
+        "n_cap": (_integer, ScenarioConfig.n_cap, (1, math.inf, "must be at least 1"),
+                  (-math.inf, MAX_N_CAP, f"must be at most {MAX_N_CAP}")),
+        "lambdas": (_numbers, (),
+                    (_LEAST, _LARGEST, "resolvent parameters must be positive and finite")),
+        "windows": (_windows, ()),
+        "grid_points": (_integer, ScenarioConfig.grid_points, (2, math.inf, "need at least 2"),
+                        (-math.inf, MAX_GRID_POINTS, f"at most {MAX_GRID_POINTS}")),
+        "output_dir": (str.strip, ScenarioConfig.output_dir),
+        "label": (str.strip, None),
+    },
+}
+
+
+def _numbers_in(value) -> list:
+    # the numbers of a number, a tuple of them, or a tuple of tuples
+    if not isinstance(value, tuple):
+        return [value]
+    return [x for v in value for x in (v if isinstance(v, tuple) else (v,))]
+
+
+def _check(value, bounds, where: str, raw=None):
+    # the first bound value fails, as a ConfigError prefixed by where
+    for *test, tail in bounds:
+        ok = (test[0](value) if len(test) == 1 else
+              all(test[0] <= x <= test[1] for x in _numbers_in(value)))
+        if not ok:
+            raise ConfigError(where + tail.format(value=value, raw=raw))
+
+
+class _Section:
+    """One config section, read through the field table, with used-key
+    tracking."""
+
+    def __init__(self, name: str, items: dict):
+        self.name = name
+        self.items = items
+        self.used: set = set()
+
+    def get(self, key: str, field: str | None = None):
+        """The checked value of key, by the table entry of field (key if
+        None)."""
+        parse, default, *bounds = _FIELDS[self.name][field or key]
+        self.used.add(key)
+        raw = self.items.get(key)
+        where = f"[{self.name}] {key}: "
+        if raw is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"[{self.name}] missing required key {key!r}")
+            value = default
+        else:
+            try:
+                value = raw.strip() if isinstance(parse, tuple) else parse(raw)
+            except ValueError as exc:
+                raise ConfigError(where + str(exc)) from exc
+        if isinstance(parse, tuple) and value not in parse:
+            raise ConfigError(f"{where}expected {'|'.join(parse)}, got {value!r}")
+        _check(value, bounds, where, raw)
+        return value
+
+    def reject_unused(self):
+        stray = sorted(set(self.items) - self.used)
+        if stray:
+            raise ConfigError(f"[{self.name}] unknown key {stray[0]!r}")
+
+
+def _made(where: str, make, *args, **kwargs):
+    # a library constructor's refusal, as a ConfigError prefixed by where
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from exc
+
+
 def _parse_geometry(sec: _Section):
-    kind = sec.text("kind")
-    if kind == "interval-union":
-        rule = sec.text("rule")
-        if rule not in ("affine", "geometric", "explicit"):
-            raise ConfigError(f"[geometry] rule: expected affine|geometric|explicit, got {rule!r}")
-        try:
-            if rule == "explicit":
-                ivs = _pairs(sec.require("intervals"), "[geometry] intervals")
-                geom = IntervalUnion("explicit", intervals=ivs)
-            else:
-                kwargs = dict(
-                    start=sec.number("start", 0.0),
-                    spacing=float(sec.require("spacing")),
-                    length=float(sec.require("length")),
-                )
-                if rule == "geometric":
-                    kwargs["ratio"] = float(sec.require("ratio"))
-                geom = IntervalUnion(rule, **kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[geometry] {exc}") from exc
+    if sec.get("kind") == "interval-union":
+        rule = sec.get("rule")
+        if rule == "explicit":
+            keys = ("intervals",)
+        else:
+            keys = ("start", "spacing", "length") + (("ratio",) if rule == "geometric" else ())
+        geom = _made("[geometry]", IntervalUnion, rule, **{key: sec.get(key) for key in keys})
         sec.reject_unused()
         return geom
-    if kind == "billiard":
-        shape = sec.text("shape")
-        if shape not in ("disk", "polygon"):
-            raise ConfigError(f"[geometry] shape: expected disk|polygon, got {shape!r}")
-        if sec.has("speeds") == sec.has("speed_band"):
-            raise ConfigError("[geometry] give exactly one of speeds / speed_band")
-        try:
-            if sec.has("speeds"):
-                speeds = _floats(sec.require("speeds"), "[geometry] speeds")
-                _check_scales(speeds, "[geometry] speeds")
-                vel = VelocitySpec("speeds", speeds=speeds)
-            else:
-                lo_hi = _floats(sec.require("speed_band"), "[geometry] speed_band")
-                if len(lo_hi) != 2:
-                    raise ConfigError("[geometry] speed_band: expected 'lo, hi'")
-                _check_scales(lo_hi, "[geometry] speed_band")
-                vel = VelocitySpec("annulus", speed_min=lo_hi[0], speed_max=lo_hi[1])
-            if shape == "disk":
-                center = _floats(sec.text("center", "0, 0"), "[geometry] center")
-                if len(center) != 2:
-                    raise ConfigError("[geometry] center: expected 'x, y'")
-                _check_coordinates(center, "[geometry] center")
-                sec.require("radius")
-                radius = sec.number("radius")
-                _check_scales((radius,), "[geometry] radius")
-                _check_size(radius, center, "[geometry] radius")
-                geom = Billiard("disk", center=center, radius=radius, velocities=vel)
-            else:
-                verts = _pairs(sec.require("vertices"), "[geometry] vertices")
-                coords = [c for v in verts for c in v]
-                _check_coordinates(coords, "[geometry] vertices")
-                if verts:
-                    xs, ys = zip(*verts)
-                    extent = max(max(xs) - min(xs), max(ys) - min(ys))
-                    _check_size(extent, coords, "[geometry] vertices")
-                geom = Billiard("polygon", vertices=verts, velocities=vel)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[geometry] {exc}") from exc
-        sec.reject_unused()
-        return geom
-    raise ConfigError(f"[geometry] kind: expected interval-union|billiard, got {kind!r}")
-
-
-def _check_scales(values, where: str):
-    if not all(MIN_SCALE <= v <= MAX_SCALE for v in values):
-        raise ConfigError(f"{where}: every value must lie in [{MIN_SCALE:g}, {MAX_SCALE:g}]")
-
-
-def _check_coordinates(values, where: str):
-    if not all(abs(v) <= MAX_SCALE for v in values):
-        raise ConfigError(f"{where}: coordinates must lie within {MAX_SCALE:g} in magnitude")
+    shape = sec.get("shape")
+    if ("speeds" in sec.items) == ("speed_band" in sec.items):
+        raise ConfigError("[geometry] give exactly one of speeds / speed_band")
+    if "speeds" in sec.items:
+        vel = _made("[geometry]", VelocitySpec, "speeds", speeds=sec.get("speeds"))
+    else:
+        lo, hi = sec.get("speed_band")
+        vel = _made("[geometry]", VelocitySpec, "annulus", speed_min=lo, speed_max=hi)
+    if shape == "disk":
+        center, radius = sec.get("center"), sec.get("radius")
+        _check_size(radius, center, "[geometry] radius")
+        geom = _made("[geometry]", Billiard, "disk", center=center, radius=radius,
+                     velocities=vel)
+    else:
+        verts = sec.get("vertices")
+        coords = _numbers_in(verts)
+        if verts:
+            xs, ys = zip(*verts)
+            _check_size(max(max(xs) - min(xs), max(ys) - min(ys)), coords,
+                        "[geometry] vertices")
+        geom = _made("[geometry]", Billiard, "polygon", vertices=verts, velocities=vel)
+    sec.reject_unused()
+    return geom
 
 
 def _check_size(size: float, coords, where: str):
@@ -300,84 +356,40 @@ def _check_size(size: float, coords, where: str):
 
 
 def _parse_boundary(sec: _Section) -> BoundaryRule:
-    kind = sec.text("kind")
-    if kind not in ("shift", "kernel", "specular"):
-        raise ConfigError(f"[boundary] kind: expected shift|kernel|specular, got {kind!r}")
-    scale = sec.number("scale", 1.0)
+    kind, scale = sec.get("kind"), sec.get("scale")
     rows = {}
-    for key in list(sec.items):
-        if not key.startswith("row_"):
-            continue
+    for key in [key for key in sec.items if key.startswith("row_")]:
         try:
             k = int(key[4:])
         except ValueError as exc:
             raise ConfigError(f"[boundary] {key}: row keys look like row_<outgoing index>") from exc
-        entries = []
-        for chunk in str(sec.raw(key)).split(","):
-            if not chunk.strip():
-                continue
-            if ":" not in chunk:
-                raise ConfigError(f"[boundary] {key}: entries look like 'incoming:weight'")
-            j, p = chunk.split(":", 1)
-            try:
-                entries.append((int(j), float(p)))
-            except ValueError as exc:
-                raise ConfigError(f"[boundary] {key}: bad entry {chunk.strip()!r}") from exc
-        rows[k] = tuple(entries)
+        rows[k] = sec.get(key, "row_<k>")
     if rows and kind != "kernel":
         raise ConfigError("[boundary] row_* entries are only valid with kind = kernel")
     if kind == "kernel" and not rows:
         raise ConfigError("[boundary] kernel rule needs at least one row_<k> entry")
-    try:
-        rule = BoundaryRule(kind, scale=scale, rows=tuple(rows.items()))
-    except ValueError as exc:
-        raise ConfigError(f"[boundary] {exc}") from exc
+    rule = _made("[boundary]", BoundaryRule, kind, scale=scale, rows=tuple(rows.items()))
     sec.reject_unused()
     return rule
 
 
-def _parse_density(sec: _Section, geometry) -> dict:
-    kind = sec.text("kind")
-    if kind == "piecewise":
-        if isinstance(geometry, Billiard):
+def _parse_density(sec: _Section, geometry) -> tuple:
+    # the ScenarioConfig fields of the density, and whether it is
+    # nonnegative
+    billiard = isinstance(geometry, Billiard)
+    if sec.get("kind") == "piecewise":
+        if billiard:
             raise ConfigError("[density] piecewise densities need an interval-union geometry")
-        pieces = _triples(sec.require("pieces"), "[density] pieces")
-        try:
-            PiecewiseDensity.from_pieces(geometry, pieces)
-        except ValueError as exc:
-            raise ConfigError(f"[density] pieces: {exc}") from exc
+        pieces = sec.get("pieces")
+        f = _made("[density] pieces:", PiecewiseDensity.from_pieces, geometry, pieces)
         sec.reject_unused()
-        return dict(density_kind="piecewise", pieces=pieces)
-    if kind == "ensemble":
-        if not isinstance(geometry, Billiard):
-            raise ConfigError("[density] ensembles need a billiard geometry")
-        count = sec.integer("count", 0)
-        if count is None or count < 1:
-            raise ConfigError("[density] count: ensembles need count >= 1")
-        if count > MAX_PARTICLES:
-            raise ConfigError(f"[density] count: at most {MAX_PARTICLES}")
-        if not sec.has("seed"):
-            raise ConfigError("[density] seed: required whenever an ensemble is requested")
-        seed = sec.integer("seed")
-        if not 0 <= seed < _SEED_LIMIT:
-            raise ConfigError(f"[density] seed: must lie in [0, 2**64), got {seed}")
-        region = sec.text("region", "domain")
-        _check_region(region)
-        sec.reject_unused()
-        return dict(density_kind="ensemble", count=count, seed=seed, region=region)
-    raise ConfigError(f"[density] kind: expected piecewise|ensemble, got {kind!r}")
-
-
-def _check_region(region: str):
-    if region == "domain":
-        return
-    for prefix, fields in _REGION_FIELDS.items():
-        if region.startswith(prefix):
-            vals = _floats(region[len(prefix):], "[density] region")
-            if len(vals) != len(fields):
-                raise ConfigError(f"[density] region: expected {prefix}{','.join(fields)}, got {region!r}")
-            return
-    raise ConfigError(f"[density] region: expected domain|disk:...|box:..., got {region!r}")
+        return dict(density_kind="piecewise", pieces=pieces), f.is_nonnegative
+    if not billiard:
+        raise ConfigError("[density] ensembles need a billiard geometry")
+    count, seed, region = sec.get("count"), sec.get("seed"), sec.get("region")
+    _made("[density] region:", _region_spec, region, geometry)
+    sec.reject_unused()
+    return dict(density_kind="ensemble", count=count, seed=seed, region=region), True
 
 
 def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
@@ -388,11 +400,11 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from exc
     sections = {name: _Section(name, dict(cp.items(name))) for name in cp.sections()}
-    for required in ("geometry", "boundary", "density", "run"):
+    for required in _FIELDS:
         if required not in sections:
             raise ConfigError(f"missing required section [{required}]")
     for name in sections:
-        if name not in ("geometry", "boundary", "density", "run"):
+        if name not in _FIELDS:
             raise ConfigError(f"unknown section [{name}]")
 
     geometry = _parse_geometry(sections["geometry"])
@@ -401,62 +413,23 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
         raise ConfigError("[boundary] kind: billiard scenarios use the specular rule")
     if isinstance(geometry, IntervalUnion) and boundary.kind == "specular":
         raise ConfigError("[boundary] kind: interval-union scenarios use shift or kernel rules")
-    density = _parse_density(sections["density"], geometry)
+    density, nonnegative = _parse_density(sections["density"], geometry)
 
     run = sections["run"]
-    times = _floats(run.text("times", ""), "[run] times")
-    if not times:
-        raise ConfigError("[run] times: need at least one report time")
-    if not all(math.isfinite(t) for t in times):
-        raise ConfigError(f"[run] times: times must be finite, got {run.text('times')!r}")
-    if any(t < 0 for t in times):
-        raise ConfigError("[run] times: times must be nonnegative")
-    tol = run.number("tol", DEFAULT_TOL)
-    if not 0 < tol < math.inf:
-        raise ConfigError("[run] tol: must be positive and finite")
-    n_cap = run.integer("n_cap", DEFAULT_N_CAP)
-    if n_cap < 1:
-        raise ConfigError("[run] n_cap: must be at least 1")
-    if n_cap > MAX_N_CAP:
-        raise ConfigError(f"[run] n_cap: at most {MAX_N_CAP}")
-    lambdas = _floats(run.text("lambdas", ""), "[run] lambdas")
-    if not all(0 < l < math.inf for l in lambdas):
-        raise ConfigError("[run] lambdas: resolvent parameters must be positive and finite")
-    windows = _pairs(run.text("windows", ""), "[run] windows")
-    for s, t in windows:
-        if not (math.isfinite(s) and math.isfinite(t)):
-            raise ConfigError(f"[run] windows: need finite s,t, got {s},{t}")
-        if not 0 <= s < t:
-            raise ConfigError(f"[run] windows: need 0 <= s < t, got {s},{t}")
-    grid_points = run.integer("grid_points", 8)
-    if grid_points < 2:
-        raise ConfigError("[run] grid_points: need at least 2")
-    if grid_points > MAX_GRID_POINTS:
-        raise ConfigError(f"[run] grid_points: at most {MAX_GRID_POINTS}")
-    out_dir = run.text("output_dir", "reports")
-    cfg_label = run.text("label", None) or label
-    if not cfg_label:
+    plan = {key: run.get(key) for key in _FIELDS["run"]}
+    plan["label"] = plan["label"] or label
+    if not plan["label"]:
         raise ConfigError("[run] label: required (or pass a label when parsing)")
     run.reject_unused()
 
-    if isinstance(geometry, Billiard) and lambdas:
+    if isinstance(geometry, Billiard) and plan["lambdas"]:
         raise ConfigError("[run] lambdas: resolvent diagnostics are not defined for billiards")
-    if isinstance(geometry, Billiard) and any(s != 0.0 for s, _ in windows):
+    if isinstance(geometry, Billiard) and any(s != 0.0 for s, _ in plan["windows"]):
         raise ConfigError("[run] windows: billiard honesty windows must start at 0")
-
-    return ScenarioConfig(
-        label=cfg_label,
-        geometry=geometry,
-        boundary=boundary,
-        times=tuple(times),
-        tol=float(tol),
-        n_cap=int(n_cap),
-        lambdas=tuple(lambdas),
-        windows=tuple(windows),
-        grid_points=int(grid_points),
-        output_dir=out_dir,
-        **density,
-    )
+    if (plan["windows"] or plan["lambdas"]) and not nonnegative:
+        raise ConfigError("[density] pieces: honesty verdicts are defined for nonnegative "
+                          "densities")
+    return ScenarioConfig(geometry=geometry, boundary=boundary, **plan, **density)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -483,23 +456,18 @@ def resolve_config(name_or_path: str) -> ScenarioConfig:
 
 
 def with_overrides(cfg: ScenarioConfig, tol=None, n_cap=None, seed=None) -> ScenarioConfig:
+    """cfg with the given tol, n_cap and seed, each checked against the
+    bounds of its config key."""
     changes = {}
-    if tol is not None:
-        if not 0 < tol < math.inf:
-            raise ConfigError("tol override must be positive and finite")
-        changes["tol"] = float(tol)
-    if n_cap is not None:
-        if n_cap < 1:
-            raise ConfigError("n_cap override must be at least 1")
-        if n_cap > MAX_N_CAP:
-            raise ConfigError(f"n_cap override must be at most {MAX_N_CAP}")
-        changes["n_cap"] = int(n_cap)
-    if seed is not None:
-        if cfg.density_kind != "ensemble":
+    for section, key, value in (("run", "tol", tol), ("run", "n_cap", n_cap),
+                                ("density", "seed", seed)):
+        if value is None:
+            continue
+        if key == "seed" and cfg.density_kind != "ensemble":
             raise ConfigError("seed override only applies to ensemble scenarios")
-        if not 0 <= seed < _SEED_LIMIT:
-            raise ConfigError(f"seed override must lie in [0, 2**64), got {seed}")
-        changes["seed"] = int(seed)
+        _, _, *bounds = _FIELDS[section][key]
+        _check(value, bounds, f"{key} override ")
+        changes[key] = float(value) if key == "tol" else int(value)
     return replace(cfg, **changes) if changes else cfg
 
 

@@ -613,6 +613,51 @@ class TestSharedWeights:
             assert rows[-1].weight.min() < rows[0].weight.min()
 
 
+class TestTrajectorySnapshots:
+    """A trajectory is a snapshot of the ensemble at the call: a write to
+    the ensemble after the call and before iterating never reaches the
+    rows."""
+
+    TIMES = (0.0, 1.0, 2.5, 4.0)
+
+    @pytest.mark.parametrize("table, sweep_states", [
+        (off_centre_disk, None),
+        (hexagon, None),  # one sweep group
+        (hexagon, 2 * 600),  # groups of two times
+    ])
+    def test_later_writes_do_not_reach_the_rows(self, monkeypatch, table, sweep_states):
+        if sweep_states is not None:
+            monkeypatch.setattr(densities, "SWEEP_STATES", sweep_states)
+        geom = table()
+        ens = sample_ensemble(geom, 600, seed=8)
+        ens.rebounds[::7] = 2
+        want = [transported(ens, geom, t, 0.8) for t in self.TIMES]
+        trajectory = transport_counts_times(ens, self.TIMES, geom, 0.8)
+        ens.pos[:] = 0.0
+        ens.vel[:] *= -1.0
+        ens.weight[:] = 7.0
+        ens.rebounds[:] = 50
+        ens.degenerate[:] = True
+        rows = rows_of(trajectory)
+        assert rows[-1].rebounds.max() > 3
+        for counts, ref in zip(rows, want, strict=True):
+            assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
+                               (ref.weight, ref.rebounds, ref.degenerate))
+
+    def test_one_sweep_group_copies_no_ensemble(self, monkeypatch):
+        geom = hexagon()
+        ens = sample_ensemble(geom, 600, seed=8)
+        monkeypatch.setattr(densities.ParticleEnsemble, "copy", None)
+        assert len(rows_of(transport_counts_times(ens, self.TIMES, geom))) == 4
+
+    def test_sampled_disk_initial_counts_are_read_only(self):
+        counts0, trajectory = densities.sample_disk_counts(small_disk(), 300, 5, "domain",
+                                                           self.TIMES, 1.0)
+        for array in (counts0.weight, counts0.rebounds, counts0.degenerate):
+            assert_read_only(array)
+        assert rows_of(trajectory)[-1].rebounds.max() > 0
+
+
 def edge_disk():
     return Billiard("disk", center=(0.0, 0.0), radius=1.0,
                     velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))

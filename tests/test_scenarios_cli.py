@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from honestflow import (
@@ -373,7 +373,7 @@ class TestParseConfig:
         # refused at parse time: the order loop's time and memory grow
         # linearly in n_cap
         text = LADDER_TEXT.replace("label = demo", "label = demo\nn_cap = {}")
-        with pytest.raises(ConfigError, match=r"^\[run\] n_cap: at most 10000$"):
+        with pytest.raises(ConfigError, match=r"^\[run\] n_cap: must be at most 10000$"):
             parse_config(text.format(scenarios.MAX_N_CAP + 1))
         assert parse_config(text.format(scenarios.MAX_N_CAP)).n_cap == 10_000
 
@@ -569,6 +569,420 @@ class TestOverrides:
             with pytest.raises(ConfigError, match=r"seed override must lie in \[0, 2\*\*64\)"):
                 with_overrides(cfg, seed=seed)
         assert with_overrides(cfg, seed=2**64 - 1).seed == 2**64 - 1
+
+
+GEOMETRIC_TEXT = LADDER_TEXT.replace("rule = affine", "rule = geometric").replace(
+    "length = 1", "length = 1\nratio = 0.5")
+EXPLICIT_TEXT = LADDER_TEXT.replace("rule = affine\nstart = 0\nspacing = 2\nlength = 1",
+                                    "rule = explicit\nintervals = 0, 1; 2, 3")
+KERNEL_TEXT = LADDER_TEXT.replace("kind = shift", "kind = kernel\nrow_0 = 1:1")
+
+# every exit-1 message of the config parser, byte for byte: (base text, the
+# text replaced once, its replacement, the ConfigError message)
+BAD_CONFIGS = [
+    (LADDER_TEXT, "[boundary]", "[elsewhere]",
+     "missing required section [boundary]"),
+    (LADDER_TEXT, "label = demo", "label = demo\n[extras]\nfoo = 1",
+     "unknown section [extras]"),
+    (LADDER_TEXT, "[geometry]", "this is not an ini file\n[geometry]",
+     "config syntax: File contains no section headers.\nfile: '<string>', line: "
+     "1\n'this is not an ini file\\n'"),
+    (LADDER_TEXT, "kind = interval-union\n", "",
+     "[geometry] kind: expected interval-union|billiard, got None"),
+    (LADDER_TEXT, "kind = interval-union", "kind = moebius",
+     "[geometry] kind: expected interval-union|billiard, got 'moebius'"),
+    (LADDER_TEXT, "rule = affine\n", "",
+     "[geometry] rule: expected affine|geometric|explicit, got None"),
+    (LADDER_TEXT, "rule = affine", "rule = random",
+     "[geometry] rule: expected affine|geometric|explicit, got 'random'"),
+    (LADDER_TEXT, "start = 0", "start = abc",
+     "[geometry] start: expected a number, got 'abc'"),
+    (LADDER_TEXT, "spacing = 2\n", "",
+     "[geometry] missing required key 'spacing'"),
+    (LADDER_TEXT, "spacing = 2", "spacing = abc",
+     "[geometry] spacing: expected a number, got 'abc'"),
+    (LADDER_TEXT, "length = 1\n", "",
+     "[geometry] missing required key 'length'"),
+    (LADDER_TEXT, "length = 1", "length = abc",
+     "[geometry] length: expected a number, got 'abc'"),
+    (LADDER_TEXT, "length = 1", "length = 3",
+     "[geometry] affine rule needs 0 < length <= spacing"),
+    (LADDER_TEXT, "spacing = 2", "spacing = 2\nwobble = 3",
+     "[geometry] unknown key 'wobble'"),
+    (LADDER_TEXT, "spacing = 2", "spacing = 2\nratio = 0.5",
+     "[geometry] unknown key 'ratio'"),
+    (LADDER_TEXT, "spacing = 2", "spacing = 2\nradius = 1",
+     "[geometry] unknown key 'radius'"),
+    (GEOMETRIC_TEXT, "ratio = 0.5\n", "",
+     "[geometry] missing required key 'ratio'"),
+    (GEOMETRIC_TEXT, "ratio = 0.5", "ratio = abc",
+     "[geometry] ratio: expected a number, got 'abc'"),
+    (GEOMETRIC_TEXT, "ratio = 0.5", "ratio = 1.5",
+     "[geometry] geometric rule needs 0 < ratio < 1"),
+    (GEOMETRIC_TEXT, "length = 1", "length = 0",
+     "[geometry] geometric rule needs 0 < length <= spacing"),
+    (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3\n", "",
+     "[geometry] missing required key 'intervals'"),
+    (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 0, 1; 2",
+     "[geometry] intervals: expected pairs 'a,b', got '2'"),
+    (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 0, 1; 2, x",
+     "[geometry] intervals: expected comma separated numbers, got ' 2, x'"),
+    (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 1, 0",
+     "[geometry] degenerate interval (1.0, 0.0)"),
+    (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 0, 3; 2, 4",
+     "[geometry] intervals must be disjoint and ordered"),
+    (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = ;",
+     "[geometry] explicit rule needs at least one interval"),
+    (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 0, 1\nstart = 0",
+     "[geometry] unknown key 'start'"),
+    (BILLIARD_TEXT, "shape = disk\n", "",
+     "[geometry] shape: expected disk|polygon, got None"),
+    (BILLIARD_TEXT, "shape = disk", "shape = ellipse",
+     "[geometry] shape: expected disk|polygon, got 'ellipse'"),
+    (BILLIARD_TEXT, "speeds = 1\n", "",
+     "[geometry] give exactly one of speeds / speed_band"),
+    (BILLIARD_TEXT, "speeds = 1", "speeds = 1\nspeed_band = 1, 2",
+     "[geometry] give exactly one of speeds / speed_band"),
+    (BILLIARD_TEXT, "speeds = 1", "speeds = 1, x",
+     "[geometry] speeds: expected comma separated numbers, got '1, x'"),
+    (BILLIARD_TEXT, "speeds = 1", "speeds = 1, 1e-76",
+     "[geometry] speeds: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "speeds = 1", "speeds = 1e76",
+     "[geometry] speeds: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "speeds = 1", "speeds = nan",
+     "[geometry] speeds: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "speeds = 1", "speeds = ",
+     "[geometry] finite speed set must be positive"),
+    (BILLIARD_TEXT, "speeds = 1", "speed_band = 1",
+     "[geometry] speed_band: expected 'lo, hi'"),
+    (BILLIARD_TEXT, "speeds = 1", "speed_band = 1, x",
+     "[geometry] speed_band: expected comma separated numbers, got '1, x'"),
+    (BILLIARD_TEXT, "speeds = 1", "speed_band = 2, 1",
+     "[geometry] annulus needs 0 < speed_min <= speed_max"),
+    (BILLIARD_TEXT, "speeds = 1", "speed_band = 1e-76, 1",
+     "[geometry] speed_band: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "speeds = 1", "speed_band = 1, 1e76",
+     "[geometry] speed_band: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "center = 0, 0", "center = 1",
+     "[geometry] center: expected 'x, y'"),
+    (BILLIARD_TEXT, "center = 0, 0", "center = 0, x",
+     "[geometry] center: expected comma separated numbers, got '0, x'"),
+    (BILLIARD_TEXT, "center = 0, 0", "center = 0, -1e76",
+     "[geometry] center: coordinates must lie within 1e+75 in magnitude"),
+    (BILLIARD_TEXT, "center = 0, 0", "center = 2e6, 0",
+     "[geometry] radius: the table must span at least 1e-06 of its largest "
+     "coordinate magnitude, 2e+06"),
+    (BILLIARD_TEXT, "radius = 1\n", "",
+     "[geometry] missing required key 'radius'"),
+    (BILLIARD_TEXT, "radius = 1", "radius = abc",
+     "[geometry] radius: expected a number, got 'abc'"),
+    (BILLIARD_TEXT, "radius = 1", "radius = 0",
+     "[geometry] radius: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "radius = 1", "radius = 1e-76",
+     "[geometry] radius: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "radius = 1", "radius = 1e76",
+     "[geometry] radius: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "radius = 1", "radius = inf",
+     "[geometry] radius: every value must lie in [1e-75, 1e+75]"),
+    (BILLIARD_TEXT, "radius = 1", "radius = 1\nvertices = 0, 0; 1, 0; 0, 1",
+     "[geometry] unknown key 'vertices'"),
+    (BILLIARD_TEXT, "radius = 1", "radius = 1\nrule = affine",
+     "[geometry] unknown key 'rule'"),
+    (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9\n", "",
+     "[geometry] missing required key 'vertices'"),
+    (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 3",
+     "[geometry] vertices: expected pairs 'a,b', got '3'"),
+    (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 3, y",
+     "[geometry] vertices: expected comma separated numbers, got ' 3, y'"),
+    (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 3, 0",
+     "[geometry] polygon needs at least 3 vertices"),
+    (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 0.7, 1.9; 3, 0",
+     "[geometry] vertices must list a strictly convex polygon counter-clockwise"),
+    (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 3, 0; 0.7, 1e76",
+     "[geometry] vertices: coordinates must lie within 1e+75 in magnitude"),
+    (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 1e7, 0; 10000003, 0; 1e7, 1",
+     "[geometry] vertices: the table must span at least 1e-06 of its largest "
+     "coordinate magnitude, 1e+07"),
+    (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9",
+     "vertices = 0, 0; 3, 0; 0.7, 1.9\ncenter = 0, 0",
+     "[geometry] unknown key 'center'"),
+    (LADDER_TEXT, "kind = shift\n", "",
+     "[boundary] kind: expected shift|kernel|specular, got None"),
+    (LADDER_TEXT, "kind = shift", "kind = reflect",
+     "[boundary] kind: expected shift|kernel|specular, got 'reflect'"),
+    (LADDER_TEXT, "scale = 1", "scale = abc",
+     "[boundary] scale: expected a number, got 'abc'"),
+    (LADDER_TEXT, "scale = 1", "scale = 1.5",
+     "[boundary] boundary weight scale must lie in (0, 1]"),
+    (LADDER_TEXT, "scale = 1", "scale = 0",
+     "[boundary] boundary weight scale must lie in (0, 1]"),
+    (LADDER_TEXT, "scale = 1", "scale = 1\nrow_0 = 1:1",
+     "[boundary] row_* entries are only valid with kind = kernel"),
+    (LADDER_TEXT, "scale = 1", "scale = 1\nwobble = 1",
+     "[boundary] unknown key 'wobble'"),
+    (LADDER_TEXT, "kind = shift", "kind = kernel",
+     "[boundary] kernel rule needs at least one row_<k> entry"),
+    (KERNEL_TEXT, "row_0 = 1:1", "row_x = 1:1",
+     "[boundary] row_x: row keys look like row_<outgoing index>"),
+    (KERNEL_TEXT, "row_0 = 1:1", "row_0 = 1;1",
+     "[boundary] row_0: entries look like 'incoming:weight'"),
+    (KERNEL_TEXT, "row_0 = 1:1", "row_0 = 1:x",
+     "[boundary] row_0: bad entry '1:x'"),
+    (KERNEL_TEXT, "row_0 = 1:1", "row_0 = x:1",
+     "[boundary] row_0: bad entry 'x:1'"),
+    (KERNEL_TEXT, "row_0 = 1:1", "row_0 = 1:0.5",
+     "[boundary] kernel must have norm one: some row must sum to 1"),
+    (KERNEL_TEXT, "row_0 = 1:1", "row_0 = 1:0.7, 2:0.7",
+     "[boundary] row 0 sums above 1"),
+    (KERNEL_TEXT, "row_0 = 1:1", "row_0 = 1:-0.5, 2:1",
+     "[boundary] row 0 has a negative weight"),
+    (LADDER_TEXT, "kind = shift", "kind = specular",
+     "[boundary] kind: interval-union scenarios use shift or kernel rules"),
+    (BILLIARD_TEXT, "kind = specular", "kind = shift",
+     "[boundary] kind: billiard scenarios use the specular rule"),
+    (BILLIARD_TEXT, "kind = specular", "kind = kernel\nrow_0 = 1:1",
+     "[boundary] kind: billiard scenarios use the specular rule"),
+    (LADDER_TEXT, "kind = piecewise\n", "",
+     "[density] kind: expected piecewise|ensemble, got None"),
+    (LADDER_TEXT, "kind = piecewise", "kind = cloud",
+     "[density] kind: expected piecewise|ensemble, got 'cloud'"),
+    (LADDER_TEXT, "pieces = 0, 1, 1\n", "",
+     "[density] missing required key 'pieces'"),
+    (LADDER_TEXT, "pieces = 0, 1, 1", "pieces = 0, 1",
+     "[density] pieces: expected triples 'lo,hi,value', got '0, 1'"),
+    (LADDER_TEXT, "pieces = 0, 1, 1", "pieces = 0, 1, x",
+     "[density] pieces: expected comma separated numbers, got '0, 1, x'"),
+    (LADDER_TEXT, "pieces = 0, 1, 1", "pieces = 0, 1.5, 1",
+     "[density] pieces: piece (0.0, 1.5) does not sit inside one interval of the geometry"),
+    (LADDER_TEXT, "pieces = 0, 1, 1", "pieces = 1, 0, 1",
+     "[density] pieces: piece (1.0, 0.0) is empty"),
+    (LADDER_TEXT, "pieces = 0, 1, 1", "pieces = 0, 1, 1\ncount = 5",
+     "[density] unknown key 'count'"),
+    (LADDER_TEXT, "kind = piecewise\npieces = 0, 1, 1", "kind = ensemble\ncount = 10\nseed = 0",
+     "[density] ensembles need a billiard geometry"),
+    (BILLIARD_TEXT, "kind = ensemble\ncount = 2000\nseed = 7\nregion = domain",
+     "kind = piecewise\npieces = 0, 1, 1",
+     "[density] piecewise densities need an interval-union geometry"),
+    (BILLIARD_TEXT, "count = 2000\n", "",
+     "[density] count: ensembles need count >= 1"),
+    (BILLIARD_TEXT, "count = 2000", "count = abc",
+     "[density] count: expected an integer, got 'abc'"),
+    (BILLIARD_TEXT, "count = 2000", "count = 1.5",
+     "[density] count: expected an integer, got '1.5'"),
+    (BILLIARD_TEXT, "count = 2000", "count = 0",
+     "[density] count: ensembles need count >= 1"),
+    (BILLIARD_TEXT, "count = 2000", "count = -3",
+     "[density] count: ensembles need count >= 1"),
+    (BILLIARD_TEXT, "count = 2000", "count = 10000001",
+     "[density] count: at most 10000000"),
+    (BILLIARD_TEXT, "seed = 7\n", "",
+     "[density] seed: required whenever an ensemble is requested"),
+    (BILLIARD_TEXT, "seed = 7", "seed = abc",
+     "[density] seed: expected an integer, got 'abc'"),
+    (BILLIARD_TEXT, "seed = 7", "seed = 1e3",
+     "[density] seed: expected an integer, got '1e3'"),
+    (BILLIARD_TEXT, "seed = 7", "seed = -1",
+     "[density] seed: must lie in [0, 2**64), got -1"),
+    (BILLIARD_TEXT, "seed = 7", "seed = 18446744073709551616",
+     "[density] seed: must lie in [0, 2**64), got 18446744073709551616"),
+    (BILLIARD_TEXT, "region = domain", "region = everywhere",
+     "[density] region: expected domain|disk:...|box:..., got 'everywhere'"),
+    (BILLIARD_TEXT, "region = domain", "region = domainwide",
+     "[density] region: expected domain|disk:...|box:..., got 'domainwide'"),
+    (BILLIARD_TEXT, "region = domain", "region = disk:0,0",
+     "[density] region: expected disk:cx,cy,r, got 'disk:0,0'"),
+    (BILLIARD_TEXT, "region = domain", "region = disk:0,0,0.5,1",
+     "[density] region: expected disk:cx,cy,r, got 'disk:0,0,0.5,1'"),
+    (BILLIARD_TEXT, "region = domain", "region = disk:0,zero,0.5",
+     "[density] region: expected comma separated numbers, got '0,zero,0.5'"),
+    (BILLIARD_TEXT, "region = domain", "region = box:0,0,0.5",
+     "[density] region: expected box:x0,y0,x1,y1, got 'box:0,0,0.5'"),
+    (BILLIARD_TEXT, "region = domain", "region = box:a,b,c,d",
+     "[density] region: expected comma separated numbers, got 'a,b,c,d'"),
+    (BILLIARD_TEXT, "region = domain", "region = domain\npieces = 0, 1, 1",
+     "[density] unknown key 'pieces'"),
+    (LADDER_TEXT, "times = 0.5, 1.5\n", "",
+     "[run] times: need at least one report time"),
+    (LADDER_TEXT, "times = 0.5, 1.5", "times =",
+     "[run] times: need at least one report time"),
+    (LADDER_TEXT, "times = 0.5, 1.5", "times = 0.5, x",
+     "[run] times: expected comma separated numbers, got '0.5, x'"),
+    (LADDER_TEXT, "times = 0.5, 1.5", "times = 0.5, nan",
+     "[run] times: times must be finite, got '0.5, nan'"),
+    (LADDER_TEXT, "times = 0.5, 1.5", "times = inf",
+     "[run] times: times must be finite, got 'inf'"),
+    (LADDER_TEXT, "times = 0.5, 1.5", "times = -inf, 1",
+     "[run] times: times must be finite, got '-inf, 1'"),
+    (LADDER_TEXT, "times = 0.5, 1.5", "times = -0.5, 1.5",
+     "[run] times: times must be nonnegative"),
+    (LADDER_TEXT, "times = 0.5, 1.5", "times = -0.5, nan",
+     "[run] times: times must be finite, got '-0.5, nan'"),
+    (LADDER_TEXT, "label = demo", "label = demo\ntol = 0",
+     "[run] tol: must be positive and finite"),
+    (LADDER_TEXT, "label = demo", "label = demo\ntol = -1",
+     "[run] tol: must be positive and finite"),
+    (LADDER_TEXT, "label = demo", "label = demo\ntol = inf",
+     "[run] tol: must be positive and finite"),
+    (LADDER_TEXT, "label = demo", "label = demo\ntol = nan",
+     "[run] tol: must be positive and finite"),
+    (LADDER_TEXT, "label = demo", "label = demo\ntol = abc",
+     "[run] tol: expected a number, got 'abc'"),
+    (LADDER_TEXT, "label = demo", "label = demo\nn_cap = 0",
+     "[run] n_cap: must be at least 1"),
+    (LADDER_TEXT, "label = demo", "label = demo\nn_cap = 10001",
+     "[run] n_cap: must be at most 10000"),
+    (LADDER_TEXT, "label = demo", "label = demo\nn_cap = 1.5",
+     "[run] n_cap: expected an integer, got '1.5'"),
+    (LADDER_TEXT, "label = demo", "label = demo\nn_cap = abc",
+     "[run] n_cap: expected an integer, got 'abc'"),
+    (LADDER_TEXT, "label = demo", "label = demo\nlambdas = 0.5, -1",
+     "[run] lambdas: resolvent parameters must be positive and finite"),
+    (LADDER_TEXT, "label = demo", "label = demo\nlambdas = 0",
+     "[run] lambdas: resolvent parameters must be positive and finite"),
+    (LADDER_TEXT, "label = demo", "label = demo\nlambdas = 1, inf",
+     "[run] lambdas: resolvent parameters must be positive and finite"),
+    (LADDER_TEXT, "label = demo", "label = demo\nlambdas = nan",
+     "[run] lambdas: resolvent parameters must be positive and finite"),
+    (LADDER_TEXT, "label = demo", "label = demo\nlambdas = 1, x",
+     "[run] lambdas: expected comma separated numbers, got '1, x'"),
+    (LADDER_TEXT, "label = demo", "label = demo\nwindows = 2, 1",
+     "[run] windows: need 0 <= s < t, got 2.0,1.0"),
+    (LADDER_TEXT, "label = demo", "label = demo\nwindows = -1, 1",
+     "[run] windows: need 0 <= s < t, got -1.0,1.0"),
+    (LADDER_TEXT, "label = demo", "label = demo\nwindows = 0, inf",
+     "[run] windows: need finite s,t, got 0.0,inf"),
+    (LADDER_TEXT, "label = demo", "label = demo\nwindows = nan, 1",
+     "[run] windows: need finite s,t, got nan,1.0"),
+    (LADDER_TEXT, "label = demo", "label = demo\nwindows = 0, 1; 2",
+     "[run] windows: expected pairs 'a,b', got '2'"),
+    (LADDER_TEXT, "label = demo", "label = demo\nwindows = 0, x",
+     "[run] windows: expected comma separated numbers, got '0, x'"),
+    (LADDER_TEXT, "label = demo", "label = demo\nwindows = 2, 1; 0, inf",
+     "[run] windows: need 0 <= s < t, got 2.0,1.0"),
+    (LADDER_TEXT, "label = demo", "label = demo\ngrid_points = 1",
+     "[run] grid_points: need at least 2"),
+    (LADDER_TEXT, "label = demo", "label = demo\ngrid_points = 257",
+     "[run] grid_points: at most 256"),
+    (LADDER_TEXT, "label = demo", "label = demo\ngrid_points = 1000000000000",
+     "[run] grid_points: at most 256"),
+    (LADDER_TEXT, "label = demo", "label = demo\ngrid_points = abc",
+     "[run] grid_points: expected an integer, got 'abc'"),
+    (LADDER_TEXT, "label = demo\n", "",
+     "[run] label: required (or pass a label when parsing)"),
+    (LADDER_TEXT, "label = demo", "label =",
+     "[run] label: required (or pass a label when parsing)"),
+    (LADDER_TEXT, "label = demo", "label = demo\nwobble = 1",
+     "[run] unknown key 'wobble'"),
+    (LADDER_TEXT, "pieces = 0, 1, 1", "pieces = 0, 1, 1\noutput_dir = elsewhere",
+     "[density] unknown key 'output_dir'"),
+    (LADDER_TEXT, "label = demo", "label = demo\ntol = 0\nn_cap = 0",
+     "[run] tol: must be positive and finite"),
+    (BILLIARD_TEXT, "label = little-disk", "label = little-disk\nlambdas = 1",
+     "[run] lambdas: resolvent diagnostics are not defined for billiards"),
+    (BILLIARD_TEXT, "label = little-disk", "label = little-disk\nwindows = 1, 2",
+     "[run] windows: billiard honesty windows must start at 0"),
+    (BILLIARD_TEXT, "label = little-disk", "label = little-disk\nlambdas = -1",
+     "[run] lambdas: resolvent parameters must be positive and finite"),
+]
+
+# (base text, with_overrides keywords, the ConfigError message)
+BAD_OVERRIDES = [
+    (LADDER_TEXT, {"tol": 0.0}, "tol override must be positive and finite"),
+    (LADDER_TEXT, {"tol": -1.0}, "tol override must be positive and finite"),
+    (LADDER_TEXT, {"tol": math.inf}, "tol override must be positive and finite"),
+    (LADDER_TEXT, {"tol": math.nan}, "tol override must be positive and finite"),
+    (LADDER_TEXT, {"n_cap": 0}, "n_cap override must be at least 1"),
+    (LADDER_TEXT, {"n_cap": 10001}, "n_cap override must be at most 10000"),
+    (LADDER_TEXT, {"seed": 1}, "seed override only applies to ensemble scenarios"),
+    (BILLIARD_TEXT, {"seed": -1}, "seed override must lie in [0, 2**64), got -1"),
+    (BILLIARD_TEXT, {"seed": 2**64},
+     "seed override must lie in [0, 2**64), got 18446744073709551616"),
+    (LADDER_TEXT, {"tol": 0.0, "n_cap": 0}, "tol override must be positive and finite"),
+]
+
+
+class TestConfigMessages:
+    @pytest.mark.parametrize("base, old, new, message", BAD_CONFIGS)
+    def test_bad_config_message(self, base, old, new, message):
+        assert old in base
+        with pytest.raises(ConfigError) as exc:
+            parse_config(base.replace(old, new, 1))
+        assert str(exc.value) == message
+
+    def test_every_table_key_is_covered(self):
+        edits = "\n" + "\n".join(old + "\n" + new for _, old, new, _ in BAD_CONFIGS)
+        for section, fields in scenarios._FIELDS.items():
+            for key in fields:
+                assert f"\n{key.replace('<k>', '0')} =" in edits, (section, key)
+
+    @pytest.mark.parametrize("base, overrides, message", BAD_OVERRIDES)
+    def test_bad_override_message(self, base, overrides, message):
+        with pytest.raises(ConfigError) as exc:
+            with_overrides(parse_config(base), **overrides)
+        assert str(exc.value) == message
+
+
+# a config text for every key with a numeric limit in the field table, given
+# the text of the key's value
+LIMIT_CONFIGS = {
+    "center": lambda v: BILLIARD_TEXT.replace("center = 0, 0", f"center = {v}, 0")
+                                     .replace("radius = 1", "radius = 1e75"),
+    "radius": lambda v: BILLIARD_TEXT.replace("radius = 1", f"radius = {v}"),
+    "vertices": lambda v: POLYGON_TEXT.replace("vertices = 0, 0; 3, 0; 0.7, 1.9",
+                                               f"vertices = 0, 0; {v}, 0; 0, {v}"),
+    "speeds": lambda v: BILLIARD_TEXT.replace("speeds = 1", f"speeds = {v}"),
+    "speed_band": lambda v: BILLIARD_TEXT.replace("speeds = 1", f"speed_band = {v}, {v}"),
+    "count": lambda v: BILLIARD_TEXT.replace("count = 2000", f"count = {v}"),
+    "seed": lambda v: BILLIARD_TEXT.replace("seed = 7", f"seed = {v}"),
+    "times": lambda v: LADDER_TEXT.replace("times = 0.5, 1.5", f"times = {v}"),
+    **{key: (lambda v, key=key: LADDER_TEXT.replace("label = demo", f"label = demo\n{key} = {v}"))
+       for key in ("tol", "n_cap", "lambdas", "grid_points")},
+}
+
+
+def _table_limits():
+    """(section, key, side, limit, tail) for every finite limit of the
+    field table; side is 0 for a lower limit, 1 for an upper one."""
+    for section, fields in scenarios._FIELDS.items():
+        for key, (_, _, *bounds) in fields.items():
+            for *limits, tail in bounds:
+                for side, limit in enumerate(limits if len(limits) == 2 else ()):
+                    if math.isfinite(limit):
+                        yield section, key, side, limit, tail
+
+
+class TestFieldLimits:
+    def test_every_limited_key_has_a_config(self):
+        assert {key for _, key, *_ in _table_limits()} == set(LIMIT_CONFIGS)
+
+    @pytest.mark.parametrize("section, key, side, limit, tail", list(_table_limits()))
+    def test_limit_parses_and_one_step_past_it_exits_one(self, section, key, side, limit, tail,
+                                                        tmp_path, capsys):
+        config = LIMIT_CONFIGS[key]
+        step = 1 if side else -1
+        past = limit + step if isinstance(limit, int) else math.nextafter(limit, step * math.inf)
+        path = tmp_path / "past.cfg"
+        path.write_text(config(repr(past)))
+        assert cli.main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"honestflow: [{section}] {key}: ")
+        try:
+            parse_config(config(repr(limit)))
+        except ConfigError as exc:
+            # only another bound of the key may refuse the limit itself
+            others = [b[-1] for b in scenarios._FIELDS[section][key][2:] if b[-1] != tail]
+            assert str(exc) in [f"[{section}] {key}: {other}" for other in others]
+
+
+class TestConfigDocs:
+    def test_every_table_key_is_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config_format = readme.split("### Config format")[1].split("\n### ")[0]
+        grammar = scenarios.__doc__.split("Config grammar")[1]
+        for section, fields in scenarios._FIELDS.items():
+            assert f"\n    [{section}]\n" in grammar
+            for key in fields:
+                assert f"`{key}" in config_format or f"\n{key} =" in config_format, key
+                assert f"\n    {key} =" in grammar, key
 
 
 class TestInitialDensity:
@@ -993,11 +1407,50 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith("honestflow: seed override must lie in ")
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("start = 0", "start = inf", "[geometry] start"),
+        ("start = 0", "start = -inf", "[geometry] start"),
+        ("start = 0", "start = nan", "[geometry] start"),
+        ("spacing = 2", "spacing = inf", "[geometry] spacing"),
+        ("length = 1", "length = nan", "[geometry] length"),
+        ("ratio = 0.5", "ratio = -inf", "[geometry] ratio"),
+        ("pieces = 0, 1, 1", "pieces = -inf, 1, 1", "[density] pieces"),
+        ("pieces = 0, 1, 1", "pieces = 0, 1, nan", "[density] pieces"),
+        ("pieces = 0, 1, 1", "pieces = 0, 1, 1e308; 0, 1, 1e308", "[density] pieces"),
+        ("rule = geometric\nstart = 0\nspacing = 2\nlength = 1\nratio = 0.5",
+         "rule = explicit\nintervals = 0, inf", "[geometry] intervals"),
+        ("rule = geometric\nstart = 0\nspacing = 2\nlength = 1\nratio = 0.5",
+         "rule = explicit\nintervals = -inf, 1", "[geometry] intervals"),
+    ])
+    def test_non_finite_ladder_numbers_exit_one(self, capsys, old, new, field):
+        # these ended in an OverflowError traceback, blamed another field, or
+        # ran on an unbounded interval
+        assert old in GEOMETRIC_TEXT
+        code = cli.main(["run", self._config_file(GEOMETRIC_TEXT.replace(old, new))])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"honestflow: {field}: ")
+        assert not self.out_dir.exists()
+
     def test_short_region_exits_one(self, capsys):
         text = BILLIARD_TEXT.replace("region = domain", "region = disk:0,0")
         code = cli.main(["run", self._config_file(text)])
         assert code == 1
         assert capsys.readouterr().err.startswith("honestflow: [density] region: ")
+
+    @pytest.mark.parametrize("region, message", [
+        ("disk:0,0,2", "'disk:0,0,2' does not sit inside the table"),
+        ("disk:0.5,0,0.6", "'disk:0.5,0,0.6' does not sit inside the table"),
+        ("box:-1,-1,1,1", "'box:-1,-1,1,1' does not sit inside the table"),
+        ("box:0.2,0,0.1,0.5", "'box:0.2,0,0.1,0.5' is empty"),
+    ])
+    def test_region_outside_the_table_exits_one_at_parse(self, capsys, monkeypatch, region,
+                                                         message):
+        # refused by the parser, before anything is sampled
+        monkeypatch.setattr(densities, "_state_sampler", None)
+        text = BILLIARD_TEXT.replace("region = domain", f"region = {region}")
+        assert cli.main(["run", self._config_file(text)]) == 1
+        assert capsys.readouterr().err == f"honestflow: [density] region: {message}\n"
+        assert not self.out_dir.exists()
 
     def test_usage_error_raises_string_exit(self):
         # argparse exits would collide with verdict codes; the parser is
@@ -1059,3 +1512,66 @@ class TestLadderRunFuzz:
         assert all(line.startswith("honestflow: ") for line in err.splitlines())
         if code == 1:
             assert err.startswith("honestflow: [run] ")
+
+
+# ladder geometry numbers: mostly values that make a valid ladder, some in
+# [-4, 4], and the float edges
+_LADDER_EDGES = [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+def _ladder_numbers(*nice):
+    # three draws in four are valid
+    return st.one_of(*[st.sampled_from(nice)] * 6, st.floats(-4.0, 4.0),
+                     st.sampled_from(_LADDER_EDGES))
+
+
+def _pairs_text(groups):
+    return "; ".join(_number_list(g) for g in groups)
+
+
+class TestLadderGeometryFuzz:
+    """Every ladder geometry and piecewise density ends in a report or a
+    named refusal, as in ``TestLadderRunFuzz``."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rule=st.sampled_from(scenarios._FIELDS["geometry"]["rule"][0]),
+        numbers=st.fixed_dictionaries(dict(
+            start=_ladder_numbers(0.0, -1.0), spacing=_ladder_numbers(2.0, 3.0),
+            length=_ladder_numbers(1.0, 0.5), ratio=_ladder_numbers(0.5, 0.9))),
+        intervals=st.lists(st.tuples(_ladder_numbers(0.0, 2.0), _ladder_numbers(1.0, 3.0)),
+                           min_size=1, max_size=3),
+        pieces=st.lists(st.tuples(_ladder_numbers(0.0, 0.5), _ladder_numbers(0.5, 1.0),
+                                  _ladder_numbers(1.0, -0.5, 1e308)),
+                        min_size=1, max_size=2),
+    )
+    @example(rule="geometric", numbers=dict(start=math.inf, spacing=3.0, length=1.0, ratio=0.5),
+             intervals=[(0.0, 1.0)], pieces=[(0.0, 1.0, 1.0)])
+    @example(rule="affine", numbers=dict(start=0.0, spacing=2.0, length=1.0, ratio=0.5),
+             intervals=[(0.0, 1.0)], pieces=[(-math.inf, 1.0, 1.0)])
+    @example(rule="explicit", numbers=dict(start=0.0, spacing=0.0, length=0.0, ratio=0.0),
+             intervals=[(0.0, 0.5)], pieces=[(0.0, 0.5, -1.0)])
+    def test_cli_run_exits_cleanly(self, tmp_path, monkeypatch, capsys, rule, numbers,
+                                   intervals, pieces):
+        monkeypatch.setenv("HONESTFLOW_OUTPUT_DIR", str(tmp_path / "reports"))
+        keys = (("intervals",) if rule == "explicit" else
+                ("start", "spacing", "length") + (("ratio",) if rule == "geometric" else ()))
+        assert set(keys) <= set(scenarios._FIELDS["geometry"])
+        values = dict(numbers, intervals=_pairs_text(intervals))
+        geometry = "".join(f"{key} = {values[key]!r}\n" for key in keys).replace("'", "")
+        text = (
+            f"[geometry]\nkind = interval-union\nrule = {rule}\n{geometry}\n"
+            "[boundary]\nkind = shift\nscale = 0.9\n\n"
+            f"[density]\nkind = piecewise\npieces = {_pairs_text(pieces)}\n\n"
+            "[run]\ntimes = 0.5, 2\nwindows = 0.5, 1\nlambdas = 1\ngrid_points = 4\n"
+            "n_cap = 16\nlabel = fuzz\n"
+        )
+        path = tmp_path / "fuzz.cfg"
+        path.write_text(text)
+        code = cli.main(["run", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert all(line.startswith("honestflow: ") for line in err.splitlines())
+        if code == 1:
+            assert err.startswith(("honestflow: [geometry] ", "honestflow: [density] "))

@@ -387,8 +387,28 @@ def disk_counts(states, weight, rebounds, degenerate, geom, times, scale):
 # Every row goes through the same rounded subtractions that a transport to
 # its own time makes, so each row is bitwise that transport's result.
 # Rounded subtraction is monotone, so rem[k] <= rem[k + 1] holds throughout:
-# rows close in time order, and a particle leaves the compacted working set
-# when its last row closes.
+# rows close in time order, leading rows closed for every working particle
+# are dropped, and a particle leaves the compacted working set when its last
+# row closes.
+#
+# The round branches on no data-dependent mask: np.where and a 2-D nonzero
+# on a random mask cost many times a streaming pass.  Each rewrite below
+# gives the bits the branching form gives; the README says why.
+
+
+def _select(mask, a, b):
+    # b = np.where(mask, a, b) in place, bit for bit: b ^ ((a ^ b) & M) on
+    # uint64 views, M all ones where mask holds, taken as a product with the
+    # 0/1 mask.  a is left alone
+    bits = b.view(np.uint64)
+    flip = a.view(np.uint64) ^ bits
+    flip *= mask
+    bits ^= flip
+
+
+def _cells(mask):
+    # (row, column) pairs of a 2-D mask's set cells
+    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def _snapshot(out, kk, cols, w, n, flagged, state):
@@ -423,39 +443,49 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
     n, speed = rebounds[idx], speed[idx]
     # the working weights; at scale 1 there are none to track
     w = weight[idx] if scale != 1.0 else None
+    # rem[k] is out's row k0 + k
     rem = np.repeat(times[:, None], idx.size, axis=1)
+    k0 = 0
     rounds = 0
     # a particle with no hit ahead (s = inf) only ever flies; the garbage its
     # hit point gets in that round is dropped with it
     with np.errstate(divide="ignore", invalid="ignore"):
         while idx.size:
             rounds += 1
-            # first hit: a running minimum over the edges; the strict < keeps
-            # the first of tied edges, as an argmin over all of them would
+            # first hit: a running minimum over the edges.  An edge the
+            # particle does not move towards (dv <= 0 or nan) counts as a hit
+            # at inf, which is below no s; the strict < keeps the first of
+            # tied edges, and edges come in increasing order, so the hit edge
+            # is the largest e that lowered s
             s = np.full(idx.size, np.inf)
             edge = np.zeros(idx.size, dtype=np.intp)
             for e, (ex, ey) in enumerate(normals):
                 dv = vx * ex + vy * ey
-                se = np.where(dv > 0.0, (offsets[e] - (x * ex + y * ey)) / dv, np.inf)
-                first = se < s
-                s = np.where(first, se, s)
-                edge = np.where(first, e, edge)
-            s = np.maximum(s, 0.0)
+                q = (offsets[e] - (x * ex + y * ey)) / dv
+                first = (q < s) & (dv > 0.0)
+                _select(first, q, s)
+                np.maximum(edge, first * e, out=edge)
+            np.maximum(s, 0.0, out=s)
             open_ = rem > 0.0
-            fly = s > rem
-            kk, jj = np.nonzero(open_ & fly)
+            flown = open_ & (s > rem)
+            kk, jj = _cells(flown)
             r = rem[kk, jj]
-            _snapshot(out, kk, idx[jj], _take(w, jj), n[jj], False,
+            _snapshot(out, kk + k0, idx[jj], _take(w, jj), n[jj], False,
                       lambda: (x[jj] + vx[jj] * r, y[jj] + vy[jj] * r, vx[jj], vy[jj]))
-            hit = open_ & ~fly
+            hit = open_ ^ flown
             if rounds > ITER_CAP:
                 # a row owing more than ITER_CAP reflections stops at the last
                 # one; rows that reach their time first have flown out above
-                kk, jj = np.nonzero(hit)
-                _snapshot(out, kk, idx[jj], _take(w, jj), n[jj], True,
+                kk, jj = _cells(hit)
+                _snapshot(out, kk + k0, idx[jj], _take(w, jj), n[jj], True,
                           lambda: (x[jj], y[jj], vx[jj], vy[jj]))
                 break
-            rem = np.where(fly, 0.0, rem - s)
+            # on an open row rem - s < 0 exactly where the row flies (rounded
+            # subtraction is zero only for equal operands) and is never -0.0,
+            # so the clamp gives 0 there and rem - s elsewhere; a closed row
+            # stays 0
+            rem -= s
+            np.maximum(rem, 0.0, out=rem)
             x = x + vx * s
             y = y + vy * s
             # sqrt is monotone and correctly rounded: one root of the least
@@ -477,8 +507,8 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
                 w = np.where(graze, w, w * scale)
             # a graze freezes every row that reached this hit; a reflection
             # closes the rows it leaves with no time
-            kk, jj = np.nonzero(hit & (graze | (rem == 0.0)))
-            _snapshot(out, kk, idx[jj], _take(w, jj), n[jj], graze[jj],
+            kk, jj = _cells(hit & (graze | (rem == 0.0)))
+            _snapshot(out, kk + k0, idx[jj], _take(w, jj), n[jj], graze[jj],
                       lambda: (x[jj], y[jj], vx[jj], vy[jj]))
             keep = ~graze & (rem[-1] > 0.0)
             if not keep.all():
@@ -486,6 +516,13 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
                     a[keep] for a in (idx, x, y, vx, vy, n, speed))
                 w = _take(w, keep)
                 rem = rem[:, keep]
+            # drop the leading rows closed for every working particle; a
+            # working particle's last row is open, so the last row stays
+            closed = 0
+            while idx.size and not rem[closed].any():
+                closed += 1
+            rem = rem[closed:]
+            k0 += closed
     return out
 
 

@@ -85,6 +85,14 @@ def _parse_window(text: str) -> tuple:
     return s, t
 
 
+def _verdict_density(cfg: _sc.ScenarioConfig):
+    # a ladder's initial density, refused by field when it is signed
+    f = _sc.initial_density(cfg)
+    if not f.is_nonnegative:
+        raise _sc.ConfigError(_sc.SIGNED_DENSITY)
+    return f
+
+
 def _cmd_honesty(args) -> int:
     cfg = _load(args)
     window = _parse_window(args.window)
@@ -102,7 +110,7 @@ def _cmd_honesty(args) -> int:
             "tail-weights: " + ",".join(_sc._fmt(x) for x in rep.tail_weights) + "\n"
         )
         return EXIT_CODES[rep.verdict]
-    f = _sc.initial_density(cfg)
+    f = _verdict_density(cfg)
     rep = _hon.honesty_on_interval(
         window, f, cfg.geometry, cfg.boundary,
         tol=cfg.tol, n_cap=cfg.n_cap, grid_points=cfg.grid_points,
@@ -125,7 +133,7 @@ def _cmd_resolvent(args) -> int:
         raise _sc.ConfigError("resolvent diagnostics are not defined for billiard scenarios")
     if not 0 < args.lam < math.inf:
         raise _sc.ConfigError("--lambda: resolvent parameter must be positive and finite")
-    f = _sc.initial_density(cfg)
+    f = _verdict_density(cfg)
     rep = _hon.resolvent_defect(f, args.lam, cfg.geometry, cfg.boundary, tol=cfg.tol, n_cap=cfg.n_cap)
     sys.stdout.write(
         f"scenario: {cfg.label}\n"

@@ -408,14 +408,17 @@ def _state_sampler(geom: Billiard, n: int, seed: int, region):
             p1, p2 = rest[tri], rest[tri + 1]
             x = a * v0[0] + b * p1[:, 0] + c * p2[:, 0]
             y = a * v0[1] + b * p1[:, 1] + c * p2[:, 1]
-        uv0 = _kernels.stream_draws(hashed, _VEL_STREAMS[0])
-        uv1 = _kernels.stream_draws(hashed, _VEL_STREAMS[1])
-        if speeds is not None:
-            pick = np.minimum((uv0 * speeds.size).astype(np.int64), speeds.size - 1)
-            speed = speeds[pick]
+        if speeds is not None and speeds.size == 1:
+            # the pick is always 0: its stream is not drawn
+            speed = speeds[0]
         else:
-            speed = np.sqrt(vs.speed_min**2 + uv0 * (vs.speed_max**2 - vs.speed_min**2))
-        ang = 2.0 * np.pi * uv1
+            uv0 = _kernels.stream_draws(hashed, _VEL_STREAMS[0])
+            if speeds is not None:
+                pick = np.minimum((uv0 * speeds.size).astype(np.int64), speeds.size - 1)
+                speed = speeds[pick]
+            else:
+                speed = np.sqrt(vs.speed_min**2 + uv0 * (vs.speed_max**2 - vs.speed_min**2))
+        ang = 2.0 * np.pi * _kernels.stream_draws(hashed, _VEL_STREAMS[1])
         return x, y, speed * np.cos(ang), speed * np.sin(ang)
 
     return draw
@@ -510,8 +513,10 @@ def transport_ensemble(
 
 
 # particle states one polygon sweep may hold, summed over its times: bounds
-# the sweep's memory (25 bytes per state: a row's weight, rebound count and
-# flag, and its remaining time) to about 52 MB whatever the number of times
+# the sweep's memory whatever the number of times.  Its traced peak on the
+# hexagon is about 180 bytes per particle plus 24 per state at scale 1 (32
+# at other scales): 5 * 10^5 states of 10^5 particles peak near 30 MB, and
+# 2^21 of them near 66 MB
 SWEEP_STATES = 1 << 21
 
 
@@ -558,9 +563,10 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     the whole trajectory, and each time then costs one streaming pass over
     them.  A polygon steps every particle's events once per group of times,
     up to the group's largest, each group holding at most ``SWEEP_STATES``
-    particle states of 25 bytes (weight, count and flag per time, never
-    positions or velocities, plus the remaining time; 17 at scale 1, with
-    no weight), and yields views of the sweep's rows, without copying them.
+    particle states (a count and a flag per time, and a weight below scale
+    1, never positions or velocities), and yields views of the sweep's rows,
+    without copying them.  A sweep's transient peaks near 180 bytes per
+    particle plus 24 per state at scale 1, 32 at other scales.
     The first group sweeps at the call, and the ensemble is copied only
     when there are more groups.  The sweep runs one block of particles per
     CPU; its rows are the same bytes for any number of blocks.

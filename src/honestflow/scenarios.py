@@ -373,6 +373,11 @@ def _parse_boundary(sec: _Section) -> BoundaryRule:
     return rule
 
 
+# the refusal of an honesty verdict, from a config's windows or lambdas or
+# from the command line, on a signed density
+SIGNED_DENSITY = "[density] pieces: honesty verdicts are defined for nonnegative densities"
+
+
 def _parse_density(sec: _Section, geometry) -> tuple:
     # the ScenarioConfig fields of the density, and whether it is
     # nonnegative
@@ -427,8 +432,7 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
     if isinstance(geometry, Billiard) and any(s != 0.0 for s, _ in plan["windows"]):
         raise ConfigError("[run] windows: billiard honesty windows must start at 0")
     if (plan["windows"] or plan["lambdas"]) and not nonnegative:
-        raise ConfigError("[density] pieces: honesty verdicts are defined for nonnegative "
-                          "densities")
+        raise ConfigError(SIGNED_DENSITY)
     return ScenarioConfig(geometry=geometry, boundary=boundary, **plan, **density)
 
 

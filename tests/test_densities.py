@@ -727,6 +727,25 @@ def test_count_steps_hold_nine_bytes_per_particle_and_time():
     assert len(held) == 4 and first[1].weight is held[-1][1].weight
 
 
+def test_polygon_sweep_transient_is_bounded(monkeypatch):
+    # one block, so no two threads' peaks overlap by chance.  Five times at
+    # scale 1 read about 304 bytes per particle at 2^16 particles: the rows
+    # and the weight copy held (53), the working state and the round's
+    # temporaries
+    monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
+    n = 1 << 16
+    geom = hexagon()
+    ens = sample_ensemble(geom, n, 7)
+    tracemalloc.start()
+    try:
+        held = rows_of(transport_counts_times(ens, (0.5, 2.0, 5.0, 10.0, 20.0), geom))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 325.0, peak / n
+    assert len(held) == 5 and held[-1].rebounds.max() > 10
+
+
 class TestLadderSampling:
     def test_positions_follow_density(self, unit_ladder):
         f = PiecewiseDensity.from_pieces(unit_ladder, [(0.0, 0.5, 1.0), (2.0, 3.0, 1.0)])

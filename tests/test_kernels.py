@@ -4,8 +4,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from honestflow import Billiard, VelocitySpec, rebound_sequence, sample_ensemble, transport_ensemble
+from honestflow import (Billiard, ParticleEnsemble, VelocitySpec, rebound_sequence,
+                        sample_ensemble, transport_ensemble)
 from honestflow import _kernels
 from honestflow._kernels import SURVIVAL_STREAM_BASE, ladder_survival, uniform_array
 
@@ -61,6 +64,28 @@ class TestUniformDraws:
         assert np.array_equal(ens.pos[:, 1], -0.25 + 0.5 * u[1])
         speed = np.sqrt(0.5**2 + u[3] * (2.0**2 - 0.5**2))
         ang = 2.0 * np.pi * u[4]
+        assert np.array_equal(ens.vel, np.stack([speed * np.cos(ang), speed * np.sin(ang)], axis=1))
+
+    @pytest.mark.parametrize("speeds", [(1.5,), (1.5, 0.5)])
+    def test_speed_pick_stream_is_drawn_for_a_choice_only(self, monkeypatch, speeds):
+        # a finite speed set picks by stream 3; a set of one needs no pick
+        read = set()
+        draws = _kernels.stream_draws
+
+        def recorded(hashed, stream):
+            read.add(int(stream))
+            return draws(hashed, stream)
+
+        monkeypatch.setattr(_kernels, "stream_draws", recorded)
+        geom = Billiard("disk", center=(0.0, 0.0), radius=1.0,
+                        velocities=VelocitySpec("speeds", speeds=speeds))
+        ens = sample_ensemble(geom, 3000, seed=19, region="box:-0.5,-0.25,0.5,0.25")
+        assert read == ({0, 1, 4} if len(speeds) == 1 else {0, 1, 3, 4})
+        idx = np.arange(3000, dtype=np.int64)
+        pick = np.minimum((uniform_array(19, idx, 3) * len(speeds)).astype(np.int64),
+                          len(speeds) - 1)
+        speed = np.array(speeds)[pick]
+        ang = 2.0 * np.pi * uniform_array(19, idx, 4)
         assert np.array_equal(ens.vel, np.stack([speed * np.cos(ang), speed * np.sin(ang)], axis=1))
 
 
@@ -502,6 +527,98 @@ class TestPolygonSnapshots:
             events, flag = rebound_sequence((ens.pos[i], ens.vel[i]), 6.0, scaled)
             assert len(events) == moved.rebounds[i]
             assert flag == moved.degenerate[i]
+
+
+def square_table():
+    return Billiard("polygon", vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+                    velocities=VelocitySpec("speeds", speeds=(1.0,)))
+
+
+# float64 bit patterns the select must carry unchanged: quiet and signalling
+# NaNs with payloads and either sign, +-0, +-inf, subnormals and the least
+# normal
+SPECIAL_BITS = (0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                0x7FF0000000000001, 0xFFF4000000000123, 0x0000000000000000,
+                0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000,
+                0x3FF0000000000000, 0xC00C000000000000)
+
+
+def where_bits(mask, a, b):
+    # np.where's lanes and _kernels._select's, as uint64, and whether a was
+    # left alone
+    want = np.where(mask, a, b).view(np.uint64)
+    kept = a.copy()
+    got = b.copy()
+    _kernels._select(mask, a, got)
+    return got.view(np.uint64), want, np.array_equal(a.view(np.uint64), kept.view(np.uint64))
+
+
+class TestExactRound:
+    """The polygon round's branch-free forms: the bit select gives np.where's
+    bits, and the first-hit search steps exactly representable states on the
+    unit square as the scalar oracle does."""
+
+    def test_select_matches_where_bitwise(self):
+        bits = np.array(SPECIAL_BITS, dtype=np.uint64)
+        a, b = (g.ravel().view(np.float64) for g in np.meshgrid(bits, bits))
+        for mask in (np.arange(a.size) % 3 == 0, np.ones(a.size, bool), np.zeros(a.size, bool)):
+            got, want, untouched = where_bits(mask, a, b)
+            assert np.array_equal(got, want) and untouched
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2**64 - 1),
+                              st.integers(0, 2**64 - 1)), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_select_matches_where_on_any_bits(self, lanes):
+        mask, a, b = (np.array(column, dtype=dtype) for column, dtype in
+                      zip(zip(*lanes), (np.bool_, np.uint64, np.uint64)))
+        got, want, untouched = where_bits(mask, a.view(np.float64), b.view(np.float64))
+        assert np.array_equal(got, want) and untouched
+
+    # (position, velocity); every hit time, hit point and reflection is exact
+    SQUARE_STATES = (
+        ((1.0, 0.5), (0.5, 0.25)),  # on a wall moving out: s = 0
+        ((0.5, 0.25), (1.0, 0.0)),  # parallel to the bottom and top: dv = +0.0
+        ((0.5, 0.75), (-1.0, -0.0)),  # parallel, dv = -0.0 on the top
+        ((0.5, 0.0), (-0.5, 0.0)),  # along the bottom into a corner: 0 / -0.0
+        ((0.0, 0.5), (1.0, 0.25)),  # on a wall moving in
+        ((0.5, 0.5), (0.5, 0.5)),  # through a vertex: edges 1 and 2 tie
+        ((0.25, 0.5), (0.75, -0.5)),  # through a vertex: edges 0 and 1 tie
+        ((0.25, 0.75), (1.0, -0.5)),  # five reflections by t = 3.5
+    )
+    # repeated times, a zero time and times equal to hit times
+    SQUARE_TIMES = (0.0, 0.0, 0.5, 0.75, 0.75, 1.0, 2.0, 3.5, 3.5)
+
+    def test_square_edge_cases_match_the_oracle(self):
+        geom = square_table()
+        pos = np.array([p for p, _ in self.SQUARE_STATES])
+        vel = np.array([v for _, v in self.SQUARE_STATES])
+        # the search meets each case it is named for, computed as the kernel does
+        normals, offsets = geom.edge_normals()
+        dv = vel[:, :1] * normals[:, 0] + vel[:, 1:] * normals[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = (offsets - (pos[:, :1] * normals[:, 0] + pos[:, 1:] * normals[:, 1])) / dv
+        zero = dv == 0.0
+        assert np.signbit(dv[zero]).any() and not np.signbit(dv[zero]).all()
+        assert np.isnan(q).any() and (q[dv > 0.0] == 0.0).any()
+        n = len(self.SQUARE_STATES)
+        ens = ParticleEnsemble(pos, vel, np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64),
+                               np.zeros(n, dtype=np.bool_), 0)
+        weight, rebounds, degenerate = counts(ens, geom, self.SQUARE_TIMES, scale=0.5)
+        times = _kernels.distinct_times(self.SQUARE_TIMES)
+        assert rebounds.shape == (times.size, n)
+        for k, t in enumerate(times.tolist()):
+            moved = transported(ens, geom, t, scale=0.5)
+            for got, want in zip((weight[k], rebounds[k], degenerate[k]),
+                                 (moved.weight, moved.rebounds, moved.degenerate)):
+                assert np.array_equal(got, want)
+            for i, (p, v) in enumerate(self.SQUARE_STATES):
+                # at t = 0 nothing moves, not even a particle sitting on a wall
+                events, flag = rebound_sequence((p, v), t, geom) if t else ([], False)
+                assert (rebounds[k, i], degenerate[k, i]) == (len(events), flag)
+                assert weight[k, i] == 0.5 ** len(events) / n
+        assert rebounds[-1].tolist() == [1, 4, 4, 0, 1, 0, 0, 5]
+        assert degenerate[-1].tolist() == [True, False, False, True, True, True, True, False]
 
 
 class TestSweepBlocks:

@@ -1334,6 +1334,17 @@ class TestCli:
         assert capsys.readouterr().err == (
             "honestflow: --lambda: resolvent parameter must be positive and finite\n")
 
+    @pytest.mark.parametrize("command", [["honesty", "--window", "0,4"],
+                                         ["resolvent", "--lambda", "1"]])
+    def test_signed_density_verdict_names_the_field(self, capsys, command):
+        # the config holds no windows or lambdas: the flag asks for the verdict
+        text = LADDER_TEXT.replace("pieces = 0, 1, 1", "pieces = 0, 1, -1")
+        code = cli.main([command[0], self._config_file(text), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("honestflow: [density] pieces: honesty verdicts are defined "
+                                "for nonnegative densities\n")
+
     @pytest.mark.parametrize("command", [["run"], ["honesty", "--window", "0,1"],
                                          ["resolvent", "--lambda", "1"]])
     def test_n_cap_override_bounded(self, capsys, command):

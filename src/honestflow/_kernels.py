@@ -6,13 +6,15 @@ full-state transport to one time, ``billiard_transport``, and, for reports
 that read rebound counts alone, one counts kernel per shape.  The polygon
 steps event by event and ``polygon_counts`` takes every requested time in
 one sweep.  The disk needs no stepping: its closed form costs O(1) per
-particle whatever the number of rebounds, and ``disk_counts`` computes each
+particle whatever the number of rebounds.  ``disk_counts`` computes each
 particle's first hit and chord once for all requested times, from states a
-source hands it one slice at a time, so a sampler can feed it without an
-ensemble ever being held whole.  The polygon sweep and the disk chords run
-through one block runner: one contiguous block of particles per CPU, each on
-its own thread, bitwise the same as one block.  Every billiard kernel reads
-the graze threshold ``GRAZE_EPS`` and the reflection cap ``ITER_CAP``.
+source hands it one slice at a time, and ``disk_tallies`` reduces each slice
+to every time's report tallies as it goes, so a sampler can feed it without
+an ensemble, or any per-particle row at scale 1, ever being held.  Every
+threaded kernel runs through one runner, ``_run_blocks``: one worker per
+CPU pulls consecutive chunks of particles in index order, bitwise the same
+as one pass.  Every billiard kernel reads the graze threshold ``GRAZE_EPS``
+and the reflection cap ``ITER_CAP``.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -142,11 +144,11 @@ def ladder_survival(x0, k0, a, b, tail, r, t, seed):
 
 
 # ---------------------------------------------------------------------------
-# one block of particles per CPU
+# one worker per CPU
 # ---------------------------------------------------------------------------
 
 
-# the least number of particles worth a block of its own: a polygon round's
+# the least number of particles worth a worker of its own: a polygon round's
 # fixed cost is paid per block, and on a hexagon two blocks of 10^4 particles
 # about break even with one of 2 * 10^4.  Smaller ensembles run whole on the
 # calling thread.
@@ -154,31 +156,60 @@ SWEEP_BLOCK_MIN = 1 << 14
 
 
 def _sweep_workers(n):
-    # one block per CPU this process may run on, none below SWEEP_BLOCK_MIN
+    # one worker per CPU this process may run on, each with at least
+    # SWEEP_BLOCK_MIN particles
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(cpus or 1, n // SWEEP_BLOCK_MIN))
 
 
-def _run_blocks(size, work):
-    # work(lo, hi) on one contiguous block of range(size) per worker: the
-    # first block on the calling thread, each other one on a thread of its
-    # own.  numpy releases the GIL inside its loops, so the blocks run side
-    # by side.  A worker's exception is raised again here after the join.
+def _run_blocks(size, chunk, work, take=None):
+    """Run ``work(lo, hi)`` over consecutive chunks of ``range(size)``, each
+    ``chunk`` long but the last, on one worker per CPU (``_sweep_workers``).
+
+    Workers pull chunks in index order.  The calling thread is one of them,
+    and every other runs on a thread of its own; numpy releases the GIL
+    inside its loops, so they run side by side.  Given ``take``,
+    ``take(work(lo, hi))`` runs for every chunk strictly in index order, one
+    at a time: a worker with a finished chunk waits for its turn before it
+    pulls the next, so at most one result per worker is in hand.  The first
+    exception a worker raises stops every worker after its current chunk,
+    waiting ones included, and is raised again here once all have stopped.
+    """
+    bounds = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
+    pending = iter(enumerate(bounds))
+    turn = threading.Condition()
+    taken = 0
     errors = []
 
-    def run(lo, hi):
+    def run():
+        nonlocal taken
         try:
-            work(lo, hi)
-        except Exception as exc:
-            errors.append(exc)
+            while True:
+                with turn:
+                    i, block = (None, None) if errors else next(pending, (None, None))
+                if block is None:
+                    return
+                out = work(*block)
+                if take is None:
+                    continue
+                with turn:
+                    turn.wait_for(lambda: taken == i or errors)
+                    if errors:
+                        return
+                take(out)
+                with turn:
+                    taken += 1
+                    turn.notify_all()
+        except BaseException as exc:
+            with turn:
+                errors.append(exc)
+                turn.notify_all()
 
-    workers = _sweep_workers(size)
-    bounds = [size * b // workers for b in range(workers + 1)]
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    threads = [threading.Thread(target=run, args=block) for block in blocks[1:]]
+    threads = [threading.Thread(target=run)
+               for _ in range(min(_sweep_workers(size), len(bounds)) - 1)]
     for thread in threads:
         thread.start()
-    run(*blocks[0])
+    run()
     for thread in threads:
         thread.join()
     if errors:
@@ -296,59 +327,77 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
         weight[idx] *= scale ** hits
 
 
+def _disk_chords(x, y, vx, vy, cx, cy, radius):
+    # the time-independent part of one slice of particles: the first-hit
+    # time, the graze flag and the chord period
+    s0, v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
+    _, _, _, graze, tau = _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius)
+    return s0, graze, tau
+
+
+def _disk_step(chords, weight, rebounds, degenerate, t, scale):
+    # (weight, rebounds, degenerate) of one slice at time t, in one streaming
+    # pass with no gather or scatter; at t = 0 nothing moves, not even a
+    # particle sitting on the wall, and the inputs come back as they are.  A
+    # particle that does not move (s0 = inf for an input-degenerate one, s0 >
+    # t, or a graze) gets hits = 0, so its count gains +0 and its weight *
+    # 1.0; every moving one goes through the full-state kernel's own
+    # expressions, so the result is its bits.  At scale 1 the weights are the
+    # input's
+    if t == 0.0:
+        return weight, rebounds, degenerate
+    s0, graze, tau = chords
+    hit = s0 <= t
+    move = hit & ~graze
+    # the masked lanes divide by tau = 0 and cast the inf or nan k it gives
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, capped, hits = _disk_hits(t - s0, tau)
+    hits = np.where(move, hits, 0)
+    flagged = degenerate | (hit & graze) | (move & capped)
+    w = weight if scale == 1.0 else weight * scale ** hits
+    return w, rebounds + hits, flagged
+
+
 def _disk_chord_blocks(states, n, cx, cy, radius):
-    # the time-independent part of particles 0..n-1, about 17 bytes each: the
-    # first-hit time, the graze flag and the chord period.  states(lo, hi)
+    # the chords of particles 0..n-1, about 17 bytes each.  states(lo, hi)
     # gives the positions and velocities x, y, vx, vy of particles lo..hi-1,
     # asked for one DISK_CHUNK slice at a time, so a state only ever exists
-    # for the slice in hand.  Every value depends on its own particle alone,
-    # so one block of slices per CPU gives the bytes of one whole pass.
+    # for the slices in hand.  Every value depends on its own particle alone,
+    # so any number of workers gives the bytes of one whole pass.
     s0 = np.empty(n)
     graze = np.empty(n, dtype=np.bool_)
     tau = np.empty(n)
 
     def chords(lo, hi):
-        for start in range(lo, hi, DISK_CHUNK):
-            sl = slice(start, min(start + DISK_CHUNK, hi))
-            x, y, vx, vy = states(sl.start, sl.stop)
-            s0[sl], v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
-            _, _, _, graze[sl], tau[sl] = _disk_wall(x, y, vx, vy, v2, s0[sl], cx, cy, radius)
+        s0[lo:hi], graze[lo:hi], tau[lo:hi] = _disk_chords(*states(lo, hi), cx, cy, radius)
 
-    _run_blocks(n, chords)
+    _run_blocks(n, DISK_CHUNK, chords)
     return s0, graze, tau
 
 
 def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale):
-    # One streaming pass per time and slice, with no gather or scatter.  A
-    # particle that does not move (s0 = inf for an input-degenerate one,
-    # s0 > t, or a graze) gets hits = 0, so its count gains +0 and its weight
-    # * 1.0; every moving one goes through the full-state kernel's own
-    # expressions, so the rows are its bits.  At scale 1 no weight changes
-    # and every time yields the one read-only weight array.
+    # every time's full rows, one _disk_step per slice.  At scale 1 no weight
+    # changes and every time yields the one read-only weight array.
     s0, graze, tau = chords
     if scale == 1.0 and weight.flags.writeable:
         weight = weight.view()
         weight.flags.writeable = False
     for t in times.tolist():
-        if t == 0.0:
-            # nothing moves, not even a particle sitting on the wall
-            yield (weight if scale == 1.0 else weight.copy()), rebounds.copy(), degenerate.copy()
-            continue
         w = weight if scale == 1.0 else np.empty_like(weight)
         n, flagged = np.empty_like(rebounds), np.empty_like(degenerate)
-        # the masked lanes divide by tau = 0 and cast the inf or nan k it gives
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, n.size, DISK_CHUNK):
-                sl = slice(lo, lo + DISK_CHUNK)
-                hit = s0[sl] <= t
-                move = hit & ~graze[sl]
-                _, capped, hits = _disk_hits(t - s0[sl], tau[sl])
-                hits = np.where(move, hits, 0)
-                np.add(rebounds[sl], hits, out=n[sl])
-                flagged[sl] = degenerate[sl] | (hit & graze[sl]) | (move & capped)
-                if scale != 1.0:
-                    np.multiply(weight[sl], scale ** hits, out=w[sl])
+        for lo in range(0, n.size, DISK_CHUNK):
+            sl = slice(lo, lo + DISK_CHUNK)
+            step = _disk_step((s0[sl], graze[sl], tau[sl]), weight[sl], rebounds[sl],
+                              degenerate[sl], t, scale)
+            if scale != 1.0:
+                w[sl] = step[0]
+            n[sl], flagged[sl] = step[1:]
         yield w, n, flagged
+
+
+def _disk_geometry(geom):
+    cx, cy = geom.center
+    return float(cx), float(cy), float(geom.radius)
 
 
 def disk_counts(states, weight, rebounds, degenerate, geom, times, scale):
@@ -366,13 +415,58 @@ def disk_counts(states, weight, rebounds, degenerate, geom, times, scale):
     one streaming pass over them.
     """
     times = distinct_times(times)
-    cx, cy = geom.center
-    s0, graze, tau = _disk_chord_blocks(states, weight.shape[0], float(cx), float(cy),
-                                        float(geom.radius))
+    s0, graze, tau = _disk_chord_blocks(states, weight.shape[0], *_disk_geometry(geom))
     # an input-degenerate particle never moves, so its first hit is at inf
     s0[degenerate] = np.inf
     return _disk_count_steps(weight, rebounds, degenerate, (s0, graze, tau), times,
                              float(scale))
+
+
+def disk_tallies(states, weight, rebounds, degenerate, geom, times, scale):
+    """The report reductions of a disk ensemble's counts at every one of
+    ``times``, in one pass over its particles.
+
+    Arguments as ``disk_counts``.  Returns a list of ``(histogram, flagged,
+    weight)``, one per time of ``distinct_times(times)``: for the ``(w, n,
+    d)`` that ``disk_counts`` yields for that time, bitwise
+    ``np.bincount(n, weights=w)``, ``w[d]`` and ``w``.  At scale 1 ``w`` is
+    the input ``weight`` itself; below 1 every time holds a weight row of
+    its own, 8 bytes per particle.  Nothing else is held per particle: the
+    workers of ``_run_blocks`` pull ``DISK_CHUNK`` slices, each drawn,
+    reduced to its chords and counted at every time, and each slice's counts
+    are folded into the tallies strictly in index order, so every addition
+    happens in the order ``bincount`` and the gather make it.
+    """
+    times = distinct_times(times).tolist()
+    geometry = _disk_geometry(geom)
+    scale = float(scale)
+    rows = None if scale == 1.0 else np.empty((len(times), weight.shape[0]))
+    hists = [np.zeros(1) for _ in times]
+    flagged = [[np.zeros(0)] for _ in times]
+
+    def work(lo, hi):
+        s0, graze, tau = _disk_chords(*states(lo, hi), *geometry)
+        s0[degenerate[lo:hi]] = np.inf
+        steps = []
+        for k, t in enumerate(times):
+            w, n, d = _disk_step((s0, graze, tau), weight[lo:hi], rebounds[lo:hi],
+                                 degenerate[lo:hi], t, scale)
+            if rows is not None:
+                rows[k, lo:hi] = w
+            steps.append((w, n, int(n.max()), w[d]))
+        return steps
+
+    def take(steps):
+        # np.add.at adds each weight in turn, as bincount does
+        for k, (w, n, top, wd) in enumerate(steps):
+            if top >= hists[k].size:
+                hists[k] = np.concatenate([hists[k], np.zeros(top + 1 - hists[k].size)])
+            np.add.at(hists[k], n, w)
+            flagged[k].append(wd)
+
+    _run_blocks(weight.shape[0], DISK_CHUNK, work, take)
+    return [(hist, np.concatenate(parts), weight if rows is None else rows[k])
+            for k, (hist, parts) in enumerate(zip(hists, flagged))]
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +630,10 @@ def _polygon_sweep(arrays, out, geom, times, scale):
 
     # Particles never interact and each one takes part in every round until
     # it leaves, so a contiguous block of them, swept alone into its own
-    # columns of out, gets bitwise the rows a whole sweep gives it.
-    _run_blocks(arrays[0].shape[0], lambda lo, hi: _sweep_block(
+    # columns of out, gets bitwise the rows a whole sweep gives it.  The
+    # sweep asks for one block per worker.
+    size = arrays[0].shape[0]
+    _run_blocks(size, max(1, -(-size // _sweep_workers(size))), lambda lo, hi: _sweep_block(
         *(a[lo:hi] for a in arrays), tuple(o[:, lo:hi] for o in out), *consts))
     return out
 

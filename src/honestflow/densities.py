@@ -13,13 +13,13 @@ of indices can be drawn alone.
 
 A :class:`ReboundCounts` holds the last three arrays alone.  A particle's
 rebound count is the expansion order it contributes to, so these are all
-that the ensemble reports read: the rebound histogram, its tail weights and
-the degenerate weight.  ``transport_counts_times`` yields them along a
-trajectory without transporting positions on a disk, and
-``sample_disk_counts`` yields them for a sampled disk without ever holding
-its positions or velocities.  Both feed ``_kernels.disk_counts`` one slice
-of states at a time: views of the held ensemble, or draws of the helper
-that ``sample_ensemble`` uses, each reduced to its chords and dropped.
+that the ensemble reports read, and only through a :class:`ReboundTally`:
+the mass, the rebound histogram, its tail weights and the degenerate
+weight.  ``transport_counts_times`` yields the counts along a trajectory
+without transporting positions on a disk, and ``sample_disk_counts``
+yields the tallies of a sampled disk in one pass over slices of its
+particles, each drawn, counted at every time, folded into the tallies and
+dropped, so neither its states nor its counts are ever held whole.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "PiecewiseDensity",
     "ParticleEnsemble",
     "ReboundCounts",
+    "ReboundTally",
     "free_stream",
     "restrict",
     "sample_disk_counts",
@@ -195,11 +196,64 @@ def free_stream(f: PiecewiseDensity, t: float, geom: IntervalUnion) -> Piecewise
 
 
 @dataclass(frozen=True, eq=False)
+class ReboundTally:
+    """The report values of N particles' rebound counts at one time.
+
+    A particle's rebound count is the expansion order it contributes to, so
+    the reports read only these: the total weight, the weight per rebound
+    count and the degenerate weight.  The histogram is read-only.
+    """
+
+    size: int
+    total: float
+    histogram: np.ndarray
+    flagged: float
+
+    def __post_init__(self):
+        self.histogram.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.size
+
+    def mass(self) -> float:
+        """Total weight, degenerate (frozen) particles included."""
+        return self.total
+
+    def degenerate_weight(self) -> float:
+        return self.flagged
+
+    def rebound_histogram(self) -> np.ndarray:
+        """Weight per rebound count, index n holding weight with exactly n.
+
+        The same read-only array on every call; its last index is the
+        largest rebound count."""
+        return self.histogram
+
+    def max_rebounds(self) -> int:
+        return self.histogram.size - 1
+
+    def tail_weights(self, n_max: int | None = None) -> np.ndarray:
+        """``out[n]`` = weight of particles with at least n+1 rebounds.
+
+        This estimates the time-integrated outgoing trace norm of expansion
+        order n: exactly the mass whose (n+1)-th boundary hit happened
+        within the elapsed time.  The array runs one order past the largest
+        observed rebound count, so its last entry is exactly zero.
+        """
+        hist = np.concatenate([self.histogram, [0.0]])
+        if n_max is not None and n_max + 2 > hist.size:
+            hist = np.concatenate([hist, np.zeros(n_max + 2 - hist.size)])
+        tail = np.cumsum(hist[::-1])[::-1]
+        out = tail[1:]
+        return out if n_max is None else out[: n_max + 1]
+
+
+@dataclass(frozen=True, eq=False)
 class ReboundCounts:
     """Weights, rebound counters and degeneracy flags of N particles.
 
-    Treat the arrays as read-only: the rebound histogram is built once, on
-    first use, and every report derived from this record reads that one.
+    Treat the arrays as read-only: the report values are tallied once, on
+    first use, and every report derived from this record reads that tally.
     Along a trajectory at scale 1 no weight changes, and every time's
     record holds one shared read-only weight array.
     """
@@ -215,43 +269,26 @@ class ReboundCounts:
         """Total weight, degenerate (frozen) particles included."""
         return float(self.weight.sum())
 
-    def degenerate_weight(self) -> float:
-        return float(self.weight[self.degenerate].sum())
-
     @cached_property
-    def _histogram(self) -> np.ndarray:
-        if len(self) == 0:
-            hist = np.zeros(1)
-        else:
-            top = int(self.rebounds.max())
-            hist = np.bincount(self.rebounds, weights=self.weight, minlength=top + 1)
-        hist.flags.writeable = False
-        return hist
+    def _tally(self) -> ReboundTally:
+        hist = (np.bincount(self.rebounds, weights=self.weight) if len(self)
+                else np.zeros(1))
+        return ReboundTally(len(self), self.mass(), hist,
+                            float(self.weight[self.degenerate].sum()))
+
+    def degenerate_weight(self) -> float:
+        return self._tally.degenerate_weight()
 
     def rebound_histogram(self) -> np.ndarray:
-        """Weight per rebound count, index n holding weight with exactly n.
-
-        The same read-only array on every call; its last index is the
-        largest rebound count."""
-        return self._histogram
+        """As ``ReboundTally.rebound_histogram``."""
+        return self._tally.rebound_histogram()
 
     def max_rebounds(self) -> int:
-        return self.rebound_histogram().size - 1
+        return self._tally.max_rebounds()
 
     def tail_weights(self, n_max: int | None = None) -> np.ndarray:
-        """``out[n]`` = weight of particles with at least n+1 rebounds.
-
-        This estimates the time-integrated outgoing trace norm of expansion
-        order n: exactly the mass whose (n+1)-th boundary hit happened
-        within the elapsed time.  The array runs one order past the largest
-        observed rebound count, so its last entry is exactly zero.
-        """
-        hist = np.concatenate([self.rebound_histogram(), [0.0]])
-        if n_max is not None and n_max + 2 > hist.size:
-            hist = np.concatenate([hist, np.zeros(n_max + 2 - hist.size)])
-        tail = np.cumsum(hist[::-1])[::-1]
-        out = tail[1:]
-        return out if n_max is None else out[: n_max + 1]
+        """As ``ReboundTally.tail_weights``."""
+        return self._tally.tail_weights(n_max)
 
 
 @dataclass
@@ -435,24 +472,37 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
     velocity spec, unit total weight."""
     draw = _state_sampler(geom, n, seed, region)
     pos, vel = np.empty((n, 2)), np.empty((n, 2))
-    pos[:, 0], pos[:, 1], vel[:, 0], vel[:, 1] = draw(0, n)
+
+    def fill(lo, hi):
+        pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1] = draw(lo, hi)
+
+    # every draw is index-pure, so the slices give the bytes of one draw
+    _kernels._run_blocks(n, _kernels.DISK_CHUNK, fill)
     counts = _initial_counts(n)
     return ParticleEnsemble(pos, vel, counts.weight, counts.rebounds, counts.degenerate,
                             int(seed))
 
 
 def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: float):
-    """The initial counts and the rebound-count trajectory of a sampled disk
-    ensemble, from its chords alone.
+    """The initial counts and the rebound tallies of a sampled disk
+    ensemble's trajectory, in one pass over slices of its particles.
 
     Returns ``(counts0, trajectory)``: ``counts0`` is bitwise
-    ``sample_ensemble(geom, n, seed, region).counts``, and ``trajectory``
-    yields bitwise what ``transport_counts_times`` yields for that ensemble,
-    ``times``, ``geom`` and ``scale``.  Bad requests and times raise
-    ValueError here.  No particle state is ever held whole: the particles
-    cost 17 bytes each for chords plus 17 for their counts, and each time
-    in hand 17 more, or 9 at scale 1.  ``counts0``'s arrays are read-only,
-    and at scale 1 every time's weight is ``counts0.weight`` itself.
+    ``sample_ensemble(geom, n, seed, region).counts``, with read-only
+    arrays, and ``trajectory`` yields ``(t, tally)`` over the distinct
+    ``times`` in ascending order, each ``ReboundTally`` bitwise the tally of
+    what ``transport_counts_times`` yields for that ensemble, ``times``,
+    ``geom`` and ``scale``.  Bad requests and times raise ValueError here.
+
+    No particle state is ever held whole: ``_kernels.disk_tallies`` draws
+    each slice of ``_kernels.DISK_CHUNK`` particles, reduces it to its
+    chords and its counts at every time, and folds those into each time's
+    tallies in index order.  Beyond the 17 bytes per particle of
+    ``counts0``, at scale 1 nothing per particle is held, and all times run
+    in the one pass at the call.  Below 1 a time's mass sums a weight row of
+    its own, 8 bytes per particle, so one pass holds at most
+    ``SWEEP_STATES`` of them: the first pass runs at the call, and later
+    ones, drawing the particles again, as they are reached.
     """
     if geom.shape != "disk":
         raise ValueError("disk counts are defined on a disk table")
@@ -461,9 +511,17 @@ def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: 
     counts0 = _initial_counts(n)
     for array in (counts0.weight, counts0.rebounds, counts0.degenerate):
         array.flags.writeable = False
-    steps = _kernels.disk_counts(draw, counts0.weight, counts0.rebounds, counts0.degenerate,
-                                 geom, ts, scale)
-    return counts0, _trajectory(ts, steps)
+    mass = counts0.mass()
+
+    def tallies(group):
+        return [ReboundTally(n, mass if w is counts0.weight else float(w.sum()), hist,
+                             float(flagged.sum()))
+                for hist, flagged, w in _kernels.disk_tallies(
+                    draw, counts0.weight, counts0.rebounds, counts0.degenerate, geom, group,
+                    scale)]
+
+    rows = ts.size if scale == 1.0 else max(1, SWEEP_STATES // n)
+    return counts0, _in_groups(tallies, ts, rows)
 
 
 # a position may lie this far outside the table, relative to the table's
@@ -522,29 +580,36 @@ SWEEP_STATES = 1 << 21
 
 def _polygon_trajectory(ens: ParticleEnsemble, weight, ts, geom: Billiard, scale: float):
     # (t, counts) at the distinct ascending times ts, views of the sweep's
-    # rows.  The first group of times sweeps here, and later groups as they
-    # are reached, from a copy of ens taken here; each group starts from
-    # ens, with weight for its weights, so it stays bitwise
+    # rows.  Each group of times sweeps from ens, with weight for its
+    # weights, so it stays bitwise; ens is copied here when a group sweeps
+    # after the call
     rows = max(1, SWEEP_STATES // max(1, len(ens)))
     if ts.size > rows:
         ens = ens.copy()
 
     def sweep(group):
-        return _kernels.polygon_counts(ens.pos, ens.vel, weight, ens.rebounds, ens.degenerate,
-                                       geom, group, scale)
+        counts = _kernels.polygon_counts(ens.pos, ens.vel, weight, ens.rebounds,
+                                         ens.degenerate, geom, group, scale)
+        return [ReboundCounts(*(a[k] for a in counts)) for k in range(group.size)]
 
-    return _polygon_rows(sweep, sweep(ts[:rows]), ts, rows)
+    return _in_groups(sweep, ts, rows)
 
 
-def _polygon_rows(sweep, counts, ts, rows):
-    # counts holds the rows of the first group; the counts the caller holds
-    # can keep the previous group alive while the next runs
+def _in_groups(run, ts, rows):
+    # (t, record) over ts, run(group) giving the records of each group of at
+    # most rows times: the first group runs here, at the call, and later ones
+    # as they are reached
+    return _walk_groups(run, run(ts[:rows]), ts, rows)
+
+
+def _walk_groups(run, records, ts, rows):
+    # the records the caller holds can keep the previous group alive while
+    # the next runs, but this generator does not
     for lo in range(0, ts.size, rows):
         group = ts[lo:lo + rows]
-        counts = counts if lo == 0 else sweep(group)
-        for k, t in enumerate(group.tolist()):
-            yield t, ReboundCounts(*(a[k] for a in counts))
-        del counts
+        records = records if lo == 0 else run(group)
+        yield from zip(group.tolist(), records)
+        del records
 
 
 def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: float = 1.0):

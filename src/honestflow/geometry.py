@@ -102,7 +102,7 @@ class IntervalUnion:
                 raise ValueError("explicit rule needs at least one interval")
             for a, b in ivs:
                 if not (math.isfinite(a) and math.isfinite(b)):
-                    raise ValueError(f"intervals: endpoints must be finite, got ({a}, {b})")
+                    raise ValueError(f"endpoints must be finite, got ({a}, {b})")
                 if not a < b:
                     raise ValueError(f"degenerate interval ({a}, {b})")
             for (_, b0), (a1, _) in zip(ivs, ivs[1:]):

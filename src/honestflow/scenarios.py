@@ -63,8 +63,8 @@ from .boundary import BoundaryRule
 # transport_ensemble is not called here; perfbench/tracing.py wraps it under
 # this name
 from .densities import (
-    PiecewiseDensity, ReboundCounts, _numbers, _region_spec, sample_disk_counts, sample_ensemble,
-    transport_counts_times, transport_ensemble,
+    PiecewiseDensity, ReboundCounts, ReboundTally, _numbers, _region_spec, sample_disk_counts,
+    sample_ensemble, transport_counts_times, transport_ensemble,
 )
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, TruncationReport
 from .geometry import Billiard, IntervalUnion, VelocitySpec
@@ -220,7 +220,8 @@ _FIELDS = {
     },
     "boundary": {
         "kind": (("shift", "kernel", "specular"), None),
-        "scale": (_number, 1.0),
+        "scale": (_number, 1.0,
+                  (lambda v: 0.0 < v <= 1.0, "boundary weight scale must lie in (0, 1]")),
         "row_<k>": (_row, _REQUIRED),
     },
     "density": {
@@ -320,17 +321,20 @@ def _parse_geometry(sec: _Section):
             keys = ("intervals",)
         else:
             keys = ("start", "spacing", "length") + (("ratio",) if rule == "geometric" else ())
-        geom = _made("[geometry]", IntervalUnion, rule, **{key: sec.get(key) for key in keys})
+        # an explicit rule's refusals are all of its intervals
+        where = "[geometry] intervals:" if rule == "explicit" else "[geometry]"
+        geom = _made(where, IntervalUnion, rule, **{key: sec.get(key) for key in keys})
         sec.reject_unused()
         return geom
     shape = sec.get("shape")
     if ("speeds" in sec.items) == ("speed_band" in sec.items):
         raise ConfigError("[geometry] give exactly one of speeds / speed_band")
     if "speeds" in sec.items:
-        vel = _made("[geometry]", VelocitySpec, "speeds", speeds=sec.get("speeds"))
+        vel = _made("[geometry] speeds:", VelocitySpec, "speeds", speeds=sec.get("speeds"))
     else:
         lo, hi = sec.get("speed_band")
-        vel = _made("[geometry]", VelocitySpec, "annulus", speed_min=lo, speed_max=hi)
+        vel = _made("[geometry] speed_band:", VelocitySpec, "annulus", speed_min=lo,
+                    speed_max=hi)
     if shape == "disk":
         center, radius = sec.get("center"), sec.get("radius")
         _check_size(radius, center, "[geometry] radius")
@@ -343,7 +347,8 @@ def _parse_geometry(sec: _Section):
             xs, ys = zip(*verts)
             _check_size(max(max(xs) - min(xs), max(ys) - min(ys)), coords,
                         "[geometry] vertices")
-        geom = _made("[geometry]", Billiard, "polygon", vertices=verts, velocities=vel)
+        geom = _made("[geometry] vertices:", Billiard, "polygon", vertices=verts,
+                     velocities=vel)
     sec.reject_unused()
     return geom
 
@@ -590,7 +595,8 @@ def _run_ladder(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _ensemble_row(t: float, counts: ReboundCounts, initial_mass: float) -> EnsembleRow:
+def _ensemble_row(t: float, counts: ReboundCounts | ReboundTally,
+                  initial_mass: float) -> EnsembleRow:
     mass = counts.mass()
     return EnsembleRow(
         t=float(t),
@@ -605,8 +611,8 @@ def _ensemble_row(t: float, counts: ReboundCounts, initial_mass: float) -> Ensem
 
 def _sampled_counts(cfg: ScenarioConfig, times):
     # the configured ensemble's initial counts and its rebound-count
-    # trajectory at times; a disk is sampled straight into chords and never
-    # holds a particle state
+    # trajectory at times, whose records offer the report methods; a disk
+    # is sampled straight into tallies and never holds a particle state
     geom, scale = cfg.geometry, cfg.boundary.scale
     if geom.shape == "disk":
         return sample_disk_counts(geom, cfg.count, cfg.seed, cfg.region, times, scale)
@@ -621,8 +627,8 @@ def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:
     t_max = max(cfg.times)
     rows = [None] * len(cfg.times)
     window_reports = [None] * len(ends)
-    # one pass over the trajectory's rebound counts, each snapshot's
-    # histogram built once; rows and windows keep config order
+    # one pass over the trajectory's rebound counts, each time tallied
+    # once; rows and windows keep config order
     for t, counts in trajectory:
         for i, ti in enumerate(cfg.times):
             if ti == t:

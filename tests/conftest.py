@@ -1,7 +1,35 @@
+import faulthandler
+import os
+
 import pytest
 from hypothesis import strategies as st
 
 from honestflow import BoundaryRule, IntervalUnion, PiecewiseDensity
+
+# seconds one test may run before the whole run stops with every thread's
+# traceback, so a kernel that stops making progress, or a worker left
+# waiting, fails the suite instead of stalling it; the slowest test takes
+# about a second
+TEST_TIME_LIMIT = 60
+
+# the terminal's stderr, duplicated while no output is captured, so the
+# tracebacks reach it from inside a captured test
+_stderr = []
+
+
+def pytest_configure(config):
+    _stderr.append(os.dup(2))
+
+
+def pytest_unconfigure(config):
+    os.close(_stderr.pop())
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT, exit=True, file=_stderr[0])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def dyadics(lo=-8.0, hi=8.0, denom=16):

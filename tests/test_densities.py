@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -163,6 +165,7 @@ class TestEnsemble:
     def test_counts_are_a_view_with_one_histogram(self):
         disk = small_disk()
         ens = transport_ensemble(sample_ensemble(disk, 500, seed=5), 3.0, disk)
+        ens.degenerate[:7] = True
         counts = ens.counts
         assert isinstance(counts, ReboundCounts)
         for name in ("weight", "rebounds", "degenerate"):
@@ -175,8 +178,7 @@ class TestEnsemble:
         assert len(counts) == len(ens) == 500
         assert counts.mass() == ens.mass()
         assert counts.max_rebounds() == int(ens.rebounds.max())
-        ens.degenerate[:7] = True
-        assert counts.degenerate_weight() == float(ens.weight[:7].sum())
+        assert counts.degenerate_weight() == float(ens.weight[ens.degenerate].sum()) > 0.0
 
     def test_empty_counts(self):
         counts = ReboundCounts(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
@@ -467,21 +469,14 @@ class TestDiskChords:
             assert same_arrays(sampled_chords(geom, n, 2024, region), want)
 
     @pytest.mark.parametrize("scale", [0.7, 1.0])
-    def test_counts_are_the_sampled_ensembles(self, scale):
+    def test_initial_counts_are_the_sampled_ensembles(self, scale):
         geom = off_centre_disk()
         ens = sample_ensemble(geom, 3000, seed=31, region="box:0,-1,1.5,0")
-        times = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
-        counts0, got = densities.sample_disk_counts(geom, 3000, 31, "box:0,-1,1.5,0", times,
-                                                    scale)
+        counts0, got = densities.sample_disk_counts(geom, 3000, 31, "box:0,-1,1.5,0",
+                                                    (5.0, 0.0, 0.5), scale)
         assert same_arrays((counts0.weight, counts0.rebounds, counts0.degenerate),
                            (ens.weight, ens.rebounds, ens.degenerate))
-        want = list(transport_counts_times(ens, times, geom, scale))
-        got = list(got)
-        assert [t for t, _ in got] == [t for t, _ in want] == [0.0, 0.5, 2.5, 5.0, 9.0]
-        assert got[-1][1].rebounds.max() > 3
-        for (_, a), (_, b) in zip(got, want):
-            assert same_arrays((a.weight, a.rebounds, a.degenerate),
-                               (b.weight, b.rebounds, b.degenerate))
+        assert [t for t, _ in got] == [0.0, 0.5, 5.0]
 
     def test_bad_requests_rejected(self):
         with pytest.raises(ValueError, match="disk"):
@@ -514,15 +509,159 @@ class TestDiskChords:
         wall = _kernels._disk_wall
 
         def failing(x, *args):
-            # only the last block, which runs on a thread of its own, fails
-            if x.shape[0] == 101:
-                raise FloatingPointError("block failed")
+            # only the last slice fails
+            if x.shape[0] == 1:
+                raise FloatingPointError("slice failed")
             return wall(x, *args)
 
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 100)
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
         monkeypatch.setattr(_kernels, "_disk_wall", failing)
-        with pytest.raises(FloatingPointError, match="block failed"):
+        with pytest.raises(FloatingPointError, match="slice failed"):
             densities.sample_disk_counts(small_disk(), 301, 5, "domain", (1.0,), 1.0)
+        with pytest.raises(FloatingPointError, match="slice failed"):
+            sampled_chords(small_disk(), 301, 5, "domain")
+
+
+def reductions(counts):
+    """What the reports read of held counts, reduced here from the arrays,
+    floats as their bits: the histogram, the degenerate weight, the mass and
+    the largest rebound count."""
+    hist = np.bincount(counts.rebounds, weights=counts.weight)
+    return (hist.tobytes(), float(counts.weight[counts.degenerate].sum()).hex(),
+            float(counts.weight.sum()).hex(), int(counts.rebounds.max()))
+
+
+def tally_values(tally):
+    """The same values, read through the report methods."""
+    hist = tally.rebound_histogram()
+    assert not hist.flags.writeable
+    return (hist.tobytes(), tally.degenerate_weight().hex(), tally.mass().hex(),
+            tally.max_rebounds())
+
+
+class TestSampledTallies:
+    """A sampled disk's trajectory yields, per time, bitwise the reductions
+    of the counts ``transport_counts_times`` gives for the sampled ensemble,
+    for any number of workers and any slicing."""
+
+    TIMES = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
+
+    def expected(self, geom, n, seed, region, scale):
+        ens = sample_ensemble(geom, n, seed=seed, region=region)
+        return [(t, reductions(counts))
+                for t, counts in transport_counts_times(ens, self.TIMES, geom, scale)]
+
+    def tallies(self, geom, n, seed, region, scale):
+        _, trajectory = densities.sample_disk_counts(geom, n, seed, region, self.TIMES, scale)
+        return [(t, tally_values(tally)) for t, tally in trajectory]
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    @pytest.mark.parametrize("case", range(len(CHORD_CASES)))
+    def test_tallies_are_the_reductions_of_the_counts(self, monkeypatch, case, scale, cap):
+        table, region = CHORD_CASES[case]
+        geom = table()
+        if cap is not None:
+            monkeypatch.setattr(_kernels, "ITER_CAP", cap)
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
+        want = self.expected(geom, 3001, 44, region, scale)
+        assert [t for t, _ in want] == [0.0, 0.5, 2.5, 5.0, 9.0]
+        assert want[-1][1][3] > 2
+        if cap is not None:
+            # capped particles are flagged, so the degenerate weight counts
+            assert float.fromhex(want[-1][1][1]) > 0.0
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
+            assert self.tallies(geom, 3001, 44, region, scale) == want
+
+    def test_weight_rows_are_bounded_by_sweep_states(self, monkeypatch):
+        # below scale 1 one pass holds at most SWEEP_STATES weights: groups
+        # of two times, the first pass at the call and the others as reached
+        geom = off_centre_disk()
+        want = self.expected(geom, 600, 8, "domain", 0.7)
+        passes = []
+        tallies = _kernels.disk_tallies
+
+        def counted(states, weight, rebounds, degenerate, geom, times, scale):
+            passes.append(times.tolist())
+            return tallies(states, weight, rebounds, degenerate, geom, times, scale)
+
+        monkeypatch.setattr(densities, "SWEEP_STATES", 2 * 600 + 599)
+        monkeypatch.setattr(_kernels, "disk_tallies", counted)
+        _, trajectory = densities.sample_disk_counts(geom, 600, 8, "domain", self.TIMES, 0.7)
+        assert passes == [[0.0, 0.5]]
+        got = [(t, tally_values(tally)) for t, tally in trajectory]
+        assert passes == [[0.0, 0.5], [2.5, 5.0], [9.0]]
+        assert got == want
+
+    def test_many_workers_under_frequent_switches(self, monkeypatch):
+        # eight workers on fewer cores, the interpreter switching threads
+        # every microsecond: a slice folded out of order or twice changes
+        # the bits
+        geom = off_centre_disk()
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
+        want = self.expected(geom, 20_011, 8, "domain", 0.7)
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.tallies(geom, 20_011, 8, "domain", 0.7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_a_failing_slice_stops_every_worker(self, monkeypatch):
+        # a middle slice fails after the workers behind it have finished
+        # theirs and wait for their turn: every worker stops, and the error
+        # reaches the caller
+        sampler = densities._state_sampler
+
+        def failing_sampler(*args):
+            draw = sampler(*args)
+
+            def states(lo, hi):
+                if lo == 5 * 256:
+                    time.sleep(0.2)
+                    raise FloatingPointError("slice failed")
+                return draw(lo, hi)
+
+            return states
+
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
+        monkeypatch.setattr(densities, "_state_sampler", failing_sampler)
+        before = threading.active_count()
+        raised = []
+
+        def call():
+            try:
+                densities.sample_disk_counts(small_disk(), 12 * 256, 5, "domain", (1.0, 3.0), 1.0)
+            except FloatingPointError as exc:
+                raised.append(exc)
+
+        # a daemon caller makes daemon workers, so a worker left waiting
+        # cannot keep the interpreter from exiting
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=10.0)
+        assert not caller.is_alive(), "a worker failure left the pass waiting"
+        assert [str(exc) for exc in raised] == ["slice failed"]
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("table", [small_square, off_centre_disk])
+def test_sampled_states_do_not_depend_on_the_slices(monkeypatch, table):
+    # sample_ensemble fills its states one slice at a time across workers;
+    # every draw is index-pure, so the bytes are those of one draw
+    geom = table()
+    n = 2000
+    want = densities._state_sampler(geom, n, 9, "domain")(0, n)
+    monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
+    for workers in (1, 3):
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
+        ens = sample_ensemble(geom, n, seed=9)
+        assert same_arrays((ens.pos[:, 0], ens.pos[:, 1], ens.vel[:, 0], ens.vel[:, 1]), want)
 
 
 def hexagon():
@@ -548,13 +687,13 @@ class TestSharedWeights:
 
     TIMES = (0.0, 1.0, 4.0)
 
-    def test_sampled_disk_times_hold_the_initial_weights(self):
+    def test_sampled_disk_tallies_read_the_initial_weights(self):
         counts0, trajectory = densities.sample_disk_counts(small_disk(), 3000, 5, "domain",
                                                            self.TIMES, 1.0)
-        rows = rows_of(trajectory)
-        assert rows[-1].rebounds.max() > 0
-        for counts in rows:
-            assert counts.weight is counts0.weight
+        tallies = rows_of(trajectory)
+        assert tallies[-1].max_rebounds() > 0
+        for tally in tallies:
+            assert tally.mass() == counts0.mass()
         assert_read_only(counts0.weight)
 
     @pytest.mark.parametrize("table", [small_disk, hexagon])
@@ -598,19 +737,15 @@ class TestSharedWeights:
     def test_scaled_times_hold_weights_of_their_own(self, table):
         geom = table()
         ens = sample_ensemble(geom, 3000, seed=5)
-        trajectories = [transport_counts_times(ens, self.TIMES, geom, 0.7)]
-        if geom.shape == "disk":
-            trajectories.append(
-                densities.sample_disk_counts(geom, 3000, 5, "domain", self.TIMES, 0.7)[1])
-        for rows in map(rows_of, trajectories):
-            for k, (t, counts) in enumerate(zip(self.TIMES, rows)):
-                ref = transported(ens, geom, t, 0.7)
-                assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
-                                   (ref.weight, ref.rebounds, ref.degenerate))
-                assert not np.shares_memory(counts.weight, ens.weight)
-                assert not any(np.shares_memory(counts.weight, other.weight)
-                               for other in rows[k + 1:])
-            assert rows[-1].weight.min() < rows[0].weight.min()
+        rows = rows_of(transport_counts_times(ens, self.TIMES, geom, 0.7))
+        for k, (t, counts) in enumerate(zip(self.TIMES, rows)):
+            ref = transported(ens, geom, t, 0.7)
+            assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
+                               (ref.weight, ref.rebounds, ref.degenerate))
+            assert not np.shares_memory(counts.weight, ens.weight)
+            assert not any(np.shares_memory(counts.weight, other.weight)
+                           for other in rows[k + 1:])
+        assert rows[-1].weight.min() < rows[0].weight.min()
 
 
 class TestTrajectorySnapshots:
@@ -655,7 +790,7 @@ class TestTrajectorySnapshots:
                                                            self.TIMES, 1.0)
         for array in (counts0.weight, counts0.rebounds, counts0.degenerate):
             assert_read_only(array)
-        assert rows_of(trajectory)[-1].rebounds.max() > 0
+        assert rows_of(trajectory)[-1].max_rebounds() > 0
 
 
 def edge_disk():
@@ -706,25 +841,53 @@ class TestStreamingCountSteps:
         if scale == 1.0:
             assert all(weight is steps[0][0] for weight, _, _ in steps)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_tallies_are_the_reductions_of_the_rows(self, monkeypatch, scale, workers):
+        # the same masked lanes, folded into tallies slice by slice
+        geom = edge_disk()
+        ens = sample_ensemble(geom, 200, seed=21)
+        ens.degenerate[3] = True
+        ens.pos[5], ens.vel[5] = (-1.0, 1.0), (1.0, 0.0)
+        ens.pos[6], ens.vel[6] = (0.0, 1.0), (1.0, 0.0)
+        monkeypatch.setattr(_kernels, "ITER_CAP", 3)
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
+        args = (views(ens), ens.weight, ens.rebounds, ens.degenerate, geom, self.TIMES, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = list(_kernels.disk_counts(*args))
+            tallies = _kernels.disk_tallies(*args)
+        for (weight, rebounds, degenerate), (hist, flagged, w) in zip(rows, tallies,
+                                                                      strict=True):
+            want = np.bincount(rebounds, weights=weight)
+            assert same_arrays((hist, flagged, w), (want, weight[degenerate], weight))
+        assert tallies[-1][1].size > 10
+        if scale == 1.0:
+            assert all(w is ens.weight for _, _, w in tallies)
 
-def test_count_steps_hold_nine_bytes_per_particle_and_time():
-    # at scale 1 a time in hand costs 9 bytes per particle (a count and a
-    # flag, the weight shared), 17 with a weight of its own.  Four times
-    # held after the first, plus one slice's temporaries, read about 47
-    # bytes per particle at 2^18 particles; 17-byte times read about 83
-    n = 1 << 18
-    _, trajectory = densities.sample_disk_counts(small_disk(), n, 7, "domain",
-                                                 (0.5, 2.0, 5.0, 10.0, 20.0), 1.0)
-    steps = iter(trajectory)
-    first = next(steps)
-    tracemalloc.start()
-    try:
-        held = list(steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / n < 56.0, peak / n
-    assert len(held) == 4 and first[1].weight is held[-1][1].weight
+
+def test_sampled_disk_holds_only_its_initial_counts(monkeypatch):
+    # at scale 1 a sampled disk holds its initial counts, 17 bytes per
+    # particle, and nothing else per particle: a slice's temporaries and the
+    # tallies do not grow with the ensemble.  Holding each time's counts,
+    # as rows of a count and a flag, read about 52 bytes per added particle
+    monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            counts0, trajectory = densities.sample_disk_counts(
+                small_disk(), n, 7, "domain", (0.5, 2.0, 5.0, 10.0, 20.0), 1.0)
+            tallies = rows_of(trajectory)
+            return tracemalloc.get_traced_memory()[1], tallies
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(1 << 19)
+    large, tallies = peak(1 << 20)
+    assert (large - small) / (1 << 19) < 20.0, (large - small) / (1 << 19)
+    assert len(tallies) == 5 and tallies[-1].max_rebounds() > 10
 
 
 def test_polygon_sweep_transient_is_bounded(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -626,7 +627,7 @@ class TestSweepBlocks:
     the bytes of a whole sweep, whatever the number of blocks."""
 
     def _ensemble(self):
-        # 301 particles: blocks of 100, 100 and 101 for three workers
+        # 301 particles: blocks of 101, 101 and 99 for three workers
         geom = scalene_table()
         ens = sample_ensemble(geom, 301, seed=17)
         ens.degenerate[::11] = True
@@ -666,8 +667,8 @@ class TestSweepBlocks:
         sweep = _kernels._sweep_block
 
         def failing(pos, *args):
-            # only the last block, which runs on a thread of its own, fails
-            if pos.shape[0] == 101:
+            # only the last block fails
+            if pos.shape[0] == 99:
                 raise FloatingPointError("block failed")
             return sweep(pos, *args)
 
@@ -683,32 +684,60 @@ class TestSweepBlocks:
 
 
 class TestRunBlocks:
-    """The one block runner of the polygon sweep and the disk chords."""
+    """The one runner of the threaded kernels: workers pull consecutive
+    chunks in index order, and ``take`` sees every chunk's result strictly
+    in that order, with at most one result per worker in hand."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_blocks_cover_the_range_once(self, monkeypatch, workers):
+    def test_chunks_cover_the_range_once_and_are_taken_in_order(self, monkeypatch, workers):
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
-        seen = []
-        _kernels._run_blocks(10, lambda lo, hi: seen.append((lo, hi, threading.current_thread())))
-        blocks = sorted(seen, key=lambda b: b[0])
-        assert len(blocks) == workers
-        assert [lo for lo, _, _ in blocks[1:]] == [hi for _, hi, _ in blocks[:-1]]
-        assert blocks[0][0] == 0 and blocks[-1][1] == 10
-        # the first block runs on the calling thread, every other on its own
-        threads = [thread for _, _, thread in blocks]
-        assert threads[0] is threading.current_thread()
-        assert len(set(threads)) == workers
+        lock = threading.Lock()
+        ran, taken, threads, held = [], [], set(), [0, 0]
 
-    @pytest.mark.parametrize("failing_block", [0, 2])
-    def test_errors_reach_the_caller_after_every_block_ran(self, monkeypatch, failing_block):
+        def work(lo, hi):
+            # early chunks take longest, so later ones finish first
+            time.sleep(0.001 * (10 - lo))
+            with lock:
+                ran.append((lo, hi))
+                threads.add(threading.current_thread())
+                held[0] += 1
+                held[1] = max(held)
+            return lo, hi
+
+        def take(block):
+            with lock:
+                held[0] -= 1
+            taken.append(block)
+
+        _kernels._run_blocks(10, 3, work, take)
+        assert taken == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert sorted(ran) == taken
+        assert threading.current_thread() in threads and len(threads) <= workers
+        assert held[1] <= workers
+
+    def test_one_chunk_per_worker_without_take(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
         ran = []
+        _kernels._run_blocks(10, 4, lambda lo, hi: ran.append((lo, hi)))
+        assert sorted(ran) == [(0, 4), (4, 8), (8, 10)]
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_errors_reach_the_caller_and_stop_every_worker(self, monkeypatch, failing):
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
+        ran, taken = [], []
 
         def work(lo, hi):
             ran.append(lo)
-            if lo == (0, 3, 6)[failing_block]:
-                raise FloatingPointError(f"block {lo} failed")
+            if lo == 3 * failing:
+                # the workers behind it finish theirs and wait for their turn
+                time.sleep(0.05)
+                raise FloatingPointError(f"chunk {lo} failed")
+            return lo
 
+        before = threading.active_count()
         with pytest.raises(FloatingPointError, match="failed"):
-            _kernels._run_blocks(10, work)
-        assert sorted(ran) == [0, 3, 6]
+            _kernels._run_blocks(30, 3, work, taken.append)
+        assert threading.active_count() == before
+        assert len(ran) == len(set(ran)) < 10
+        # only chunks before the failing one are taken, in order
+        assert taken == list(range(0, 3 * failing, 3))[:len(taken)]

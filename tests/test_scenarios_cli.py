@@ -628,11 +628,13 @@ BAD_CONFIGS = [
     (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 0, 1; 2, x",
      "[geometry] intervals: expected comma separated numbers, got ' 2, x'"),
     (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 1, 0",
-     "[geometry] degenerate interval (1.0, 0.0)"),
+     "[geometry] intervals: degenerate interval (1.0, 0.0)"),
     (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 0, 3; 2, 4",
-     "[geometry] intervals must be disjoint and ordered"),
+     "[geometry] intervals: intervals must be disjoint and ordered"),
     (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = ;",
-     "[geometry] explicit rule needs at least one interval"),
+     "[geometry] intervals: explicit rule needs at least one interval"),
+    (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 0, 1; 2, inf",
+     "[geometry] intervals: endpoints must be finite, got (2.0, inf)"),
     (EXPLICIT_TEXT, "intervals = 0, 1; 2, 3", "intervals = 0, 1\nstart = 0",
      "[geometry] unknown key 'start'"),
     (BILLIARD_TEXT, "shape = disk\n", "",
@@ -652,13 +654,13 @@ BAD_CONFIGS = [
     (BILLIARD_TEXT, "speeds = 1", "speeds = nan",
      "[geometry] speeds: every value must lie in [1e-75, 1e+75]"),
     (BILLIARD_TEXT, "speeds = 1", "speeds = ",
-     "[geometry] finite speed set must be positive"),
+     "[geometry] speeds: finite speed set must be positive"),
     (BILLIARD_TEXT, "speeds = 1", "speed_band = 1",
      "[geometry] speed_band: expected 'lo, hi'"),
     (BILLIARD_TEXT, "speeds = 1", "speed_band = 1, x",
      "[geometry] speed_band: expected comma separated numbers, got '1, x'"),
     (BILLIARD_TEXT, "speeds = 1", "speed_band = 2, 1",
-     "[geometry] annulus needs 0 < speed_min <= speed_max"),
+     "[geometry] speed_band: annulus needs 0 < speed_min <= speed_max"),
     (BILLIARD_TEXT, "speeds = 1", "speed_band = 1e-76, 1",
      "[geometry] speed_band: every value must lie in [1e-75, 1e+75]"),
     (BILLIARD_TEXT, "speeds = 1", "speed_band = 1, 1e76",
@@ -695,9 +697,9 @@ BAD_CONFIGS = [
     (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 3, y",
      "[geometry] vertices: expected comma separated numbers, got ' 3, y'"),
     (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 3, 0",
-     "[geometry] polygon needs at least 3 vertices"),
+     "[geometry] vertices: polygon needs at least 3 vertices"),
     (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 0.7, 1.9; 3, 0",
-     "[geometry] vertices must list a strictly convex polygon counter-clockwise"),
+     "[geometry] vertices: vertices must list a strictly convex polygon counter-clockwise"),
     (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 0, 0; 3, 0; 0.7, 1e76",
      "[geometry] vertices: coordinates must lie within 1e+75 in magnitude"),
     (POLYGON_TEXT, "vertices = 0, 0; 3, 0; 0.7, 1.9", "vertices = 1e7, 0; 10000003, 0; 1e7, 1",
@@ -713,9 +715,11 @@ BAD_CONFIGS = [
     (LADDER_TEXT, "scale = 1", "scale = abc",
      "[boundary] scale: expected a number, got 'abc'"),
     (LADDER_TEXT, "scale = 1", "scale = 1.5",
-     "[boundary] boundary weight scale must lie in (0, 1]"),
+     "[boundary] scale: boundary weight scale must lie in (0, 1]"),
     (LADDER_TEXT, "scale = 1", "scale = 0",
-     "[boundary] boundary weight scale must lie in (0, 1]"),
+     "[boundary] scale: boundary weight scale must lie in (0, 1]"),
+    (LADDER_TEXT, "scale = 1", "scale = nan",
+     "[boundary] scale: boundary weight scale must lie in (0, 1]"),
     (LADDER_TEXT, "scale = 1", "scale = 1\nrow_0 = 1:1",
      "[boundary] row_* entries are only valid with kind = kernel"),
     (LADDER_TEXT, "scale = 1", "scale = 1\nwobble = 1",

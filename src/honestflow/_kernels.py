@@ -486,17 +486,19 @@ def disk_tallies(states, weight, rebounds, degenerate, geom, times, scale):
 # row closes.
 #
 # The round branches on no data-dependent mask: np.where and a 2-D nonzero
-# on a random mask cost many times a streaming pass.  Each rewrite below
-# gives the bits the branching form gives; the README says why.
+# on a random mask cost many times a streaming pass.  Nor does it compute in
+# fresh arrays: every step writes through out= into work buffers that the
+# call allocates once.  Each rewrite below gives the bits the branching,
+# allocating form gives; the README says why.
 
 
-def _select(mask, a, b):
+def _select(mask, a, b, flip):
     # b = np.where(mask, a, b) in place, bit for bit: b ^ ((a ^ b) & M) on
     # uint64 views, M all ones where mask holds, taken as a product with the
-    # 0/1 mask.  a is left alone
+    # 0/1 mask.  a is left alone; flip is uint64 scratch of b's shape
     bits = b.view(np.uint64)
-    flip = a.view(np.uint64) ^ bits
-    flip *= mask
+    np.bitwise_xor(a.view(np.uint64), bits, out=flip)
+    np.multiply(flip, mask, out=flip)
     bits ^= flip
 
 
@@ -525,48 +527,108 @@ def _take(w, jj):
     return None if w is None else w[jj]
 
 
+def _compact(bufs, spare, m, kept):
+    # each working array bufs[i][:m], gathered to the lanes kept, moves into
+    # a spare buffer, and its old buffer becomes the spare.  A gather copies
+    # bits; the lanes are in range, and mode="clip" spares the copy of the
+    # output that the bounds check of mode="raise" makes
+    for i, buf in enumerate(bufs):
+        dst = spare.pop()
+        np.take(buf[:m], kept, out=dst[:kept.size], mode="clip")
+        spare.append(buf)
+        bufs[i] = dst
+
+
+def _drop_rows(rem_buf, rem, closed, kept, row):
+    # rem without its leading ``closed`` rows and, unless kept is None,
+    # gathered to the lanes kept: row k into the front of rem_buf, its own
+    # buffer, through the spare row.  Each gathered row ends no later than
+    # the next old row starts, so it overwrites only rows already gathered
+    if kept is None:
+        return rem[closed:]
+    m = kept.size
+    for k, old in enumerate(rem[closed:]):
+        np.take(old, kept, out=row[:m], mode="clip")
+        rem_buf[k * m:(k + 1) * m] = row[:m]
+    return rem_buf[:(rem.shape[0] - closed) * m].reshape(-1, m)
+
+
 def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, verts,
                  times, scale, vert_eps):
     # ``out`` holds the input state in every row: rows that close before the
     # first round (input-degenerate particles, zero times) keep it.  The
     # inputs are read before the first write, so ``out`` may be views of them.
-    speed = np.sqrt(np.sum(vel * vel, axis=1))
     idx = np.flatnonzero(~degenerate) if times.size and times[-1] > 0.0 else np.arange(0)
-    x, y = pos[idx, 0], pos[idx, 1]
-    vx, vy = vel[idx, 0], vel[idx, 1]
-    n, speed = rebounds[idx], speed[idx]
-    # the working weights; at scale 1 there are none to track
-    w = weight[idx] if scale != 1.0 else None
-    # rem[k] is out's row k0 + k
-    rem = np.repeat(times[:, None], idx.size, axis=1)
+    m = idx.size
+    # Work buffers, allocated here once and m lanes each: the working state
+    # (position, velocity, the graze threshold GRAZE_EPS * speed, the weight
+    # below scale 1, at scale 1 there is none to track; index and rebound
+    # count), the spare float and int buffers a round computes in, and two
+    # masks.  A round works in their prefixes of m, the working particles.
+    # The remaining times rem, row k out's row k0 + k, and two masks of its
+    # shape are contiguous views of flat buffers.  Compaction moves each
+    # state array into a spare, which takes its place, and rem into the
+    # front of its own buffer.
+    state = [pos[idx, 0], pos[idx, 1], vel[idx, 0], vel[idx, 1],
+             GRAZE_EPS * np.sqrt(np.sum(vel * vel, axis=1))[idx]]
+    if scale != 1.0:
+        state.append(weight[idx])
+    # every buffer of a kind shares one type, whatever the inputs' types
+    state = [a.astype(np.float64, copy=False) for a in state]
+    ints = [idx, rebounds[idx].astype(np.intp, copy=False)]
+    spare = [np.empty(m) for _ in range(5)]
+    ispare = [np.empty(m, dtype=np.intp) for _ in range(2)]
+    marks = [np.empty(m, dtype=np.bool_) for _ in range(2)]
+    rem_buf = np.repeat(times, m)
+    rem = rem_buf.reshape(times.size, m)
+    cells = [np.empty(rem.size, dtype=np.bool_) for _ in range(2)]
+    nxs, nys = np.ascontiguousarray(normals.T)
     k0 = 0
     rounds = 0
     # a particle with no hit ahead (s = inf) only ever flies; the garbage its
     # hit point gets in that round is dropped with it
     with np.errstate(divide="ignore", invalid="ignore"):
-        while idx.size:
+        while m:
             rounds += 1
+            x, y, vx, vy, gs, *w = (a[:m] for a in state)
+            w = w[0] if w else None
+            idx, n = (a[:m] for a in ints)
+            s, dv, q, t, u = (a[:m] for a in spare)
+            edge, step = (a[:m] for a in ispare)
+            first, ahead = (a[:m] for a in marks)
+            open_, closing = (a[:rem.size].reshape(rem.shape) for a in cells)
             # first hit: a running minimum over the edges.  An edge the
             # particle does not move towards (dv <= 0 or nan) counts as a hit
             # at inf, which is below no s; the strict < keeps the first of
             # tied edges, and edges come in increasing order, so the hit edge
             # is the largest e that lowered s
-            s = np.full(idx.size, np.inf)
-            edge = np.zeros(idx.size, dtype=np.intp)
+            s.fill(np.inf)
+            edge.fill(0)
             for e, (ex, ey) in enumerate(normals):
-                dv = vx * ex + vy * ey
-                q = (offsets[e] - (x * ex + y * ey)) / dv
-                first = (q < s) & (dv > 0.0)
-                _select(first, q, s)
-                np.maximum(edge, first * e, out=edge)
+                # dv = vx * ex + vy * ey; q = (offset - (x * ex + y * ey)) / dv
+                np.multiply(vx, ex, out=dv)
+                np.multiply(vy, ey, out=t)
+                dv += t
+                np.multiply(x, ex, out=q)
+                np.multiply(y, ey, out=t)
+                q += t
+                np.subtract(offsets[e], q, out=q)
+                q /= dv
+                np.less(q, s, out=first)
+                np.greater(dv, 0.0, out=ahead)
+                first &= ahead
+                _select(first, q, s, dv.view(np.uint64))
+                np.multiply(first, e, out=step)
+                np.maximum(edge, step, out=edge)
             np.maximum(s, 0.0, out=s)
-            open_ = rem > 0.0
-            flown = open_ & (s > rem)
+            np.greater(rem, 0.0, out=open_)
+            flown = np.greater(s, rem, out=closing)
+            flown &= open_
             kk, jj = _cells(flown)
             r = rem[kk, jj]
             _snapshot(out, kk + k0, idx[jj], _take(w, jj), n[jj], False,
                       lambda: (x[jj] + vx[jj] * r, y[jj] + vy[jj] * r, vx[jj], vy[jj]))
-            hit = open_ ^ flown
+            hit = np.not_equal(open_, flown, out=open_)
             if rounds > ITER_CAP:
                 # a row owing more than ITER_CAP reflections stops at the last
                 # one; rows that reach their time first have flown out above
@@ -580,43 +642,62 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
             # stays 0
             rem -= s
             np.maximum(rem, 0.0, out=rem)
-            x = x + vx * s
-            y = y + vy * s
+            np.multiply(vx, s, out=t)
+            x += t
+            np.multiply(vy, s, out=t)
+            y += t
             # sqrt is monotone and correctly rounded: one root of the least
             # square is the least root
-            near = np.full(idx.size, np.inf)
+            near = q
+            near.fill(np.inf)
             for px, py in verts:
-                dx = x - px
-                dy = y - py
-                near = np.minimum(near, dx * dx + dy * dy)
-            near = np.sqrt(near)
-            nx = normals[edge, 0]
-            ny = normals[edge, 1]
-            vn = vx * nx + vy * ny
-            graze = (np.abs(vn) < GRAZE_EPS * speed) | (near < vert_eps)
-            vx = np.where(graze, vx, vx - 2.0 * vn * nx)
-            vy = np.where(graze, vy, vy - 2.0 * vn * ny)
-            n = n + ~graze
+                np.subtract(x, px, out=dv)
+                dv *= dv
+                np.subtract(y, py, out=t)
+                t *= t
+                dv += t
+                np.minimum(near, dv, out=near)
+            np.sqrt(near, out=near)
+            nx = np.take(nxs, edge, out=s, mode="clip")
+            ny = np.take(nys, edge, out=dv, mode="clip")
+            vn = np.multiply(vx, nx, out=t)
+            np.multiply(vy, ny, out=u)
+            vn += u
+            graze = np.less(np.abs(vn, out=u), gs, out=first)
+            graze |= np.less(near, vert_eps, out=ahead)
+            # a reflection writes only the lanes that do not graze:
+            # v -= 2 vn n, the count + 1 and, below scale 1, w *= scale
+            reflect = np.logical_not(graze, out=ahead)
+            np.multiply(vn, 2.0, out=u)
+            np.subtract(vx, np.multiply(u, nx, out=q), out=vx, where=reflect)
+            np.subtract(vy, np.multiply(u, ny, out=q), out=vy, where=reflect)
+            np.add(n, reflect, out=n)
             if w is not None:
-                w = np.where(graze, w, w * scale)
+                np.multiply(w, scale, out=w, where=reflect)
             # a graze freezes every row that reached this hit; a reflection
             # closes the rows it leaves with no time
-            kk, jj = _cells(hit & (graze | (rem == 0.0)))
+            closes = np.equal(rem, 0.0, out=closing)
+            closes |= graze
+            closes &= hit
+            kk, jj = _cells(closes)
             _snapshot(out, kk + k0, idx[jj], _take(w, jj), n[jj], graze[jj],
                       lambda: (x[jj], y[jj], vx[jj], vy[jj]))
-            keep = ~graze & (rem[-1] > 0.0)
-            if not keep.all():
-                idx, x, y, vx, vy, n, speed = (
-                    a[keep] for a in (idx, x, y, vx, vy, n, speed))
-                w = _take(w, keep)
-                rem = rem[:, keep]
-            # drop the leading rows closed for every working particle; a
-            # working particle's last row is open, so the last row stays
+            keep = np.greater(rem[-1], 0.0, out=first)
+            keep &= reflect
+            kept = None if keep.all() else np.flatnonzero(keep)
+            if kept is not None and not kept.size:
+                break
+            # drop the leading rows closed for every kept particle; a kept
+            # particle's last row is open, so the last row stays
             closed = 0
-            while idx.size and not rem[closed].any():
+            while not np.any(rem[closed], where=keep):
                 closed += 1
-            rem = rem[closed:]
             k0 += closed
+            rem = _drop_rows(rem_buf, rem, closed, kept, spare[0])
+            if kept is not None:
+                _compact(state, spare, m, kept)
+                _compact(ints, ispare, m, kept)
+                m = kept.size
     return out
 
 

@@ -572,9 +572,9 @@ def transport_ensemble(
 
 # particle states one polygon sweep may hold, summed over its times: bounds
 # the sweep's memory whatever the number of times.  Its traced peak on the
-# hexagon is about 180 bytes per particle plus 24 per state at scale 1 (32
-# at other scales): 5 * 10^5 states of 10^5 particles peak near 30 MB, and
-# 2^21 of them near 66 MB
+# hexagon is about 140 bytes per particle plus 22 per state at scale 1 (30
+# at other scales): 5 * 10^5 states of 10^5 particles peak near 26 MB, and
+# 2^21 of them near 57 MB
 SWEEP_STATES = 1 << 21
 
 
@@ -630,8 +630,8 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     up to the group's largest, each group holding at most ``SWEEP_STATES``
     particle states (a count and a flag per time, and a weight below scale
     1, never positions or velocities), and yields views of the sweep's rows,
-    without copying them.  A sweep's transient peaks near 180 bytes per
-    particle plus 24 per state at scale 1, 32 at other scales.
+    without copying them.  A sweep's transient peaks near 140 bytes per
+    particle plus 22 per state at scale 1, 30 at other scales.
     The first group sweeps at the call, and the ensemble is copied only
     when there are more groups.  The sweep runs one block of particles per
     CPU; its rows are the same bytes for any number of blocks.

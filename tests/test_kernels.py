@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 import time
 
@@ -369,6 +370,28 @@ class TestPolygonSnapshots:
             expected = ens.weight * scale ** rebounds[k]
             assert np.allclose(weight[k], expected, rtol=1e-14, atol=0.0)
 
+    def test_narrow_types_sweep_in_float64(self):
+        # float32 states and weights and int32 counts step as their exact
+        # float64 copies do, each row rounded to the input type once, when it
+        # is written
+        geom = scalene_table()
+        ens = sample_ensemble(geom, 500, seed=31)
+        narrow = ParticleEnsemble(ens.pos.astype(np.float32), ens.vel.astype(np.float32),
+                                  ens.weight.astype(np.float32), ens.rebounds.astype(np.int32),
+                                  ens.degenerate, ens.seed)
+        wide = ParticleEnsemble(narrow.pos.astype(np.float64), narrow.vel.astype(np.float64),
+                                narrow.weight.astype(np.float64), ens.rebounds, ens.degenerate,
+                                ens.seed)
+        times = (1.5, 6.0)
+        got, want = counts(narrow, geom, times, 0.7), counts(wide, geom, times, 0.7)
+        assert want[1][-1].max() > 5
+        assert [a.dtype for a in got] == [np.float32, np.int32, np.bool_]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b.astype(a.dtype))
+        moved = transported(narrow, geom, 6.0, scale=0.7)
+        for name, a in zip(STATE, snapshots(wide, geom, (6.0,), scale=0.7)):
+            assert np.array_equal(getattr(moved, name), a[0].astype(getattr(narrow, name).dtype))
+
     def test_vertex_hit_freezes(self):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 4, seed=3)
@@ -551,7 +574,7 @@ def where_bits(mask, a, b):
     want = np.where(mask, a, b).view(np.uint64)
     kept = a.copy()
     got = b.copy()
-    _kernels._select(mask, a, got)
+    _kernels._select(mask, a, got, np.empty(got.size, dtype=np.uint64))
     return got.view(np.uint64), want, np.array_equal(a.view(np.uint64), kept.view(np.uint64))
 
 
@@ -590,10 +613,40 @@ class TestExactRound:
     # repeated times, a zero time and times equal to hit times
     SQUARE_TIMES = (0.0, 0.0, 0.5, 0.75, 0.75, 1.0, 2.0, 3.5, 3.5)
 
+    def square_ensemble(self):
+        n = len(self.SQUARE_STATES)
+        return ParticleEnsemble(np.array([p for p, _ in self.SQUARE_STATES]),
+                                np.array([v for _, v in self.SQUARE_STATES]),
+                                np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64),
+                                np.zeros(n, dtype=np.bool_), 0)
+
+    def check_square_rows(self, rows, scale):
+        # rows against one in-place transport per time, and every particle's
+        # count, flag and weight against the scalar oracle's events; each
+        # reflection multiplies the weight by scale once, in turn
+        geom = square_table()
+        ens = self.square_ensemble()
+        weight, rebounds, degenerate = rows
+        times = _kernels.distinct_times(self.SQUARE_TIMES)
+        assert rebounds.shape == (times.size, len(ens))
+        for k, t in enumerate(times.tolist()):
+            moved = transported(ens, geom, t, scale=scale)
+            for got, want in zip((weight[k], rebounds[k], degenerate[k]),
+                                 (moved.weight, moved.rebounds, moved.degenerate)):
+                assert np.array_equal(got, want)
+            for i, (p, v) in enumerate(self.SQUARE_STATES):
+                # at t = 0 nothing moves, not even a particle sitting on a wall
+                events, flag = rebound_sequence((p, v), t, geom) if t else ([], False)
+                assert (rebounds[k, i], degenerate[k, i]) == (len(events), flag)
+                w = ens.weight[i]
+                for _ in events:
+                    w *= scale
+                assert weight[k, i] == w
+
     def test_square_edge_cases_match_the_oracle(self):
         geom = square_table()
-        pos = np.array([p for p, _ in self.SQUARE_STATES])
-        vel = np.array([v for _, v in self.SQUARE_STATES])
+        ens = self.square_ensemble()
+        pos, vel = ens.pos, ens.vel
         # the search meets each case it is named for, computed as the kernel does
         normals, offsets = geom.edge_normals()
         dv = vel[:, :1] * normals[:, 0] + vel[:, 1:] * normals[:, 1]
@@ -602,24 +655,31 @@ class TestExactRound:
         zero = dv == 0.0
         assert np.signbit(dv[zero]).any() and not np.signbit(dv[zero]).all()
         assert np.isnan(q).any() and (q[dv > 0.0] == 0.0).any()
-        n = len(self.SQUARE_STATES)
-        ens = ParticleEnsemble(pos, vel, np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64),
-                               np.zeros(n, dtype=np.bool_), 0)
-        weight, rebounds, degenerate = counts(ens, geom, self.SQUARE_TIMES, scale=0.5)
-        times = _kernels.distinct_times(self.SQUARE_TIMES)
-        assert rebounds.shape == (times.size, n)
-        for k, t in enumerate(times.tolist()):
-            moved = transported(ens, geom, t, scale=0.5)
-            for got, want in zip((weight[k], rebounds[k], degenerate[k]),
-                                 (moved.weight, moved.rebounds, moved.degenerate)):
-                assert np.array_equal(got, want)
-            for i, (p, v) in enumerate(self.SQUARE_STATES):
-                # at t = 0 nothing moves, not even a particle sitting on a wall
-                events, flag = rebound_sequence((p, v), t, geom) if t else ([], False)
-                assert (rebounds[k, i], degenerate[k, i]) == (len(events), flag)
-                assert weight[k, i] == 0.5 ** len(events) / n
+        rows = counts(ens, geom, self.SQUARE_TIMES, scale=0.5)
+        self.check_square_rows(rows, 0.5)
+        weight, rebounds, degenerate = rows
         assert rebounds[-1].tolist() == [1, 4, 4, 0, 1, 0, 0, 5]
         assert degenerate[-1].tolist() == [True, False, False, True, True, True, True, False]
+        assert np.array_equal(weight[-1], 0.5 ** rebounds[-1] / len(ens))
+
+    def test_rounds_that_compact_and_drop_rows_match_the_oracle(self, monkeypatch):
+        # below scale 1 the weights are working state too.  In each of the
+        # first two rounds on these states, particles that hit a vertex
+        # freeze and leave the working set while leading rows close for
+        # every particle kept: the remaining times are gathered to the front
+        # of their own buffer, and every state array, the weights among
+        # them, moves into a spare buffer
+        drops = []
+        drop_rows = _kernels._drop_rows
+
+        def recorded(rem_buf, rem, closed, kept, row):
+            drops.append((closed, None if kept is None else kept.size, rem.shape[1]))
+            return drop_rows(rem_buf, rem, closed, kept, row)
+
+        monkeypatch.setattr(_kernels, "_drop_rows", recorded)
+        rows = counts(self.square_ensemble(), square_table(), self.SQUARE_TIMES, scale=0.7)
+        assert drops[:2] == [(1, 5, 8), (3, 3, 5)]
+        self.check_square_rows(rows, 0.7)
 
 
 class TestSweepBlocks:
@@ -676,6 +736,46 @@ class TestSweepBlocks:
         monkeypatch.setattr(_kernels, "_sweep_block", failing)
         with pytest.raises(FloatingPointError, match="block failed"):
             snapshots(ens, geom, (1.0,))
+
+    def test_concurrent_sweeps_keep_their_own_buffers(self, monkeypatch):
+        # two sweeps of different ensembles at once, two blocks each, the
+        # interpreter switching threads every microsecond: work buffers that
+        # outlived a call, or were shared between calls, would mix the
+        # sweeps' particles and change the bytes
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 2)
+        cases = []
+        for table, seed, scale in ((hexagon_table, 3, 1.0), (scalene_table, 5, 0.7)):
+            geom = table()
+            ens = sample_ensemble(geom, 4001, seed=seed)
+            ens.degenerate[::13] = True
+            cases.append((ens, geom, (0.0, 1.25, 3.5, 9.0), scale))
+        want = [counts(*case) for case in cases]
+        start = threading.Barrier(len(cases))
+        got = [None] * len(cases)
+        errors = []
+
+        def run(i):
+            try:
+                start.wait(timeout=30)
+                got[i] = counts(*cases[i])
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for rows, expected in zip(got, want):
+            for a, b in zip(rows, expected):
+                assert np.array_equal(a, b)
 
     def test_small_ensembles_run_whole(self):
         assert _kernels._sweep_workers(300) == 1

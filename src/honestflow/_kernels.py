@@ -3,18 +3,19 @@ survival Monte Carlo.
 
 The ladder walk steps every particle hop by hop.  A billiard has one
 full-state transport to one time, ``billiard_transport``, and, for reports
-that read rebound counts alone, one counts kernel per shape.  The polygon
-steps event by event and ``polygon_counts`` takes every requested time in
-one sweep.  The disk needs no stepping: its closed form costs O(1) per
-particle whatever the number of rebounds.  ``disk_counts`` computes each
-particle's first hit and chord once for all requested times, from states a
-source hands it one slice at a time, and ``disk_tallies`` reduces each slice
-to every time's report tallies as it goes, so a sampler can feed it without
-an ensemble, or any per-particle row at scale 1, ever being held.  Every
-threaded kernel runs through one runner, ``_run_blocks``: one worker per
-CPU pulls consecutive chunks of particles in index order, bitwise the same
-as one pass.  Every billiard kernel reads the graze threshold ``GRAZE_EPS``
-and the reflection cap ``ITER_CAP``.
+that read rebound counts alone, one counts kernel per shape, plus one for a
+sampled disk.  The polygon steps event by event and ``polygon_counts``
+takes every requested time in one sweep.  The disk needs no stepping: its
+closed form costs O(1) per particle whatever the number of rebounds.
+``disk_counts`` takes a held ensemble's arrays, as ``polygon_counts`` does,
+and computes each particle's first hit and chord once for all requested
+times.  ``disk_tallies`` takes a sampler's state source instead: it draws
+one slice at a time and reduces each slice to every time's report tallies
+as it goes, so no particle state, and at scale 1 no per-particle row, is
+ever held.  Every threaded kernel runs through one runner, ``_run_blocks``:
+one worker per CPU pulls consecutive chunks of particles in index order,
+bitwise the same as one pass.  Every billiard kernel reads the graze
+threshold ``GRAZE_EPS`` and the reflection cap ``ITER_CAP``.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -358,23 +359,6 @@ def _disk_step(chords, weight, rebounds, degenerate, t, scale):
     return w, rebounds + hits, flagged
 
 
-def _disk_chord_blocks(states, n, cx, cy, radius):
-    # the chords of particles 0..n-1, about 17 bytes each.  states(lo, hi)
-    # gives the positions and velocities x, y, vx, vy of particles lo..hi-1,
-    # asked for one DISK_CHUNK slice at a time, so a state only ever exists
-    # for the slices in hand.  Every value depends on its own particle alone,
-    # so any number of workers gives the bytes of one whole pass.
-    s0 = np.empty(n)
-    graze = np.empty(n, dtype=np.bool_)
-    tau = np.empty(n)
-
-    def chords(lo, hi):
-        s0[lo:hi], graze[lo:hi], tau[lo:hi] = _disk_chords(*states(lo, hi), cx, cy, radius)
-
-    _run_blocks(n, DISK_CHUNK, chords)
-    return s0, graze, tau
-
-
 def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale):
     # every time's full rows, one _disk_step per slice.  At scale 1 no weight
     # changes and every time yields the one read-only weight array.
@@ -400,57 +384,72 @@ def _disk_geometry(geom):
     return float(cx), float(cy), float(geom.radius)
 
 
-def disk_counts(states, weight, rebounds, degenerate, geom, times, scale):
-    """Rebound counts of a disk ensemble at every one of ``times``.
+def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
+    """Rebound counts of a held disk ensemble at every one of ``times``.
 
-    ``states(lo, hi)`` gives the positions and velocities ``x, y, vx, vy``
-    of particles lo..hi-1; the arrays are left alone.  Returns an iterator
-    of ``(weight, rebounds, degenerate)`` over ``distinct_times(times)``;
-    the k-th is bitwise what ``billiard_transport`` leaves in those arrays
-    on a copy of the ensemble for the k-th time.  At scale 1 no weight
-    changes, and every time yields one read-only weight array: ``weight``
-    itself if it is read-only, else a read-only view of it.  Positions and
-    velocities are never transported: each particle's first-hit time, graze
-    flag and chord period are computed once, here, and every time then costs
-    one streaming pass over them.
+    The input arrays are left alone.  Returns an iterator of ``(weight,
+    rebounds, degenerate)`` over ``distinct_times(times)``; the k-th is
+    bitwise what ``billiard_transport`` leaves in those arrays on a copy of
+    the ensemble for the k-th time.  At scale 1 no weight changes, and every
+    time yields one read-only weight array: ``weight`` itself if it is
+    read-only, else a read-only view of it.  Positions and velocities are
+    never transported: each particle's first-hit time, graze flag and chord
+    period, about 17 bytes, are computed here, at the call, in
+    ``DISK_CHUNK`` slices on the workers of ``_run_blocks``, and every time
+    then costs one streaming pass over them as it is reached.
     """
     times = distinct_times(times)
-    s0, graze, tau = _disk_chord_blocks(states, weight.shape[0], *_disk_geometry(geom))
+    geometry = _disk_geometry(geom)
+    size = weight.shape[0]
+    s0, graze, tau = np.empty(size), np.empty(size, dtype=np.bool_), np.empty(size)
+
+    def chords(lo, hi):
+        # every value depends on its own particle alone, so any number of
+        # workers gives the bytes of one whole pass
+        s0[lo:hi], graze[lo:hi], tau[lo:hi] = _disk_chords(
+            pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1], *geometry)
+
+    _run_blocks(size, DISK_CHUNK, chords)
     # an input-degenerate particle never moves, so its first hit is at inf
     s0[degenerate] = np.inf
     return _disk_count_steps(weight, rebounds, degenerate, (s0, graze, tau), times,
                              float(scale))
 
 
-def disk_tallies(states, weight, rebounds, degenerate, geom, times, scale):
-    """The report reductions of a disk ensemble's counts at every one of
-    ``times``, in one pass over its particles.
+def disk_tallies(states, size, geom, times, scale):
+    """The report reductions of a sampled disk's counts at every one of
+    ``times``, in one pass over its ``size`` particles.
 
-    Arguments as ``disk_counts``.  Returns a list of ``(histogram, flagged,
-    weight)``, one per time of ``distinct_times(times)``: for the ``(w, n,
-    d)`` that ``disk_counts`` yields for that time, bitwise
-    ``np.bincount(n, weights=w)``, ``w[d]`` and ``w``.  At scale 1 ``w`` is
-    the input ``weight`` itself; below 1 every time holds a weight row of
-    its own, 8 bytes per particle.  Nothing else is held per particle: the
-    workers of ``_run_blocks`` pull ``DISK_CHUNK`` slices, each drawn,
-    reduced to its chords and counted at every time, and each slice's counts
-    are folded into the tallies strictly in index order, so every addition
-    happens in the order ``bincount`` and the gather make it.
+    ``states(lo, hi)`` gives the positions and velocities ``x, y, vx, vy``
+    of particles lo..hi-1.  Every particle starts with weight ``1 / size``,
+    no rebound and no flag.  Returns a list of ``(histogram, flagged, row)``,
+    one per time of ``distinct_times(times)``: for the ``(w, n, d)`` that
+    ``disk_counts`` yields for that time on those states and starts,
+    bitwise ``np.bincount(n, weights=w)``, ``w[d]`` and, below scale 1,
+    ``w``, a weight row of the time's own, 8 bytes per particle.  At scale 1
+    no weight changes and ``row`` is None.  Nothing else is held per
+    particle: the workers of ``_run_blocks`` pull ``DISK_CHUNK`` slices,
+    each drawn, reduced to its chords and counted at every time, and each
+    slice's counts are folded into the tallies strictly in index order, so
+    every addition happens in the order ``bincount`` and the gather make it.
     """
     times = distinct_times(times).tolist()
     geometry = _disk_geometry(geom)
     scale = float(scale)
-    rows = None if scale == 1.0 else np.empty((len(times), weight.shape[0]))
+    rows = None if scale == 1.0 else np.empty((len(times), size))
     hists = [np.zeros(1) for _ in times]
     flagged = [[np.zeros(0)] for _ in times]
+    # every slice's start, read and never written
+    chunk = min(size, DISK_CHUNK)
+    starts = (np.full(chunk, 1.0 / size), np.zeros(chunk, dtype=np.int64),
+              np.zeros(chunk, dtype=np.bool_))
 
     def work(lo, hi):
-        s0, graze, tau = _disk_chords(*states(lo, hi), *geometry)
-        s0[degenerate[lo:hi]] = np.inf
+        chords = _disk_chords(*states(lo, hi), *geometry)
+        weight, rebounds, degenerate = (a[:hi - lo] for a in starts)
         steps = []
         for k, t in enumerate(times):
-            w, n, d = _disk_step((s0, graze, tau), weight[lo:hi], rebounds[lo:hi],
-                                 degenerate[lo:hi], t, scale)
+            w, n, d = _disk_step(chords, weight, rebounds, degenerate, t, scale)
             if rows is not None:
                 rows[k, lo:hi] = w
             steps.append((w, n, int(n.max()), w[d]))
@@ -464,8 +463,8 @@ def disk_tallies(states, weight, rebounds, degenerate, geom, times, scale):
             np.add.at(hists[k], n, w)
             flagged[k].append(wd)
 
-    _run_blocks(weight.shape[0], DISK_CHUNK, work, take)
-    return [(hist, np.concatenate(parts), weight if rows is None else rows[k])
+    _run_blocks(size, DISK_CHUNK, work, take)
+    return [(hist, np.concatenate(parts), None if rows is None else rows[k])
             for k, (hist, parts) in enumerate(zip(hists, flagged))]
 
 

@@ -19,7 +19,7 @@ weight.  ``transport_counts_times`` yields the counts along a trajectory
 without transporting positions on a disk, and ``sample_disk_counts``
 yields the tallies of a sampled disk in one pass over slices of its
 particles, each drawn, counted at every time, folded into the tallies and
-dropped, so neither its states nor its counts are ever held whole.
+dropped, so nothing of it is held per particle at scale 1.
 """
 
 from __future__ import annotations
@@ -461,12 +461,6 @@ def _state_sampler(geom: Billiard, n: int, seed: int, region):
     return draw
 
 
-def _initial_counts(n: int) -> ReboundCounts:
-    # unit total weight, no rebounds, nothing flagged
-    return ReboundCounts(np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64),
-                         np.zeros(n, dtype=np.bool_))
-
-
 def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> ParticleEnsemble:
     """Uniform positions on the region, isotropic velocities per the table's
     velocity spec, unit total weight."""
@@ -478,50 +472,46 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
 
     # every draw is index-pure, so the slices give the bytes of one draw
     _kernels._run_blocks(n, _kernels.DISK_CHUNK, fill)
-    counts = _initial_counts(n)
-    return ParticleEnsemble(pos, vel, counts.weight, counts.rebounds, counts.degenerate,
-                            int(seed))
+    # unit total weight, no rebounds, nothing flagged
+    return ParticleEnsemble(pos, vel, np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64),
+                            np.zeros(n, dtype=np.bool_), int(seed))
 
 
 def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: float):
-    """The initial counts and the rebound tallies of a sampled disk
+    """The initial mass and the rebound tallies of a sampled disk
     ensemble's trajectory, in one pass over slices of its particles.
 
-    Returns ``(counts0, trajectory)``: ``counts0`` is bitwise
-    ``sample_ensemble(geom, n, seed, region).counts``, with read-only
-    arrays, and ``trajectory`` yields ``(t, tally)`` over the distinct
-    ``times`` in ascending order, each ``ReboundTally`` bitwise the tally of
-    what ``transport_counts_times`` yields for that ensemble, ``times``,
-    ``geom`` and ``scale``.  Bad requests and times raise ValueError here.
+    Returns ``(mass, trajectory)``: ``mass`` is bitwise
+    ``sample_ensemble(geom, n, seed, region).mass()``, and ``trajectory``
+    yields ``(t, tally)`` over the distinct ``times`` in ascending order,
+    each ``ReboundTally`` bitwise the tally of what
+    ``transport_counts_times`` yields for that ensemble, ``times``, ``geom``
+    and ``scale``.  Bad requests and times raise ValueError here.
 
     No particle state is ever held whole: ``_kernels.disk_tallies`` draws
     each slice of ``_kernels.DISK_CHUNK`` particles, reduces it to its
     chords and its counts at every time, and folds those into each time's
-    tallies in index order.  Beyond the 17 bytes per particle of
-    ``counts0``, at scale 1 nothing per particle is held, and all times run
-    in the one pass at the call.  Below 1 a time's mass sums a weight row of
-    its own, 8 bytes per particle, so one pass holds at most
-    ``SWEEP_STATES`` of them: the first pass runs at the call, and later
-    ones, drawing the particles again, as they are reached.
+    tallies in index order.  At scale 1 nothing per particle is held once
+    this returns, and all times run in the one pass at the call.  Below 1 a
+    time's mass sums a weight row of its own, 8 bytes per particle, so one
+    pass holds at most ``SWEEP_STATES`` of them: the first pass runs at the
+    call, and later ones, drawing the particles again, as they are reached.
+    With no times, no pass runs.
     """
     if geom.shape != "disk":
         raise ValueError("disk counts are defined on a disk table")
     draw = _state_sampler(geom, n, seed, region)
     ts = _kernels.distinct_times(times)
-    counts0 = _initial_counts(n)
-    for array in (counts0.weight, counts0.rebounds, counts0.degenerate):
-        array.flags.writeable = False
-    mass = counts0.mass()
+    # the sampled ensemble's weights, summed as its mass() sums them
+    mass = float(np.full(n, 1.0 / n).sum())
 
     def tallies(group):
-        return [ReboundTally(n, mass if w is counts0.weight else float(w.sum()), hist,
+        return [ReboundTally(n, mass if row is None else float(row.sum()), hist,
                              float(flagged.sum()))
-                for hist, flagged, w in _kernels.disk_tallies(
-                    draw, counts0.weight, counts0.rebounds, counts0.degenerate, geom, group,
-                    scale)]
+                for hist, flagged, row in _kernels.disk_tallies(draw, n, geom, group, scale)]
 
     rows = ts.size if scale == 1.0 else max(1, SWEEP_STATES // n)
-    return counts0, _in_groups(tallies, ts, rows)
+    return mass, _in_groups(tallies, ts, rows)
 
 
 # a position may lie this far outside the table, relative to the table's
@@ -598,7 +588,9 @@ def _polygon_trajectory(ens: ParticleEnsemble, weight, ts, geom: Billiard, scale
 def _in_groups(run, ts, rows):
     # (t, record) over ts, run(group) giving the records of each group of at
     # most rows times: the first group runs here, at the call, and later ones
-    # as they are reached
+    # as they are reached.  With no times nothing runs
+    if not ts.size:
+        return iter(())
     return _walk_groups(run, run(ts[:rows]), ts, rows)
 
 
@@ -622,18 +614,19 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     iterating.  The result is a snapshot of ``ens`` at the call: no later
     write to the ensemble reaches it.  The weights are copied once,
     read-only, per call, and at scale 1 every time's counts hold that one
-    copy.  A disk copies the rebound counters and flags too (9 bytes per
-    particle), and never transports positions: each particle's first hit
-    and chord are computed at the call, about 17 bytes per particle held for
-    the whole trajectory, and each time then costs one streaming pass over
-    them.  A polygon steps every particle's events once per group of times,
-    up to the group's largest, each group holding at most ``SWEEP_STATES``
-    particle states (a count and a flag per time, and a weight below scale
-    1, never positions or velocities), and yields views of the sweep's rows,
-    without copying them.  A sweep's transient peaks near 140 bytes per
-    particle plus 22 per state at scale 1, 30 at other scales.
-    The first group sweeps at the call, and the ensemble is copied only
-    when there are more groups.  The sweep runs one block of particles per
+    copy.  No times give an empty trajectory.  A disk copies the rebound
+    counters and flags too (9 bytes per particle), and never transports
+    positions: ``_kernels.disk_counts`` computes each particle's first hit
+    and chord at the call, one block of slices per CPU, about 17 bytes per
+    particle held for the whole trajectory, and each time then costs one
+    streaming pass over them.  A polygon steps every particle's events once
+    per group of times, up to the group's largest, each group holding at
+    most ``SWEEP_STATES`` particle states (a count and a flag per time, and
+    a weight below scale 1, never positions or velocities), and yields views
+    of the sweep's rows, without copying them.  A sweep's transient peaks
+    near 140 bytes per particle plus 22 per state at scale 1, 30 at other
+    scales.  The first group sweeps at the call, and the ensemble is copied
+    only when there are more groups.  The sweep runs one block of particles per
     CPU; its rows are the same bytes for any number of blocks.
     """
     ts = _kernels.distinct_times(times)
@@ -641,17 +634,10 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     weight = ens.weight.copy()
     weight.flags.writeable = False
     if geom.shape == "disk":
-        pos, vel = ens.pos, ens.vel
-        steps = _kernels.disk_counts(
-            lambda lo, hi: (pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1]),
-            weight, ens.rebounds.copy(), ens.degenerate.copy(), geom, ts, scale)
-        return _trajectory(ts, steps)
+        steps = _kernels.disk_counts(ens.pos, ens.vel, weight, ens.rebounds.copy(),
+                                     ens.degenerate.copy(), geom, ts, scale)
+        return zip(ts.tolist(), (ReboundCounts(*arrays) for arrays in steps))
     return _polygon_trajectory(ens, weight, ts, geom, scale)
-
-
-def _trajectory(ts, steps):
-    # (t, counts) pairs from the disk kernel's (weight, rebounds, degenerate)
-    return zip(ts.tolist(), (ReboundCounts(*arrays) for arrays in steps))
 
 
 # ---------------------------------------------------------------------------

@@ -610,20 +610,19 @@ def _ensemble_row(t: float, counts: ReboundCounts | ReboundTally,
 
 
 def _sampled_counts(cfg: ScenarioConfig, times):
-    # the configured ensemble's initial counts and its rebound-count
+    # the configured ensemble's initial mass and its rebound-count
     # trajectory at times, whose records offer the report methods; a disk
     # is sampled straight into tallies and never holds a particle state
     geom, scale = cfg.geometry, cfg.boundary.scale
     if geom.shape == "disk":
         return sample_disk_counts(geom, cfg.count, cfg.seed, cfg.region, times, scale)
     ens0 = sample_ensemble(geom, cfg.count, cfg.seed, cfg.region)
-    return ens0.counts, transport_counts_times(ens0, times, geom, scale=scale)
+    return ens0.mass(), transport_counts_times(ens0, times, geom, scale=scale)
 
 
 def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:
     ends = [_window_end(w) for w in cfg.windows]
-    counts0, trajectory = _sampled_counts(cfg, (*cfg.times, *ends))
-    initial_mass = counts0.mass()
+    initial_mass, trajectory = _sampled_counts(cfg, (*cfg.times, *ends))
     t_max = max(cfg.times)
     rows = [None] * len(cfg.times)
     window_reports = [None] * len(ends)

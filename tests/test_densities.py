@@ -315,8 +315,7 @@ class TestTransportTimes:
         # refuses it, and the kernel it calls counts whatever it is given
         with pytest.raises(ValueError, match="particle 0 "):
             transport_counts_times(ens, times, geom, scale)
-        steps = _kernels.disk_counts(views(ens), ens.weight, ens.rebounds, ens.degenerate, geom,
-                                     times, scale)
+        steps = _kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, times, scale)
         got = list(zip(_kernels.distinct_times(times), (ReboundCounts(*a) for a in steps)))
         assert [t for t, _ in got] == [0.0, 0.5, 2.5, 5.0, 9.0]
         assert got[-1][1].rebounds.max() > 3
@@ -336,8 +335,7 @@ class TestTransportTimes:
         ens = sample_ensemble(geom, 300, seed=4)
         times = (2.0, 6.0)
         monkeypatch.setattr(_kernels, "ITER_CAP", 3)
-        steps = _kernels.disk_counts(views(ens), ens.weight, ens.rebounds, ens.degenerate, geom,
-                                     times, 0.7)
+        steps = _kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, times, 0.7)
         for t, (weight, rebounds, degenerate) in zip(times, steps):
             ref = transported(ens, geom, t, 0.7)
             assert np.array_equal(weight, ref.weight)
@@ -437,45 +435,51 @@ CHORD_CASES = [
 ]
 
 
-def sampled_chords(geom, n, seed, region):
-    """The chords of the particles ``sample_ensemble`` would draw, straight
-    from the sampler's draws."""
-    cx, cy = geom.center
-    draw = densities._state_sampler(geom, n, seed, region)
-    return _kernels._disk_chord_blocks(draw, n, cx, cy, geom.radius)
-
-
 def same_arrays(got, want):
     return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+def held_counts(ens, geom, times, scale):
+    """Every time's ``(weight, rebounds, degenerate)`` of a held disk."""
+    return list(_kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, times,
+                                     scale))
+
+
+def same_rows(got, want):
+    return len(got) == len(want) and all(same_arrays(a, b) for a, b in zip(got, want))
+
+
 class TestDiskChords:
-    """A disk sampled straight into chords: each slice of indices is drawn,
-    reduced to its chords and dropped, and the chords are bitwise those of
-    the sampled ensemble, for any slicing and any number of blocks."""
+    """A disk's first hits and chords are computed once per particle, one
+    slice at a time across workers: a held ensemble's counts, and a sampled
+    disk's tallies of them, are the same bytes for any slicing and any
+    number of workers."""
+
+    TIMES = (0.0, 0.5, 2.5, 9.0)
 
     @pytest.mark.parametrize("case", range(len(CHORD_CASES)))
     @pytest.mark.parametrize("n", [1000, _kernels.DISK_CHUNK, 2 * _kernels.DISK_CHUNK + 777])
-    def test_chords_are_the_sampled_ensembles(self, monkeypatch, case, n):
+    def test_counts_do_not_depend_on_the_workers(self, monkeypatch, case, n):
         table, region = CHORD_CASES[case]
         geom = table()
-        cx, cy = geom.center
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
         ens = sample_ensemble(geom, n, seed=2024, region=region)
-        want = _kernels._disk_chord_blocks(views(ens), n, cx, cy, geom.radius)
-        assert np.all(np.isfinite(want[0])) and want[2].min() > 0.0
+        want = held_counts(ens, geom, self.TIMES, 0.7)
+        assert want[-1][1].max() > 2 and not want[-1][2].all()
+        reduced = [reductions(ReboundCounts(*row)) for row in want]
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
-            assert same_arrays(sampled_chords(geom, n, 2024, region), want)
+            assert same_rows(held_counts(ens, geom, self.TIMES, 0.7), want)
+            _, trajectory = densities.sample_disk_counts(geom, n, 2024, region, self.TIMES, 0.7)
+            assert [tally_values(tally) for _, tally in trajectory] == reduced
 
     @pytest.mark.parametrize("scale", [0.7, 1.0])
-    def test_initial_counts_are_the_sampled_ensembles(self, scale):
+    def test_initial_mass_is_the_sampled_ensembles(self, scale):
         geom = off_centre_disk()
         ens = sample_ensemble(geom, 3000, seed=31, region="box:0,-1,1.5,0")
-        counts0, got = densities.sample_disk_counts(geom, 3000, 31, "box:0,-1,1.5,0",
-                                                    (5.0, 0.0, 0.5), scale)
-        assert same_arrays((counts0.weight, counts0.rebounds, counts0.degenerate),
-                           (ens.weight, ens.rebounds, ens.degenerate))
+        mass, got = densities.sample_disk_counts(geom, 3000, 31, "box:0,-1,1.5,0",
+                                                 (5.0, 0.0, 0.5), scale)
+        assert isinstance(mass, float) and mass.hex() == ens.mass().hex()
         assert [t for t, _ in got] == [0.0, 0.5, 5.0]
 
     def test_bad_requests_rejected(self):
@@ -493,17 +497,18 @@ class TestDiskChords:
         # eight blocks on fewer cores, the interpreter switching threads
         # every microsecond: a slice lost or written twice changes the bytes
         geom = off_centre_disk()
+        ens = sample_ensemble(geom, 20_011, seed=8)
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
-        want = sampled_chords(geom, 20_011, 8, "domain")
+        want = held_counts(ens, geom, self.TIMES, 0.7)
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = sampled_chords(geom, 20_011, 8, "domain")
+            got = held_counts(ens, geom, self.TIMES, 0.7)
         finally:
             sys.setswitchinterval(interval)
-        assert same_arrays(got, want)
+        assert same_rows(got, want)
 
     def test_worker_errors_propagate(self, monkeypatch):
         wall = _kernels._disk_wall
@@ -514,13 +519,16 @@ class TestDiskChords:
                 raise FloatingPointError("slice failed")
             return wall(x, *args)
 
+        geom = small_disk()
+        ens = sample_ensemble(geom, 301, seed=5)
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 100)
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
         monkeypatch.setattr(_kernels, "_disk_wall", failing)
         with pytest.raises(FloatingPointError, match="slice failed"):
-            densities.sample_disk_counts(small_disk(), 301, 5, "domain", (1.0,), 1.0)
+            densities.sample_disk_counts(geom, 301, 5, "domain", (1.0,), 1.0)
+        # a held disk's chords are computed at the call, so it raises there
         with pytest.raises(FloatingPointError, match="slice failed"):
-            sampled_chords(small_disk(), 301, 5, "domain")
+            _kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, (1.0,), 1.0)
 
 
 def reductions(counts):
@@ -583,9 +591,9 @@ class TestSampledTallies:
         passes = []
         tallies = _kernels.disk_tallies
 
-        def counted(states, weight, rebounds, degenerate, geom, times, scale):
+        def counted(states, size, geom, times, scale):
             passes.append(times.tolist())
-            return tallies(states, weight, rebounds, degenerate, geom, times, scale)
+            return tallies(states, size, geom, times, scale)
 
         monkeypatch.setattr(densities, "SWEEP_STATES", 2 * 600 + 599)
         monkeypatch.setattr(_kernels, "disk_tallies", counted)
@@ -674,6 +682,26 @@ def rows_of(trajectory):
     return [counts for _, counts in trajectory]
 
 
+class TestNoTimes:
+    """No times give an empty trajectory, and a sampled disk or a polygon
+    runs no pass for them."""
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_sampled_disk_runs_no_pass(self, monkeypatch, scale):
+        monkeypatch.setattr(_kernels, "disk_tallies", None)
+        mass, trajectory = densities.sample_disk_counts(small_disk(), 300, 5, "domain", (), scale)
+        assert list(trajectory) == []
+        assert mass.hex() == sample_ensemble(small_disk(), 300, seed=5).mass().hex()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    @pytest.mark.parametrize("table", [small_disk, hexagon])
+    def test_held_trajectory_is_empty(self, monkeypatch, table, scale):
+        geom = table()
+        ens = sample_ensemble(geom, 300, seed=5)
+        monkeypatch.setattr(_kernels, "polygon_counts", None)
+        assert list(transport_counts_times(ens, (), geom, scale)) == []
+
+
 def assert_read_only(weight):
     assert not weight.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -687,14 +715,13 @@ class TestSharedWeights:
 
     TIMES = (0.0, 1.0, 4.0)
 
-    def test_sampled_disk_tallies_read_the_initial_weights(self):
-        counts0, trajectory = densities.sample_disk_counts(small_disk(), 3000, 5, "domain",
-                                                           self.TIMES, 1.0)
+    def test_sampled_disk_tallies_read_the_initial_mass(self):
+        mass, trajectory = densities.sample_disk_counts(small_disk(), 3000, 5, "domain",
+                                                        self.TIMES, 1.0)
         tallies = rows_of(trajectory)
         assert tallies[-1].max_rebounds() > 0
         for tally in tallies:
-            assert tally.mass() == counts0.mass()
-        assert_read_only(counts0.weight)
+            assert tally.mass() == mass
 
     @pytest.mark.parametrize("table", [small_disk, hexagon])
     def test_trajectory_holds_one_read_only_copy(self, table):
@@ -785,13 +812,6 @@ class TestTrajectorySnapshots:
         monkeypatch.setattr(densities.ParticleEnsemble, "copy", None)
         assert len(rows_of(transport_counts_times(ens, self.TIMES, geom))) == 4
 
-    def test_sampled_disk_initial_counts_are_read_only(self):
-        counts0, trajectory = densities.sample_disk_counts(small_disk(), 300, 5, "domain",
-                                                           self.TIMES, 1.0)
-        for array in (counts0.weight, counts0.rebounds, counts0.degenerate):
-            assert_read_only(array)
-        assert rows_of(trajectory)[-1].max_rebounds() > 0
-
 
 def edge_disk():
     return Billiard("disk", center=(0.0, 0.0), radius=1.0,
@@ -822,8 +842,8 @@ class TestStreamingCountSteps:
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            steps = list(_kernels.disk_counts(views(ens), ens.weight, ens.rebounds,
-                                              ens.degenerate, geom, self.TIMES, scale))
+            steps = list(_kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom,
+                                              self.TIMES, scale))
             refs = [transported(ens, geom, t, scale) for t in self.TIMES]
         for (weight, rebounds, degenerate), ref in zip(steps, refs):
             assert same_arrays((weight, rebounds, degenerate),
@@ -844,49 +864,58 @@ class TestStreamingCountSteps:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("scale", [1.0, 0.7])
     def test_tallies_are_the_reductions_of_the_rows(self, monkeypatch, scale, workers):
-        # the same masked lanes, folded into tallies slice by slice
+        # the same masked lanes, folded into tallies slice by slice.  The
+        # tallies start every particle as sampling does, weight 1/n, no
+        # rebound and no flag, so no particle is flagged on input here
         geom = edge_disk()
         ens = sample_ensemble(geom, 200, seed=21)
-        ens.degenerate[3] = True
         ens.pos[5], ens.vel[5] = (-1.0, 1.0), (1.0, 0.0)
         ens.pos[6], ens.vel[6] = (0.0, 1.0), (1.0, 0.0)
+        ens.pos[7], ens.vel[7] = (1.0, 0.0), (1.0, 0.0)
         monkeypatch.setattr(_kernels, "ITER_CAP", 3)
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
-        args = (views(ens), ens.weight, ens.rebounds, ens.degenerate, geom, self.TIMES, scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = list(_kernels.disk_counts(*args))
-            tallies = _kernels.disk_tallies(*args)
-        for (weight, rebounds, degenerate), (hist, flagged, w) in zip(rows, tallies,
-                                                                      strict=True):
+            rows = held_counts(ens, geom, self.TIMES, scale)
+            tallies = _kernels.disk_tallies(views(ens), len(ens), geom, self.TIMES, scale)
+        for (weight, rebounds, degenerate), (hist, flagged, row) in zip(rows, tallies,
+                                                                        strict=True):
             want = np.bincount(rebounds, weights=weight)
-            assert same_arrays((hist, flagged, w), (want, weight[degenerate], weight))
+            assert same_arrays((hist, flagged), (want, weight[degenerate]))
+            if scale == 1.0:
+                assert row is None
+            else:
+                assert same_arrays((row,), (weight,))
         assert tallies[-1][1].size > 10
-        if scale == 1.0:
-            assert all(w is ens.weight for _, _, w in tallies)
 
 
-def test_sampled_disk_holds_only_its_initial_counts(monkeypatch):
-    # at scale 1 a sampled disk holds its initial counts, 17 bytes per
-    # particle, and nothing else per particle: a slice's temporaries and the
-    # tallies do not grow with the ensemble.  Holding each time's counts,
-    # as rows of a count and a flag, read about 52 bytes per added particle
+def test_sampled_disk_holds_nothing_per_particle(monkeypatch):
+    # at scale 1 a sampled disk holds nothing per particle once
+    # sample_disk_counts returns: a slice's temporaries and the tallies do
+    # not grow with the ensemble.  The only transient that does is the 8
+    # bytes per particle of the weights its mass sums, and at these sizes
+    # the slices' own transient, about 10.6 MB, sets the peak (the added
+    # peak reads about 0.01 bytes per particle).  Holding the initial
+    # counts read 17.0 bytes per added particle, held and at the peak
     monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
 
-    def peak(n):
+    def traced(n):
         tracemalloc.start()
         try:
-            counts0, trajectory = densities.sample_disk_counts(
+            _, trajectory = densities.sample_disk_counts(
                 small_disk(), n, 7, "domain", (0.5, 2.0, 5.0, 10.0, 20.0), 1.0)
+            held = tracemalloc.get_traced_memory()[0]
             tallies = rows_of(trajectory)
-            return tracemalloc.get_traced_memory()[1], tallies
+            return held, tracemalloc.get_traced_memory()[1], tallies
         finally:
             tracemalloc.stop()
 
-    small, _ = peak(1 << 19)
-    large, tallies = peak(1 << 20)
-    assert (large - small) / (1 << 19) < 20.0, (large - small) / (1 << 19)
+    held_small, peak_small, _ = traced(1 << 19)
+    held_large, peak_large, tallies = traced(1 << 20)
+    added = 1 << 19
+    assert (held_large - held_small) / added < 1.0, (held_large - held_small) / added
+    assert (peak_large - peak_small) / added < 9.0, (peak_large - peak_small) / added
     assert len(tallies) == 5 and tallies[-1].max_rebounds() > 10
 
 

@@ -33,7 +33,7 @@ from honestflow import (
     with_overrides,
     write_reports,
 )
-from honestflow import _kernels, cli, densities, expansion, scenarios
+from honestflow import cli, densities, expansion, scenarios
 from honestflow.expansion import Expansion
 from honestflow.scenarios import _window_decay
 
@@ -450,18 +450,7 @@ class TestParseConfig:
                   .replace("speeds = 1", f"speeds = {factor!r}")
                   .replace("center = 1, -1", f"center = {factor!r}, {-factor!r}"))
         cfg, ref = parse_config(scaled), parse_config(unit)
-        ens = initial_density(cfg)
-        chords = _kernels._disk_chord_blocks(
-            lambda lo, hi: (ens.pos[lo:hi, 0], ens.pos[lo:hi, 1], ens.vel[lo:hi, 0],
-                            ens.vel[lo:hi, 1]),
-            len(ens), factor, -factor, factor)
-        assert np.all(np.isfinite(chords[0]))
-        # the sampler's draws give the held ensemble's chords, bit for bit
-        draw = densities._state_sampler(cfg.geometry, cfg.count, cfg.seed, cfg.region)
-        drawn = _kernels._disk_chord_blocks(draw, cfg.count, factor, -factor, factor)
-        for x, y in zip(drawn, chords, strict=True):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        got = transport_counts_times(ens, cfg.times, cfg.geometry)
+        got = transport_counts_times(initial_density(cfg), cfg.times, cfg.geometry)
         want = transport_counts_times(initial_density(ref), ref.times, ref.geometry)
         for (t, a), (u, b) in zip(got, want, strict=True):
             assert t == u
@@ -469,6 +458,15 @@ class TestParseConfig:
             assert np.array_equal(a.degenerate, b.degenerate)
             assert not a.degenerate.any()
         assert a.rebounds.sum() > 0
+
+        # a sampled disk, its states drawn slice by slice, tallies them alike
+        def tallies(c):
+            _, trajectory = densities.sample_disk_counts(c.geometry, c.count, c.seed, c.region,
+                                                         c.times, 1.0)
+            return [(t, tally.rebound_histogram().tobytes(), tally.degenerate_weight(),
+                     tally.mass()) for t, tally in trajectory]
+
+        assert tallies(cfg) == tallies(ref)
 
     @pytest.mark.parametrize("vertices", ["0, 0; 3, 0; 0.7, 1e76",
                                           "1e7, 0; 10000003, 0; 1e7, 1"])

@@ -315,7 +315,7 @@ class TestTransportTimes:
         # refuses it, and the kernel it calls counts whatever it is given
         with pytest.raises(ValueError, match="particle 0 "):
             transport_counts_times(ens, times, geom, scale)
-        steps = _kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, times, scale)
+        steps = held_counts(ens, geom, times, scale)
         got = list(zip(_kernels.distinct_times(times), (ReboundCounts(*a) for a in steps)))
         assert [t for t, _ in got] == [0.0, 0.5, 2.5, 5.0, 9.0]
         assert got[-1][1].rebounds.max() > 3
@@ -335,7 +335,7 @@ class TestTransportTimes:
         ens = sample_ensemble(geom, 300, seed=4)
         times = (2.0, 6.0)
         monkeypatch.setattr(_kernels, "ITER_CAP", 3)
-        steps = _kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, times, 0.7)
+        steps = held_counts(ens, geom, times, 0.7)
         for t, (weight, rebounds, degenerate) in zip(times, steps):
             ref = transported(ens, geom, t, 0.7)
             assert np.array_equal(weight, ref.weight)
@@ -842,8 +842,7 @@ class TestStreamingCountSteps:
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            steps = list(_kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom,
-                                              self.TIMES, scale))
+            steps = held_counts(ens, geom, self.TIMES, scale)
             refs = [transported(ens, geom, t, scale) for t in self.TIMES]
         for (weight, rebounds, degenerate), ref in zip(steps, refs):
             assert same_arrays((weight, rebounds, degenerate),

@@ -2,20 +2,15 @@
 survival Monte Carlo.
 
 The ladder walk steps every particle hop by hop.  A billiard has one
-full-state transport to one time, ``billiard_transport``, and, for reports
-that read rebound counts alone, one counts kernel per shape, plus one for a
-sampled disk.  The polygon steps event by event and ``polygon_counts``
-takes every requested time in one sweep.  The disk needs no stepping: its
-closed form costs O(1) per particle whatever the number of rebounds.
-``disk_counts`` takes a held ensemble's arrays, as ``polygon_counts`` does,
-and computes each particle's first hit and chord once for all requested
-times.  ``disk_tallies`` takes a sampler's state source instead: it draws
-one slice at a time and reduces each slice to every time's report tallies
-as it goes, so no particle state, and at scale 1 no per-particle row, is
-ever held.  Every threaded kernel runs through one runner, ``_run_blocks``:
-one worker per CPU pulls consecutive chunks of particles in index order,
-bitwise the same as one pass.  Every billiard kernel reads the graze
-threshold ``GRAZE_EPS`` and the reflection cap ``ITER_CAP``.
+full-state transport, ``billiard_transport``, and counts kernels.  The
+polygon steps event by event, all times in one sweep that hands each row's
+particles, as they close, to a sink: ``polygon_counts`` writes the rows,
+``polygon_tallies`` counts them.  The disk's closed form costs O(1) per
+particle: ``disk_counts`` computes a held ensemble's chords once for all
+times, and ``disk_tallies`` counts a sampler's slices as it draws them.  A
+tally counts, per rebound count, the particles and the flagged ones.
+Threaded kernels run on ``_run_blocks``, one worker per CPU, bitwise the
+same as one pass.  Billiard kernels read ``GRAZE_EPS`` and ``ITER_CAP``.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, so
@@ -163,48 +158,31 @@ def _sweep_workers(n):
     return max(1, min(cpus or 1, n // SWEEP_BLOCK_MIN))
 
 
-def _run_blocks(size, chunk, work, take=None):
-    """Run ``work(lo, hi)`` over consecutive chunks of ``range(size)``, each
-    ``chunk`` long but the last, on one worker per CPU (``_sweep_workers``).
+def _run_blocks(size, chunk, work):
+    """The results of ``work(lo, hi)`` over consecutive chunks of
+    ``range(size)``, each ``chunk`` long but the last, in chunk order.
 
-    Workers pull chunks in index order.  The calling thread is one of them,
-    and every other runs on a thread of its own; numpy releases the GIL
-    inside its loops, so they run side by side.  Given ``take``,
-    ``take(work(lo, hi))`` runs for every chunk strictly in index order, one
-    at a time: a worker with a finished chunk waits for its turn before it
-    pulls the next, so at most one result per worker is in hand.  The first
-    exception a worker raises stops every worker after its current chunk,
-    waiting ones included, and is raised again here once all have stopped.
+    One worker per CPU (``_sweep_workers``), the calling thread among them,
+    pulls chunks in index order; numpy releases the GIL inside its loops, so
+    they run side by side.  The first exception a worker raises stops every
+    worker after its current chunk, and is raised again here.
     """
     bounds = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
     pending = iter(enumerate(bounds))
-    turn = threading.Condition()
-    taken = 0
+    lock = threading.Lock()
+    results = [None] * len(bounds)
     errors = []
 
     def run():
-        nonlocal taken
         try:
-            while True:
-                with turn:
-                    i, block = (None, None) if errors else next(pending, (None, None))
+            while not errors:
+                with lock:
+                    i, block = next(pending, (None, None))
                 if block is None:
                     return
-                out = work(*block)
-                if take is None:
-                    continue
-                with turn:
-                    turn.wait_for(lambda: taken == i or errors)
-                    if errors:
-                        return
-                take(out)
-                with turn:
-                    taken += 1
-                    turn.notify_all()
+                results[i] = work(*block)
         except BaseException as exc:
-            with turn:
-                errors.append(exc)
-                turn.notify_all()
+            errors.append(exc)
 
     threads = [threading.Thread(target=run)
                for _ in range(min(_sweep_workers(size), len(bounds)) - 1)]
@@ -215,6 +193,16 @@ def _run_blocks(size, chunk, work, take=None):
         thread.join()
     if errors:
         raise errors[0]
+    return results
+
+
+def _sum_counts(parts):
+    # the sum of integer counts of any lengths, each zero-padded
+    parts = list(parts)
+    total = np.zeros(max((part.size for part in parts), default=0), dtype=np.intp)
+    for part in parts:
+        total[:part.size] += part
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +210,12 @@ def _run_blocks(size, chunk, work, take=None):
 # ---------------------------------------------------------------------------
 
 
-# The circle is integrable: reflection conserves the angular momentum about
-# the centre, so after its first wall hit a particle repeats one chord for
-# ever.  Every chord has the same flight time tau = 2R (v.n) / |v|^2 and
-# advances the hit point by the same central angle pi - 2 theta, theta the
-# angle of incidence, in the sense of the angular momentum.  The state at
-# time t is therefore the first hit and its reflection rotated k times, plus
-# the leftover flight, with k = floor((t - s0) / tau) further hits.  The
-# first-hit time s0, the graze test and tau do not depend on t; the helpers
-# below compute each of them one way, for the full-state kernel and for the
-# counts-only one alike, so the two agree bitwise.
+# The circle is integrable: after its first wall hit a particle repeats one
+# chord for ever, of flight time tau = 2R (v.n) / |v|^2 and central angle
+# pi - 2 theta.  The state at time t is the first hit and its reflection
+# rotated k = floor((t - s0) / tau) times, plus the leftover flight.  s0, the
+# graze test and tau do not depend on t; the helpers below compute each one
+# way for every kernel, so the full-state and counts kernels agree bitwise.
 
 # particles per slice of the closed-form kernels: bounds their temporaries
 # whatever the ensemble size
@@ -337,14 +321,10 @@ def _disk_chords(x, y, vx, vy, cx, cy, radius):
 
 
 def _disk_step(chords, weight, rebounds, degenerate, t, scale):
-    # (weight, rebounds, degenerate) of one slice at time t, in one streaming
-    # pass with no gather or scatter; at t = 0 nothing moves, not even a
-    # particle sitting on the wall, and the inputs come back as they are.  A
-    # particle that does not move (s0 = inf for an input-degenerate one, s0 >
-    # t, or a graze) gets hits = 0, so its count gains +0 and its weight *
-    # 1.0; every moving one goes through the full-state kernel's own
-    # expressions, so the result is its bits.  At scale 1 the weights are the
-    # input's
+    # (weight, rebounds, degenerate) of one slice at time t in one streaming
+    # pass, bitwise the full-state kernel's: at t = 0 the inputs come back as
+    # they are, and a particle that does not move (s0 = inf, s0 > t, or a
+    # graze) gets hits = 0.  At scale 1 the weights are the input's
     if t == 0.0:
         return weight, rebounds, degenerate
     s0, graze, tau = chords
@@ -390,13 +370,11 @@ def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
     The input arrays are left alone.  Returns an iterator of ``(weight,
     rebounds, degenerate)`` over ``distinct_times(times)``; the k-th is
     bitwise what ``billiard_transport`` leaves in those arrays on a copy of
-    the ensemble for the k-th time.  At scale 1 no weight changes, and every
-    time yields one read-only weight array: ``weight`` itself if it is
-    read-only, else a read-only view of it.  Positions and velocities are
-    never transported: each particle's first-hit time, graze flag and chord
-    period, about 17 bytes, are computed here, at the call, in
-    ``DISK_CHUNK`` slices on the workers of ``_run_blocks``, and every time
-    then costs one streaming pass over them as it is reached.
+    the ensemble for the k-th time.  At scale 1 every time yields one
+    read-only weight array, ``weight`` or a read-only view of it.  Each
+    particle's first hit, graze flag and chord period, about 17 bytes, are
+    computed at the call on ``_run_blocks``; each time is then one
+    streaming pass over them.
     """
     times = distinct_times(times)
     geometry = _disk_geometry(geom)
@@ -416,56 +394,31 @@ def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
                              float(scale))
 
 
-def disk_tallies(states, size, geom, times, scale):
-    """The report reductions of a sampled disk's counts at every one of
-    ``times``, in one pass over its ``size`` particles.
-
-    ``states(lo, hi)`` gives the positions and velocities ``x, y, vx, vy``
-    of particles lo..hi-1.  Every particle starts with weight ``1 / size``,
-    no rebound and no flag.  Returns a list of ``(histogram, flagged, row)``,
-    one per time of ``distinct_times(times)``: for the ``(w, n, d)`` that
-    ``disk_counts`` yields for that time on those states and starts,
-    bitwise ``np.bincount(n, weights=w)``, ``w[d]`` and, below scale 1,
-    ``w``, a weight row of the time's own, 8 bytes per particle.  At scale 1
-    no weight changes and ``row`` is None.  Nothing else is held per
-    particle: the workers of ``_run_blocks`` pull ``DISK_CHUNK`` slices,
-    each drawn, reduced to its chords and counted at every time, and each
-    slice's counts are folded into the tallies strictly in index order, so
-    every addition happens in the order ``bincount`` and the gather make it.
+def disk_tallies(states, size, geom, times):
+    """Integer tallies of a sampled disk's rebound counts at every one of
+    ``times``: ``(np.bincount(n), np.bincount(n[d]))`` per time of
+    ``distinct_times(times)``, for the ``(n, d)`` that ``disk_counts``
+    yields on the states ``states(lo, hi)`` (``x, y, vx, vy`` of particles
+    lo..hi-1) of ``size`` particles with no rebound and no flag.  Workers
+    count one ``DISK_CHUNK`` slice at a time, and the slices' counts are
+    added after the join, so nothing is held per particle.
     """
     times = distinct_times(times).tolist()
     geometry = _disk_geometry(geom)
-    scale = float(scale)
-    rows = None if scale == 1.0 else np.empty((len(times), size))
-    hists = [np.zeros(1) for _ in times]
-    flagged = [[np.zeros(0)] for _ in times]
     # every slice's start, read and never written
     chunk = min(size, DISK_CHUNK)
-    starts = (np.full(chunk, 1.0 / size), np.zeros(chunk, dtype=np.int64),
-              np.zeros(chunk, dtype=np.bool_))
+    starts = np.zeros(chunk, dtype=np.int64), np.zeros(chunk, dtype=np.bool_)
 
     def work(lo, hi):
         chords = _disk_chords(*states(lo, hi), *geometry)
-        weight, rebounds, degenerate = (a[:hi - lo] for a in starts)
-        steps = []
-        for k, t in enumerate(times):
-            w, n, d = _disk_step(chords, weight, rebounds, degenerate, t, scale)
-            if rows is not None:
-                rows[k, lo:hi] = w
-            steps.append((w, n, int(n.max()), w[d]))
-        return steps
+        rebounds, degenerate = (a[:hi - lo] for a in starts)
+        # at scale 1 the step reads no weight
+        steps = (_disk_step(chords, None, rebounds, degenerate, t, 1.0) for t in times)
+        return [(np.bincount(n), np.bincount(n[d])) for _, n, d in steps]
 
-    def take(steps):
-        # np.add.at adds each weight in turn, as bincount does
-        for k, (w, n, top, wd) in enumerate(steps):
-            if top >= hists[k].size:
-                hists[k] = np.concatenate([hists[k], np.zeros(top + 1 - hists[k].size)])
-            np.add.at(hists[k], n, w)
-            flagged[k].append(wd)
-
-    _run_blocks(size, DISK_CHUNK, work, take)
-    return [(hist, np.concatenate(parts), None if rows is None else rows[k])
-            for k, (hist, parts) in enumerate(zip(hists, flagged))]
+    slices = _run_blocks(size, DISK_CHUNK, work)
+    return [tuple(_sum_counts(part[k][i] for part in slices) for i in (0, 1))
+            for k in range(len(times))]
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +426,16 @@ def disk_tallies(states, size, geom, times, scale):
 # ---------------------------------------------------------------------------
 
 
-# A particle's event sequence (hit time, hit point, reflected velocity, graze
-# and vertex tests) does not depend on the transport time; only the stop test
-# does.  The polygon kernel therefore steps each particle once, up to the
-# largest requested time, with one row of remaining time per requested time.
-# Every row goes through the same rounded subtractions that a transport to
-# its own time makes, so each row is bitwise that transport's result.
-# Rounded subtraction is monotone, so rem[k] <= rem[k + 1] holds throughout:
-# rows close in time order, leading rows closed for every working particle
-# are dropped, and a particle leaves the compacted working set when its last
-# row closes.
-#
-# The round branches on no data-dependent mask: np.where and a 2-D nonzero
-# on a random mask cost many times a streaming pass.  Nor does it compute in
-# fresh arrays: every step writes through out= into work buffers that the
-# call allocates once.  Each rewrite below gives the bits the branching,
-# allocating form gives; the README says why.
+# A particle's events do not depend on the transport time; only the stop
+# test does.  The polygon kernel therefore steps each particle once, up to
+# the largest requested time, with one row of remaining time per requested
+# time, each going through the rounded subtractions a transport to its own
+# time makes.  Rounded subtraction is monotone, so rows close in time order,
+# leading rows closed for every working particle are dropped, and a particle
+# leaves the compacted working set when its last row closes.  The round
+# branches on no data-dependent mask and computes in work buffers that the
+# call allocates once; each rewrite gives the branching, allocating form's
+# bits, and the README says why.
 
 
 def _select(mask, a, b, flip):
@@ -501,29 +448,47 @@ def _select(mask, a, b, flip):
     bits ^= flip
 
 
-def _cells(mask):
-    # (row, column) pairs of a 2-D mask's set cells
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
-
-
-def _snapshot(out, kk, cols, w, n, flagged, state):
-    # rows kk of particles cols; state() gives their positions and velocities
-    # and runs only when out holds them: a counts-only out is (weight,
-    # rebounds, degenerate).  w is None at scale 1, where no weight changes
-    # and out's weight rows are left as they are
+def _row_sink(out):
+    # a sink writing each closing cell into out's (pos, vel, weight,
+    # rebounds, degenerate) rows, or counts only (weight, rebounds,
+    # degenerate); a lane weight of None leaves the weight rows alone
     *full, weight, rebounds, degenerate = out
-    if full:
-        pos, vel = full
-        pos[kk, cols, 0], pos[kk, cols, 1], vel[kk, cols, 0], vel[kk, cols, 1] = state()
-    if w is not None:
-        weight[kk, cols] = w
-    rebounds[kk, cols] = n
-    degenerate[kk, cols] = flagged
+
+    def sink(k, jj, lanes, flag, state):
+        idx, n, w = lanes
+        cols = idx[jj]
+        if full:
+            pos, vel = full
+            pos[k, cols, 0], pos[k, cols, 1], vel[k, cols, 0], vel[k, cols, 1] = state()
+        if w is not None:
+            weight[k, cols] = w[jj]
+        rebounds[k, cols] = n[jj]
+        degenerate[k, cols] = flag[jj] if isinstance(flag, np.ndarray) else flag
+
+    return sink
 
 
-def _take(w, jj):
-    # working weights jj; None stays None
-    return None if w is None else w[jj]
+class _Tally:
+    # a sink that keeps, per row, np.bincount of its closing particles'
+    # counts and of the flagged ones' counts
+    def __init__(self, rows):
+        self.rows = [([], []) for _ in range(rows)]
+
+    def __call__(self, k, jj, lanes, flag, state):
+        n = lanes[1][jj]
+        counts, flagged = self.rows[k]
+        counts.append(np.bincount(n))
+        if flag is not False:
+            flagged.append(np.bincount(n if flag is True else n[flag[jj]]))
+
+
+def _close(sink, mask, k0, lanes, flag, state):
+    # hands row k0 + k the lanes set in mask's row k, found by one flat
+    # nonzero per row; state(k, jj) gives their positions and velocities
+    for k, row in enumerate(mask):
+        jj = np.flatnonzero(row)
+        if jj.size:
+            sink(k0 + k, jj, lanes, flag, lambda: state(k, jj))
 
 
 def _compact(bufs, spare, m, kept):
@@ -552,22 +517,22 @@ def _drop_rows(rem_buf, rem, closed, kept, row):
     return rem_buf[:(rem.shape[0] - closed) * m].reshape(-1, m)
 
 
-def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, verts,
+def _sweep_block(pos, vel, weight, rebounds, degenerate, sink, normals, offsets, verts,
                  times, scale, vert_eps):
-    # ``out`` holds the input state in every row: rows that close before the
-    # first round (input-degenerate particles, zero times) keep it.  The
-    # inputs are read before the first write, so ``out`` may be views of them.
+    # Hands each (row, particle) cell to ``sink`` once, as its row closes:
+    # sink(k, jj, lanes, flag, state) gets row k, the lanes jj closing in it
+    # of lanes = (index, count, weight), their flag (a bool or a lane mask)
+    # and state(), their positions and velocities.  At scale 1 no weight is
+    # tracked: the lane weight is None, and ``weight`` may be.
+    held = np.flatnonzero(degenerate)
     idx = np.flatnonzero(~degenerate) if times.size and times[-1] > 0.0 else np.arange(0)
     m = idx.size
-    # Work buffers, allocated here once and m lanes each: the working state
-    # (position, velocity, the graze threshold GRAZE_EPS * speed, the weight
-    # below scale 1, at scale 1 there is none to track; index and rebound
-    # count), the spare float and int buffers a round computes in, and two
-    # masks.  A round works in their prefixes of m, the working particles.
-    # The remaining times rem, row k out's row k0 + k, and two masks of its
-    # shape are contiguous views of flat buffers.  Compaction moves each
-    # state array into a spare, which takes its place, and rem into the
-    # front of its own buffer.
+    # Work buffers of m lanes: the working state (position, velocity, graze
+    # threshold GRAZE_EPS * speed, the weight below scale 1; index, count),
+    # spare float and int buffers and two masks, used in prefixes of the m
+    # working particles.  The remaining times rem (row k is the sink's row
+    # k0 + k) and two masks of its shape view flat buffers.  Compaction moves
+    # each state array into a spare, and rem to the front of its buffer.
     state = [pos[idx, 0], pos[idx, 1], vel[idx, 0], vel[idx, 1],
              GRAZE_EPS * np.sqrt(np.sum(vel * vel, axis=1))[idx]]
     if scale != 1.0:
@@ -582,6 +547,14 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
     rem = rem_buf.reshape(times.size, m)
     cells = [np.empty(rem.size, dtype=np.bool_) for _ in range(2)]
     nxs, nys = np.ascontiguousarray(normals.T)
+    # cells closed before the first round hold the input state: a zero
+    # time's row (the first) and every row of a particle flagged on input
+    every = np.arange(degenerate.size)
+    start = (every, rebounds, None if scale == 1.0 else weight)
+    for k, t in enumerate(times.tolist()):
+        jj = every if t == 0.0 else held
+        if jj.size:
+            sink(k, jj, start, degenerate, lambda: (pos[jj, 0], pos[jj, 1], vel[jj, 0], vel[jj, 1]))
     k0 = 0
     rounds = 0
     # a particle with no hit ahead (s = inf) only ever flies; the garbage its
@@ -596,11 +569,9 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
             edge, step = (a[:m] for a in ispare)
             first, ahead = (a[:m] for a in marks)
             open_, closing = (a[:rem.size].reshape(rem.shape) for a in cells)
-            # first hit: a running minimum over the edges.  An edge the
-            # particle does not move towards (dv <= 0 or nan) counts as a hit
-            # at inf, which is below no s; the strict < keeps the first of
-            # tied edges, and edges come in increasing order, so the hit edge
-            # is the largest e that lowered s
+            # first hit: a running minimum over the edges, an edge moved away
+            # from (dv <= 0 or nan) counting as a hit at inf; the strict <
+            # keeps the first of tied edges, the largest e that lowered s
             s.fill(np.inf)
             edge.fill(0)
             for e, (ex, ey) in enumerate(normals):
@@ -623,22 +594,18 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
             np.greater(rem, 0.0, out=open_)
             flown = np.greater(s, rem, out=closing)
             flown &= open_
-            kk, jj = _cells(flown)
-            r = rem[kk, jj]
-            _snapshot(out, kk + k0, idx[jj], _take(w, jj), n[jj], False,
-                      lambda: (x[jj] + vx[jj] * r, y[jj] + vy[jj] * r, vx[jj], vy[jj]))
+            lanes, here = (idx, n, w), lambda k, jj: (x[jj], y[jj], vx[jj], vy[jj])
+            _close(sink, flown, k0, lanes, False,
+                   lambda k, jj: (x[jj] + vx[jj] * rem[k, jj], y[jj] + vy[jj] * rem[k, jj],
+                                  vx[jj], vy[jj]))
             hit = np.not_equal(open_, flown, out=open_)
             if rounds > ITER_CAP:
                 # a row owing more than ITER_CAP reflections stops at the last
                 # one; rows that reach their time first have flown out above
-                kk, jj = _cells(hit)
-                _snapshot(out, kk + k0, idx[jj], _take(w, jj), n[jj], True,
-                          lambda: (x[jj], y[jj], vx[jj], vy[jj]))
+                _close(sink, hit, k0, lanes, True, here)
                 break
-            # on an open row rem - s < 0 exactly where the row flies (rounded
-            # subtraction is zero only for equal operands) and is never -0.0,
-            # so the clamp gives 0 there and rem - s elsewhere; a closed row
-            # stays 0
+            # on an open row rem - s < 0 exactly where the row flies, never
+            # -0.0, so the clamp gives 0 there; a closed row stays 0
             rem -= s
             np.maximum(rem, 0.0, out=rem)
             np.multiply(vx, s, out=t)
@@ -678,9 +645,7 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
             closes = np.equal(rem, 0.0, out=closing)
             closes |= graze
             closes &= hit
-            kk, jj = _cells(closes)
-            _snapshot(out, kk + k0, idx[jj], _take(w, jj), n[jj], graze[jj],
-                      lambda: (x[jj], y[jj], vx[jj], vy[jj]))
+            _close(sink, closes, k0, lanes, graze, here)
             keep = np.greater(rem[-1], 0.0, out=first)
             keep &= reflect
             kept = None if keep.all() else np.flatnonzero(keep)
@@ -697,10 +662,12 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, out, normals, offsets, 
                 _compact(state, spare, m, kept)
                 _compact(ints, ispare, m, kept)
                 m = kept.size
-    return out
+    return sink
 
 
-def _polygon_sweep(arrays, out, geom, times, scale):
+def _polygon_sweep(arrays, sink, geom, times, scale):
+    # sweeps each block lo..hi-1 into the sink sink(lo, hi), and returns
+    # the sinks in block order
     normals, offsets = geom.edge_normals()
     verts = np.array(geom.vertices, dtype=np.float64)
     # relative to the largest coordinate, whose magnitude sets the rounding
@@ -708,14 +675,11 @@ def _polygon_sweep(arrays, out, geom, times, scale):
     vert_eps = GRAZE_EPS * float(np.max(np.abs(verts)))
     consts = (normals, offsets, verts, times, float(scale), vert_eps)
 
-    # Particles never interact and each one takes part in every round until
-    # it leaves, so a contiguous block of them, swept alone into its own
-    # columns of out, gets bitwise the rows a whole sweep gives it.  The
-    # sweep asks for one block per worker.
+    # particles never interact, so a block swept alone hands its sink
+    # bitwise the cells a whole sweep gives it; one block per worker
     size = arrays[0].shape[0]
-    _run_blocks(size, max(1, -(-size // _sweep_workers(size))), lambda lo, hi: _sweep_block(
-        *(a[lo:hi] for a in arrays), tuple(o[:, lo:hi] for o in out), *consts))
-    return out
+    return _run_blocks(size, max(1, -(-size // _sweep_workers(size))), lambda lo, hi: _sweep_block(
+        *(None if a is None else a[lo:hi] for a in arrays), sink(lo, hi), *consts))
 
 
 def distinct_times(times) -> np.ndarray:
@@ -735,19 +699,33 @@ def polygon_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
     The input arrays are left alone.  Returns ``(weight, rebounds,
     degenerate)`` with a leading axis over ``distinct_times(times)``; row k
     is bitwise what ``billiard_transport`` leaves in those arrays on a copy
-    of the inputs for the k-th time.  One sweep steps each particle's events
-    once, up to the largest time, and never writes the rows' positions or
-    velocities: a row costs 17 bytes per particle, plus 8 of remaining time
-    while it runs.  At scale 1 no weight changes: the weight rows are one
+    of the inputs for the k-th time.  One sweep writes each row's cells as
+    they close, never positions or velocities: 17 bytes per particle and
+    row, plus 10 while the row runs.  At scale 1 the weight rows are one
     read-only broadcast of ``weight``, and a row costs 9 bytes.
     """
     times = distinct_times(times)
-    if scale == 1.0:
-        weights = np.broadcast_to(weight, (times.size, weight.shape[0]))
-    else:
-        weights = np.repeat(weight[None], times.size, axis=0)
-    out = (weights, *(np.repeat(a[None], times.size, axis=0) for a in (rebounds, degenerate)))
-    return _polygon_sweep((pos, vel, weight, rebounds, degenerate), out, geom, times, scale)
+    shape = (times.size, weight.shape[0])
+    weights = np.broadcast_to(weight, shape) if scale == 1.0 else np.empty(shape, weight.dtype)
+    out = (weights, np.empty(shape, rebounds.dtype), np.empty(shape, degenerate.dtype))
+    _polygon_sweep((pos, vel, weight, rebounds, degenerate),
+                   lambda lo, hi: _row_sink(tuple(o[:, lo:hi] for o in out)), geom, times, scale)
+    return out
+
+
+def polygon_tallies(pos, vel, rebounds, degenerate, geom, times):
+    """Integer tallies of a polygon ensemble's rebound counts at every one
+    of ``times``: ``(np.bincount(n), np.bincount(n[d]))`` per time of
+    ``distinct_times(times)``, for the row ``(n, d)`` of ``polygon_counts``.
+    One sweep takes every time, tracks no weight and writes no row: each
+    block counts its cells as they close, and the blocks' counts are added
+    after the join.
+    """
+    times = distinct_times(times)
+    blocks = _polygon_sweep((pos, vel, None, rebounds, degenerate),
+                            lambda lo, hi: _Tally(times.size), geom, times, 1.0)
+    return [tuple(_sum_counts(part for b in blocks for part in b.rows[k][i]) for i in (0, 1))
+            for k in range(times.size)]
 
 
 def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t, scale=1.0):
@@ -772,5 +750,6 @@ def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t, scale=1.
                             float(geom.radius), float(t), float(scale))
         return arrays
     # one row, written straight into the inputs
-    _polygon_sweep(arrays, tuple(a[None] for a in arrays), geom, np.array([float(t)]), scale)
+    _polygon_sweep(arrays, lambda lo, hi: _row_sink(tuple(a[None, lo:hi] for a in arrays)),
+                   geom, np.array([float(t)]), scale)
     return arrays

@@ -16,14 +16,15 @@ rebound count is the expansion order it contributes to, so these are all
 that the ensemble reports read, and only through a :class:`ReboundTally`:
 the mass, the rebound histogram, its tail weights and the degenerate
 weight.  ``transport_counts_times`` yields the counts along a trajectory
-without transporting positions on a disk, and ``sample_disk_counts``
-yields the tallies of a sampled disk in one pass over slices of its
-particles, each drawn, counted at every time, folded into the tallies and
-dropped, so nothing of it is held per particle at scale 1.
+without transporting positions on a disk.  A sampled ensemble's particles
+start alike, so its tallies come from integer counts alone
+(``ReboundTally.from_counts``); ``sample_counts`` counts a sampled
+ensemble, and never holds a disk's particles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +41,7 @@ __all__ = [
     "ReboundTally",
     "free_stream",
     "restrict",
-    "sample_disk_counts",
+    "sample_counts",
     "sample_ensemble",
     "sample_ladder_positions",
     "transport_counts_times",
@@ -195,6 +196,25 @@ def free_stream(f: PiecewiseDensity, t: float, geom: IntervalUnion) -> Piecewise
 # ---------------------------------------------------------------------------
 
 
+def _repeated_sums(counts, value: float) -> np.ndarray:
+    # 0.0 + value + value + ... over c copies for every entry c of counts, as
+    # np.bincount adds them: one cumulative sum up to the largest count, in
+    # chunks each starting from the last one's total
+    sums = np.zeros(counts.shape)
+    top = int(counts.max(initial=0))
+    chunk = _kernels.DISK_CHUNK
+    buf = np.empty(min(top, chunk) + 1)
+    total = 0.0
+    for lo in range(0, top, chunk):
+        part = buf[:min(chunk, top - lo) + 1]
+        part[0], part[1:] = total, value
+        np.cumsum(part, out=part)
+        inside = (counts > lo) & (counts < lo + part.size)
+        sums[inside] = part[counts[inside] - lo]
+        total = part[-1]
+    return sums
+
+
 @dataclass(frozen=True, eq=False)
 class ReboundTally:
     """The report values of N particles' rebound counts at one time.
@@ -211,6 +231,31 @@ class ReboundTally:
 
     def __post_init__(self):
         self.histogram.flags.writeable = False
+
+    @classmethod
+    def from_counts(cls, size, tallies, weights, mass=None) -> list["ReboundTally"]:
+        """The tallies of ``size`` particles, one per ``(counts, flagged)`` of
+        ``tallies``: ``counts[n]`` of them with n < ``weights.size`` rebounds,
+        ``flagged[n]`` of those degenerate, each weighing ``weights[n]``.
+
+        ``histogram[n]`` is 0.0 + w + w + ... over ``counts[n]`` copies of w,
+        the bits of ``np.bincount(n, weights=w)``.  Given ``mass``, no weight
+        has changed since sampling: it is the total, and the degenerate
+        weight is ``np.full(f, weights[0]).sum()`` over the f flagged, the
+        bits of ``w[d].sum()``.  Else both are ``math.fsum`` of their bins.
+        """
+        # every time's counts and flagged counts, zero-padded to one width
+        grid = np.zeros((2, len(tallies), weights.size), dtype=np.intp)
+        for k, (counts, flagged) in enumerate(tallies):
+            grid[0, k, :counts.size], grid[1, k, :flagged.size] = counts, flagged
+        sums = np.zeros(grid.shape)
+        for w in np.unique(weights[grid.any(axis=(0, 1))]).tolist():
+            sums[..., weights == w] = _repeated_sums(grid[..., weights == w], w)
+        hists = [sums[0, k, :counts.size].copy() for k, (counts, _) in enumerate(tallies)]
+        if mass is None:
+            return [cls(size, math.fsum(h), h, math.fsum(f)) for h, f in zip(hists, sums[1])]
+        return [cls(size, mass, h, float(np.full(f.sum(), weights[0]).sum()))
+                for h, (_, f) in zip(hists, tallies)]
 
     def __len__(self) -> int:
         return self.size
@@ -477,41 +522,38 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
                             np.zeros(n, dtype=np.bool_), int(seed))
 
 
-def sample_disk_counts(geom: Billiard, n: int, seed: int, region, times, scale: float):
-    """The initial mass and the rebound tallies of a sampled disk
-    ensemble's trajectory, in one pass over slices of its particles.
+def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float):
+    """The initial mass and the rebound tallies of a sampled ensemble's
+    trajectory, counted at the call.
 
     Returns ``(mass, trajectory)``: ``mass`` is bitwise
     ``sample_ensemble(geom, n, seed, region).mass()``, and ``trajectory``
-    yields ``(t, tally)`` over the distinct ``times`` in ascending order,
-    each ``ReboundTally`` bitwise the tally of what
-    ``transport_counts_times`` yields for that ensemble, ``times``, ``geom``
-    and ``scale``.  Bad requests and times raise ValueError here.
-
-    No particle state is ever held whole: ``_kernels.disk_tallies`` draws
-    each slice of ``_kernels.DISK_CHUNK`` particles, reduces it to its
-    chords and its counts at every time, and folds those into each time's
-    tallies in index order.  At scale 1 nothing per particle is held once
-    this returns, and all times run in the one pass at the call.  Below 1 a
-    time's mass sums a weight row of its own, 8 bytes per particle, so one
-    pass holds at most ``SWEEP_STATES`` of them: the first pass runs at the
-    call, and later ones, drawing the particles again, as they are reached.
-    With no times, no pass runs.
+    yields ``(t, ReboundTally.from_counts(...))`` over the distinct ``times``
+    in ascending order, a particle weighing ``(1 / n) * scale ** k`` after k
+    rebounds on a disk and ``(1 / n) * scale * ... * scale`` on a polygon,
+    as each lane's kernels weigh it.  At scale 1 each tally is bitwise that
+    of ``transport_counts_times`` on the sampled ensemble, and below 1 its
+    histogram is.  Bad requests and times raise ValueError here.  A disk's
+    particles are never held whole (``_kernels.disk_tallies``).
     """
-    if geom.shape != "disk":
-        raise ValueError("disk counts are defined on a disk table")
-    draw = _state_sampler(geom, n, seed, region)
     ts = _kernels.distinct_times(times)
+    disk = geom.shape == "disk"
+    source = (_state_sampler if disk else sample_ensemble)(geom, n, seed, region)
     # the sampled ensemble's weights, summed as its mass() sums them
     mass = float(np.full(n, 1.0 / n).sum())
-
-    def tallies(group):
-        return [ReboundTally(n, mass if row is None else float(row.sum()), hist,
-                             float(flagged.sum()))
-                for hist, flagged, row in _kernels.disk_tallies(draw, n, geom, group, scale)]
-
-    rows = ts.size if scale == 1.0 else max(1, SWEEP_STATES // n)
-    return mass, _in_groups(tallies, ts, rows)
+    if not ts.size:
+        return mass, iter(())
+    if disk:
+        tallies = _kernels.disk_tallies(source, n, geom, ts)
+    else:
+        tallies = _kernels.polygon_tallies(source.pos, source.vel, source.rebounds,
+                                           source.degenerate, geom, ts)
+    width = max(counts.size for counts, _ in tallies)
+    w0, scale = 1.0 / n, float(scale)
+    weights = (w0 * scale ** np.arange(width) if disk
+               else np.cumprod(np.r_[w0, np.full(width - 1, scale)]))
+    return mass, zip(ts.tolist(), ReboundTally.from_counts(n, tallies, weights,
+                                                           mass if scale == 1.0 else None))
 
 
 # a position may lie this far outside the table, relative to the table's
@@ -560,19 +602,17 @@ def transport_ensemble(
     return out
 
 
-# particle states one polygon sweep may hold, summed over its times: bounds
-# the sweep's memory whatever the number of times.  Its traced peak on the
-# hexagon is about 140 bytes per particle plus 22 per state at scale 1 (30
-# at other scales): 5 * 10^5 states of 10^5 particles peak near 26 MB, and
-# 2^21 of them near 57 MB
+# particle states, summed over its times, one sweep of transport_counts_times
+# may hold in rows.  Its traced peak on the hexagon is about 146 bytes per
+# particle plus 19 per state at scale 1 (27 at other scales): 2^21 states of
+# 10^5 particles peak near 55 MB.  A sampled run's sweep holds no row
 SWEEP_STATES = 1 << 21
 
 
 def _polygon_trajectory(ens: ParticleEnsemble, weight, ts, geom: Billiard, scale: float):
-    # (t, counts) at the distinct ascending times ts, views of the sweep's
-    # rows.  Each group of times sweeps from ens, with weight for its
-    # weights, so it stays bitwise; ens is copied here when a group sweeps
-    # after the call
+    # (t, counts) at the distinct ascending times ts, at least one, views of
+    # the sweep's rows: groups of at most rows times sweep from ens, with
+    # weight for its weights, the first at the call and a copy of ens later
     rows = max(1, SWEEP_STATES // max(1, len(ens)))
     if ts.size > rows:
         ens = ens.copy()
@@ -582,16 +622,7 @@ def _polygon_trajectory(ens: ParticleEnsemble, weight, ts, geom: Billiard, scale
                                          ens.degenerate, geom, group, scale)
         return [ReboundCounts(*(a[k] for a in counts)) for k in range(group.size)]
 
-    return _in_groups(sweep, ts, rows)
-
-
-def _in_groups(run, ts, rows):
-    # (t, record) over ts, run(group) giving the records of each group of at
-    # most rows times: the first group runs here, at the call, and later ones
-    # as they are reached.  With no times nothing runs
-    if not ts.size:
-        return iter(())
-    return _walk_groups(run, run(ts[:rows]), ts, rows)
+    return _walk_groups(sweep, sweep(ts[:rows]), ts, rows)
 
 
 def _walk_groups(run, records, ts, rows):
@@ -610,27 +641,22 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     Returns an iterator of ``(t, counts)`` over the distinct ``times`` in
     ascending order; each ``counts`` is bitwise ``transport_ensemble(ens, t,
     geom, scale).counts``.  Bad times, and particles outside the table as
-    ``transport_ensemble`` refuses them, raise ValueError here, not when
-    iterating.  The result is a snapshot of ``ens`` at the call: no later
-    write to the ensemble reaches it.  The weights are copied once,
-    read-only, per call, and at scale 1 every time's counts hold that one
-    copy.  No times give an empty trajectory.  A disk copies the rebound
-    counters and flags too (9 bytes per particle), and never transports
-    positions: ``_kernels.disk_counts`` computes each particle's first hit
-    and chord at the call, one block of slices per CPU, about 17 bytes per
-    particle held for the whole trajectory, and each time then costs one
-    streaming pass over them.  A polygon steps every particle's events once
-    per group of times, up to the group's largest, each group holding at
-    most ``SWEEP_STATES`` particle states (a count and a flag per time, and
-    a weight below scale 1, never positions or velocities), and yields views
-    of the sweep's rows, without copying them.  A sweep's transient peaks
-    near 140 bytes per particle plus 22 per state at scale 1, 30 at other
-    scales.  The first group sweeps at the call, and the ensemble is copied
-    only when there are more groups.  The sweep runs one block of particles per
-    CPU; its rows are the same bytes for any number of blocks.
+    ``transport_ensemble`` refuses them, raise ValueError here.  The result
+    is a snapshot of ``ens`` at the call: the weights are copied once,
+    read-only, and at scale 1 every time holds that copy.  No times give an
+    empty trajectory at once.  A disk copies the counters and flags too,
+    and ``_kernels.disk_counts`` computes each particle's chord at the
+    call, about 17 bytes per particle; each time is then one streaming
+    pass.  A polygon sweeps per group of at most ``SWEEP_STATES`` particle
+    states, the first at the call, copying the ensemble only when there
+    are more, and yields views of ``_kernels.polygon_counts``' rows.  A
+    sweep peaks near 146 bytes per particle plus 19 per state at scale 1,
+    27 at other scales.
     """
     ts = _kernels.distinct_times(times)
     _check_on_table(ens, geom)
+    if not ts.size:
+        return iter(())
     weight = ens.weight.copy()
     weight.flags.writeable = False
     if geom.shape == "disk":

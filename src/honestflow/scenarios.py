@@ -63,8 +63,8 @@ from .boundary import BoundaryRule
 # transport_ensemble is not called here; perfbench/tracing.py wraps it under
 # this name
 from .densities import (
-    PiecewiseDensity, ReboundCounts, ReboundTally, _numbers, _region_spec, sample_disk_counts,
-    sample_ensemble, transport_counts_times, transport_ensemble,
+    PiecewiseDensity, ReboundTally, _numbers, _region_spec, sample_counts, sample_ensemble,
+    transport_ensemble,
 )
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, TruncationReport
 from .geometry import Billiard, IntervalUnion, VelocitySpec
@@ -595,8 +595,7 @@ def _run_ladder(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _ensemble_row(t: float, counts: ReboundCounts | ReboundTally,
-                  initial_mass: float) -> EnsembleRow:
+def _ensemble_row(t: float, counts: ReboundTally, initial_mass: float) -> EnsembleRow:
     mass = counts.mass()
     return EnsembleRow(
         t=float(t),
@@ -610,14 +609,10 @@ def _ensemble_row(t: float, counts: ReboundCounts | ReboundTally,
 
 
 def _sampled_counts(cfg: ScenarioConfig, times):
-    # the configured ensemble's initial mass and its rebound-count
-    # trajectory at times, whose records offer the report methods; a disk
-    # is sampled straight into tallies and never holds a particle state
-    geom, scale = cfg.geometry, cfg.boundary.scale
-    if geom.shape == "disk":
-        return sample_disk_counts(geom, cfg.count, cfg.seed, cfg.region, times, scale)
-    ens0 = sample_ensemble(geom, cfg.count, cfg.seed, cfg.region)
-    return ens0.mass(), transport_counts_times(ens0, times, geom, scale=scale)
+    # the configured ensemble's initial mass and its trajectory of rebound
+    # tallies at times, formed from integer counts
+    return sample_counts(cfg.geometry, cfg.count, cfg.seed, cfg.region, times,
+                         cfg.boundary.scale)
 
 
 def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:

@@ -466,32 +466,30 @@ class TestDiskChords:
         ens = sample_ensemble(geom, n, seed=2024, region=region)
         want = held_counts(ens, geom, self.TIMES, 0.7)
         assert want[-1][1].max() > 2 and not want[-1][2].all()
-        reduced = [reductions(ReboundCounts(*row)) for row in want]
+        reduced = [reductions(ReboundCounts(*row), 0.7) for row in want]
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
             assert same_rows(held_counts(ens, geom, self.TIMES, 0.7), want)
-            _, trajectory = densities.sample_disk_counts(geom, n, 2024, region, self.TIMES, 0.7)
+            _, trajectory = densities.sample_counts(geom, n, 2024, region, self.TIMES, 0.7)
             assert [tally_values(tally) for _, tally in trajectory] == reduced
 
     @pytest.mark.parametrize("scale", [0.7, 1.0])
     def test_initial_mass_is_the_sampled_ensembles(self, scale):
         geom = off_centre_disk()
         ens = sample_ensemble(geom, 3000, seed=31, region="box:0,-1,1.5,0")
-        mass, got = densities.sample_disk_counts(geom, 3000, 31, "box:0,-1,1.5,0",
+        mass, got = densities.sample_counts(geom, 3000, 31, "box:0,-1,1.5,0",
                                                  (5.0, 0.0, 0.5), scale)
         assert isinstance(mass, float) and mass.hex() == ens.mass().hex()
         assert [t for t, _ in got] == [0.0, 0.5, 5.0]
 
     def test_bad_requests_rejected(self):
-        with pytest.raises(ValueError, match="disk"):
-            densities.sample_disk_counts(small_square(), 10, 1, "domain", (1.0,), 1.0)
         with pytest.raises(ValueError, match="positive"):
-            densities.sample_disk_counts(small_disk(), 0, 1, "domain", (1.0,), 1.0)
+            densities.sample_counts(small_disk(), 0, 1, "domain", (1.0,), 1.0)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            densities.sample_disk_counts(small_disk(), 10, 1, "domain", (1.0, -1.0), 1.0)
+            densities.sample_counts(small_disk(), 10, 1, "domain", (1.0, -1.0), 1.0)
         bare = Billiard("disk", center=(0.0, 0.0), radius=1.0)
         with pytest.raises(ValueError, match="velocity spec"):
-            densities.sample_disk_counts(bare, 10, 1, "domain", (1.0,), 1.0)
+            densities.sample_counts(bare, 10, 1, "domain", (1.0,), 1.0)
 
     def test_many_workers_under_frequent_switches(self, monkeypatch):
         # eight blocks on fewer cores, the interpreter switching threads
@@ -525,19 +523,26 @@ class TestDiskChords:
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
         monkeypatch.setattr(_kernels, "_disk_wall", failing)
         with pytest.raises(FloatingPointError, match="slice failed"):
-            densities.sample_disk_counts(geom, 301, 5, "domain", (1.0,), 1.0)
+            densities.sample_counts(geom, 301, 5, "domain", (1.0,), 1.0)
         # a held disk's chords are computed at the call, so it raises there
         with pytest.raises(FloatingPointError, match="slice failed"):
             _kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, (1.0,), 1.0)
 
 
-def reductions(counts):
-    """What the reports read of held counts, reduced here from the arrays,
-    floats as their bits: the histogram, the degenerate weight, the mass and
-    the largest rebound count."""
-    hist = np.bincount(counts.rebounds, weights=counts.weight)
-    return (hist.tobytes(), float(counts.weight[counts.degenerate].sum()).hex(),
-            float(counts.weight.sum()).hex(), int(counts.rebounds.max()))
+def reductions(counts, scale=1.0):
+    """What the reports read of a sampled ensemble's held counts, reduced
+    here from the arrays, floats as their bits: the histogram, the
+    degenerate weight, the mass and the largest rebound count.  At scale 1
+    the two totals are the arrays' own sums; below 1 they are ``math.fsum``
+    of their ``bincount`` bins, the formula of ``ReboundTally.from_counts``."""
+    w, n, d = counts.weight, counts.rebounds, counts.degenerate
+    hist = np.bincount(n, weights=w)
+    if scale == 1.0:
+        flagged, mass = float(w[d].sum()), float(w.sum())
+    else:
+        flagged = math.fsum(np.bincount(n[d], weights=w[d]).tolist())
+        mass = math.fsum(hist.tolist())
+    return hist.tobytes(), flagged.hex(), mass.hex(), int(n.max())
 
 
 def tally_values(tally):
@@ -549,19 +554,19 @@ def tally_values(tally):
 
 
 class TestSampledTallies:
-    """A sampled disk's trajectory yields, per time, bitwise the reductions
-    of the counts ``transport_counts_times`` gives for the sampled ensemble,
-    for any number of workers and any slicing."""
+    """A sampled disk's trajectory yields, per time, the reductions of the
+    counts ``transport_counts_times`` gives for the sampled ensemble, as
+    ``reductions`` forms them, for any number of workers and any slicing."""
 
     TIMES = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
 
     def expected(self, geom, n, seed, region, scale):
         ens = sample_ensemble(geom, n, seed=seed, region=region)
-        return [(t, reductions(counts))
+        return [(t, reductions(counts, scale))
                 for t, counts in transport_counts_times(ens, self.TIMES, geom, scale)]
 
     def tallies(self, geom, n, seed, region, scale):
-        _, trajectory = densities.sample_disk_counts(geom, n, seed, region, self.TIMES, scale)
+        _, trajectory = densities.sample_counts(geom, n, seed, region, self.TIMES, scale)
         return [(t, tally_values(tally)) for t, tally in trajectory]
 
     @pytest.mark.parametrize("cap", [None, 3])
@@ -583,30 +588,31 @@ class TestSampledTallies:
             monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
             assert self.tallies(geom, 3001, 44, region, scale) == want
 
-    def test_weight_rows_are_bounded_by_sweep_states(self, monkeypatch):
-        # below scale 1 one pass holds at most SWEEP_STATES weights: groups
-        # of two times, the first pass at the call and the others as reached
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_one_pass_at_the_call_for_every_time(self, monkeypatch, scale):
+        # the tallies hold integer counts alone, whatever the scale, so one
+        # pass at the call counts every time, even with SWEEP_STATES below
+        # one time's states
         geom = off_centre_disk()
-        want = self.expected(geom, 600, 8, "domain", 0.7)
+        want = self.expected(geom, 600, 8, "domain", scale)
         passes = []
         tallies = _kernels.disk_tallies
 
-        def counted(states, size, geom, times, scale):
+        def counted(states, size, geom, times):
             passes.append(times.tolist())
-            return tallies(states, size, geom, times, scale)
+            return tallies(states, size, geom, times)
 
-        monkeypatch.setattr(densities, "SWEEP_STATES", 2 * 600 + 599)
+        monkeypatch.setattr(densities, "SWEEP_STATES", 10)
         monkeypatch.setattr(_kernels, "disk_tallies", counted)
-        _, trajectory = densities.sample_disk_counts(geom, 600, 8, "domain", self.TIMES, 0.7)
-        assert passes == [[0.0, 0.5]]
-        got = [(t, tally_values(tally)) for t, tally in trajectory]
-        assert passes == [[0.0, 0.5], [2.5, 5.0], [9.0]]
-        assert got == want
+        _, trajectory = densities.sample_counts(geom, 600, 8, "domain", self.TIMES, scale)
+        assert passes == [[0.0, 0.5, 2.5, 5.0, 9.0]]
+        assert [(t, tally_values(tally)) for t, tally in trajectory] == want
+        assert len(passes) == 1
 
     def test_many_workers_under_frequent_switches(self, monkeypatch):
         # eight workers on fewer cores, the interpreter switching threads
-        # every microsecond: a slice folded out of order or twice changes
-        # the bits
+        # every microsecond: a slice's counts lost or added twice change the
+        # bits
         geom = off_centre_disk()
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
         want = self.expected(geom, 20_011, 8, "domain", 0.7)
@@ -620,9 +626,9 @@ class TestSampledTallies:
         assert got == want
 
     def test_a_failing_slice_stops_every_worker(self, monkeypatch):
-        # a middle slice fails after the workers behind it have finished
-        # theirs and wait for their turn: every worker stops, and the error
-        # reaches the caller
+        # a middle slice fails after the workers beside it have pulled the
+        # slices behind it: every worker stops, and the error reaches the
+        # caller
         sampler = densities._state_sampler
 
         def failing_sampler(*args):
@@ -644,16 +650,16 @@ class TestSampledTallies:
 
         def call():
             try:
-                densities.sample_disk_counts(small_disk(), 12 * 256, 5, "domain", (1.0, 3.0), 1.0)
+                densities.sample_counts(small_disk(), 12 * 256, 5, "domain", (1.0, 3.0), 1.0)
             except FloatingPointError as exc:
                 raised.append(exc)
 
-        # a daemon caller makes daemon workers, so a worker left waiting
+        # a daemon caller makes daemon workers, so a worker left running
         # cannot keep the interpreter from exiting
         caller = threading.Thread(target=call, daemon=True)
         caller.start()
         caller.join(timeout=10.0)
-        assert not caller.is_alive(), "a worker failure left the pass waiting"
+        assert not caller.is_alive(), "a worker failure left the pass running"
         assert [str(exc) for exc in raised] == ["slice failed"]
         assert threading.active_count() == before
 
@@ -682,23 +688,156 @@ def rows_of(trajectory):
     return [counts for _, counts in trajectory]
 
 
+CHUNK = _kernels.DISK_CHUNK
+
+
+COUNTS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 10**6]
+
+
+def bincount_sum(count, weight):
+    """count copies of weight, summed by np.bincount into one bin."""
+    return np.bincount(np.zeros(count, dtype=np.int64), weights=np.full(count, weight),
+                       minlength=1)[0]
+
+
+class TestRepeatedSums:
+    """A bin's weight in a sampled tally: the sum of c equal weights, added
+    one at a time as ``np.bincount`` adds them, in one chunk of memory, for
+    many counts in one pass."""
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("weight", [1.0 / 3.0, 1e-6, 0.8**5 / 7.0, 1.0 / 100_003])
+    def test_bincount_bits(self, count, weight):
+        got = densities._repeated_sums(np.array([count]), weight)
+        assert got.dtype == np.float64 and got.shape == (1,)
+        assert float(got[0]).hex() == float(bincount_sum(count, weight)).hex()
+
+    @pytest.mark.parametrize("weight", [1.0 / 3.0, 0.8**5 / 7.0])
+    def test_many_counts_in_one_pass(self, monkeypatch, weight):
+        # the counts in any order and shape, some equal, on a small chunk
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
+        counts = np.array([[1000, 0, 256], [255, 1000, 3 * 256 + 5], [257, 1, 7]])
+        want = [[float(bincount_sum(c, weight)).hex() for c in row] for row in counts.tolist()]
+        got = densities._repeated_sums(counts, weight)
+        assert [[x.hex() for x in row] for row in got.tolist()] == want
+
+    def test_memory_is_one_chunk(self):
+        # the chunk buffer, about 0.5 MB, and masks over the counts; the
+        # whole row of a million weights would be 8 MB
+        tracemalloc.start()
+        try:
+            densities._repeated_sums(np.array(COUNTS), 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * CHUNK, peak
+
+
+# (table, region) of the tally oracle: the disk, the hexagon, the square
+TALLY_CASES = [
+    (off_centre_disk, "box:0,-1,1.5,0"),
+    (hexagon, "domain"),
+    (small_square, "box:0.1,0.1,0.6,0.4"),
+]
+
+
+class TestTalliesFromCounts:
+    """A sampled ensemble's tallies come from integer counts alone.  The
+    oracle is the held rows path: ``ReboundCounts._tally`` of what
+    ``transport_counts_times`` yields for the same sampled ensemble.  At
+    scale 1 every field is its bits.  Below 1 the histogram is, and the
+    mass and degenerate weight are ``math.fsum`` of their bins."""
+
+    TIMES = (0.0, 0.5, 2.5, 9.0)
+
+    def tallies(self, geom, n, seed, region, scale):
+        return densities.sample_counts(geom, n, seed, region, self.TIMES, scale)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    @pytest.mark.parametrize("case", range(len(TALLY_CASES)))
+    def test_tallies_are_the_held_rows(self, monkeypatch, case, scale, cap, workers):
+        table, region = TALLY_CASES[case]
+        geom = table()
+        if cap is not None:
+            monkeypatch.setattr(_kernels, "ITER_CAP", cap)
+        monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
+        ens = sample_ensemble(geom, 2001, seed=13, region=region)
+        held = [(t, counts._tally) for t, counts in transport_counts_times(ens, self.TIMES, geom,
+                                                                           scale)]
+        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
+        mass, trajectory = self.tallies(geom, 2001, 13, region, scale)
+        got = list(trajectory)
+        assert mass.hex() == ens.mass().hex()
+        assert [t for t, _ in got] == [t for t, _ in held] == list(self.TIMES)
+        assert held[-1][1].max_rebounds() > 2
+        if cap is not None:
+            assert held[-1][1].degenerate_weight() > 0.0
+        for (_, tally), (_, want) in zip(got, held):
+            assert tally.size == want.size == 2001
+            assert tally.histogram.tobytes() == want.histogram.tobytes()
+            if scale == 1.0:
+                assert tally.mass().hex() == want.mass().hex() == mass.hex()
+                assert tally.degenerate_weight().hex() == want.degenerate_weight().hex()
+        if scale != 1.0:
+            for (t, tally), (_, counts) in zip(got, transport_counts_times(ens, self.TIMES, geom,
+                                                                           scale)):
+                w, n, d = counts.weight, counts.rebounds, counts.degenerate
+                assert tally.mass() == math.fsum(tally.histogram.tolist())
+                assert tally.degenerate_weight() == math.fsum(
+                    np.bincount(n[d], weights=w[d]).tolist())
+                # within rounding of the held sums
+                assert tally.mass() == pytest.approx(float(w.sum()), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_weights_follow_each_lanes_law(self, scale):
+        # a disk particle with n rebounds weighs w0 * scale ** n, a polygon
+        # one w0 * scale * ... * scale, multiplied in turn: each bin holds
+        # one weight, so its sum over its count is the histogram's bin
+        for geom, region in ((off_centre_disk(), "domain"), (hexagon(), "domain")):
+            ens = sample_ensemble(geom, 1500, seed=3, region=region)
+            _, trajectory = self.tallies(geom, 1500, 3, region, scale)
+            for (_, tally), (_, counts) in zip(trajectory,
+                                               transport_counts_times(ens, self.TIMES, geom,
+                                                                      scale)):
+                for k in np.unique(counts.rebounds).tolist():
+                    weights = np.unique(counts.weight[counts.rebounds == k])
+                    assert weights.size == 1
+                    c = np.sum(counts.rebounds == k)
+                    assert bincount_sum(c, weights[0]) == tally.histogram[k]
+
+
+def refuse(*args):
+    raise AssertionError("a pass ran for no times")
+
+
 class TestNoTimes:
-    """No times give an empty trajectory, and a sampled disk or a polygon
-    runs no pass for them."""
+    """No times give an empty trajectory, and no pass runs for them: not a
+    sampled disk's, a sampled polygon's sweep, a held polygon's sweep, nor a
+    held disk's chords."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.7])
     def test_sampled_disk_runs_no_pass(self, monkeypatch, scale):
-        monkeypatch.setattr(_kernels, "disk_tallies", None)
-        mass, trajectory = densities.sample_disk_counts(small_disk(), 300, 5, "domain", (), scale)
+        monkeypatch.setattr(_kernels, "disk_tallies", refuse)
+        mass, trajectory = densities.sample_counts(small_disk(), 300, 5, "domain", (), scale)
         assert list(trajectory) == []
         assert mass.hex() == sample_ensemble(small_disk(), 300, seed=5).mass().hex()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_sampled_polygon_runs_no_sweep(self, monkeypatch, scale):
+        monkeypatch.setattr(_kernels, "_sweep_block", refuse)
+        mass, trajectory = densities.sample_counts(hexagon(), 300, 5, "domain", (), scale)
+        assert list(trajectory) == []
+        assert mass.hex() == sample_ensemble(hexagon(), 300, seed=5).mass().hex()
 
     @pytest.mark.parametrize("scale", [1.0, 0.7])
     @pytest.mark.parametrize("table", [small_disk, hexagon])
     def test_held_trajectory_is_empty(self, monkeypatch, table, scale):
         geom = table()
         ens = sample_ensemble(geom, 300, seed=5)
-        monkeypatch.setattr(_kernels, "polygon_counts", None)
+        for name in ("polygon_counts", "_sweep_block", "disk_counts", "_disk_chords"):
+            monkeypatch.setattr(_kernels, name, refuse)
         assert list(transport_counts_times(ens, (), geom, scale)) == []
 
 
@@ -716,7 +855,7 @@ class TestSharedWeights:
     TIMES = (0.0, 1.0, 4.0)
 
     def test_sampled_disk_tallies_read_the_initial_mass(self):
-        mass, trajectory = densities.sample_disk_counts(small_disk(), 3000, 5, "domain",
+        mass, trajectory = densities.sample_counts(small_disk(), 3000, 5, "domain",
                                                         self.TIMES, 1.0)
         tallies = rows_of(trajectory)
         assert tallies[-1].max_rebounds() > 0
@@ -862,10 +1001,11 @@ class TestStreamingCountSteps:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("scale", [1.0, 0.7])
-    def test_tallies_are_the_reductions_of_the_rows(self, monkeypatch, scale, workers):
-        # the same masked lanes, folded into tallies slice by slice.  The
-        # tallies start every particle as sampling does, weight 1/n, no
-        # rebound and no flag, so no particle is flagged on input here
+    def test_tallies_count_the_rows(self, monkeypatch, scale, workers):
+        # the same masked lanes, counted slice by slice.  The tallies start
+        # every particle as sampling does, no rebound and no flag, so no
+        # particle is flagged on input here; the counts are the rows' at
+        # every scale
         geom = edge_disk()
         ens = sample_ensemble(geom, 200, seed=21)
         ens.pos[5], ens.vel[5] = (-1.0, 1.0), (1.0, 0.0)
@@ -877,21 +1017,16 @@ class TestStreamingCountSteps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = held_counts(ens, geom, self.TIMES, scale)
-            tallies = _kernels.disk_tallies(views(ens), len(ens), geom, self.TIMES, scale)
-        for (weight, rebounds, degenerate), (hist, flagged, row) in zip(rows, tallies,
-                                                                        strict=True):
-            want = np.bincount(rebounds, weights=weight)
-            assert same_arrays((hist, flagged), (want, weight[degenerate]))
-            if scale == 1.0:
-                assert row is None
-            else:
-                assert same_arrays((row,), (weight,))
-        assert tallies[-1][1].size > 10
+            tallies = _kernels.disk_tallies(views(ens), len(ens), geom, self.TIMES)
+        for (_, rebounds, degenerate), (counts, flagged) in zip(rows, tallies, strict=True):
+            assert np.array_equal(counts, np.bincount(rebounds))
+            assert np.array_equal(flagged, np.bincount(rebounds[degenerate]))
+        assert tallies[-1][1].sum() > 10
 
 
 def test_sampled_disk_holds_nothing_per_particle(monkeypatch):
     # at scale 1 a sampled disk holds nothing per particle once
-    # sample_disk_counts returns: a slice's temporaries and the tallies do
+    # sample_counts returns: a slice's temporaries and the tallies do
     # not grow with the ensemble.  The only transient that does is the 8
     # bytes per particle of the weights its mass sums, and at these sizes
     # the slices' own transient, about 10.6 MB, sets the peak (the added
@@ -902,7 +1037,7 @@ def test_sampled_disk_holds_nothing_per_particle(monkeypatch):
     def traced(n):
         tracemalloc.start()
         try:
-            _, trajectory = densities.sample_disk_counts(
+            _, trajectory = densities.sample_counts(
                 small_disk(), n, 7, "domain", (0.5, 2.0, 5.0, 10.0, 20.0), 1.0)
             held = tracemalloc.get_traced_memory()[0]
             tallies = rows_of(trajectory)
@@ -936,21 +1071,45 @@ def polygon_sweep_peak(monkeypatch, scale):
 
 
 def test_polygon_sweep_transient_is_bounded(monkeypatch):
-    # reads about 262 bytes per particle at scale 1: the rows and the weight
+    # reads about 241 bytes per particle at scale 1: the rows and the weight
     # copy held (53), the work buffers (164: the working state and as many
     # spares, the remaining times and their masks) and the writes of the
-    # rows closing in a round.  A round that computes in fresh arrays reads
-    # about 294
+    # rows closing in a round, one row at a time.  Writing a round's closing
+    # cells of every row at once, through a 2-D nonzero, read about 251
     per_particle = polygon_sweep_peak(monkeypatch, 1.0)
     assert per_particle < 280.0, per_particle
 
 
 def test_scaled_polygon_sweep_transient_is_bounded(monkeypatch):
     # below scale 1 every row holds weights (40 more held) and the weights
-    # are working state too (8 more): about 317 bytes per particle, against
-    # about 347 for a round in fresh arrays
+    # are working state too (8 more): about 289 bytes per particle, against
+    # about 304 for the 2-D cell writes
     per_particle = polygon_sweep_peak(monkeypatch, 0.7)
     assert per_particle < 335.0, per_particle
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+def test_sampled_polygon_holds_no_rows(monkeypatch, scale):
+    # a sampled polygon's sweep counts its rows as they close: its peak grows
+    # by the remaining time and its two masks alone, 10 bytes per particle
+    # and time, at every scale.  Rows of counts and flags would add 9 more,
+    # and weights 8 more below scale 1
+    monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
+    n = 1 << 15
+
+    def peak(times):
+        tracemalloc.start()
+        try:
+            _, trajectory = densities.sample_counts(hexagon(), n, 7, "domain", times, scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows_of(trajectory)[-1].max_rebounds() > 10
+        return peak
+
+    few, many = peak(tuple(np.linspace(0.5, 20.0, 5))), peak(tuple(np.linspace(0.5, 20.0, 20)))
+    per_state = (many - few) / (15 * n)
+    assert 9.0 < per_state < 12.0, per_state
 
 
 class TestLadderSampling:

@@ -785,14 +785,13 @@ class TestSweepBlocks:
 
 class TestRunBlocks:
     """The one runner of the threaded kernels: workers pull consecutive
-    chunks in index order, and ``take`` sees every chunk's result strictly
-    in that order, with at most one result per worker in hand."""
+    chunks in index order, and the results come back in that order."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_chunks_cover_the_range_once_and_are_taken_in_order(self, monkeypatch, workers):
+    def test_chunks_cover_the_range_once_and_return_in_order(self, monkeypatch, workers):
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
         lock = threading.Lock()
-        ran, taken, threads, held = [], [], set(), [0, 0]
+        ran, threads = [], set()
 
         def work(lo, hi):
             # early chunks take longest, so later ones finish first
@@ -800,22 +799,14 @@ class TestRunBlocks:
             with lock:
                 ran.append((lo, hi))
                 threads.add(threading.current_thread())
-                held[0] += 1
-                held[1] = max(held)
             return lo, hi
 
-        def take(block):
-            with lock:
-                held[0] -= 1
-            taken.append(block)
-
-        _kernels._run_blocks(10, 3, work, take)
-        assert taken == [(0, 3), (3, 6), (6, 9), (9, 10)]
-        assert sorted(ran) == taken
+        got = _kernels._run_blocks(10, 3, work)
+        assert got == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert sorted(ran) == got
         assert threading.current_thread() in threads and len(threads) <= workers
-        assert held[1] <= workers
 
-    def test_one_chunk_per_worker_without_take(self, monkeypatch):
+    def test_one_chunk_per_worker(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
         ran = []
         _kernels._run_blocks(10, 4, lambda lo, hi: ran.append((lo, hi)))
@@ -824,20 +815,20 @@ class TestRunBlocks:
     @pytest.mark.parametrize("failing", [0, 2])
     def test_errors_reach_the_caller_and_stop_every_worker(self, monkeypatch, failing):
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
-        ran, taken = [], []
+        ran = []
 
         def work(lo, hi):
             ran.append(lo)
             if lo == 3 * failing:
-                # the workers behind it finish theirs and wait for their turn
-                time.sleep(0.05)
+                time.sleep(0.02)
                 raise FloatingPointError(f"chunk {lo} failed")
+            # the other workers are still in their first chunk when it fails
+            time.sleep(0.05)
             return lo
 
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="failed"):
-            _kernels._run_blocks(30, 3, work, taken.append)
+            _kernels._run_blocks(30, 3, work)
         assert threading.active_count() == before
-        assert len(ran) == len(set(ran)) < 10
-        # only chunks before the failing one are taken, in order
-        assert taken == list(range(0, 3 * failing, 3))[:len(taken)]
+        # no worker pulls a chunk once the error is in
+        assert 3 * failing in ran and len(ran) == len(set(ran)) <= failing + 3

@@ -2,8 +2,7 @@
 
 Every report of a config is a pure function of the config: the CSV series,
 the text summary and the CLI's stdout are the same bytes whatever the number
-of workers, the slice size of the disk kernels and the number of time
-groups a sweep or a scaled disk pass is split into.  Each case runs through
+of workers and the slice size of the disk kernels.  Each case runs through
 ``cli.main`` once per setting, and the digests of its outputs must agree.
 """
 
@@ -12,7 +11,7 @@ import math
 
 import pytest
 
-from honestflow import _kernels, cli, densities
+from honestflow import _kernels, cli
 
 HEXAGON = "; ".join(f"{math.cos(k * math.pi / 3)!r}, {math.sin(k * math.pi / 3)!r}"
                     for k in range(6))
@@ -41,10 +40,6 @@ CONFIGS = {
         "count = 3000\nseed = 7\nregion = domain",
         "times = 0.5, 2, 5\nwindows = 0, 5\nlabel = hexagon"),
 }
-
-# at most two time groups of the largest ensemble above per pass: the
-# scaled disk (seven times) and the hexagon (three) each run in several
-SWEEP_STATES = 2 * 4000
 
 BUILTINS = ("unit-ladder-honest", "geometric-ladder-dishonest", "disk-billiard")
 
@@ -80,7 +75,6 @@ def test_reports_do_not_depend_on_the_split(monkeypatch, tmp_path, capsys, case)
     assert want[0] in (0, 2) and not want[1]
     assert len(want[3]) == (2 if command == "run" else 0)
     monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
-    monkeypatch.setattr(densities, "SWEEP_STATES", SWEEP_STATES)
     for workers in (1, 3):
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
         assert digests(argv, out_dir, capsys) == want, workers

@@ -1,7 +1,7 @@
 """Hot numerical kernels: billiard ensemble transport and the 1D ladder
 survival Monte Carlo.
 
-The ladder walk steps every particle hop by hop.  A billiard has one
+The ladder walk steps a slice of particles hop by hop.  A billiard has one
 full-state transport, ``billiard_transport``, and counts kernels.  The
 polygon steps event by event, all times in one sweep that hands each row's
 particles, as they close, to a sink: ``polygon_counts`` writes the rows,
@@ -83,7 +83,7 @@ def uniform_array(seed: int, index, stream) -> np.ndarray:
 # whole tail the particle completes infinitely many jumps and is gone.
 
 
-def _ladder_np(x0, k0, a, b, tail, r, t, seed):
+def _ladder_np(x0, k0, a, b, tail, r, t, seed, first):
     n = x0.shape[0]
     nk = a.shape[0]
     alive = np.ones(n, dtype=np.bool_)
@@ -105,7 +105,7 @@ def _ladder_np(x0, k0, a, b, tail, r, t, seed):
             break
         rem[idx] -= flight[crossing]
         if r < 1.0:
-            u = uniform_array(seed, idx, SURVIVAL_STREAM_BASE + hops[idx])
+            u = uniform_array(seed, first + idx, SURVIVAL_STREAM_BASE + hops[idx])
             dead = u >= r
             alive[idx[dead]] = False
             moving[idx[dead]] = False
@@ -123,11 +123,13 @@ def _ladder_np(x0, k0, a, b, tail, r, t, seed):
     return alive, hops
 
 
-def ladder_survival(x0, k0, a, b, tail, r, t, seed):
+def ladder_survival(x0, k0, a, b, tail, r, t, seed, first=0):
     """Transport a sampled ladder population to time t.
 
     Returns ``(alive, hops)``: whether each particle is still inside some
-    interval at time t, and how many boundary jumps it made.
+    interval at time t, and how many boundary jumps it made.  Array
+    particle i is ensemble particle ``first + i``: its survival draws are
+    keyed by that index, so a slice of an ensemble walks as it would whole.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     k0 = np.asarray(k0, dtype=np.int64)
@@ -136,7 +138,7 @@ def ladder_survival(x0, k0, a, b, tail, r, t, seed):
     tail = np.asarray(tail, dtype=np.float64)
     if not 0.0 < r <= 1.0:
         raise ValueError("survival probability r must lie in (0, 1]")
-    return _ladder_np(x0, k0, a, b, tail, float(r), float(t), int(seed))
+    return _ladder_np(x0, k0, a, b, tail, float(r), float(t), int(seed), int(first))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ ensemble, and never holds a disk's particles.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -671,17 +672,18 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
 # ---------------------------------------------------------------------------
 
 
-def sample_ladder_positions(f: PiecewiseDensity, geom: IntervalUnion, n: int, seed: int):
-    """Draw n positions from the normalised density by inverse CDF.
-
-    Returns ``(x0, k0)``: positions and their interval indices.  The draw
-    for particle i is keyed by (seed, i, stream 0) only, so it is stable
-    under resizing of later particles.
-    """
+def _ladder_sampler(f: PiecewiseDensity, n, seed, name="n"):
+    # validates a request for n positions, the count named `name` in the
+    # error, and returns draw(lo, hi): the positions and interval indices of
+    # particles lo..hi-1, each keyed by (seed, index, stream 0) alone, so any
+    # slicing gives the same bits
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n <= 0:
+        raise ValueError(f"{name} must be a positive int, got {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
     if not f.is_nonnegative:
         raise ValueError("cannot sample from a signed density")
-    total = f.mass()
-    if total <= 0.0:
+    if f.mass() <= 0.0:
         raise ValueError("cannot sample from a zero density")
     lows, highs, vals, ks = [], [], [], []
     for k in f.indices():
@@ -696,12 +698,27 @@ def sample_ladder_positions(f: PiecewiseDensity, geom: IntervalUnion, n: int, se
     highs = np.array(highs)
     masses = np.array(vals) * (highs - lows)
     cum = np.cumsum(masses)
-    idx = np.arange(n, dtype=np.int64)
-    u = _kernels.uniform_array(seed, idx, _POS_STREAMS[0]) * cum[-1]
-    piece = np.searchsorted(cum, u, side="right")
-    piece = np.minimum(piece, masses.size - 1)
-    before = np.where(piece > 0, cum[piece - 1], 0.0)
-    frac = (u - before) / masses[piece]
-    x0 = lows[piece] + frac * (highs[piece] - lows[piece])
-    k0 = np.array(ks, dtype=np.int64)[piece]
-    return x0, k0
+    ks = np.array(ks, dtype=np.int64)
+
+    def draw(lo, hi):
+        idx = np.arange(lo, hi, dtype=np.int64)
+        u = _kernels.uniform_array(seed, idx, _POS_STREAMS[0]) * cum[-1]
+        piece = np.searchsorted(cum, u, side="right")
+        piece = np.minimum(piece, masses.size - 1)
+        before = np.where(piece > 0, cum[piece - 1], 0.0)
+        frac = (u - before) / masses[piece]
+        return lows[piece] + frac * (highs[piece] - lows[piece]), ks[piece]
+
+    return draw
+
+
+def sample_ladder_positions(f: PiecewiseDensity, geom: IntervalUnion, n: int, seed: int):
+    """Draw n positions from the normalised density by inverse CDF.
+
+    Returns ``(x0, k0)``: positions and their interval indices.  The draw
+    for particle i is keyed by (seed, i, stream 0) only, so it is stable
+    under resizing of later particles, and any slice of indices can be drawn
+    alone: ``mc_mass_estimate`` draws one slice at a time.  ``n`` must be a
+    positive int and ``seed`` an int in [0, 2**64), else ValueError.
+    """
+    return _ladder_sampler(f, n, seed)(0, n)

@@ -100,3 +100,20 @@ def test_traced_disk_run_counts_its_rebounds(monkeypatch):
             scenarios.transport_ensemble(ens, t, cfg.geometry, scale=cfg.boundary.scale)
     assert tracer.counts["kernels.rebound_events"] > 0
     assert sum(name == "kernels.transport" for _, name, *_ in tracer.spans) == 2
+
+
+def test_traced_monte_carlo_records_its_survival_walks(monkeypatch):
+    # the walk runs one slice at a time through _kernels.ladder_survival,
+    # looked up on the module, so the tracer times every slice
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from honestflow import expansion, scenarios
+
+    cfg = scenarios.resolve_config("geometric-ladder-dishonest")
+    f = scenarios.initial_density(cfg)
+    monkeypatch.setattr(expansion, "MC_SLICE", 64)
+    with tracing.traced(tracing.Tracer()) as tracer:
+        expansion.mc_mass_estimate(f, 1.5, 0.5, cfg.geometry, n_particles=200, seed=3)
+    names = [name for _, name, *_ in tracer.spans]
+    assert names.count("expansion.mc") == 1
+    assert names.count("kernels.survival") == 4

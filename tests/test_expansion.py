@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from honestflow import (
     evolve_scaled,
     mass_balance,
 )
-from honestflow import expansion
+from honestflow import _kernels, expansion
 from honestflow.boundary import flux_gap
+from honestflow.densities import sample_ladder_positions
 from honestflow.expansion import mc_mass_estimate
 from honestflow.scenarios import initial_density, resolve_config
 
@@ -311,3 +313,115 @@ class TestMonteCarlo:
         for f, geom in ((unit_box, unit_ladder), (geo_box, geometric_ladder)):
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 mc_mass_estimate(f, t, 0.5, geom, n_particles=100, seed=1)
+
+
+def _no_draws(*args):
+    raise AssertionError("a particle was drawn")
+
+
+class TestMonteCarloInputs:
+    """Every bad input is refused by name before any particle is drawn."""
+
+    @pytest.mark.parametrize("n", [-5, 0, 2.5, True, "100"])
+    def test_particle_count_must_be_a_positive_int(self, unit_ladder, unit_box, monkeypatch, n):
+        monkeypatch.setattr(_kernels, "uniform_array", _no_draws)
+        with pytest.raises(ValueError, match="n_particles must be a positive int"):
+            mc_mass_estimate(unit_box, 1.5, 0.5, unit_ladder, n_particles=n, seed=3)
+        with pytest.raises(ValueError, match="n must be a positive int"):
+            sample_ladder_positions(unit_box, unit_ladder, n, 3)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.5, False])
+    def test_seed_must_be_a_64_bit_unsigned_int(self, unit_ladder, unit_box, monkeypatch, seed):
+        monkeypatch.setattr(_kernels, "uniform_array", _no_draws)
+        with pytest.raises(ValueError, match=re.escape("seed must be an int in [0, 2**64)")):
+            mc_mass_estimate(unit_box, 1.5, 0.5, unit_ladder, n_particles=100, seed=seed)
+        with pytest.raises(ValueError, match=re.escape("seed must be an int in [0, 2**64)")):
+            sample_ladder_positions(unit_box, unit_ladder, 100, seed)
+
+    @pytest.mark.parametrize("r", [0.0, -0.5, 1.5, math.nan])
+    def test_survival_probability_is_checked_first(self, unit_ladder, unit_box, monkeypatch, r):
+        monkeypatch.setattr(_kernels, "uniform_array", _no_draws)
+        with pytest.raises(ValueError, match="survival probability r"):
+            mc_mass_estimate(unit_box, 1.5, r, unit_ladder, n_particles=-5, seed=-1)
+
+    def test_largest_seed_and_numpy_counts_are_accepted(self, unit_ladder, unit_box):
+        top = mc_mass_estimate(unit_box, 1.5, 0.5, unit_ladder, n_particles=300, seed=2**64 - 1)
+        assert 0.0 < top[0] < 1.0
+        assert (mc_mass_estimate(unit_box, 1.5, 0.5, unit_ladder, n_particles=np.int64(300), seed=2)
+                == mc_mass_estimate(unit_box, 1.5, 0.5, unit_ladder, n_particles=300, seed=2))
+
+
+def _whole_walk(f, t, r, geom, n, seed):
+    # the estimate of one walk over every particle at once, as one array
+    x0, k0 = sample_ladder_positions(f, geom, n, seed)
+    k_top = geom.reach_index(f.max_index(), t) + 2
+    if math.isfinite(geom.n_intervals):
+        k_top = min(k_top, int(geom.n_intervals) - 1)
+    idx = range(k_top + 1)
+    a, b, tail = (np.array([edge(k) for k in idx]) for edge in (geom.a, geom.b, geom.tail_delta))
+    alive, _ = _kernels.ladder_survival(x0, k0, a, b, tail, r, t, seed)
+    total, p = f.mass(), float(np.mean(alive))
+    return total * p, total * float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
+
+
+def _dishonest_builtin():
+    cfg = resolve_config("geometric-ladder-dishonest")
+    return initial_density(cfg), cfg.geometry
+
+
+def _affine_ladder():
+    geom = IntervalUnion("affine", start=0.0, spacing=2.0, length=1.0)
+    return PiecewiseDensity.from_pieces(geom, [(0.0, 0.5, 1.0), (0.5, 1.0, 3.0)]), geom
+
+
+class TestMonteCarloSlices:
+    """The walk draws and walks ``MC_SLICE`` particles at a time; every draw
+    is keyed by the particle's index, so the estimate is bitwise that of the
+    whole walk at any slice length and particle count."""
+
+    @pytest.mark.parametrize("case", [_dishonest_builtin, _affine_ladder])
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_estimate_does_not_depend_on_the_slicing(self, monkeypatch, case, size):
+        f, geom = case()
+        monkeypatch.setattr(expansion, "MC_SLICE", size)
+        counts = sorted({k * size + d for k in (1, 3) for d in (-1, 0, 1)} - {0})
+        for r in (1.0, 0.5):
+            for n in counts:
+                got = mc_mass_estimate(f, 1.5, r, geom, n_particles=n, seed=4242)
+                want = _whole_walk(f, 1.5, r, geom, n, 4242)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (r, n)
+
+    def test_each_slice_walks_its_own_particles(self, monkeypatch):
+        f, geom = _dishonest_builtin()
+        monkeypatch.setattr(expansion, "MC_SLICE", 100)
+        calls = []
+        walk = _kernels.ladder_survival
+
+        def spy(x0, *args, first):
+            calls.append((first, x0.size))
+            return walk(x0, *args, first=first)
+
+        monkeypatch.setattr(_kernels, "ladder_survival", spy)
+        mc_mass_estimate(f, 1.5, 0.5, geom, n_particles=250, seed=1)
+        assert calls == [(0, 100), (100, 100), (200, 50)]
+
+    def test_memory_is_one_slice(self, monkeypatch):
+        # a slice particle's position, interval, hop count, remaining time,
+        # flags and the draw's and walk's index temporaries peak near 150
+        # bytes at this slice length; a walk of every particle at once held
+        # about 124 bytes per particle, some 40 times this bound at 64 slices
+        f, geom = _dishonest_builtin()
+        size = 4096
+        monkeypatch.setattr(expansion, "MC_SLICE", size)
+
+        def peak(slices):
+            tracemalloc.start()
+            try:
+                mc_mass_estimate(f, 1.5, 0.5, geom, n_particles=slices * size, seed=5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(4), peak(64)
+        assert abs(many - few) <= 0.1 * few, (few, many)
+        assert many < 192 * size, many

@@ -7,19 +7,22 @@ polygon steps event by event, all times in one sweep that hands each row's
 particles, as they close, to a sink: ``polygon_counts`` writes the rows,
 ``polygon_tallies`` counts them.  The disk's closed form costs O(1) per
 particle: ``disk_counts`` computes a held ensemble's chords once for all
-times, and ``disk_tallies`` counts a sampler's slices as it draws them.  A
-tally counts, per rebound count, the particles and the flagged ones.
-Threaded kernels run on ``_run_blocks``, one worker per CPU, bitwise the
-same as one pass.  Billiard kernels read ``GRAZE_EPS`` and ``ITER_CAP``.
+times, and ``disk_tallies`` counts a sampler's slices as it draws them,
+writing every step of a slice through ``out=`` into buffers each worker
+makes once.  A tally counts, per rebound count, the particles and the
+flagged ones.  Threaded kernels run on ``_run_blocks``, one worker per CPU
+with work of its own, bitwise the same as one pass.  Billiard kernels read
+``GRAZE_EPS`` and ``ITER_CAP``.
 
 Randomness is counter-based: every uniform draw is a pure function of
-(seed, particle index, stream index) through a splitmix64 finaliser, so
-ensembles are reproducible bit-for-bit regardless of vectorisation, chunking
-or evaluation order.
+(seed, particle index, stream index) through a splitmix64 finaliser, hashed
+in place, so ensembles are reproducible bit-for-bit regardless of
+vectorisation, chunking or evaluation order.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 
@@ -45,27 +48,43 @@ _U11 = np.uint64(11)
 _INV53 = float(2.0**-53)
 
 
-def _mix64(z):
-    z = (z ^ (z >> _U30)) * _MIX1
-    z = (z ^ (z >> _U27)) * _MIX2
-    return z ^ (z >> _U31)
+def _mix64(z, tmp):
+    # splitmix64's finaliser on the uint64 array z, in place; tmp is uint64
+    # scratch of z's shape
+    for shift, mult in ((_U30, _MIX1), (_U27, _MIX2)):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= mult
+    z ^= np.right_shift(z, _U31, out=tmp)
+    return z
+
+
+def _hash_into(z, seed, tmp):
+    # index_hash of the uint64 indices z, in place; tmp is uint64 scratch
+    z *= _GOLD
+    with np.errstate(over="ignore"):
+        key = np.atleast_1d(np.uint64(seed) + _GOLD)
+    z += _mix64(key, np.empty_like(key))
+    return _mix64(z, tmp)
 
 
 def index_hash(seed: int, index) -> np.ndarray:
     """The per-index part of the draw hash, shared by all of an index's
     streams: ``mix(mix(seed + G) + G * index)`` as uint64."""
-    s = np.uint64(seed)
     idx = np.atleast_1d(np.asarray(index)).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64(_mix64(s + _GOLD) + _GOLD * idx)
+    return _hash_into(idx, seed, np.empty_like(idx))
 
 
-def stream_draws(hashed, stream) -> np.ndarray:
-    """Uniform draws in [0, 1) of ``stream`` from ``index_hash`` values."""
+def stream_draws(hashed, stream, out=None, z=None) -> np.ndarray:
+    """Uniform draws in [0, 1) of ``stream`` from ``index_hash`` values,
+    written into the float64 ``out`` through the uint64 scratch ``z`` of
+    its shape, or into a new array."""
     st = np.atleast_1d(np.asarray(stream)).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = _mix64(hashed + _GOLD * st)
-    return (h >> _U11) * _INV53
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(hashed), st.shape))
+        z = np.empty(out.shape, dtype=np.uint64)
+    _mix64(np.add(hashed, st * _GOLD, out=z), out.view(np.uint64))
+    z >>= _U11
+    return np.multiply(z, _INV53, out=out)
 
 
 def uniform_array(seed: int, index, stream) -> np.ndarray:
@@ -105,7 +124,9 @@ def _ladder_np(x0, k0, a, b, tail, r, t, seed, first):
             break
         rem[idx] -= flight[crossing]
         if r < 1.0:
-            u = uniform_array(seed, first + idx, SURVIVAL_STREAM_BASE + hops[idx])
+            # ensemble indices first + idx, in uint64 for any first below 2**64
+            keys = np.add(idx, first, dtype=np.uint64, casting="unsafe")
+            u = uniform_array(seed, keys, SURVIVAL_STREAM_BASE + hops[idx])
             dead = u >= r
             alive[idx[dead]] = False
             moving[idx[dead]] = False
@@ -138,7 +159,15 @@ def ladder_survival(x0, k0, a, b, tail, r, t, seed, first=0):
     tail = np.asarray(tail, dtype=np.float64)
     if not 0.0 < r <= 1.0:
         raise ValueError("survival probability r must lie in (0, 1]")
+    _check_key(seed, "seed")
+    _check_key(first, "first")
     return _ladder_np(x0, k0, a, b, tail, float(r), float(t), int(seed), int(first))
+
+
+def _check_key(value, name):
+    # a draw key, seed or particle index: an int in [0, 2**64), not a bool
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be an int in [0, 2**64), got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +189,16 @@ def _sweep_workers(n):
     return max(1, min(cpus or 1, n // SWEEP_BLOCK_MIN))
 
 
-def _run_blocks(size, chunk, work):
+def _run_blocks(size, chunk, worker):
     """The results of ``work(lo, hi)`` over consecutive chunks of
     ``range(size)``, each ``chunk`` long but the last, in chunk order.
 
     One worker per CPU (``_sweep_workers``), the calling thread among them,
-    pulls chunks in index order; numpy releases the GIL inside its loops, so
-    they run side by side.  The first exception a worker raises stops every
-    worker after its current chunk, and is raised again here.
+    makes its own ``work = worker()``, so buffers that ``work`` holds are
+    never shared, and pulls chunks in index order; numpy releases the GIL
+    inside its loops, so they run side by side.  The first exception a
+    worker raises stops every worker after its current chunk, and is raised
+    again here.
     """
     bounds = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
     pending = iter(enumerate(bounds))
@@ -177,6 +208,7 @@ def _run_blocks(size, chunk, work):
 
     def run():
         try:
+            work = worker()
             while not errors:
                 with lock:
                     i, block = next(pending, (None, None))
@@ -218,10 +250,11 @@ def _sum_counts(parts):
 # rotated k = floor((t - s0) / tau) times, plus the leftover flight.  s0, the
 # graze test and tau do not depend on t; the helpers below compute each one
 # way for every kernel, so the full-state and counts kernels agree bitwise.
+# They write through out= into buffers their callers make, used in prefixes.
 
-# particles per slice of the closed-form kernels: bounds their temporaries
-# whatever the ensemble size
-DISK_CHUNK = 1 << 16
+# particles per slice of the closed-form kernels: sets the size of each
+# worker's buffers whatever the ensemble size
+DISK_CHUNK = 1 << 15
 
 # a hit whose normal velocity is below this fraction of the speed grazes:
 # the particle freezes and is flagged degenerate instead of reflecting
@@ -232,47 +265,98 @@ GRAZE_EPS = TANGENT_EPS
 ITER_CAP = 10_000_000
 
 
-def _disk_exit(x, y, vx, vy, cx, cy, radius):
-    # first hit: the same stable quadratic as Billiard.exit_time
-    rx = x - cx
-    ry = y - cy
-    v2 = vx * vx + vy * vy
-    bq = rx * vx + ry * vy
-    cq = rx * rx + ry * ry - radius * radius
-    root = np.sqrt(np.maximum(bq * bq - v2 * cq, 0.0))
-    # where() evaluates both branches; mask the dead one's zero divisor
+def _disk_exit(x, y, vx, vy, cx, cy, radius, out, ahead):
+    # first hit: the same stable quadratic as Billiard.exit_time.  Returns
+    # (s0, v2) in out[0] and out[1]; out[2:6] and the mask ahead are scratch
+    m = x.shape[0]
+    s0, v2, rx, ry, bq, t = (a[:m] for a in out)
+    np.subtract(x, cx, out=rx)
+    np.subtract(y, cy, out=ry)
+    np.add(np.multiply(vx, vx, out=v2), np.multiply(vy, vy, out=t), out=v2)
+    np.add(np.multiply(rx, vx, out=bq), np.multiply(ry, vy, out=t), out=bq)
+    cq = np.add(np.multiply(rx, rx, out=rx), np.multiply(ry, ry, out=ry), out=rx)
+    cq -= radius * radius
+    root = np.subtract(np.multiply(bq, bq, out=ry), np.multiply(v2, cq, out=t), out=ry)
+    np.sqrt(np.maximum(root, 0.0, out=root), out=root)
+    # -cq / (bq + root) where bq > 0, else (root - bq) / v2: both are
+    # computed, so mask the dead one's zero divisor
     with np.errstate(divide="ignore", invalid="ignore"):
-        s0 = np.maximum(np.where(bq > 0.0, -cq / (bq + root), (root - bq) / v2), 0.0)
-    return s0, v2
+        np.negative(cq, out=cq)
+        cq /= np.add(bq, root, out=t)
+        np.subtract(root, bq, out=s0)
+        s0 /= v2
+    _select(np.greater(bq, 0.0, out=ahead[:m]), cq, s0, t.view(np.uint64))
+    return np.maximum(s0, 0.0, out=s0), v2
 
 
-def _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius):
+def _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius, out, graze):
     # the first hit re-anchored onto the circle: its unit normal, the normal
-    # velocity, whether it grazes, and the chord period tau
-    rx = x + vx * s0 - cx
-    ry = y + vy * s0 - cy
-    nr = np.sqrt(rx * rx + ry * ry)
-    nx = rx / nr
-    ny = ry / nr
-    vn = vx * nx + vy * ny
-    graze = np.abs(vn) < GRAZE_EPS * np.sqrt(v2)
-    tau = 2.0 * radius * np.abs(vn) / v2
+    # velocity, whether it grazes, and the chord period tau.  Returns
+    # (nx, ny, vn, graze, tau) in out[0:4] and the mask graze; out[4] is
+    # scratch
+    m = x.shape[0]
+    nx, ny, vn, tau, t = (a[:m] for a in out)
+    graze = graze[:m]
+    np.subtract(np.add(x, np.multiply(vx, s0, out=nx), out=nx), cx, out=nx)
+    np.subtract(np.add(y, np.multiply(vy, s0, out=ny), out=ny), cy, out=ny)
+    nr = np.add(np.multiply(nx, nx, out=t), np.multiply(ny, ny, out=vn), out=t)
+    np.sqrt(nr, out=nr)
+    nx /= nr
+    ny /= nr
+    np.add(np.multiply(vx, nx, out=vn), np.multiply(vy, ny, out=t), out=vn)
+    np.less(np.abs(vn, out=tau), np.multiply(np.sqrt(v2, out=t), GRAZE_EPS, out=t), out=graze)
+    np.divide(np.multiply(tau, 2.0 * radius, out=tau), v2, out=tau)
     return nx, ny, vn, graze, tau
 
 
-def _disk_hits(rem, tau):
-    # further hits k within the time rem left after the first one, the
-    # particles capped, and the rebounds made
-    k = np.floor(rem / tau)
-    capped = k >= ITER_CAP
-    k = np.minimum(k, ITER_CAP - 1)
-    return k, capped, k.astype(np.int64) + 1
+def _disk_chords(x, y, vx, vy, cx, cy, radius, out, masks):
+    # the time-independent part of a slice: s0 and tau in out[0] and
+    # out[1], out[2:7] and two masks scratch.  A grazing particle never
+    # moves, so its s0 becomes inf and its tau 1; it is returned in
+    # grazed = (lanes, first hits)
+    s0, tau, v2, *work = out
+    s0, v2 = _disk_exit(x, y, vx, vy, cx, cy, radius, (s0, v2, *work), masks[0])
+    *_, graze, tau = _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius,
+                                (*work[:3], tau, work[3]), masks[1])
+    lanes = np.flatnonzero(graze)
+    grazed = lanes, s0[lanes]
+    s0[lanes] = np.inf
+    tau[lanes] = 1.0
+    return s0, tau, grazed
+
+
+def _disk_step(s0, tau, grazed, t, q, hit, n):
+    # the rebounds of a slice's particles by time t, into q as floats and
+    # the intp n: floor((t - s0) / tau) + 1 where s0 <= t, at most
+    # ITER_CAP, else 0; hit is scratch.  Returns the lanes flagged by t:
+    # those of grazed = (lanes, first hits) hit by t, and those capped,
+    # owing more than ITER_CAP
+    lanes, first = grazed
+    if t == 0.0:
+        # at t = 0 nothing moves, not even a particle sitting on the wall
+        n.fill(0)
+        return lanes[:0]
+    np.subtract(t, s0, out=q)
+    np.greater_equal(q, 0.0, out=hit)
+    q /= tau
+    np.floor(q, out=q)
+    q += 1.0
+    # a lane not hit by t (q <= 1, -inf or nan) gets +0.0, its bits cleared
+    np.multiply(q.view(np.uint64), hit, out=q.view(np.uint64))
+    flagged = lanes[first <= t]
+    if np.fmax.reduce(q, initial=0.0) > ITER_CAP:
+        flagged = np.concatenate([flagged, np.flatnonzero(q > ITER_CAP)])
+        np.minimum(q, ITER_CAP, out=q)
+    np.copyto(n, q, casting="unsafe")
+    return flagged
 
 
 def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale):
     x, y = pos[:, 0], pos[:, 1]
     vx, vy = vel[:, 0], vel[:, 1]
-    s0, v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
+    m = x.shape[0]
+    s0, v2 = _disk_exit(x, y, vx, vy, cx, cy, radius, [np.empty(m) for _ in range(6)],
+                        np.empty(m, dtype=np.bool_))
     live = ~degenerate
     fly = np.flatnonzero(live & (s0 > t))
     x[fly] += vx[fly] * t
@@ -281,16 +365,21 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     ax = vx[hit]
     ay = vy[hit]
     s0 = s0[hit]
-    nx, ny, vn, graze, tau = _disk_wall(x[hit], y[hit], ax, ay, v2[hit], s0, cx, cy, radius)
+    nx, ny, vn, graze, tau = _disk_wall(x[hit], y[hit], ax, ay, v2[hit], s0, cx, cy, radius,
+                                        [np.empty(hit.size) for _ in range(5)],
+                                        np.empty(hit.size, dtype=np.bool_))
     gz = hit[graze]
     x[gz] = cx + radius * nx[graze]
     y[gz] = cy + radius * ny[graze]
     degenerate[gz] = True
     ok = ~graze
     idx = hit[ok]
-    nx, ny, ax, ay, vn, tau = nx[ok], ny[ok], ax[ok], ay[ok], vn[ok], tau[ok]
-    rem = t - s0[ok]
-    k, capped, hits = _disk_hits(rem, tau)
+    nx, ny, ax, ay, vn, tau, s0 = nx[ok], ny[ok], ax[ok], ay[ok], vn[ok], tau[ok], s0[ok]
+    # the step's hits, k + 1, on lanes that no longer graze
+    hits, k = np.empty(idx.size, dtype=np.intp), np.empty(idx.size)
+    capped = _disk_step(s0, tau, (idx[:0], s0[:0]), t, k, np.empty(idx.size, dtype=np.bool_),
+                        hits)
+    k -= 1.0
     degenerate[idx[capped]] = True
     # velocity after the first reflection, and the central angle between
     # successive hits, 2 atan2(|v.n|, |n x v|): accurate near normal and
@@ -302,7 +391,8 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     ang = k * np.where(cross < 0.0, -step, step)
     ca = np.cos(ang)
     sa = np.sin(ang)
-    left = np.where(capped, 0.0, rem - k * tau)
+    left = (t - s0) - k * tau
+    left[capped] = 0.0
     ux = radius * nx + left * wx
     uy = radius * ny + left * wy
     x[idx] = cx + (ca * ux - sa * uy)
@@ -312,53 +402,6 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     rebounds[idx] += hits
     if scale != 1.0:
         weight[idx] *= scale ** hits
-
-
-def _disk_chords(x, y, vx, vy, cx, cy, radius):
-    # the time-independent part of one slice of particles: the first-hit
-    # time, the graze flag and the chord period
-    s0, v2 = _disk_exit(x, y, vx, vy, cx, cy, radius)
-    _, _, _, graze, tau = _disk_wall(x, y, vx, vy, v2, s0, cx, cy, radius)
-    return s0, graze, tau
-
-
-def _disk_step(chords, weight, rebounds, degenerate, t, scale):
-    # (weight, rebounds, degenerate) of one slice at time t in one streaming
-    # pass, bitwise the full-state kernel's: at t = 0 the inputs come back as
-    # they are, and a particle that does not move (s0 = inf, s0 > t, or a
-    # graze) gets hits = 0.  At scale 1 the weights are the input's
-    if t == 0.0:
-        return weight, rebounds, degenerate
-    s0, graze, tau = chords
-    hit = s0 <= t
-    move = hit & ~graze
-    # the masked lanes divide by tau = 0 and cast the inf or nan k it gives
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _, capped, hits = _disk_hits(t - s0, tau)
-    hits = np.where(move, hits, 0)
-    flagged = degenerate | (hit & graze) | (move & capped)
-    w = weight if scale == 1.0 else weight * scale ** hits
-    return w, rebounds + hits, flagged
-
-
-def _disk_count_steps(weight, rebounds, degenerate, chords, times, scale):
-    # every time's full rows, one _disk_step per slice.  At scale 1 no weight
-    # changes and every time yields the one read-only weight array.
-    s0, graze, tau = chords
-    if scale == 1.0 and weight.flags.writeable:
-        weight = weight.view()
-        weight.flags.writeable = False
-    for t in times.tolist():
-        w = weight if scale == 1.0 else np.empty_like(weight)
-        n, flagged = np.empty_like(rebounds), np.empty_like(degenerate)
-        for lo in range(0, n.size, DISK_CHUNK):
-            sl = slice(lo, lo + DISK_CHUNK)
-            step = _disk_step((s0[sl], graze[sl], tau[sl]), weight[sl], rebounds[sl],
-                              degenerate[sl], t, scale)
-            if scale != 1.0:
-                w[sl] = step[0]
-            n[sl], flagged[sl] = step[1:]
-        yield w, n, flagged
 
 
 def _disk_geometry(geom):
@@ -374,51 +417,80 @@ def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
     bitwise what ``billiard_transport`` leaves in those arrays on a copy of
     the ensemble for the k-th time.  At scale 1 every time yields one
     read-only weight array, ``weight`` or a read-only view of it.  Each
-    particle's first hit, graze flag and chord period, about 17 bytes, are
-    computed at the call on ``_run_blocks``; each time is then one
-    streaming pass over them.
+    particle's first hit and chord period, 16 bytes, are computed at the
+    call on ``_run_blocks``; each time is then one streaming pass over them.
     """
-    times = distinct_times(times)
+    times = distinct_times(times).tolist()
     geometry = _disk_geometry(geom)
     size = weight.shape[0]
-    s0, graze, tau = np.empty(size), np.empty(size, dtype=np.bool_), np.empty(size)
+    chunk = min(size, DISK_CHUNK)
+    s0, tau = np.empty(size), np.empty(size)
 
-    def chords(lo, hi):
+    def worker():
         # every value depends on its own particle alone, so any number of
         # workers gives the bytes of one whole pass
-        s0[lo:hi], graze[lo:hi], tau[lo:hi] = _disk_chords(
-            pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1], *geometry)
+        work = [np.empty(chunk) for _ in range(5)]
+        masks = [np.empty(chunk, dtype=np.bool_) for _ in range(2)]
+        return lambda lo, hi: _disk_chords(
+            pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1], *geometry,
+            (s0[lo:hi], tau[lo:hi], *work), masks)[2]
 
-    _run_blocks(size, DISK_CHUNK, chords)
+    grazes = _run_blocks(size, DISK_CHUNK, worker)
     # an input-degenerate particle never moves, so its first hit is at inf
     s0[degenerate] = np.inf
-    return _disk_count_steps(weight, rebounds, degenerate, (s0, graze, tau), times,
-                             float(scale))
+    if scale == 1.0 and weight.flags.writeable:
+        weight = weight.view()
+        weight.flags.writeable = False
+
+    def steps():
+        q, hit, n = np.empty(chunk), np.empty(chunk, dtype=np.bool_), np.empty(chunk, dtype=np.intp)
+        for t in times:
+            w = weight if scale == 1.0 else np.empty_like(weight)
+            counts, flags = np.empty_like(rebounds), degenerate.copy()
+            for lo, grazed in zip(range(0, size, DISK_CHUNK), grazes):
+                sl, m = slice(lo, lo + DISK_CHUNK), min(DISK_CHUNK, size - lo)
+                flags[sl][_disk_step(s0[sl], tau[sl], grazed, t, q[:m], hit[:m], n[:m])] = True
+                np.add(rebounds[sl], n[:m], out=counts[sl])
+                if scale != 1.0:
+                    np.multiply(weight[sl], np.power(scale, n[:m], out=q[:m]), out=w[sl])
+            yield w, counts, flags
+
+    return steps()
 
 
 def disk_tallies(states, size, geom, times):
     """Integer tallies of a sampled disk's rebound counts at every one of
     ``times``: ``(np.bincount(n), np.bincount(n[d]))`` per time of
     ``distinct_times(times)``, for the ``(n, d)`` that ``disk_counts``
-    yields on the states ``states(lo, hi)`` (``x, y, vx, vy`` of particles
-    lo..hi-1) of ``size`` particles with no rebound and no flag.  Workers
-    count one ``DISK_CHUNK`` slice at a time, and the slices' counts are
-    added after the join, so nothing is held per particle.
+    yields on ``size`` particles with no rebound and no flag, whose states
+    ``states(lo, hi, out, work)`` writes: ``x, y, vx, vy`` of particles
+    lo..hi-1 into the four buffers ``out``, through four float64 buffers
+    ``work``.  Each worker counts one ``DISK_CHUNK`` slice at a time in
+    buffers it makes once, and the slices' counts are added after the
+    join, so nothing is held per particle.
     """
     times = distinct_times(times).tolist()
     geometry = _disk_geometry(geom)
-    # every slice's start, read and never written
-    chunk = min(size, DISK_CHUNK)
-    starts = np.zeros(chunk, dtype=np.int64), np.zeros(chunk, dtype=np.bool_)
 
-    def work(lo, hi):
-        chords = _disk_chords(*states(lo, hi), *geometry)
-        rebounds, degenerate = (a[:hi - lo] for a in starts)
-        # at scale 1 the step reads no weight
-        steps = (_disk_step(chords, None, rebounds, degenerate, t, 1.0) for t in times)
-        return [(np.bincount(n), np.bincount(n[d])) for _, n, d in steps]
+    def worker():
+        # x, y, vx, vy, then the chords' buffers, the first two s0 and tau
+        buf = [np.empty(min(size, DISK_CHUNK)) for _ in range(11)]
+        masks = [np.empty(buf[0].size, dtype=np.bool_) for _ in range(3)]
+        n = np.empty(buf[0].size, dtype=np.intp)
 
-    slices = _run_blocks(size, DISK_CHUNK, work)
+        def work(lo, hi):
+            m = hi - lo
+            state = [a[:m] for a in buf[:4]]
+            states(lo, hi, state, buf[4:8])
+            s0, tau, grazed = _disk_chords(*state, *geometry, buf[4:], masks)
+            # each time's counts, and the counts of the lanes it flags; the
+            # step's float buffer is the chords' spent v2
+            steps = (_disk_step(s0, tau, grazed, t, buf[6][:m], masks[2][:m], n[:m]) for t in times)
+            return [(np.bincount(n[:m]), np.bincount(n[flagged])) for flagged in steps]
+
+        return work
+
+    slices = _run_blocks(size, DISK_CHUNK, worker)
     return [tuple(_sum_counts(part[k][i] for part in slices) for i in (0, 1))
             for k in range(len(times))]
 
@@ -680,8 +752,8 @@ def _polygon_sweep(arrays, sink, geom, times, scale):
     # particles never interact, so a block swept alone hands its sink
     # bitwise the cells a whole sweep gives it; one block per worker
     size = arrays[0].shape[0]
-    return _run_blocks(size, max(1, -(-size // _sweep_workers(size))), lambda lo, hi: _sweep_block(
-        *(None if a is None else a[lo:hi] for a in arrays), sink(lo, hi), *consts))
+    return _run_blocks(size, max(1, -(-size // _sweep_workers(size))), lambda: lambda lo, hi: (
+        _sweep_block(*(None if a is None else a[lo:hi] for a in arrays), sink(lo, hi), *consts)))
 
 
 def distinct_times(times) -> np.ndarray:

@@ -450,9 +450,12 @@ def _region_spec(region, geom: Billiard):
 
 
 def _state_sampler(geom: Billiard, n: int, seed: int, region):
-    # validates a request for n particles and returns draw(lo, hi): the
-    # positions and velocities x, y, vx, vy of particles lo..hi-1, each a
-    # pure function of (seed, index), so any slicing gives the same bits
+    # validates a request for n particles and returns draw(lo, hi, out,
+    # work), which writes the positions and velocities x, y, vx, vy of
+    # particles lo..hi-1, at most DISK_CHUNK of them, into the four buffers
+    # out through four float64 buffers work at least hi - lo long.  Each
+    # draw is a pure function of (seed, index, stream), so any slicing
+    # gives the same bits
     if geom.velocities is None:
         raise ValueError("billiard has no velocity spec to sample from")
     if n <= 0:
@@ -469,40 +472,60 @@ def _state_sampler(geom: Billiard, n: int, seed: int, region):
         cum = np.cumsum(areas) / areas.sum()
     vs = geom.velocities
     speeds = np.array(vs.speeds) if vs.kind == "speeds" else None
+    # a draw's indices are lo + iota, so a draw is at most this long
+    iota = np.arange(min(n, _kernels.DISK_CHUNK), dtype=np.uint64)
 
-    def draw(lo, hi):
-        # each particle's index is hashed once for all of its draw streams
-        hashed = _kernels.index_hash(seed, np.arange(lo, hi, dtype=np.int64))
-        u0 = _kernels.stream_draws(hashed, _POS_STREAMS[0])
-        u1 = _kernels.stream_draws(hashed, _POS_STREAMS[1])
+    def draw(lo, hi, out, work):
+        x, y, vx, vy = out
+        h, z, f, g = (a[:hi - lo] for a in work)
+        # each particle's index is hashed once, in uint64 views, for all of
+        # its draw streams
+        h, z = h.view(np.uint64), z.view(np.uint64)
+        _kernels._hash_into(np.add(iota[:hi - lo], lo, out=h), seed, z)
+
+        def u(stream, into):
+            return _kernels.stream_draws(h, stream, into, z)
+
         if spec[0] == "disk":
             _, cx, cy, rad = spec
-            r = rad * np.sqrt(u0)
-            ang = 2.0 * np.pi * u1
-            x, y = cx + r * np.cos(ang), cy + r * np.sin(ang)
+            # r = rad sqrt(u0) in vx and the angle 2 pi u1 in vy
+            r = np.multiply(np.sqrt(u(_POS_STREAMS[0], vx), out=vx), rad, out=vx)
+            ang = np.multiply(u(_POS_STREAMS[1], vy), 2.0 * np.pi, out=vy)
+            np.add(np.multiply(np.cos(ang, out=x), r, out=x), cx, out=x)
+            np.add(np.multiply(np.sin(ang, out=y), r, out=y), cy, out=y)
         elif spec[0] == "box":
             _, x0, y0, x1, y1 = spec
-            x, y = x0 + (x1 - x0) * u0, y0 + (y1 - y0) * u1
+            np.add(np.multiply(u(_POS_STREAMS[0], x), x1 - x0, out=x), x0, out=x)
+            np.add(np.multiply(u(_POS_STREAMS[1], y), y1 - y0, out=y), y0, out=y)
         else:
-            tri = np.minimum(np.searchsorted(cum, u0, side="right"), cum.size - 1)
-            u2 = _kernels.stream_draws(hashed, _POS_STREAMS[2])
-            su = np.sqrt(u1)
-            a, b, c = 1.0 - su, su * (1.0 - u2), su * u2
-            p1, p2 = rest[tri], rest[tri + 1]
-            x = a * v0[0] + b * p1[:, 0] + c * p2[:, 0]
-            y = a * v0[1] + b * p1[:, 1] + c * p2[:, 1]
+            tri = np.minimum(np.searchsorted(cum, u(_POS_STREAMS[0], f), side="right"),
+                             cum.size - 1)
+            # barycentric weights a, b, c = 1 - su, su (1 - u2), su u2 of
+            # su = sqrt(u1), in vx, vy and g
+            su = np.sqrt(u(_POS_STREAMS[1], vx), out=vx)
+            u2 = u(_POS_STREAMS[2], vy)
+            c = np.multiply(su, u2, out=g)
+            b = np.multiply(np.subtract(1.0, u2, out=vy), su, out=vy)
+            a = np.subtract(1.0, su, out=vx)
+            for o, col in ((x, 0), (y, 1)):
+                # a v0 + b p1 + c p2 of the triangle (v0, p1, p2)
+                np.multiply(a, v0[col], out=o)
+                o += np.multiply(np.take(rest[:, col], tri, out=f, mode="clip"), b, out=f)
+                o += np.multiply(np.take(rest[1:, col], tri, out=f, mode="clip"), c, out=f)
         if speeds is not None and speeds.size == 1:
             # the pick is always 0: its stream is not drawn
             speed = speeds[0]
+        elif speeds is not None:
+            pick = g.view(np.intp)
+            np.copyto(pick, np.multiply(u(_VEL_STREAMS[0], f), speeds.size, out=f),
+                      casting="unsafe")
+            speed = np.take(speeds, np.minimum(pick, speeds.size - 1, out=pick), out=f, mode="clip")
         else:
-            uv0 = _kernels.stream_draws(hashed, _VEL_STREAMS[0])
-            if speeds is not None:
-                pick = np.minimum((uv0 * speeds.size).astype(np.int64), speeds.size - 1)
-                speed = speeds[pick]
-            else:
-                speed = np.sqrt(vs.speed_min**2 + uv0 * (vs.speed_max**2 - vs.speed_min**2))
-        ang = 2.0 * np.pi * _kernels.stream_draws(hashed, _VEL_STREAMS[1])
-        return x, y, speed * np.cos(ang), speed * np.sin(ang)
+            speed = np.multiply(u(_VEL_STREAMS[0], f), vs.speed_max**2 - vs.speed_min**2, out=f)
+            np.sqrt(np.add(speed, vs.speed_min**2, out=f), out=f)
+        ang = np.multiply(u(_VEL_STREAMS[1], g), 2.0 * np.pi, out=g)
+        np.multiply(np.cos(ang, out=vx), speed, out=vx)
+        np.multiply(np.sin(ang, out=vy), speed, out=vy)
 
     return draw
 
@@ -512,12 +535,13 @@ def sample_ensemble(geom: Billiard, n: int, seed: int, region="domain") -> Parti
     velocity spec, unit total weight."""
     draw = _state_sampler(geom, n, seed, region)
     pos, vel = np.empty((n, 2)), np.empty((n, 2))
-
-    def fill(lo, hi):
-        pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1] = draw(lo, hi)
-
-    # every draw is index-pure, so the slices give the bytes of one draw
-    _kernels._run_blocks(n, _kernels.DISK_CHUNK, fill)
+    # every draw is index-pure, so the slices give the bytes of one draw.
+    # They run on the calling thread through one set of work buffers: a
+    # second worker kept its buffers' memory and saved little of the draw
+    work = [np.empty(min(n, _kernels.DISK_CHUNK)) for _ in range(4)]
+    for lo in range(0, n, _kernels.DISK_CHUNK):
+        hi = min(lo + _kernels.DISK_CHUNK, n)
+        draw(lo, hi, (pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1]), work)
     # unit total weight, no rebounds, nothing flagged
     return ParticleEnsemble(pos, vel, np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64),
                             np.zeros(n, dtype=np.bool_), int(seed))
@@ -647,7 +671,7 @@ def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: 
     read-only, and at scale 1 every time holds that copy.  No times give an
     empty trajectory at once.  A disk copies the counters and flags too,
     and ``_kernels.disk_counts`` computes each particle's chord at the
-    call, about 17 bytes per particle; each time is then one streaming
+    call, 16 bytes per particle; each time is then one streaming
     pass.  A polygon sweeps per group of at most ``SWEEP_STATES`` particle
     states, the first at the call, copying the ensemble only when there
     are more, and yields views of ``_kernels.polygon_counts``' rows.  A
@@ -679,8 +703,7 @@ def _ladder_sampler(f: PiecewiseDensity, n, seed, name="n"):
     # slicing gives the same bits
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n <= 0:
         raise ValueError(f"{name} must be a positive int, got {n!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an int in [0, 2**64), got {seed!r}")
+    _kernels._check_key(seed, "seed")
     if not f.is_nonnegative:
         raise ValueError("cannot sample from a signed density")
     if f.mass() <= 0.0:

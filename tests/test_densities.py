@@ -221,10 +221,19 @@ def small_square():
 STATE = ("pos", "vel", "weight", "rebounds", "degenerate")
 
 
+def views_of(ens):
+    """x, y, vx, vy of a held ensemble, as views of its columns."""
+    return ens.pos[:, 0], ens.pos[:, 1], ens.vel[:, 0], ens.vel[:, 1]
+
+
 def views(ens):
-    """The state source of a held ensemble: views of its slices."""
-    return lambda lo, hi: (ens.pos[lo:hi, 0], ens.pos[lo:hi, 1],
-                           ens.vel[lo:hi, 0], ens.vel[lo:hi, 1])
+    """The state source of a held ensemble: its slices copied into the
+    buffers given."""
+    def states(lo, hi, out, work):
+        for buf, column in zip(out, views_of(ens)):
+            buf[:] = column[lo:hi]
+
+    return states
 
 
 def transported(ens, geom, t, scale):
@@ -634,11 +643,11 @@ class TestSampledTallies:
         def failing_sampler(*args):
             draw = sampler(*args)
 
-            def states(lo, hi):
+            def states(lo, hi, *buffers):
                 if lo == 5 * 256:
                     time.sleep(0.2)
                     raise FloatingPointError("slice failed")
-                return draw(lo, hi)
+                return draw(lo, hi, *buffers)
 
             return states
 
@@ -664,24 +673,106 @@ class TestSampledTallies:
         assert threading.active_count() == before
 
 
+def drawn(geom, n, seed, region):
+    """x, y, vx, vy of particles 0..n-1 in one draw."""
+    out = [np.empty(n) for _ in range(4)]
+    densities._state_sampler(geom, n, seed, region)(0, n, out, [np.empty(n) for _ in range(4)])
+    return out
+
+
 @pytest.mark.parametrize("table", [small_square, off_centre_disk])
 def test_sampled_states_do_not_depend_on_the_slices(monkeypatch, table):
-    # sample_ensemble fills its states one slice at a time across workers;
-    # every draw is index-pure, so the bytes are those of one draw
+    # sample_ensemble fills its states one slice at a time; every draw is
+    # index-pure, so the bytes are those of one draw
     geom = table()
     n = 2000
-    want = densities._state_sampler(geom, n, 9, "domain")(0, n)
+    want = drawn(geom, n, 9, "domain")
     monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
-    for workers in (1, 3):
-        monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
-        ens = sample_ensemble(geom, n, seed=9)
-        assert same_arrays((ens.pos[:, 0], ens.pos[:, 1], ens.vel[:, 0], ens.vel[:, 1]), want)
+    ens = sample_ensemble(geom, n, seed=9)
+    assert same_arrays((ens.pos[:, 0], ens.pos[:, 1], ens.vel[:, 0], ens.vel[:, 1]), want)
 
 
 def hexagon():
     ang = [k * math.pi / 3 for k in range(6)]
     return Billiard("polygon", vertices=tuple((math.cos(a), math.sin(a)) for a in ang),
                     velocities=VelocitySpec("annulus", speed_min=0.5, speed_max=2.0))
+
+
+def reference_states(geom, n, seed, region):
+    """x, y, vx, vy of particles 0..n-1 by the sampler's expressions
+    written as whole-array operations, each draw stream by uniform_array:
+    streams 0, 1 and 2 place a particle, 3 picks its speed and 4 its
+    direction."""
+    idx = np.arange(n, dtype=np.int64)
+    u = [_kernels.uniform_array(seed, idx, stream) for stream in range(5)]
+    spec = densities._region_spec(region, geom)
+    if spec[0] == "disk":
+        _, cx, cy, rad = spec
+        r, ang = rad * np.sqrt(u[0]), 2.0 * np.pi * u[1]
+        x, y = cx + r * np.cos(ang), cy + r * np.sin(ang)
+    elif spec[0] == "box":
+        _, x0, y0, x1, y1 = spec
+        x, y = x0 + (x1 - x0) * u[0], y0 + (y1 - y0) * u[1]
+    else:
+        # a fan of triangles from the first vertex, picked by area
+        verts = np.array(geom.vertices)
+        v0, rest = verts[0], verts[1:]
+        areas = 0.5 * np.abs((rest[:-1, 0] - v0[0]) * (rest[1:, 1] - v0[1])
+                             - (rest[1:, 0] - v0[0]) * (rest[:-1, 1] - v0[1]))
+        cum = np.cumsum(areas) / areas.sum()
+        tri = np.minimum(np.searchsorted(cum, u[0], side="right"), cum.size - 1)
+        su = np.sqrt(u[1])
+        a, b, c = 1.0 - su, su * (1.0 - u[2]), su * u[2]
+        p1, p2 = rest[tri], rest[tri + 1]
+        x = a * v0[0] + b * p1[:, 0] + c * p2[:, 0]
+        y = a * v0[1] + b * p1[:, 1] + c * p2[:, 1]
+    vs = geom.velocities
+    if vs.kind == "speeds":
+        speeds = np.array(vs.speeds)
+        speed = speeds[np.minimum((u[3] * speeds.size).astype(np.int64), speeds.size - 1)]
+    else:
+        speed = np.sqrt(vs.speed_min**2 + u[3] * (vs.speed_max**2 - vs.speed_min**2))
+    ang = 2.0 * np.pi * u[4]
+    return x, y, speed * np.cos(ang), speed * np.sin(ang)
+
+
+# (table, region) of every draw branch: the disk's domain with one speed,
+# a disk region with a speed band, a box with several speeds, and a polygon
+# with a speed band and with one speed
+DRAW_CASES = [
+    (small_disk, "domain"),
+    (off_centre_disk, "disk:0.8,-0.2,1.1"),
+    (three_speed_disk, "box:-1.5,1.25,-0.25,2.5"),
+    (hexagon, "domain"),
+    (lambda: Billiard("polygon", vertices=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+                      velocities=VelocitySpec("speeds", speeds=(1.5,))), "domain"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DRAW_CASES)))
+def test_in_place_draws_are_the_whole_array_expressions(monkeypatch, case):
+    # the draw writes through work buffers, slice by slice, into the
+    # ensemble's columns and into a sampled disk's buffers; every value is
+    # bitwise the whole-array expression's, for sizes around the slice
+    table, region = DRAW_CASES[case]
+    geom = table()
+    monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
+    for n in (1, 255, 257, 1000):
+        want = reference_states(geom, n, 2**63 + 5, region)
+        ens = sample_ensemble(geom, n, seed=2**63 + 5, region=region)
+        assert same_arrays((ens.pos[:, 0], ens.pos[:, 1], ens.vel[:, 0], ens.vel[:, 1]), want)
+        draw = densities._state_sampler(geom, n, 2**63 + 5, region)
+        for workers in (1, 3):
+            monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
+            got = [np.full(n, np.nan) for _ in range(4)]
+
+            def worker():
+                # one worker's buffers serve every slice it draws
+                work = [np.empty(256) for _ in range(4)]
+                return lambda lo, hi: draw(lo, hi, [a[lo:hi] for a in got], work)
+
+            _kernels._run_blocks(n, 256, worker)
+            assert same_arrays(got, want), (n, workers)
 
 
 def rows_of(trajectory):
@@ -1014,24 +1105,32 @@ class TestStreamingCountSteps:
         monkeypatch.setattr(_kernels, "ITER_CAP", 3)
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
+        # one more time, particle 10's first hit: t - s0 is exactly 0 there,
+        # and that hit is its one rebound
+        s0, _ = _kernels._disk_exit(*(a.copy() for a in views_of(ens)), 0.0, 0.0, 1.0,
+                                    [np.empty(len(ens)) for _ in range(6)],
+                                    np.empty(len(ens), dtype=np.bool_))
+        times = tuple(sorted({*self.TIMES, float(s0[10])}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = held_counts(ens, geom, self.TIMES, scale)
-            tallies = _kernels.disk_tallies(views(ens), len(ens), geom, self.TIMES)
+            rows = held_counts(ens, geom, times, scale)
+            tallies = _kernels.disk_tallies(views(ens), len(ens), geom, times)
         for (_, rebounds, degenerate), (counts, flagged) in zip(rows, tallies, strict=True):
             assert np.array_equal(counts, np.bincount(rebounds))
             assert np.array_equal(flagged, np.bincount(rebounds[degenerate]))
         assert tallies[-1][1].sum() > 10
+        first = rows[times.index(float(s0[10]))]
+        assert 0.0 < s0[10] < 6.0 and first[1][10] == 1 and not first[2][10]
 
 
 def test_sampled_disk_holds_nothing_per_particle(monkeypatch):
     # at scale 1 a sampled disk holds nothing per particle once
-    # sample_counts returns: a slice's temporaries and the tallies do
-    # not grow with the ensemble.  The only transient that does is the 8
-    # bytes per particle of the weights its mass sums, and at these sizes
-    # the slices' own transient, about 10.6 MB, sets the peak (the added
-    # peak reads about 0.01 bytes per particle).  Holding the initial
-    # counts read 17.0 bytes per added particle, held and at the peak
+    # sample_counts returns: a worker's buffers and the tallies do not
+    # grow with the ensemble.  The only transient that does is the 8 bytes
+    # per particle of the weights its mass sums, and at these sizes it sets
+    # the peak, above the buffers' 3.2 MB (the added peak reads 8.0 bytes
+    # per particle).  Holding the initial counts read 17.0 bytes per added
+    # particle, held and at the peak
     monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
 
     def traced(n):
@@ -1051,6 +1150,34 @@ def test_sampled_disk_holds_nothing_per_particle(monkeypatch):
     assert (held_large - held_small) / added < 1.0, (held_large - held_small) / added
     assert (peak_large - peak_small) / added < 9.0, (peak_large - peak_small) / added
     assert len(tallies) == 5 and tallies[-1].max_rebounds() > 10
+
+
+def test_sampled_disk_slices_allocate_nothing(monkeypatch):
+    # one worker makes its buffers once per call, 99 bytes per slice
+    # particle (11 float64, 3 masks and one intp), and then no step of a
+    # slice allocates more than a short index list or a tally: the traced
+    # peak is the same for 4 and 64 slices within one slice's buffers, and
+    # stays near those buffers (about 111 bytes per slice particle here;
+    # the allocating steps' temporaries read about 133)
+    monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
+    monkeypatch.setattr(_kernels, "DISK_CHUNK", 4096)
+    buffers = 99 * 4096
+
+    def peak(slices):
+        n = slices * 4096
+        draw = densities._state_sampler(small_disk(), n, 7, "domain")
+        tracemalloc.start()
+        try:
+            tallies = _kernels.disk_tallies(draw, n, small_disk(), (0.5, 2.0, 5.0, 10.0, 20.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tallies[-1][0].sum() == n
+        return peak
+
+    few, many = peak(4), peak(64)
+    assert abs(many - few) < buffers, (few, many)
+    assert few < 1.25 * buffers, few / 4096
 
 
 def polygon_sweep_peak(monkeypatch, scale):

@@ -74,9 +74,9 @@ class TestUniformDraws:
         read = set()
         draws = _kernels.stream_draws
 
-        def recorded(hashed, stream):
+        def recorded(hashed, stream, *out):
             read.add(int(stream))
-            return draws(hashed, stream)
+            return draws(hashed, stream, *out)
 
         monkeypatch.setattr(_kernels, "stream_draws", recorded)
         geom = Billiard("disk", center=(0.0, 0.0), radius=1.0,
@@ -171,6 +171,28 @@ class TestLadderKernel:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 ladder_survival(x0, k0, a, b, tail, bad, 1.0, 0)
+
+    @pytest.mark.parametrize("name", ["seed", "first"])
+    @pytest.mark.parametrize("bad", [2.5, -1, 2**64, True])
+    def test_draw_keys_are_ints_below_2_64(self, unit_ladder, name, bad):
+        # a truncated or wrapped key would walk another ensemble's draws
+        a, b, tail = ladder_arrays(unit_ladder, 4)
+        x0, k0 = self._population(50)
+        keys = {"seed": 3, "first": 0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be an int"):
+            ladder_survival(x0, k0, a, b, tail, 0.5, 1.0, keys["seed"], first=keys["first"])
+
+    def test_slices_key_their_draws_past_2_63(self, unit_ladder):
+        # particle i of a slice starting at first is ensemble particle
+        # first + i, whatever the size of first
+        a, b, tail = ladder_arrays(unit_ladder, 8)
+        x0, k0 = self._population(50)
+        first = 2**64 - 50
+        alive, hops = ladder_survival(x0, k0, a, b, tail, 0.5, 2.5, 3, first=first)
+        for i in (0, 17, 49):
+            want = ladder_survival(x0[i:i + 1], k0[i:i + 1], a, b, tail, 0.5, 2.5, 3,
+                                   first=first + i)
+            assert (alive[i], hops[i]) == (want[0][0], want[1][0])
 
 
 def disk_table():
@@ -791,25 +813,35 @@ class TestRunBlocks:
     def test_chunks_cover_the_range_once_and_return_in_order(self, monkeypatch, workers):
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
         lock = threading.Lock()
-        ran, threads = [], set()
+        ran, threads, made = [], set(), []
 
-        def work(lo, hi):
-            # early chunks take longest, so later ones finish first
-            time.sleep(0.001 * (10 - lo))
+        def worker():
+            # each worker makes its work once, and only that worker runs it
+            mine = threading.current_thread()
             with lock:
-                ran.append((lo, hi))
-                threads.add(threading.current_thread())
-            return lo, hi
+                made.append(mine)
 
-        got = _kernels._run_blocks(10, 3, work)
+            def work(lo, hi):
+                assert threading.current_thread() is mine
+                # early chunks take longest, so later ones finish first
+                time.sleep(0.001 * (10 - lo))
+                with lock:
+                    ran.append((lo, hi))
+                    threads.add(mine)
+                return lo, hi
+
+            return work
+
+        got = _kernels._run_blocks(10, 3, worker)
         assert got == [(0, 3), (3, 6), (6, 9), (9, 10)]
         assert sorted(ran) == got
         assert threading.current_thread() in threads and len(threads) <= workers
+        assert len(made) == len(set(made)) == min(workers, 4) and threads <= set(made)
 
     def test_one_chunk_per_worker(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
         ran = []
-        _kernels._run_blocks(10, 4, lambda lo, hi: ran.append((lo, hi)))
+        _kernels._run_blocks(10, 4, lambda: lambda lo, hi: ran.append((lo, hi)))
         assert sorted(ran) == [(0, 4), (4, 8), (8, 10)]
 
     @pytest.mark.parametrize("failing", [0, 2])
@@ -828,7 +860,7 @@ class TestRunBlocks:
 
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="failed"):
-            _kernels._run_blocks(30, 3, work)
+            _kernels._run_blocks(30, 3, lambda: work)
         assert threading.active_count() == before
         # no worker pulls a chunk once the error is in
         assert 3 * failing in ran and len(ran) == len(set(ran)) <= failing + 3

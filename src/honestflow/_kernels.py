@@ -4,12 +4,13 @@ survival Monte Carlo.
 The ladder walk steps a slice of particles hop by hop.  A billiard has one
 full-state transport, ``billiard_transport``, and counts kernels.  The
 polygon steps event by event, all times in one sweep that hands each row's
-particles, as they close, to a sink: ``polygon_counts`` writes the rows,
-``polygon_tallies`` counts them.  The disk's closed form costs O(1) per
-particle: ``disk_counts`` computes a held ensemble's chords once for all
-times, and ``disk_tallies`` counts a sampler's slices as it draws them,
-writing every step of a slice through ``out=`` into buffers each worker
-makes once.  A tally counts, per rebound count, the particles and the
+particles, as they close, to a sink: ``polygon_counts`` writes a held
+ensemble's rows, ``polygon_tallies`` counts a sampler's, each block drawing
+its particles into its working state.  The disk's closed form costs O(1)
+per particle: ``disk_counts`` computes a held ensemble's chords once for
+all times, and ``disk_tallies`` counts a sampler's slices as it draws them,
+writing every step through ``out=`` into buffers each worker makes once.
+A tally keeps running counts, per rebound count, of the particles and the
 flagged ones.  Threaded kernels run on ``_run_blocks``, one worker per CPU
 with work of its own, bitwise the same as one pass.  Billiard kernels read
 ``GRAZE_EPS`` and ``ITER_CAP``.
@@ -22,6 +23,7 @@ vectorisation, chunking or evaluation order.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import os
 import threading
@@ -200,10 +202,9 @@ def _run_blocks(size, chunk, worker):
     worker raises stops every worker after its current chunk, and is raised
     again here.
     """
-    bounds = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
-    pending = iter(enumerate(bounds))
+    pending = enumerate(range(0, size, chunk))
     lock = threading.Lock()
-    results = [None] * len(bounds)
+    results = [None] * -(-size // chunk)
     errors = []
 
     def run():
@@ -211,15 +212,15 @@ def _run_blocks(size, chunk, worker):
             work = worker()
             while not errors:
                 with lock:
-                    i, block = next(pending, (None, None))
-                if block is None:
+                    i, lo = next(pending, (None, None))
+                if lo is None:
                     return
-                results[i] = work(*block)
+                results[i] = work(lo, min(lo + chunk, size))
         except BaseException as exc:
             errors.append(exc)
 
     threads = [threading.Thread(target=run)
-               for _ in range(min(_sweep_workers(size), len(bounds)) - 1)]
+               for _ in range(min(_sweep_workers(size), len(results)) - 1)]
     for thread in threads:
         thread.start()
     run()
@@ -230,13 +231,37 @@ def _run_blocks(size, chunk, worker):
     return results
 
 
-def _sum_counts(parts):
-    # the sum of integer counts of any lengths, each zero-padded
-    parts = list(parts)
-    total = np.zeros(max((part.size for part in parts), default=0), dtype=np.intp)
-    for part in parts:
-        total[:part.size] += part
+def _add_counts(total, part):
+    # total + part, counts zero-padded: into total unless part is longer
+    if part.size > total.size:
+        total, part = part.astype(np.intp), total
+    total[:part.size] += part
     return total
+
+
+class _Tally:
+    # per row, running totals of np.bincount of the counts added and of the
+    # flagged ones' counts; as a polygon sweep's sink, of the closing cells'
+    def __init__(self, rows):
+        self.rows = [[np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)]
+                     for _ in range(rows)]
+
+    def add(self, k, n, flagged):
+        row = self.rows[k]
+        row[0] = _add_counts(row[0], np.bincount(n))
+        if flagged is not None:
+            row[1] = _add_counts(row[1], np.bincount(flagged))
+
+    def __call__(self, k, jj, lanes, flag, state):
+        n = lanes[1][jj]
+        self.add(k, n, None if flag is False else n if flag is True else n[flag[jj]])
+
+
+def _totals(tallies, rows):
+    # every row's (counts, flagged counts), summed over the tallies
+    return [tuple(functools.reduce(_add_counts, (t.rows[k][i] for t in tallies),
+                                   np.zeros(0, dtype=np.intp)) for i in (0, 1))
+            for k in range(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -464,35 +489,38 @@ def disk_tallies(states, size, geom, times):
     ``distinct_times(times)``, for the ``(n, d)`` that ``disk_counts``
     yields on ``size`` particles with no rebound and no flag, whose states
     ``states(lo, hi, out, work)`` writes: ``x, y, vx, vy`` of particles
-    lo..hi-1 into the four buffers ``out``, through four float64 buffers
-    ``work``.  Each worker counts one ``DISK_CHUNK`` slice at a time in
-    buffers it makes once, and the slices' counts are added after the
-    join, so nothing is held per particle.
+    lo..hi-1 (at most ``DISK_CHUNK``) into the four buffers ``out``, through
+    four float64 buffers ``work``.  Each worker counts one slice at a time
+    in buffers it makes once, into running totals of its own, and these are
+    added after the join, so nothing is held per particle or slice.
     """
     times = distinct_times(times).tolist()
     geometry = _disk_geometry(geom)
+    tallies = []
 
     def worker():
-        # x, y, vx, vy, then the chords' buffers, the first two s0 and tau
-        buf = [np.empty(min(size, DISK_CHUNK)) for _ in range(11)]
-        masks = [np.empty(buf[0].size, dtype=np.bool_) for _ in range(3)]
-        n = np.empty(buf[0].size, dtype=np.intp)
+        # rows of one block: x, y, vx, vy, then the chords' buffers (s0 and
+        # tau first), the intp counts, and three masks in the last row
+        chunk = min(size, DISK_CHUNK)
+        buf = np.empty((13, chunk))
+        n, masks = buf[11].view(np.intp), buf[12].view(np.bool_)[:3 * chunk].reshape(3, chunk)
+        tally = _Tally(len(times))
+        tallies.append(tally)
 
         def work(lo, hi):
             m = hi - lo
             state = [a[:m] for a in buf[:4]]
             states(lo, hi, state, buf[4:8])
-            s0, tau, grazed = _disk_chords(*state, *geometry, buf[4:], masks)
-            # each time's counts, and the counts of the lanes it flags; the
-            # step's float buffer is the chords' spent v2
-            steps = (_disk_step(s0, tau, grazed, t, buf[6][:m], masks[2][:m], n[:m]) for t in times)
-            return [(np.bincount(n[:m]), np.bincount(n[flagged])) for flagged in steps]
+            s0, tau, grazed = _disk_chords(*state, *geometry, buf[4:11], masks)
+            # the step's float buffer is the chords' spent v2
+            for k, t in enumerate(times):
+                flagged = _disk_step(s0, tau, grazed, t, buf[6][:m], masks[2][:m], n[:m])
+                tally.add(k, n[:m], n[flagged])
 
         return work
 
-    slices = _run_blocks(size, DISK_CHUNK, worker)
-    return [tuple(_sum_counts(part[k][i] for part in slices) for i in (0, 1))
-            for k in range(len(times))]
+    _run_blocks(size, DISK_CHUNK, worker)
+    return _totals(tallies, len(times))
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +570,6 @@ def _row_sink(out):
     return sink
 
 
-class _Tally:
-    # a sink that keeps, per row, np.bincount of its closing particles'
-    # counts and of the flagged ones' counts
-    def __init__(self, rows):
-        self.rows = [([], []) for _ in range(rows)]
-
-    def __call__(self, k, jj, lanes, flag, state):
-        n = lanes[1][jj]
-        counts, flagged = self.rows[k]
-        counts.append(np.bincount(n))
-        if flag is not False:
-            flagged.append(np.bincount(n if flag is True else n[flag[jj]]))
-
-
 def _close(sink, mask, k0, lanes, flag, state):
     # hands row k0 + k the lanes set in mask's row k, found by one flat
     # nonzero per row; state(k, jj) gives their positions and velocities
@@ -591,22 +605,12 @@ def _drop_rows(rem_buf, rem, closed, kept, row):
     return rem_buf[:(rem.shape[0] - closed) * m].reshape(-1, m)
 
 
-def _sweep_block(pos, vel, weight, rebounds, degenerate, sink, normals, offsets, verts,
-                 times, scale, vert_eps):
-    # Hands each (row, particle) cell to ``sink`` once, as its row closes:
-    # sink(k, jj, lanes, flag, state) gets row k, the lanes jj closing in it
-    # of lanes = (index, count, weight), their flag (a bool or a lane mask)
-    # and state(), their positions and velocities.  At scale 1 no weight is
-    # tracked: the lane weight is None, and ``weight`` may be.
+def _held_start(arrays, lo, hi, sink, times, scale):
+    # a sweep's start from the held arrays' particles lo..hi-1, left alone
+    pos, vel, weight, rebounds, degenerate = (a[lo:hi] for a in arrays)
     held = np.flatnonzero(degenerate)
     idx = np.flatnonzero(~degenerate) if times.size and times[-1] > 0.0 else np.arange(0)
     m = idx.size
-    # Work buffers of m lanes: the working state (position, velocity, graze
-    # threshold GRAZE_EPS * speed, the weight below scale 1; index, count),
-    # spare float and int buffers and two masks, used in prefixes of the m
-    # working particles.  The remaining times rem (row k is the sink's row
-    # k0 + k) and two masks of its shape view flat buffers.  Compaction moves
-    # each state array into a spare, and rem to the front of its buffer.
     state = [pos[idx, 0], pos[idx, 1], vel[idx, 0], vel[idx, 1],
              GRAZE_EPS * np.sqrt(np.sum(vel * vel, axis=1))[idx]]
     if scale != 1.0:
@@ -614,21 +618,58 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, sink, normals, offsets,
     # every buffer of a kind shares one type, whatever the inputs' types
     state = [a.astype(np.float64, copy=False) for a in state]
     ints = [idx, rebounds[idx].astype(np.intp, copy=False)]
+    # cells closed before the first round hold the input state: a zero
+    # time's row (the first) and every row of a particle flagged on input
+    every = np.arange(degenerate.size)
+    lanes = (every, rebounds, None if scale == 1.0 else weight)
+    for k, t in enumerate(times.tolist()):
+        jj = every if t == 0.0 else held
+        if jj.size:
+            sink(k, jj, lanes, degenerate, lambda: (pos[jj, 0], pos[jj, 1], vel[jj, 0], vel[jj, 1]))
+    return state, ints, [np.empty(m) for _ in range(5)]
+
+
+def _drawn_start(states, lo, hi, sink, times, scale):
+    # a sweep's start from particles lo..hi-1 drawn by ``states`` as for
+    # disk_tallies, with no rebound, flag, weight or state: for count sinks
+    m = hi - lo if times.size and times[-1] > 0.0 else 0
+    state = [np.empty(m) for _ in range(5)]
     spare = [np.empty(m) for _ in range(5)]
+    vx, vy, gs = state[2:]
+    # into the working state, a sampler's slice at a time, through 4 spares
+    for a in range(0, m, DISK_CHUNK):
+        b = min(a + DISK_CHUNK, m)
+        states(lo + a, lo + b, [v[a:b] for v in state[:4]], spare[:4])
+    # GRAZE_EPS * speed, the bits of the held start's sum over vel * vel
+    np.add(np.multiply(vx, vx, out=gs), np.multiply(vy, vy, out=spare[0]), out=gs)
+    np.multiply(np.sqrt(gs, out=gs), GRAZE_EPS, out=gs)
+    ints = [np.arange(hi - lo), np.zeros(hi - lo, dtype=np.intp)]
+    if times.size and times[0] == 0.0:
+        sink(0, ints[0], (*ints, None), False, None)
+    return state, ints, spare
+
+
+def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, vert_eps):
+    # Hands each (row, particle) cell of particles lo..hi-1 to ``sink`` once,
+    # as its row closes: sink(k, jj, lanes, flag, state) gets row k, the
+    # lanes jj closing in it of lanes = (index, count, weight), their flag
+    # (a bool or a lane mask) and state(), their positions and velocities;
+    # at scale 1 the lane weight is None.  start(lo, hi, sink, times, scale)
+    # hands the sink the cells closed before the first round and returns the
+    # work buffers of m lanes: the state (position, velocity, graze threshold
+    # GRAZE_EPS * speed, the weight below scale 1), the ints (index, count)
+    # and 5 spare floats.  Spare ints and two masks join them, used in
+    # prefixes, and the remaining times rem (row k is the sink's row k0 + k)
+    # and two masks of its shape view flat buffers.  Compaction moves each
+    # state array into a spare, and rem to the front of its buffer.
+    state, ints, spare = start(lo, hi, sink, times, scale)
+    m = state[0].size
     ispare = [np.empty(m, dtype=np.intp) for _ in range(2)]
     marks = [np.empty(m, dtype=np.bool_) for _ in range(2)]
     rem_buf = np.repeat(times, m)
     rem = rem_buf.reshape(times.size, m)
     cells = [np.empty(rem.size, dtype=np.bool_) for _ in range(2)]
     nxs, nys = np.ascontiguousarray(normals.T)
-    # cells closed before the first round hold the input state: a zero
-    # time's row (the first) and every row of a particle flagged on input
-    every = np.arange(degenerate.size)
-    start = (every, rebounds, None if scale == 1.0 else weight)
-    for k, t in enumerate(times.tolist()):
-        jj = every if t == 0.0 else held
-        if jj.size:
-            sink(k, jj, start, degenerate, lambda: (pos[jj, 0], pos[jj, 1], vel[jj, 0], vel[jj, 1]))
     k0 = 0
     rounds = 0
     # a particle with no hit ahead (s = inf) only ever flies; the garbage its
@@ -739,9 +780,9 @@ def _sweep_block(pos, vel, weight, rebounds, degenerate, sink, normals, offsets,
     return sink
 
 
-def _polygon_sweep(arrays, sink, geom, times, scale):
-    # sweeps each block lo..hi-1 into the sink sink(lo, hi), and returns
-    # the sinks in block order
+def _polygon_sweep(size, start, sink, geom, times, scale):
+    # sweeps each block lo..hi-1 of size particles, started by start, into
+    # the sink sink(lo, hi), and returns the sinks in block order
     normals, offsets = geom.edge_normals()
     verts = np.array(geom.vertices, dtype=np.float64)
     # relative to the largest coordinate, whose magnitude sets the rounding
@@ -751,9 +792,8 @@ def _polygon_sweep(arrays, sink, geom, times, scale):
 
     # particles never interact, so a block swept alone hands its sink
     # bitwise the cells a whole sweep gives it; one block per worker
-    size = arrays[0].shape[0]
     return _run_blocks(size, max(1, -(-size // _sweep_workers(size))), lambda: lambda lo, hi: (
-        _sweep_block(*(None if a is None else a[lo:hi] for a in arrays), sink(lo, hi), *consts)))
+        _sweep_block(start, lo, hi, sink(lo, hi), *consts)))
 
 
 def distinct_times(times) -> np.ndarray:
@@ -782,24 +822,27 @@ def polygon_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
     shape = (times.size, weight.shape[0])
     weights = np.broadcast_to(weight, shape) if scale == 1.0 else np.empty(shape, weight.dtype)
     out = (weights, np.empty(shape, rebounds.dtype), np.empty(shape, degenerate.dtype))
-    _polygon_sweep((pos, vel, weight, rebounds, degenerate),
+    arrays = (pos, vel, weight, rebounds, degenerate)
+    _polygon_sweep(shape[1], functools.partial(_held_start, arrays),
                    lambda lo, hi: _row_sink(tuple(o[:, lo:hi] for o in out)), geom, times, scale)
     return out
 
 
-def polygon_tallies(pos, vel, rebounds, degenerate, geom, times):
-    """Integer tallies of a polygon ensemble's rebound counts at every one
-    of ``times``: ``(np.bincount(n), np.bincount(n[d]))`` per time of
-    ``distinct_times(times)``, for the row ``(n, d)`` of ``polygon_counts``.
+def polygon_tallies(states, size, geom, times):
+    """Integer tallies of a sampled polygon's rebound counts at every one of
+    ``times``: ``(np.bincount(n), np.bincount(n[d]))`` per time of
+    ``distinct_times(times)``, for the rows ``(n, d)`` of ``polygon_counts``
+    on ``size`` particles with no rebound and no flag, whose states
+    ``states(lo, hi, out, work)`` writes as ``disk_tallies`` takes them.
     One sweep takes every time, tracks no weight and writes no row: each
-    block counts its cells as they close, and the blocks' counts are added
-    after the join.
+    block draws its particles straight into its working state, one
+    ``DISK_CHUNK`` slice at a time, and keeps running totals of its cells'
+    counts as they close; the blocks' totals are added after the join.
     """
     times = distinct_times(times)
-    blocks = _polygon_sweep((pos, vel, None, rebounds, degenerate),
+    blocks = _polygon_sweep(size, functools.partial(_drawn_start, states),
                             lambda lo, hi: _Tally(times.size), geom, times, 1.0)
-    return [tuple(_sum_counts(part for b in blocks for part in b.rows[k][i]) for i in (0, 1))
-            for k in range(times.size)]
+    return _totals(blocks, times.size)
 
 
 def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t, scale=1.0):
@@ -824,6 +867,7 @@ def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t, scale=1.
                             float(geom.radius), float(t), float(scale))
         return arrays
     # one row, written straight into the inputs
-    _polygon_sweep(arrays, lambda lo, hi: _row_sink(tuple(a[None, lo:hi] for a in arrays)),
+    _polygon_sweep(pos.shape[0], functools.partial(_held_start, arrays),
+                   lambda lo, hi: _row_sink(tuple(a[None, lo:hi] for a in arrays)),
                    geom, np.array([float(t)]), scale)
     return arrays

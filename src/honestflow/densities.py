@@ -19,7 +19,7 @@ weight.  ``transport_counts_times`` yields the counts along a trajectory
 without transporting positions on a disk.  A sampled ensemble's particles
 start alike, so its tallies come from integer counts alone
 (``ReboundTally.from_counts``); ``sample_counts`` counts a sampled
-ensemble, and never holds a disk's particles.
+ensemble, and never holds its particles.
 """
 
 from __future__ import annotations
@@ -242,8 +242,8 @@ class ReboundTally:
         ``histogram[n]`` is 0.0 + w + w + ... over ``counts[n]`` copies of w,
         the bits of ``np.bincount(n, weights=w)``.  Given ``mass``, no weight
         has changed since sampling: it is the total, and the degenerate
-        weight is ``np.full(f, weights[0]).sum()`` over the f flagged, the
-        bits of ``w[d].sum()``.  Else both are ``math.fsum`` of their bins.
+        weight is the sum of f copies of ``weights[0]`` over the f flagged,
+        the bits of ``w[d].sum()``.  Else both are ``math.fsum`` of their bins.
         """
         # every time's counts and flagged counts, zero-padded to one width
         grid = np.zeros((2, len(tallies), weights.size), dtype=np.intp)
@@ -255,7 +255,7 @@ class ReboundTally:
         hists = [sums[0, k, :counts.size].copy() for k, (counts, _) in enumerate(tallies)]
         if mass is None:
             return [cls(size, math.fsum(h), h, math.fsum(f)) for h, f in zip(hists, sums[1])]
-        return [cls(size, mass, h, float(np.full(f.sum(), weights[0]).sum()))
+        return [cls(size, mass, h, float(np.broadcast_to(weights[0], (f.sum(),)).sum()))
                 for h, (_, f) in zip(hists, tallies)]
 
     def __len__(self) -> int:
@@ -558,21 +558,17 @@ def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float
     rebounds on a disk and ``(1 / n) * scale * ... * scale`` on a polygon,
     as each lane's kernels weigh it.  At scale 1 each tally is bitwise that
     of ``transport_counts_times`` on the sampled ensemble, and below 1 its
-    histogram is.  Bad requests and times raise ValueError here.  A disk's
-    particles are never held whole (``_kernels.disk_tallies``).
+    histogram is.  Bad requests and times raise ValueError here.  No
+    particle is held: each kernel worker draws its own into its buffers.
     """
     ts = _kernels.distinct_times(times)
-    disk = geom.shape == "disk"
-    source = (_state_sampler if disk else sample_ensemble)(geom, n, seed, region)
+    draw = _state_sampler(geom, n, seed, region)
     # the sampled ensemble's weights, summed as its mass() sums them
-    mass = float(np.full(n, 1.0 / n).sum())
+    mass = float(np.broadcast_to(1.0 / n, (n,)).sum())
     if not ts.size:
         return mass, iter(())
-    if disk:
-        tallies = _kernels.disk_tallies(source, n, geom, ts)
-    else:
-        tallies = _kernels.polygon_tallies(source.pos, source.vel, source.rebounds,
-                                           source.degenerate, geom, ts)
+    disk = geom.shape == "disk"
+    tallies = (_kernels.disk_tallies if disk else _kernels.polygon_tallies)(draw, n, geom, ts)
     width = max(counts.size for counts, _ in tallies)
     w0, scale = 1.0 / n, float(scale)
     weights = (w0 * scale ** np.arange(width) if disk

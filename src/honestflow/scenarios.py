@@ -710,8 +710,8 @@ def time_series_csv(result: ScenarioResult) -> str:
             _fmt(row.t), _fmt(row.mass), _fmt(row.mass_defect),
             _fmt(row.degenerate_weight), str(row.max_rebounds),
         ]
-        cells += [_fmt(m) for m in row.rebound_masses]
-        cells += [_fmt(v) for v in row.tail_weights]
+        # floats all: _fmt's last branch, with no type tests
+        cells += [format(float(x), ".17g") for x in row.rebound_masses + row.tail_weights]
         buf.write(",".join(cells) + "\n")
     return buf.getvalue()
 

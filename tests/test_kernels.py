@@ -746,16 +746,16 @@ class TestSweepBlocks:
 
     def test_worker_errors_propagate(self, monkeypatch):
         geom, ens = self._ensemble()
-        sweep = _kernels._sweep_block
+        start = _kernels._held_start
 
-        def failing(pos, *args):
+        def failing(arrays, lo, hi, *args):
             # only the last block fails
-            if pos.shape[0] == 99:
+            if hi - lo == 99:
                 raise FloatingPointError("block failed")
-            return sweep(pos, *args)
+            return start(arrays, lo, hi, *args)
 
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 3)
-        monkeypatch.setattr(_kernels, "_sweep_block", failing)
+        monkeypatch.setattr(_kernels, "_held_start", failing)
         with pytest.raises(FloatingPointError, match="block failed"):
             snapshots(ens, geom, (1.0,))
 

@@ -1145,16 +1145,17 @@ class TestRunScenario:
             assert row.max_rebounds == ref.rebounds.max()
             assert row.degenerate_weight == math.fsum(np.bincount(n[d], weights=w[d]).tolist())
 
-    def test_disk_runs_hold_no_particle_state(self, monkeypatch):
-        # a disk is sampled straight into chords: with every way to build a
-        # particle state refused, the run and the honesty window give the
-        # same reports
-        cfg = parse_config(DISK_TEXT)
+    @pytest.mark.parametrize("text", [DISK_TEXT, POLYGON_TEXT], ids=["disk", "polygon"])
+    def test_billiard_runs_hold_no_particle_state(self, monkeypatch, text):
+        # a sampled table is drawn straight into its kernel's work buffers:
+        # with every way to build a particle state refused, the run and the
+        # honesty window give the same reports
+        cfg = parse_config(text)
         want = run_scenario(cfg)
         windows = [_window_decay(cfg, w) for w in cfg.windows]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a disk run built a particle state")
+            raise AssertionError("a billiard run built a particle state")
 
         monkeypatch.setattr(densities, "sample_ensemble", refuse)
         monkeypatch.setattr(scenarios, "sample_ensemble", refuse)
@@ -1164,8 +1165,11 @@ class TestRunScenario:
         assert time_series_csv(got) == time_series_csv(want)
         assert summary_text(got) == summary_text(want)
         assert [_window_decay(cfg, w) for w in cfg.windows] == windows
+        # the patch is live: building a state still raises
         with pytest.raises(AssertionError, match="particle state"):
-            run_scenario(parse_config(POLYGON_TEXT))
+            densities.sample_ensemble(cfg.geometry, cfg.count, cfg.seed, cfg.region)
+        with pytest.raises(AssertionError, match="particle state"):
+            ParticleEnsemble(*(np.zeros((1, 2)),) * 2, *(np.zeros(1),) * 3, 0)
 
     def test_ladder_csv_is_reproducible(self):
         cfg = resolve_config("geometric-ladder-dishonest")

@@ -1,19 +1,19 @@
 """Hot numerical kernels: billiard ensemble transport and the 1D ladder
 survival Monte Carlo.
 
-The ladder walk steps a slice of particles hop by hop.  A billiard has one
-full-state transport, ``billiard_transport``, and counts kernels.  The
-polygon steps event by event, all times in one sweep that hands each row's
-particles, as they close, to a sink: ``polygon_counts`` writes a held
-ensemble's rows, ``polygon_tallies`` counts a sampler's, each block drawing
-its particles into its working state.  The disk's closed form costs O(1)
-per particle: ``disk_counts`` computes a held ensemble's chords once for
-all times, and ``disk_tallies`` counts a sampler's slices as it draws them,
-writing every step through ``out=`` into buffers each worker makes once.
-A tally keeps running counts, per rebound count, of the particles and the
-flagged ones.  Threaded kernels run on ``_run_blocks``, one worker per CPU
-with work of its own, bitwise the same as one pass.  Billiard kernels read
-``GRAZE_EPS`` and ``ITER_CAP``.
+The ladder walk steps a slice of particles hop by hop.  A billiard table
+has two kernels: ``billiard_transport`` moves a held ensemble's full state
+to one time in place, and a tally kernel counts a sampler's particles at
+every time without holding them.  The polygon steps event by event in a
+sweep that hands each row's particles, as they close, to a sink: the
+transport writes its one row into its inputs, and ``polygon_tallies``
+counts every time's row, each block drawing its particles into its working
+state.  The disk's closed form costs O(1) per particle: ``disk_tallies``
+counts a sampler's slices as it draws them, through ``out=`` into buffers
+each worker makes once.  A tally keeps running counts, per rebound count,
+of the particles and the flagged ones.  Threaded kernels run on
+``_run_blocks``, one worker per CPU with work of its own, bitwise the same
+as one pass.  Billiard kernels read ``GRAZE_EPS`` and ``ITER_CAP``.
 
 Randomness is counter-based: every uniform draw is a pure function of
 (seed, particle index, stream index) through a splitmix64 finaliser, hashed
@@ -253,7 +253,7 @@ class _Tally:
             row[1] = _add_counts(row[1], np.bincount(flagged))
 
     def __call__(self, k, jj, lanes, flag, state):
-        n = lanes[1][jj]
+        n = lanes[0][jj]
         self.add(k, n, None if flag is False else n if flag is True else n[flag[jj]])
 
 
@@ -274,7 +274,7 @@ def _totals(tallies, rows):
 # pi - 2 theta.  The state at time t is the first hit and its reflection
 # rotated k = floor((t - s0) / tau) times, plus the leftover flight.  s0, the
 # graze test and tau do not depend on t; the helpers below compute each one
-# way for every kernel, so the full-state and counts kernels agree bitwise.
+# way for both kernels, so the full-state kernel and the tallies agree.
 # They write through out= into buffers their callers make, used in prefixes.
 
 # particles per slice of the closed-form kernels: sets the size of each
@@ -434,65 +434,16 @@ def _disk_geometry(geom):
     return float(cx), float(cy), float(geom.radius)
 
 
-def disk_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
-    """Rebound counts of a held disk ensemble at every one of ``times``.
-
-    The input arrays are left alone.  Returns an iterator of ``(weight,
-    rebounds, degenerate)`` over ``distinct_times(times)``; the k-th is
-    bitwise what ``billiard_transport`` leaves in those arrays on a copy of
-    the ensemble for the k-th time.  At scale 1 every time yields one
-    read-only weight array, ``weight`` or a read-only view of it.  Each
-    particle's first hit and chord period, 16 bytes, are computed at the
-    call on ``_run_blocks``; each time is then one streaming pass over them.
-    """
-    times = distinct_times(times).tolist()
-    geometry = _disk_geometry(geom)
-    size = weight.shape[0]
-    chunk = min(size, DISK_CHUNK)
-    s0, tau = np.empty(size), np.empty(size)
-
-    def worker():
-        # every value depends on its own particle alone, so any number of
-        # workers gives the bytes of one whole pass
-        work = [np.empty(chunk) for _ in range(5)]
-        masks = [np.empty(chunk, dtype=np.bool_) for _ in range(2)]
-        return lambda lo, hi: _disk_chords(
-            pos[lo:hi, 0], pos[lo:hi, 1], vel[lo:hi, 0], vel[lo:hi, 1], *geometry,
-            (s0[lo:hi], tau[lo:hi], *work), masks)[2]
-
-    grazes = _run_blocks(size, DISK_CHUNK, worker)
-    # an input-degenerate particle never moves, so its first hit is at inf
-    s0[degenerate] = np.inf
-    if scale == 1.0 and weight.flags.writeable:
-        weight = weight.view()
-        weight.flags.writeable = False
-
-    def steps():
-        q, hit, n = np.empty(chunk), np.empty(chunk, dtype=np.bool_), np.empty(chunk, dtype=np.intp)
-        for t in times:
-            w = weight if scale == 1.0 else np.empty_like(weight)
-            counts, flags = np.empty_like(rebounds), degenerate.copy()
-            for lo, grazed in zip(range(0, size, DISK_CHUNK), grazes):
-                sl, m = slice(lo, lo + DISK_CHUNK), min(DISK_CHUNK, size - lo)
-                flags[sl][_disk_step(s0[sl], tau[sl], grazed, t, q[:m], hit[:m], n[:m])] = True
-                np.add(rebounds[sl], n[:m], out=counts[sl])
-                if scale != 1.0:
-                    np.multiply(weight[sl], np.power(scale, n[:m], out=q[:m]), out=w[sl])
-            yield w, counts, flags
-
-    return steps()
-
-
 def disk_tallies(states, size, geom, times):
-    """Integer tallies of a sampled disk's rebound counts at every one of
-    ``times``: ``(np.bincount(n), np.bincount(n[d]))`` per time of
-    ``distinct_times(times)``, for the ``(n, d)`` that ``disk_counts``
-    yields on ``size`` particles with no rebound and no flag, whose states
-    ``states(lo, hi, out, work)`` writes: ``x, y, vx, vy`` of particles
-    lo..hi-1 (at most ``DISK_CHUNK``) into the four buffers ``out``, through
-    four float64 buffers ``work``.  Each worker counts one slice at a time
-    in buffers it makes once, into running totals of its own, and these are
-    added after the join, so nothing is held per particle or slice.
+    """Integer tallies of a sampled disk's rebound counts: ``(np.bincount(n),
+    np.bincount(n[d]))`` per time of ``distinct_times(times)``, for the
+    rebounds and flags ``(n, d)`` that ``billiard_transport`` leaves there on
+    ``size`` particles with neither, whose states ``states(lo, hi, out,
+    work)`` writes: ``x, y, vx, vy`` of particles lo..hi-1 (at most
+    ``DISK_CHUNK``) into the four buffers ``out``, through four float64
+    buffers ``work``.  Each worker counts one slice at a time in buffers it
+    makes once, into running totals of its own, added after the join, so
+    nothing is held per particle or slice.
     """
     times = distinct_times(times).tolist()
     geometry = _disk_geometry(geom)
@@ -550,22 +501,17 @@ def _select(mask, a, b, flip):
     bits ^= flip
 
 
-def _row_sink(out):
-    # a sink writing each closing cell into out's (pos, vel, weight,
-    # rebounds, degenerate) rows, or counts only (weight, rebounds,
-    # degenerate); a lane weight of None leaves the weight rows alone
-    *full, weight, rebounds, degenerate = out
-
+def _row_sink(pos, vel, weight, rebounds, degenerate):
+    # a one-time sweep's sink, writing each closing particle's state into
+    # the arrays at its index; a lane weight of None leaves the weights alone
     def sink(k, jj, lanes, flag, state):
-        idx, n, w = lanes
+        n, w, idx = lanes
         cols = idx[jj]
-        if full:
-            pos, vel = full
-            pos[k, cols, 0], pos[k, cols, 1], vel[k, cols, 0], vel[k, cols, 1] = state()
+        pos[cols, 0], pos[cols, 1], vel[cols, 0], vel[cols, 1] = state()
         if w is not None:
-            weight[k, cols] = w[jj]
-        rebounds[k, cols] = n[jj]
-        degenerate[k, cols] = flag[jj] if isinstance(flag, np.ndarray) else flag
+            weight[cols] = w[jj]
+        rebounds[cols] = n[jj]
+        degenerate[cols] = flag[jj] if isinstance(flag, np.ndarray) else flag
 
     return sink
 
@@ -606,9 +552,10 @@ def _drop_rows(rem_buf, rem, closed, kept, row):
 
 
 def _held_start(arrays, lo, hi, sink, times, scale):
-    # a sweep's start from the held arrays' particles lo..hi-1, left alone
+    # a sweep's start from the held arrays' particles lo..hi-1, for a sink
+    # writing into them: a cell closed before the first round (a zero time,
+    # a particle flagged on input) holds its state already, so none is handed
     pos, vel, weight, rebounds, degenerate = (a[lo:hi] for a in arrays)
-    held = np.flatnonzero(degenerate)
     idx = np.flatnonzero(~degenerate) if times.size and times[-1] > 0.0 else np.arange(0)
     m = idx.size
     state = [pos[idx, 0], pos[idx, 1], vel[idx, 0], vel[idx, 1],
@@ -617,21 +564,14 @@ def _held_start(arrays, lo, hi, sink, times, scale):
         state.append(weight[idx])
     # every buffer of a kind shares one type, whatever the inputs' types
     state = [a.astype(np.float64, copy=False) for a in state]
-    ints = [idx, rebounds[idx].astype(np.intp, copy=False)]
-    # cells closed before the first round hold the input state: a zero
-    # time's row (the first) and every row of a particle flagged on input
-    every = np.arange(degenerate.size)
-    lanes = (every, rebounds, None if scale == 1.0 else weight)
-    for k, t in enumerate(times.tolist()):
-        jj = every if t == 0.0 else held
-        if jj.size:
-            sink(k, jj, lanes, degenerate, lambda: (pos[jj, 0], pos[jj, 1], vel[jj, 0], vel[jj, 1]))
+    ints = [rebounds[idx].astype(np.intp, copy=False), idx]
     return state, ints, [np.empty(m) for _ in range(5)]
 
 
 def _drawn_start(states, lo, hi, sink, times, scale):
     # a sweep's start from particles lo..hi-1 drawn by ``states`` as for
-    # disk_tallies, with no rebound, flag, weight or state: for count sinks
+    # disk_tallies, with no rebound, flag or weight, for count sinks: they
+    # read no state and no index lane
     m = hi - lo if times.size and times[-1] > 0.0 else 0
     state = [np.empty(m) for _ in range(5)]
     spare = [np.empty(m) for _ in range(5)]
@@ -643,25 +583,26 @@ def _drawn_start(states, lo, hi, sink, times, scale):
     # GRAZE_EPS * speed, the bits of the held start's sum over vel * vel
     np.add(np.multiply(vx, vx, out=gs), np.multiply(vy, vy, out=spare[0]), out=gs)
     np.multiply(np.sqrt(gs, out=gs), GRAZE_EPS, out=gs)
-    ints = [np.arange(hi - lo), np.zeros(hi - lo, dtype=np.intp)]
+    ints = [np.zeros(hi - lo, dtype=np.intp)]
     if times.size and times[0] == 0.0:
-        sink(0, ints[0], (*ints, None), False, None)
+        sink(0, slice(None), (ints[0], None), False, None)
     return state, ints, spare
 
 
 def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, vert_eps):
     # Hands each (row, particle) cell of particles lo..hi-1 to ``sink`` once,
     # as its row closes: sink(k, jj, lanes, flag, state) gets row k, the
-    # lanes jj closing in it of lanes = (index, count, weight), their flag
+    # lanes jj closing in it of lanes = (count, weight, *index), their flag
     # (a bool or a lane mask) and state(), their positions and velocities;
     # at scale 1 the lane weight is None.  start(lo, hi, sink, times, scale)
     # hands the sink the cells closed before the first round and returns the
     # work buffers of m lanes: the state (position, velocity, graze threshold
-    # GRAZE_EPS * speed, the weight below scale 1), the ints (index, count)
-    # and 5 spare floats.  Spare ints and two masks join them, used in
-    # prefixes, and the remaining times rem (row k is the sink's row k0 + k)
-    # and two masks of its shape view flat buffers.  Compaction moves each
-    # state array into a spare, and rem to the front of its buffer.
+    # GRAZE_EPS * speed, the weight below scale 1), the ints (count, and
+    # index if the sink reads one) and 5 spare floats.  Two spare ints and
+    # two masks join them, used in prefixes, and the remaining times rem
+    # (row k is the sink's row k0 + k) and two masks of its shape view flat
+    # buffers.  Compaction moves each state array into a spare, and rem to
+    # the front of its buffer.
     state, ints, spare = start(lo, hi, sink, times, scale)
     m = state[0].size
     ispare = [np.empty(m, dtype=np.intp) for _ in range(2)]
@@ -679,7 +620,7 @@ def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, ver
             rounds += 1
             x, y, vx, vy, gs, *w = (a[:m] for a in state)
             w = w[0] if w else None
-            idx, n = (a[:m] for a in ints)
+            n, *idx = (a[:m] for a in ints)
             s, dv, q, t, u = (a[:m] for a in spare)
             edge, step = (a[:m] for a in ispare)
             first, ahead = (a[:m] for a in marks)
@@ -709,7 +650,7 @@ def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, ver
             np.greater(rem, 0.0, out=open_)
             flown = np.greater(s, rem, out=closing)
             flown &= open_
-            lanes, here = (idx, n, w), lambda k, jj: (x[jj], y[jj], vx[jj], vy[jj])
+            lanes, here = (n, w, *idx), lambda k, jj: (x[jj], y[jj], vx[jj], vy[jj])
             _close(sink, flown, k0, lanes, False,
                    lambda k, jj: (x[jj] + vx[jj] * rem[k, jj], y[jj] + vy[jj] * rem[k, jj],
                                   vx[jj], vy[jj]))
@@ -807,37 +748,14 @@ def distinct_times(times) -> np.ndarray:
     return times
 
 
-def polygon_counts(pos, vel, weight, rebounds, degenerate, geom, times, scale):
-    """Rebound counts of a polygon ensemble at every one of ``times``.
-
-    The input arrays are left alone.  Returns ``(weight, rebounds,
-    degenerate)`` with a leading axis over ``distinct_times(times)``; row k
-    is bitwise what ``billiard_transport`` leaves in those arrays on a copy
-    of the inputs for the k-th time.  One sweep writes each row's cells as
-    they close, never positions or velocities: 17 bytes per particle and
-    row, plus 10 while the row runs.  At scale 1 the weight rows are one
-    read-only broadcast of ``weight``, and a row costs 9 bytes.
-    """
-    times = distinct_times(times)
-    shape = (times.size, weight.shape[0])
-    weights = np.broadcast_to(weight, shape) if scale == 1.0 else np.empty(shape, weight.dtype)
-    out = (weights, np.empty(shape, rebounds.dtype), np.empty(shape, degenerate.dtype))
-    arrays = (pos, vel, weight, rebounds, degenerate)
-    _polygon_sweep(shape[1], functools.partial(_held_start, arrays),
-                   lambda lo, hi: _row_sink(tuple(o[:, lo:hi] for o in out)), geom, times, scale)
-    return out
-
-
 def polygon_tallies(states, size, geom, times):
-    """Integer tallies of a sampled polygon's rebound counts at every one of
-    ``times``: ``(np.bincount(n), np.bincount(n[d]))`` per time of
-    ``distinct_times(times)``, for the rows ``(n, d)`` of ``polygon_counts``
-    on ``size`` particles with no rebound and no flag, whose states
-    ``states(lo, hi, out, work)`` writes as ``disk_tallies`` takes them.
-    One sweep takes every time, tracks no weight and writes no row: each
-    block draws its particles straight into its working state, one
-    ``DISK_CHUNK`` slice at a time, and keeps running totals of its cells'
-    counts as they close; the blocks' totals are added after the join.
+    """Integer tallies of a sampled polygon's rebound counts, as
+    ``disk_tallies`` gives a disk's, from states it takes alike.  One sweep
+    takes every time, with one row of remaining time each, tracks no weight
+    and writes no row: each block draws its particles straight into its
+    working state, one ``DISK_CHUNK`` slice at a time, and keeps running
+    totals of its cells' counts as they close; the blocks' totals are added
+    after the join.
     """
     times = distinct_times(times)
     blocks = _polygon_sweep(size, functools.partial(_drawn_start, states),
@@ -859,15 +777,14 @@ def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t, scale=1.
         raise ValueError("transport time must be finite and nonnegative")
     arrays = (pos, vel, weight, rebounds, degenerate)
     if geom.shape == "disk":
-        cx, cy = geom.center
         # at t = 0 nothing moves, not even a particle sitting on the wall
         if t > 0.0:
             for lo in range(0, pos.shape[0], DISK_CHUNK):
-                _disk_slice(*(a[lo:lo + DISK_CHUNK] for a in arrays), float(cx), float(cy),
-                            float(geom.radius), float(t), float(scale))
+                _disk_slice(*(a[lo:lo + DISK_CHUNK] for a in arrays), *_disk_geometry(geom),
+                            float(t), float(scale))
         return arrays
     # one row, written straight into the inputs
     _polygon_sweep(pos.shape[0], functools.partial(_held_start, arrays),
-                   lambda lo, hi: _row_sink(tuple(a[None, lo:hi] for a in arrays)),
+                   lambda lo, hi: _row_sink(*(a[lo:hi] for a in arrays)),
                    geom, np.array([float(t)]), scale)
     return arrays

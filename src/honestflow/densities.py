@@ -15,11 +15,12 @@ A :class:`ReboundCounts` holds the last three arrays alone.  A particle's
 rebound count is the expansion order it contributes to, so these are all
 that the ensemble reports read, and only through a :class:`ReboundTally`:
 the mass, the rebound histogram, its tail weights and the degenerate
-weight.  ``transport_counts_times`` yields the counts along a trajectory
-without transporting positions on a disk.  A sampled ensemble's particles
-start alike, so its tallies come from integer counts alone
+weight.  ``transport_counts_times`` yields a held ensemble's counts along a
+trajectory, one full-state transport per time.  A sampled ensemble's
+particles start alike, so its tallies come from integer counts alone
 (``ReboundTally.from_counts``); ``sample_counts`` counts a sampled
-ensemble, and never holds its particles.
+ensemble at every time in one pass, and never holds its particles.  The
+billiard entry points refuse a boundary weight scale outside (0, 1].
 """
 
 from __future__ import annotations
@@ -300,8 +301,9 @@ class ReboundCounts:
 
     Treat the arrays as read-only: the report values are tallied once, on
     first use, and every report derived from this record reads that tally.
-    Along a trajectory at scale 1 no weight changes, and every time's
-    record holds one shared read-only weight array.
+    Along a ``transport_counts_times`` trajectory at scale 1 no weight
+    changes, and every time's record holds the snapshot's one read-only
+    weight array.
     """
 
     weight: np.ndarray
@@ -558,10 +560,12 @@ def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float
     rebounds on a disk and ``(1 / n) * scale * ... * scale`` on a polygon,
     as each lane's kernels weigh it.  At scale 1 each tally is bitwise that
     of ``transport_counts_times`` on the sampled ensemble, and below 1 its
-    histogram is.  Bad requests and times raise ValueError here.  No
-    particle is held: each kernel worker draws its own into its buffers.
+    histogram is.  Bad requests, times and scales raise ValueError here.
+    No particle is held: each kernel worker draws its own into its
+    buffers, and one pass counts every time.
     """
     ts = _kernels.distinct_times(times)
+    _check_scale(scale)
     draw = _state_sampler(geom, n, seed, region)
     # the sampled ensemble's weights, summed as its mass() sums them
     mass = float(np.broadcast_to(1.0 / n, (n,)).sum())
@@ -581,6 +585,13 @@ def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float
 # largest coordinate magnitude: that magnitude sets the rounding of every
 # position on the table, transported ones on the wall included
 _OUTSIDE_SLACK = 1e-12
+
+
+def _check_scale(scale):
+    # the boundary operator has unit norm scaled by this weight, so a weight
+    # outside (0, 1], NaN among them, is refused as BoundaryRule refuses it
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("boundary weight scale must lie in (0, 1]")
 
 
 def _check_on_table(ens: ParticleEnsemble, geom: Billiard):
@@ -612,9 +623,10 @@ def transport_ensemble(
     Rebound counters accumulate one per reflection (the expansion order the
     particle currently contributes to); grazing hits freeze the particle and
     raise its degenerate flag.  ``scale`` is the per-reflection boundary
-    weight.  A particle outside the table, by more than rounding can put a
-    transported one there, raises ValueError naming its index.
+    weight, in (0, 1].  A particle outside the table, by more than rounding
+    can put a transported one there, raises ValueError naming its index.
     """
+    _check_scale(scale)
     _check_on_table(ens, geom)
     out = ens.copy()
     _kernels.billiard_transport(
@@ -623,68 +635,39 @@ def transport_ensemble(
     return out
 
 
-# particle states, summed over its times, one sweep of transport_counts_times
-# may hold in rows.  Its traced peak on the hexagon is about 146 bytes per
-# particle plus 19 per state at scale 1 (27 at other scales): 2^21 states of
-# 10^5 particles peak near 55 MB.  A sampled run's sweep holds no row
-SWEEP_STATES = 1 << 21
-
-
-def _polygon_trajectory(ens: ParticleEnsemble, weight, ts, geom: Billiard, scale: float):
-    # (t, counts) at the distinct ascending times ts, at least one, views of
-    # the sweep's rows: groups of at most rows times sweep from ens, with
-    # weight for its weights, the first at the call and a copy of ens later
-    rows = max(1, SWEEP_STATES // max(1, len(ens)))
-    if ts.size > rows:
-        ens = ens.copy()
-
-    def sweep(group):
-        counts = _kernels.polygon_counts(ens.pos, ens.vel, weight, ens.rebounds,
-                                         ens.degenerate, geom, group, scale)
-        return [ReboundCounts(*(a[k] for a in counts)) for k in range(group.size)]
-
-    return _walk_groups(sweep, sweep(ts[:rows]), ts, rows)
-
-
-def _walk_groups(run, records, ts, rows):
-    # the records the caller holds can keep the previous group alive while
-    # the next runs, but this generator does not
-    for lo in range(0, ts.size, rows):
-        group = ts[lo:lo + rows]
-        records = records if lo == 0 else run(group)
-        yield from zip(group.tolist(), records)
-        del records
-
-
 def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: float = 1.0):
     """The rebound counts of an ensemble's trajectory at several times.
 
     Returns an iterator of ``(t, counts)`` over the distinct ``times`` in
     ascending order; each ``counts`` is bitwise ``transport_ensemble(ens, t,
-    geom, scale).counts``.  Bad times, and particles outside the table as
-    ``transport_ensemble`` refuses them, raise ValueError here.  The result
-    is a snapshot of ``ens`` at the call: the weights are copied once,
-    read-only, and at scale 1 every time holds that copy.  No times give an
-    empty trajectory at once.  A disk copies the counters and flags too,
-    and ``_kernels.disk_counts`` computes each particle's chord at the
-    call, 16 bytes per particle; each time is then one streaming
-    pass.  A polygon sweeps per group of at most ``SWEEP_STATES`` particle
-    states, the first at the call, copying the ensemble only when there
-    are more, and yields views of ``_kernels.polygon_counts``' rows.  A
-    sweep peaks near 146 bytes per particle plus 19 per state at scale 1,
-    27 at other scales.
+    geom, scale).counts``.  Bad times and scales, and particles outside the
+    table as ``transport_ensemble`` refuses them, raise ValueError here.
+    The result is a snapshot of ``ens`` at the call, its weights read-only;
+    no times give an empty trajectory at once, with no snapshot.  Each time
+    is then one ``_kernels.billiard_transport`` on fresh copies of the
+    snapshot, and at scale 1 every time holds the snapshot's weights, which
+    no kernel writes there.
     """
     ts = _kernels.distinct_times(times)
+    _check_scale(scale)
     _check_on_table(ens, geom)
     if not ts.size:
         return iter(())
-    weight = ens.weight.copy()
-    weight.flags.writeable = False
-    if geom.shape == "disk":
-        steps = _kernels.disk_counts(ens.pos, ens.vel, weight, ens.rebounds.copy(),
-                                     ens.degenerate.copy(), geom, ts, scale)
-        return zip(ts.tolist(), (ReboundCounts(*arrays) for arrays in steps))
-    return _polygon_trajectory(ens, weight, ts, geom, scale)
+    snapshot = [a.copy() for a in (ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate)]
+    snapshot[2].flags.writeable = False
+    return _trajectory(snapshot, ts.tolist(), geom, float(scale))
+
+
+def _trajectory(snapshot, ts, geom: Billiard, scale: float):
+    # (t, counts) over ts, each moved from fresh copies of the snapshot;
+    # the positions and velocities are dropped as the kernel returns
+    pos, vel, weight, rebounds, degenerate = snapshot
+    for t in ts:
+        counts = ReboundCounts(weight if scale == 1.0 else weight.copy(), rebounds.copy(),
+                               degenerate.copy())
+        _kernels.billiard_transport(pos.copy(), vel.copy(), counts.weight, counts.rebounds,
+                                    counts.degenerate, geom, t, scale=scale)
+        yield t, counts
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,9 @@ MAX_GRID_POINTS = 256
 # this cap on a 2-core machine)
 MAX_N_CAP = 10**4
 
-# an ensemble holds 49 bytes per particle, about 0.5 GB at this many
+# a sampled polygon's sweep buffers take about 172 bytes per particle at five
+# times, 10 more per further time: about 1.7 GB at this many.  A disk's are
+# per worker
 MAX_PARTICLES = 10**7
 
 # billiard radii and speeds lie in [MIN_SCALE, MAX_SCALE], and every table

@@ -15,10 +15,10 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_import_loads_no_thread_pool():
-    # every threaded kernel (the polygon sweep, a held disk's chords, a
-    # sampled disk's tallies and the ensemble draw) starts plain threads
-    # through one block runner; concurrent.futures would add about 7 ms to
-    # every import
+    # every threaded kernel (the polygon sweep and a sampled disk's
+    # tallies) starts plain threads through one block runner;
+    # concurrent.futures would add about 7 ms to every import.
+    # sample_ensemble draws on the calling thread
     src = str(Path(honestflow.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)

@@ -258,52 +258,35 @@ class TestTransportTimes:
             for name in ("weight", "rebounds", "degenerate"):
                 assert np.array_equal(getattr(counts, name), getattr(ref, name))
 
-    def test_polygon_sweeps_are_bounded(self, monkeypatch):
-        geom = small_square()
-        ens = sample_ensemble(geom, 100, seed=12)
-        times = (0.0, 0.7, 1.5, 2.5, 4.0, 5.0, 7.25)
-        whole = list(transport_counts_times(ens, times, geom, 0.9))
-        sweeps = []
-        sweep = _kernels.polygon_counts
+    @pytest.mark.parametrize("table", [small_square, small_disk])
+    def test_one_transport_per_time_on_fresh_copies(self, monkeypatch, table):
+        # each time moves its own copies of the snapshot, in ascending order,
+        # as it is iterated
+        geom = table()
+        ens = sample_ensemble(geom, 200, seed=12)
+        calls = []
+        transport = _kernels.billiard_transport
 
-        def counted(*args):
-            counts = sweep(*args)
-            sweeps.append(counts[0].shape[0])
-            return counts
+        def counted(*args, **kwargs):
+            calls.append(args[6])
+            return transport(*args, **kwargs)
 
-        monkeypatch.setattr(_kernels, "polygon_counts", counted)
-        monkeypatch.setattr(densities, "SWEEP_STATES", 300)
-        grouped = list(transport_counts_times(ens, times, geom, 0.9))
-        assert sweeps == [3, 3, 1]
-        assert [t for t, _ in grouped] == [t for t, _ in whole] == list(times)
-        for (t, a), (_, b) in zip(grouped, whole):
+        monkeypatch.setattr(_kernels, "billiard_transport", counted)
+        trajectory = transport_counts_times(ens, (4.0, 0.0, 1.5, 4.0), geom, 0.9)
+        assert calls == []
+        got = [next(trajectory)]
+        assert calls == [0.0]
+        got += list(trajectory)
+        assert calls == [t for t, _ in got] == [0.0, 1.5, 4.0]
+        for t, counts in got:
             ref = transport_ensemble(ens, t, geom, scale=0.9)
-            for name in ("weight", "rebounds", "degenerate"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
-                assert np.array_equal(getattr(a, name), getattr(ref, name))
-        # the rows of one group view one sweep
-        assert grouped[0][1].weight.base is grouped[2][1].weight.base is not None
-        assert grouped[3][1].weight.base is not grouped[2][1].weight.base
-
-    def test_polygon_group_size(self, monkeypatch):
-        # at 25 bytes per state a sweep of 10^5 particles takes 20 times,
-        # about 50 MB; the groups are counted, not swept
-        ens = sample_ensemble(small_square(), 100_000, seed=1)
-        sweeps = []
-
-        def counted(pos, vel, weight, rebounds, degenerate, geom, times, scale):
-            sweeps.append(len(times))
-            return tuple(np.broadcast_to(a, (len(times), len(a)))
-                         for a in (weight, rebounds, degenerate))
-
-        monkeypatch.setattr(_kernels, "polygon_counts", counted)
-        times = np.arange(1, 26) * 0.5
-        assert len(list(transport_counts_times(ens, times, small_square()))) == 25
-        assert sweeps == [20, 5]
-        assert 20 * len(ens) <= densities.SWEEP_STATES < 21 * len(ens)
+            assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
+                               (ref.weight, ref.rebounds, ref.degenerate))
+        assert not any(np.shares_memory(a.rebounds, b.rebounds)
+                       for k, (_, a) in enumerate(got) for _, b in got[k + 1:])
 
     @pytest.mark.parametrize("scale", [0.9, 1.0])
-    def test_disk_counts_equal_separate_transports(self, monkeypatch, scale):
+    def test_disk_special_states_at_every_time(self, monkeypatch, scale):
         geom = off_centre_disk()
         cx, cy = geom.center
         ens = sample_ensemble(geom, 500, seed=12)
@@ -321,52 +304,30 @@ class TestTransportTimes:
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
         times = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
         # the tangent start lies outside the table: transport_counts_times
-        # refuses it, and the kernel it calls counts whatever it is given
+        # refuses it, and the kernel it runs moves whatever it is given
         with pytest.raises(ValueError, match="particle 0 "):
             transport_counts_times(ens, times, geom, scale)
-        steps = held_counts(ens, geom, times, scale)
-        got = list(zip(_kernels.distinct_times(times), (ReboundCounts(*a) for a in steps)))
+        got = [(t, transported(ens, geom, t, scale)) for t in _kernels.distinct_times(times)]
         assert [t for t, _ in got] == [0.0, 0.5, 2.5, 5.0, 9.0]
         assert got[-1][1].rebounds.max() > 3
         assert [bool(c.degenerate[0]) for _, c in got] == [False, False, True, True, True]
         assert [int(c.rebounds[1]) for _, c in got] == [0, 0, 1, 1, 2]
         assert got[0][1].rebounds[2] == 0 and got[1][1].rebounds[2] > 0
-        for t, counts in got:
-            ref = transported(ens, geom, t, scale)
-            assert isinstance(counts, ReboundCounts)
-            for name in ("weight", "rebounds", "degenerate"):
-                assert np.array_equal(getattr(counts, name), getattr(ref, name))
-            assert counts.rebounds[4] == 0 and counts.degenerate[4]
+        for _, moved in got:
+            assert moved.rebounds[4] == 0 and moved.degenerate[4]
         assert ens.rebounds.max() == 0 and ens.degenerate.sum() == 1
 
-    def test_disk_counts_obey_the_reflection_cap(self, monkeypatch):
+    def test_disk_trajectory_obeys_the_reflection_cap(self, monkeypatch):
         geom = off_centre_disk()
         ens = sample_ensemble(geom, 300, seed=4)
         times = (2.0, 6.0)
         monkeypatch.setattr(_kernels, "ITER_CAP", 3)
-        steps = held_counts(ens, geom, times, 0.7)
-        for t, (weight, rebounds, degenerate) in zip(times, steps):
+        for t, counts in transport_counts_times(ens, times, geom, 0.7):
             ref = transported(ens, geom, t, 0.7)
-            assert np.array_equal(weight, ref.weight)
-            assert np.array_equal(rebounds, ref.rebounds)
-            assert np.array_equal(degenerate, ref.degenerate)
-        assert degenerate.any() and not degenerate.all()
-        assert rebounds.max() == 3
-
-    def test_polygon_counts_view_the_sweep(self):
-        geom = small_square()
-        ens = sample_ensemble(geom, 300, seed=12)
-        times = (0.0, 2.5, 2.5, 5.0)
-        rows = _kernels.polygon_counts(ens.pos, ens.vel, ens.weight, ens.rebounds,
-                                       ens.degenerate, geom, times, 0.9)
-        got = list(transport_counts_times(ens, times, geom, 0.9))
-        assert [t for t, _ in got] == [0.0, 2.5, 5.0]
-        for k, (_, counts) in enumerate(got):
-            assert isinstance(counts, ReboundCounts)
-            for name, row in zip(("weight", "rebounds", "degenerate"), rows):
-                assert np.array_equal(getattr(counts, name), row[k])
-        # views of one sweep's snapshot rows
-        assert got[0][1].weight.base is got[2][1].weight.base is not None
+            assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
+                               (ref.weight, ref.rebounds, ref.degenerate))
+        assert counts.degenerate.any() and not counts.degenerate.all()
+        assert counts.rebounds.max() == 3
 
     @pytest.mark.parametrize("table", [small_square, small_disk])
     @pytest.mark.parametrize("t", [-1.0, float("inf"), float("nan")])
@@ -377,6 +338,25 @@ class TestTransportTimes:
             transport_counts_times(ens, (1.0, t), geom)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             transport_ensemble(ens, t, geom)
+
+
+@pytest.mark.parametrize("entry", ["transport_ensemble", "transport_counts_times",
+                                   "sample_counts"])
+@pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, math.inf, math.nan])
+def test_scale_outside_the_unit_interval_refused(entry, scale):
+    # the boundary operator has unit norm times a weight in (0, 1]; each
+    # billiard entry point refuses any other weight at its call, before a
+    # lazy trajectory is iterated.  Scale 1.5 once gave this disk mass 21.24
+    # at t = 5, and NaN gave mass NaN or 0.0 depending on the lane
+    geom = small_disk()
+    ens = sample_ensemble(geom, 1000, seed=3)
+    calls = {
+        "transport_ensemble": lambda: transport_ensemble(ens, 5.0, geom, scale=scale),
+        "transport_counts_times": lambda: transport_counts_times(ens, (5.0,), geom, scale),
+        "sample_counts": lambda: densities.sample_counts(geom, 1000, 3, "domain", (5.0,), scale),
+    }
+    with pytest.raises(ValueError, match=r"^boundary weight scale must lie in \(0, 1\]$"):
+        calls[entry]()
 
 
 def far_triangle():
@@ -448,21 +428,15 @@ def same_arrays(got, want):
     return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-def held_counts(ens, geom, times, scale):
-    """Every time's ``(weight, rebounds, degenerate)`` of a held disk."""
-    return list(_kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, times,
-                                     scale))
-
-
 def same_rows(got, want):
     return len(got) == len(want) and all(same_arrays(a, b) for a, b in zip(got, want))
 
 
 class TestDiskChords:
     """A disk's first hits and chords are computed once per particle, one
-    slice at a time across workers: a held ensemble's counts, and a sampled
-    disk's tallies of them, are the same bytes for any slicing and any
-    number of workers."""
+    slice at a time across workers: the tallies of held states, and a
+    sampled disk's tallies, are the same bytes for any slicing and any
+    number of workers, and reduce the held trajectory's counts."""
 
     TIMES = (0.0, 0.5, 2.5, 9.0)
 
@@ -473,12 +447,13 @@ class TestDiskChords:
         geom = table()
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
         ens = sample_ensemble(geom, n, seed=2024, region=region)
-        want = held_counts(ens, geom, self.TIMES, 0.7)
-        assert want[-1][1].max() > 2 and not want[-1][2].all()
-        reduced = [reductions(ReboundCounts(*row), 0.7) for row in want]
+        rows = rows_of(transport_counts_times(ens, self.TIMES, geom, 0.7))
+        assert rows[-1].rebounds.max() > 2 and not rows[-1].degenerate.all()
+        reduced = [reductions(counts, 0.7) for counts in rows]
+        want = _kernels.disk_tallies(views(ens), n, geom, self.TIMES)
         for workers in (1, 2, 3):
             monkeypatch.setattr(_kernels, "_sweep_workers", lambda n, w=workers: w)
-            assert same_rows(held_counts(ens, geom, self.TIMES, 0.7), want)
+            assert same_rows(_kernels.disk_tallies(views(ens), n, geom, self.TIMES), want)
             _, trajectory = densities.sample_counts(geom, n, 2024, region, self.TIMES, 0.7)
             assert [tally_values(tally) for _, tally in trajectory] == reduced
 
@@ -501,18 +476,20 @@ class TestDiskChords:
             densities.sample_counts(bare, 10, 1, "domain", (1.0,), 1.0)
 
     def test_many_workers_under_frequent_switches(self, monkeypatch):
-        # eight blocks on fewer cores, the interpreter switching threads
-        # every microsecond: a slice lost or written twice changes the bytes
+        # eight workers on fewer cores, the interpreter switching threads
+        # every microsecond: a slice counted twice or not at all changes the
+        # tallies
         geom = off_centre_disk()
         ens = sample_ensemble(geom, 20_011, seed=8)
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
-        want = held_counts(ens, geom, self.TIMES, 0.7)
+        want = _kernels.disk_tallies(views(ens), len(ens), geom, self.TIMES)
+        assert want[-1][0].size > 3
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = held_counts(ens, geom, self.TIMES, 0.7)
+            got = _kernels.disk_tallies(views(ens), len(ens), geom, self.TIMES)
         finally:
             sys.setswitchinterval(interval)
         assert same_rows(got, want)
@@ -533,9 +510,9 @@ class TestDiskChords:
         monkeypatch.setattr(_kernels, "_disk_wall", failing)
         with pytest.raises(FloatingPointError, match="slice failed"):
             densities.sample_counts(geom, 301, 5, "domain", (1.0,), 1.0)
-        # a held disk's chords are computed at the call, so it raises there
+        # held states take the same pass
         with pytest.raises(FloatingPointError, match="slice failed"):
-            _kernels.disk_counts(*(getattr(ens, name) for name in STATE), geom, (1.0,), 1.0)
+            _kernels.disk_tallies(views(ens), len(ens), geom, (1.0,))
 
 
 def reductions(counts, scale=1.0):
@@ -600,8 +577,7 @@ class TestSampledTallies:
     @pytest.mark.parametrize("scale", [1.0, 0.7])
     def test_one_pass_at_the_call_for_every_time(self, monkeypatch, scale):
         # the tallies hold integer counts alone, whatever the scale, so one
-        # pass at the call counts every time, even with SWEEP_STATES below
-        # one time's states
+        # pass at the call counts every time
         geom = off_centre_disk()
         want = self.expected(geom, 600, 8, "domain", scale)
         passes = []
@@ -611,7 +587,6 @@ class TestSampledTallies:
             passes.append(times.tolist())
             return tallies(states, size, geom, times)
 
-        monkeypatch.setattr(densities, "SWEEP_STATES", 10)
         monkeypatch.setattr(_kernels, "disk_tallies", counted)
         _, trajectory = densities.sample_counts(geom, 600, 8, "domain", self.TIMES, scale)
         assert passes == [[0.0, 0.5, 2.5, 5.0, 9.0]]
@@ -907,10 +882,17 @@ def refuse(*args):
     raise AssertionError("a pass ran for no times")
 
 
+class Uncopied(np.ndarray):
+    """An array whose copy() fails."""
+
+    def copy(self, order="C"):
+        raise AssertionError("an array was copied for no times")
+
+
 class TestNoTimes:
     """No times give an empty trajectory, and no pass runs for them: not a
-    sampled disk's, a sampled polygon's sweep, a held polygon's sweep, nor a
-    held disk's chords."""
+    sampled disk's, nor a sampled polygon's sweep; a held ensemble is not
+    copied, and no transport runs."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.7])
     def test_sampled_disk_runs_no_pass(self, monkeypatch, scale):
@@ -931,8 +913,10 @@ class TestNoTimes:
     def test_held_trajectory_is_empty(self, monkeypatch, table, scale):
         geom = table()
         ens = sample_ensemble(geom, 300, seed=5)
-        for name in ("polygon_counts", "_sweep_block", "disk_counts", "_disk_chords"):
+        for name in ("billiard_transport", "_sweep_block", "_disk_slice"):
             monkeypatch.setattr(_kernels, name, refuse)
+        for name in STATE:
+            setattr(ens, name, getattr(ens, name).view(Uncopied))
         assert list(transport_counts_times(ens, (), geom, scale)) == []
 
 
@@ -985,18 +969,21 @@ class TestSharedWeights:
         # the ensemble itself stays writable
         assert all(getattr(ens, name).flags.writeable for name in STATE)
 
-    def test_polygon_rows_broadcast_the_input_weights(self):
-        geom = hexagon()
+    @pytest.mark.parametrize("table", [off_centre_disk, hexagon])
+    def test_transport_writes_no_weight_at_scale_1(self, table):
+        # so every time of a trajectory can share one read-only array
+        geom = table()
         ens = sample_ensemble(geom, 300, seed=5)
-        weight, rebounds, _ = _kernels.polygon_counts(*(getattr(ens, name) for name in STATE),
-                                                      geom, self.TIMES, 1.0)
-        assert rebounds[-1].max() > 0
-        assert weight.shape == (3, 300)
-        for row in weight:
-            assert np.shares_memory(row, weight[0]) and np.shares_memory(row, ens.weight)
-            assert np.array_equal(row, ens.weight)
-            assert_read_only(row)
-        assert ens.weight.flags.writeable
+        ens.degenerate[::7] = True
+        want = ens.weight.copy()
+        ens.weight.flags.writeable = False
+        for t in self.TIMES:
+            moved = ParticleEnsemble(ens.pos.copy(), ens.vel.copy(), ens.weight,
+                                     ens.rebounds.copy(), ens.degenerate.copy(), ens.seed)
+            _kernels.billiard_transport(moved.pos, moved.vel, moved.weight, moved.rebounds,
+                                        moved.degenerate, geom, t)
+            assert moved.rebounds.max() > 0 or t == 0.0
+        assert np.array_equal(ens.weight, want)
 
     def test_sampled_ensembles_stay_writable(self):
         for table in (small_disk, hexagon):
@@ -1025,14 +1012,8 @@ class TestTrajectorySnapshots:
 
     TIMES = (0.0, 1.0, 2.5, 4.0)
 
-    @pytest.mark.parametrize("table, sweep_states", [
-        (off_centre_disk, None),
-        (hexagon, None),  # one sweep group
-        (hexagon, 2 * 600),  # groups of two times
-    ])
-    def test_later_writes_do_not_reach_the_rows(self, monkeypatch, table, sweep_states):
-        if sweep_states is not None:
-            monkeypatch.setattr(densities, "SWEEP_STATES", sweep_states)
+    @pytest.mark.parametrize("table", [off_centre_disk, hexagon])
+    def test_later_writes_do_not_reach_the_rows(self, table):
         geom = table()
         ens = sample_ensemble(geom, 600, seed=8)
         ens.rebounds[::7] = 2
@@ -1064,12 +1045,13 @@ def edge_disk():
 class TestStreamingCountSteps:
     """The disk count step runs every particle through one masked pass; the
     lanes it masks (no first hit, a zero chord period, a cap) raise no
-    floating-point warning and come out bitwise the full-state kernel's."""
+    floating-point warning, in the full-state kernel or in the tallies, and
+    the tallies count the full-state kernel's rows."""
 
     TIMES = (0.0, 1.0, 1.5, 6.0)
 
     @pytest.mark.parametrize("scale", [1.0, 0.7])
-    def test_masked_lanes_match_the_full_state_kernel(self, monkeypatch, scale):
+    def test_masked_lanes_in_the_full_state_kernel(self, monkeypatch, scale):
         geom = edge_disk()
         ens = sample_ensemble(geom, 200, seed=21)
         # input-degenerate: its first hit is at s0 = inf
@@ -1085,13 +1067,9 @@ class TestStreamingCountSteps:
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            steps = held_counts(ens, geom, self.TIMES, scale)
-            refs = [transported(ens, geom, t, scale) for t in self.TIMES]
-        for (weight, rebounds, degenerate), ref in zip(steps, refs):
-            assert same_arrays((weight, rebounds, degenerate),
-                               (ref.weight, ref.rebounds, ref.degenerate))
-        flags = np.array([d for _, _, d in steps])
-        counts = np.array([n for _, n, _ in steps])
+            steps = [transported(ens, geom, t, scale) for t in self.TIMES]
+        flags = np.array([moved.degenerate for moved in steps])
+        counts = np.array([moved.rebounds for moved in steps])
         assert flags[:, 3].all() and not counts[:, 3].any()
         assert flags[:, 5].tolist() == [False, True, True, True]
         assert flags[:, 6].tolist() == [False, True, True, True]
@@ -1100,8 +1078,8 @@ class TestStreamingCountSteps:
         capped = flags[-1] & (counts[-1] == 3)
         assert capped.sum() > 10 and counts[-1].max() == 3
         assert np.flatnonzero(flags[0]).tolist() == [3]
-        if scale == 1.0:
-            assert all(weight is steps[0][0] for weight, _, _ in steps)
+        weights = np.array([moved.weight for moved in steps])
+        assert np.array_equal(weights, ens.weight * scale ** counts)
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("scale", [1.0, 0.7])
@@ -1126,14 +1104,14 @@ class TestStreamingCountSteps:
         times = tuple(sorted({*self.TIMES, float(s0[10])}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = held_counts(ens, geom, times, scale)
+            rows = [transported(ens, geom, t, scale) for t in times]
             tallies = _kernels.disk_tallies(views(ens), len(ens), geom, times)
-        for (_, rebounds, degenerate), (counts, flagged) in zip(rows, tallies, strict=True):
-            assert np.array_equal(counts, np.bincount(rebounds))
-            assert np.array_equal(flagged, np.bincount(rebounds[degenerate]))
+        for row, (counts, flagged) in zip(rows, tallies, strict=True):
+            assert np.array_equal(counts, np.bincount(row.rebounds))
+            assert np.array_equal(flagged, np.bincount(row.rebounds[row.degenerate]))
         assert tallies[-1][1].sum() > 10
         first = rows[times.index(float(s0[10]))]
-        assert 0.0 < s0[10] < 6.0 and first[1][10] == 1 and not first[2][10]
+        assert 0.0 < s0[10] < 6.0 and first.rebounds[10] == 1 and not first.degenerate[10]
 
 
 def test_sampled_disk_holds_nothing_per_particle(monkeypatch):
@@ -1213,30 +1191,32 @@ def polygon_sweep_peak(monkeypatch, scale):
 
 
 def test_polygon_sweep_transient_is_bounded(monkeypatch):
-    # reads about 241 bytes per particle at scale 1: the rows and the weight
-    # copy held (53), the work buffers (164: the working state and as many
-    # spares, the remaining times and their masks) and the writes of the
-    # rows closing in a round, one row at a time.  Writing a round's closing
-    # cells of every row at once, through a 2-D nonzero, read about 251
+    # reads about 266 bytes per particle at scale 1, at the last time: the
+    # snapshot (49), the earlier times' counts (36), the last time's copies
+    # of the snapshot (41), the one-time sweep's work buffers (124: the
+    # working state and as many spares, the count and index lanes, 2 spare
+    # ints, 2 masks, the remaining time and its 2 masks) and its start's
+    # gathers.  One sweep writing five rows of counts read about 233
     per_particle = polygon_sweep_peak(monkeypatch, 1.0)
     assert per_particle < 280.0, per_particle
 
 
 def test_scaled_polygon_sweep_transient_is_bounded(monkeypatch):
-    # below scale 1 every row holds weights (40 more held) and the weights
-    # are working state too (8 more): about 289 bytes per particle, against
-    # about 304 for the 2-D cell writes
+    # below scale 1 every time holds weights of its own (40 more) and the
+    # weights are working state too (8 more): about 314 bytes per particle,
+    # against about 281 for one sweep writing five rows
     per_particle = polygon_sweep_peak(monkeypatch, 0.7)
     assert per_particle < 335.0, per_particle
 
 
 def test_sampled_polygon_holds_no_ensemble(monkeypatch):
     # a sampled hexagon's blocks draw their particles into their work
-    # buffers, so its peak per added particle is those buffers (164 bytes
-    # at five times: the working state and as many spares, 2 spare ints,
-    # 2 masks, the remaining times and their 2 masks) and the gather of one
-    # row's closing counts (16): about 180.  A held ensemble added its 49
-    # bytes per particle and the transients of its gather: about 237
+    # buffers, so its peak per added particle is those buffers (156 bytes
+    # at five times: the working state and as many spares, the count lane,
+    # 2 spare ints, 2 masks, the remaining times and their 2 masks) and the
+    # gather of one row's closing counts (16): about 172.  An unread index
+    # lane read about 180, and a held ensemble, its 49 bytes per particle
+    # and the transients of its gather, about 237
     monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
 
     def peak(n):
@@ -1292,32 +1272,35 @@ DRAWN_POLYGON_CASES = [
 class TestDrawnPolygonTallies:
     """A sampled polygon's blocks draw their particles straight into their
     working state, a ``DISK_CHUNK`` slice at a time: the tallies are the
-    ``bincount`` of the ``polygon_counts`` rows of the held sampled
-    ensemble, bitwise, for any number of workers and blocks that span
-    several slices and a partial one."""
+    ``bincount`` of the rows that ``billiard_transport`` leaves on the held
+    sampled ensemble, one transport per time, bitwise, for any number of
+    workers and blocks that span several slices and a partial one."""
 
     TIMES = (2.5, 0.0, 0.5, 2.5, 4.0)
 
     @pytest.mark.parametrize("case", range(len(DRAWN_POLYGON_CASES)))
     def test_a_drawn_block_starts_as_a_held_one(self, monkeypatch, case):
         # a block of particles 100..999 in slices of 256: its working state,
-        # graze threshold included, its ints and its zero time's tallies are
-        # the bits that the held start gathers from the sampled ensemble
+        # graze threshold included, and its count lane are the bits that the
+        # held start gathers from the sampled ensemble.  The held start adds
+        # the index lane its sink writes by, and hands no cell over: in place
+        # a zero time's row holds its state already.  The drawn start counts
+        # the zero time's row itself
         spec, region = DRAWN_POLYGON_CASES[case]
         geom = hexagon_with(spec)
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
         ens = sample_ensemble(geom, 1000, seed=11, region=region)
         times = _kernels.distinct_times(self.TIMES)
-        sinks = _kernels._Tally(times.size), _kernels._Tally(times.size)
+        sink = _kernels._Tally(times.size)
         held = _kernels._held_start([getattr(ens, name) for name in STATE], 100, 1000,
-                                    sinks[0], times, 1.0)
+                                    refuse, times, 1.0)
         drawn = _kernels._drawn_start(densities._state_sampler(geom, 1000, 11, region), 100, 1000,
-                                      sinks[1], times, 1.0)
+                                      sink, times, 1.0)
         assert same_arrays(drawn[0], held[0]) and len(drawn[0]) == len(held[0]) == 5
-        assert same_arrays(drawn[1], held[1])
+        assert len(drawn[1]) == 1 and same_arrays(drawn[1], held[1][:1])
+        assert np.array_equal(held[1][1], np.arange(900))
         assert [len(a) for a in drawn[2]] == [len(a) for a in held[2]] == [900] * 5
-        assert all(same_arrays(a, b) for a, b in zip(sinks[1].rows, sinks[0].rows, strict=True))
-        assert sinks[1].rows[0][0].tolist() == [900]
+        assert [[a.tolist() for a in row] for row in sink.rows] == [[[900], []]] + [[[], []]] * 3
 
     @pytest.mark.parametrize("n", [1, _kernels.SWEEP_BLOCK_MIN - 1, _kernels.SWEEP_BLOCK_MIN + 1,
                                    2 * _kernels.SWEEP_BLOCK_MIN + 5])
@@ -1329,9 +1312,9 @@ class TestDrawnPolygonTallies:
         ens = sample_ensemble(geom, n, seed=11, region=region)
         for cap in (_kernels.ITER_CAP, 3):
             monkeypatch.setattr(_kernels, "ITER_CAP", cap)
-            _, rebounds, degenerate = _kernels.polygon_counts(
-                ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate, geom, self.TIMES, 1.0)
-            want = [(np.bincount(r), np.bincount(r[d])) for r, d in zip(rebounds, degenerate)]
+            rows = [transported(ens, geom, t, 1.0) for t in _kernels.distinct_times(self.TIMES)]
+            want = [(np.bincount(row.rebounds), np.bincount(row.rebounds[row.degenerate]))
+                    for row in rows]
             assert len(want) == 4 and want[0][0].tolist() == [n]
             if n > 1:
                 assert want[-1][0].size > 2

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honestflow import (Billiard, ParticleEnsemble, VelocitySpec, rebound_sequence,
-                        sample_ensemble, transport_ensemble)
+                        sample_ensemble, transport_counts_times, transport_ensemble)
 from honestflow import _kernels
 from honestflow._kernels import SURVIVAL_STREAM_BASE, ladder_survival, uniform_array
 
@@ -367,13 +367,31 @@ def snapshots(ens, geom, times, scale=1.0):
     return tuple(np.stack([getattr(row, name) for row in rows]) for name in STATE)
 
 
-def counts(ens, geom, times, scale=1.0):
-    return _kernels.polygon_counts(*(getattr(ens, name) for name in STATE), geom, times, scale)
+def fixed_states(pos, vel):
+    """The state source of fixed positions and velocities: their slices
+    copied into the buffers given, as a sampler writes them."""
+    def states(lo, hi, out, work):
+        for buf, column in zip(out, (pos[:, 0], pos[:, 1], vel[:, 0], vel[:, 1])):
+            buf[:] = column[lo:hi]
+
+    return states
+
+
+def tallies(ens, geom, times):
+    """``polygon_tallies`` of the ensemble's positions and velocities: one
+    sweep with a row of remaining time per distinct time."""
+    return _kernels.polygon_tallies(fixed_states(ens.pos, ens.vel), len(ens), geom, times)
+
+
+def same_tallies(got, want):
+    """Whether two lists of tallies hold the same arrays."""
+    return len(got) == len(want) and all(
+        np.array_equal(a, b) for pair, other in zip(got, want) for a, b in zip(pair, other))
 
 
 class TestPolygonSnapshots:
     """Polygon transport to several times against the scalar stepping
-    oracle, and the counts sweep's own contract."""
+    oracle, and the trajectory's and the tallies' contracts."""
 
     @pytest.mark.parametrize("table, scale", [(hexagon_table, 1.0), (scalene_table, 0.7)])
     def test_matches_stepping_oracle(self, table, scale):
@@ -405,14 +423,11 @@ class TestPolygonSnapshots:
                                 narrow.weight.astype(np.float64), ens.rebounds, ens.degenerate,
                                 ens.seed)
         times = (1.5, 6.0)
-        got, want = counts(narrow, geom, times, 0.7), counts(wide, geom, times, 0.7)
-        assert want[1][-1].max() > 5
-        assert [a.dtype for a in got] == [np.float32, np.int32, np.bool_]
+        got, want = snapshots(narrow, geom, times, 0.7), snapshots(wide, geom, times, 0.7)
+        assert want[3][-1].max() > 5
+        assert [a.dtype for a in got] == [np.float32] * 3 + [np.int32, np.bool_]
         for a, b in zip(got, want):
             assert np.array_equal(a, b.astype(a.dtype))
-        moved = transported(narrow, geom, 6.0, scale=0.7)
-        for name, a in zip(STATE, snapshots(wide, geom, (6.0,), scale=0.7)):
-            assert np.array_equal(getattr(moved, name), a[0].astype(getattr(narrow, name).dtype))
 
     def test_vertex_hit_freezes(self):
         geom = hexagon_table()
@@ -496,43 +511,50 @@ class TestPolygonSnapshots:
         geom = hexagon_table()
         ens = sample_ensemble(geom, 100, seed=2)
         before = ens.copy()
-        counts(ens, geom, (1.0, 5.0), scale=0.5)
+        rows = list(transport_counts_times(ens, (1.0, 5.0), geom, scale=0.5))
+        assert rows[-1][1].rebounds.max() > 0
+        assert tallies(ens, geom, (1.0, 5.0))[-1][0].size > 1
         for name in STATE:
             assert np.array_equal(getattr(ens, name), getattr(before, name))
 
     def test_rows_follow_the_distinct_ascending_times(self):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 100, seed=2)
-        got = counts(ens, geom, (5.0, 1.0, 5.0, 0.0), scale=0.5)
-        want = counts(ens, geom, (0.0, 1.0, 5.0), scale=0.5)
-        for a, b in zip(got, want):
-            assert a.shape[0] == 3
-            assert np.array_equal(a, b)
+        got = list(transport_counts_times(ens, (5.0, 1.0, 5.0, 0.0), geom, scale=0.5))
+        want = list(transport_counts_times(ens, (0.0, 1.0, 5.0), geom, scale=0.5))
+        assert [t for t, _ in got] == [t for t, _ in want] == [0.0, 1.0, 5.0]
+        for (_, a), (_, b) in zip(got, want):
+            for name in ("weight", "rebounds", "degenerate"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        rows = tallies(ens, geom, (5.0, 1.0, 5.0, 0.0))
+        assert len(rows) == 3
+        assert same_tallies(rows, tallies(ens, geom, (0.0, 1.0, 5.0)))
 
     @pytest.mark.parametrize("times", [(-1.0, 1.0), (1.0, math.inf), (math.nan,)])
     def test_times_must_be_finite_and_nonnegative(self, times):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 10, seed=2)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            counts(ens, geom, times)
+            transport_counts_times(ens, times, geom)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            tallies(ens, geom, times)
 
     def test_transport_writes_in_place(self):
         geom = scalene_table()
         ens = sample_ensemble(geom, 80, seed=6)
         ens.degenerate[::9] = True
         times = (0.0, 1.25, 3.5, 6.0)
-        want = counts(ens, geom, times, scale=0.7)
-        assert want[1][-1].max() > 3
-        # each row of one counts sweep is a separate in-place transport to
-        # its time
-        for k, t in enumerate(times):
+        want = list(transport_counts_times(ens, times, geom, scale=0.7))
+        assert want[-1][1].rebounds.max() > 3
+        # each time of a trajectory is a separate in-place transport to it
+        for t, counts in want:
             out = ens.copy()
             arrays = tuple(getattr(out, name) for name in STATE)
             got = _kernels.billiard_transport(*arrays, geom, t, scale=0.7)
             for a, b in zip(got, arrays):
                 assert a is b
-            for a, w in zip(got[2:], want):
-                assert np.array_equal(a, w[k])
+            for a, w in zip(got[2:], (counts.weight, counts.rebounds, counts.degenerate)):
+                assert np.array_equal(a, w)
 
     @pytest.mark.parametrize("factor", [2.0**-200, 2.0**200])
     def test_scaled_tables_flag_alike(self, factor):
@@ -642,28 +664,32 @@ class TestExactRound:
                                 np.full(n, 1.0 / n), np.zeros(n, dtype=np.int64),
                                 np.zeros(n, dtype=np.bool_), 0)
 
-    def check_square_rows(self, rows, scale):
-        # rows against one in-place transport per time, and every particle's
-        # count, flag and weight against the scalar oracle's events; each
-        # reflection multiplies the weight by scale once, in turn
+    def square_rows(self, scale):
+        # one in-place transport per distinct time, each on a copy
+        ens = self.square_ensemble()
+        return [transported(ens, square_table(), t, scale=scale)
+                for t in _kernels.distinct_times(self.SQUARE_TIMES)]
+
+    def check_square_rows(self, rows, rounds, scale):
+        # every particle's count, flag and weight in the one-time transports
+        # against the scalar oracle's events, each reflection multiplying the
+        # weight by scale once, in turn; the tallies of one sweep over every
+        # time are their bincounts
         geom = square_table()
         ens = self.square_ensemble()
-        weight, rebounds, degenerate = rows
         times = _kernels.distinct_times(self.SQUARE_TIMES)
-        assert rebounds.shape == (times.size, len(ens))
-        for k, t in enumerate(times.tolist()):
-            moved = transported(ens, geom, t, scale=scale)
-            for got, want in zip((weight[k], rebounds[k], degenerate[k]),
-                                 (moved.weight, moved.rebounds, moved.degenerate)):
-                assert np.array_equal(got, want)
+        assert len(rows) == len(rounds) == times.size
+        for t, moved, (counts, flagged) in zip(times.tolist(), rows, rounds):
             for i, (p, v) in enumerate(self.SQUARE_STATES):
                 # at t = 0 nothing moves, not even a particle sitting on a wall
                 events, flag = rebound_sequence((p, v), t, geom) if t else ([], False)
-                assert (rebounds[k, i], degenerate[k, i]) == (len(events), flag)
+                assert (moved.rebounds[i], moved.degenerate[i]) == (len(events), flag)
                 w = ens.weight[i]
                 for _ in events:
                     w *= scale
-                assert weight[k, i] == w
+                assert moved.weight[i] == w
+            assert np.array_equal(counts, np.bincount(moved.rebounds))
+            assert np.array_equal(flagged, np.bincount(moved.rebounds[moved.degenerate]))
 
     def test_square_edge_cases_match_the_oracle(self):
         geom = square_table()
@@ -677,20 +703,27 @@ class TestExactRound:
         zero = dv == 0.0
         assert np.signbit(dv[zero]).any() and not np.signbit(dv[zero]).all()
         assert np.isnan(q).any() and (q[dv > 0.0] == 0.0).any()
-        rows = counts(ens, geom, self.SQUARE_TIMES, scale=0.5)
-        self.check_square_rows(rows, 0.5)
-        weight, rebounds, degenerate = rows
-        assert rebounds[-1].tolist() == [1, 4, 4, 0, 1, 0, 0, 5]
-        assert degenerate[-1].tolist() == [True, False, False, True, True, True, True, False]
-        assert np.array_equal(weight[-1], 0.5 ** rebounds[-1] / len(ens))
+        rows = self.square_rows(0.5)
+        self.check_square_rows(rows, tallies(ens, geom, self.SQUARE_TIMES), 0.5)
+        # each state swept alone over every time: its tallies give its count
+        # and flag per time
+        for i in range(len(ens)):
+            alone = _kernels.polygon_tallies(fixed_states(pos[i:i + 1], vel[i:i + 1]), 1, geom,
+                                             self.SQUARE_TIMES)
+            assert [(c.size - 1, int(f.sum())) for c, f in alone] == [
+                (int(row.rebounds[i]), int(row.degenerate[i])) for row in rows]
+        last = rows[-1]
+        assert last.rebounds.tolist() == [1, 4, 4, 0, 1, 0, 0, 5]
+        assert last.degenerate.tolist() == [True, False, False, True, True, True, True, False]
+        assert np.array_equal(last.weight, 0.5 ** last.rebounds / len(ens))
 
     def test_rounds_that_compact_and_drop_rows_match_the_oracle(self, monkeypatch):
-        # below scale 1 the weights are working state too.  In each of the
-        # first two rounds on these states, particles that hit a vertex
-        # freeze and leave the working set while leading rows close for
-        # every particle kept: the remaining times are gathered to the front
-        # of their own buffer, and every state array, the weights among
-        # them, moves into a spare buffer
+        # in each of the first two rounds of one sweep over every time,
+        # particles that hit a vertex freeze and leave the working set while
+        # leading rows close for every particle kept: the remaining times are
+        # gathered to the front of their own buffer, and every state array
+        # moves into a spare buffer.  Below scale 1 the one-time transports
+        # compact their weights with the rest of their working state
         drops = []
         drop_rows = _kernels._drop_rows
 
@@ -699,9 +732,12 @@ class TestExactRound:
             return drop_rows(rem_buf, rem, closed, kept, row)
 
         monkeypatch.setattr(_kernels, "_drop_rows", recorded)
-        rows = counts(self.square_ensemble(), square_table(), self.SQUARE_TIMES, scale=0.7)
+        rounds = tallies(self.square_ensemble(), square_table(), self.SQUARE_TIMES)
         assert drops[:2] == [(1, 5, 8), (3, 3, 5)]
-        self.check_square_rows(rows, 0.7)
+        drops.clear()
+        rows = self.square_rows(0.7)
+        assert (0, 5, 8) in drops
+        self.check_square_rows(rows, rounds, 0.7)
 
 
 class TestSweepBlocks:
@@ -723,26 +759,26 @@ class TestSweepBlocks:
         cap = _kernels.ITER_CAP
 
         def rows():
-            # full states from in-place transports, and a counts sweep, both
-            # capped; then the cap-free counts sweep
+            # full states from in-place transports, and the tallies of one
+            # sweep over every time, both capped; then the cap-free tallies
             monkeypatch.setattr(_kernels, "ITER_CAP", 6)
             full = snapshots(ens, geom, times, scale=0.7)
-            capped = counts(ens, geom, times, scale=0.7)
+            capped = tallies(ens, geom, times)
             monkeypatch.setattr(_kernels, "ITER_CAP", cap)
-            return full, capped, counts(ens, geom, times, scale=0.7)
+            return full, capped, tallies(ens, geom, times)
 
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
         want = rows()
         full, capped, uncapped = want
         # the cap binds, the cap-free sweep goes further, some input is frozen
         assert full[4][-1].sum() > full[4][0].sum() > 0
-        assert full[3][-1].max() == 6 < uncapped[1][-1].max()
-        for a, b in zip(capped, full[2:]):
-            assert np.array_equal(a, b)
+        assert full[3][-1].max() == 6 == capped[-1][0].size - 1 < uncapped[-1][0].size - 1
+        assert capped[-1][1].sum() > 0 and uncapped[-1][1].sum() == 0
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
         got = rows()
-        for a, b in zip(got[0] + got[1] + got[2], want[0] + want[1] + want[2]):
+        for a, b in zip(got[0], want[0]):
             assert np.array_equal(a, b)
+        assert same_tallies(got[1], capped) and same_tallies(got[2], uncapped)
 
     def test_worker_errors_propagate(self, monkeypatch):
         geom, ens = self._ensemble()
@@ -760,18 +796,16 @@ class TestSweepBlocks:
             snapshots(ens, geom, (1.0,))
 
     def test_concurrent_sweeps_keep_their_own_buffers(self, monkeypatch):
-        # two sweeps of different ensembles at once, two blocks each, the
-        # interpreter switching threads every microsecond: work buffers that
-        # outlived a call, or were shared between calls, would mix the
-        # sweeps' particles and change the bytes
+        # two sweeps over every time of different ensembles at once, two
+        # blocks each, the interpreter switching threads every microsecond:
+        # work buffers that outlived a call, or were shared between calls,
+        # would mix the sweeps' particles and change the tallies
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 2)
         cases = []
-        for table, seed, scale in ((hexagon_table, 3, 1.0), (scalene_table, 5, 0.7)):
+        for table, seed in ((hexagon_table, 3), (scalene_table, 5)):
             geom = table()
-            ens = sample_ensemble(geom, 4001, seed=seed)
-            ens.degenerate[::13] = True
-            cases.append((ens, geom, (0.0, 1.25, 3.5, 9.0), scale))
-        want = [counts(*case) for case in cases]
+            cases.append((sample_ensemble(geom, 4001, seed=seed), geom, (0.0, 1.25, 3.5, 9.0)))
+        want = [tallies(*case) for case in cases]
         start = threading.Barrier(len(cases))
         got = [None] * len(cases)
         errors = []
@@ -779,7 +813,7 @@ class TestSweepBlocks:
         def run(i):
             try:
                 start.wait(timeout=30)
-                got[i] = counts(*cases[i])
+                got[i] = tallies(*cases[i])
             except Exception as exc:
                 errors.append(exc)
 
@@ -796,8 +830,7 @@ class TestSweepBlocks:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors
         for rows, expected in zip(got, want):
-            for a, b in zip(rows, expected):
-                assert np.array_equal(a, b)
+            assert same_tallies(rows, expected)
 
     def test_small_ensembles_run_whole(self):
         assert _kernels._sweep_workers(300) == 1

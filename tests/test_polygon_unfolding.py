@@ -11,8 +11,8 @@ family, the difference of the floors of the segment's ends measured in
 line spacings, summed over the families.
 
 The oracle below reads only the vertex list and the particles' initial
-positions and velocities.  It is checked per particle against the sweep
-that ``transport_counts_times`` runs on a polygon (``polygon_counts``).
+positions and velocities.  It is checked per particle against
+``transport_counts_times`` on a polygon, one polygon sweep per time.
 Particles whose segment passes within DELTA of a tiling vertex, grazes a
 line, or starts or ends within DELTA of a line are left out: there the
 count depends on rounding, and the sweep flags vertex hits and grazes as
@@ -80,7 +80,7 @@ def unfolded_counts(pos, vel, t, families):
 
 @pytest.mark.parametrize("table", sorted(TABLES))
 @pytest.mark.parametrize("scale", [1.0, 0.8])
-def test_polygon_counts_are_the_unfolded_crossings(table, scale):
+def test_polygon_rebounds_are_the_unfolded_crossings(table, scale):
     vertices, edges = TABLES[table]
     geom = Billiard("polygon", vertices=vertices,
                     velocities=VelocitySpec("speeds", speeds=(0.7, 1.9)))

@@ -440,7 +440,7 @@ class TestParseConfig:
                             .replace("center = 0, 0", "center = 1e75, -1e75"))
 
     @pytest.mark.parametrize("factor", [2.0**249, 2.0**-249])
-    def test_extreme_disk_counts_as_the_unit_disk(self, factor):
+    def test_extreme_disk_rebounds_as_the_unit_disk(self, factor):
         # radius, speed and centre scaled by a power of two near each bound
         # (2**249 is 9.0e74): scaling by 2**k is exact in float64 while every
         # product stays finite and normal, so every first hit is finite and

@@ -11,7 +11,9 @@ counts every time's row, each block drawing its particles into its working
 state.  The disk's closed form costs O(1) per particle: ``disk_tallies``
 counts a sampler's slices as it draws them, through ``out=`` into buffers
 each worker makes once.  A tally keeps running counts, per rebound count,
-of the particles and the flagged ones.  Threaded kernels run on
+of the particles and the flagged ones.  No kernel steps a weight: a
+particle that reflects n - n0 times weighs w0 * scale ** (n - n0), which
+``billiard_transport`` applies once, at its end.  Threaded kernels run on
 ``_run_blocks``, one worker per CPU with work of its own, bitwise the same
 as one pass.  Billiard kernels read ``GRAZE_EPS`` and ``ITER_CAP``.
 
@@ -376,36 +378,34 @@ def _disk_step(s0, tau, grazed, t, q, hit, n):
     return flagged
 
 
-def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale):
+def _disk_slice(pos, vel, rebounds, degenerate, cx, cy, radius, t):
+    # a held slice moved to t > 0 in place, on the tallies' chords and step.
+    # The chords leave the first hit's nx, ny and vn in out[3:6], and the
+    # step its hits, capped, in q as floats and in n
     x, y = pos[:, 0], pos[:, 1]
     vx, vy = vel[:, 0], vel[:, 1]
     m = x.shape[0]
-    s0, v2 = _disk_exit(x, y, vx, vy, cx, cy, radius, [np.empty(m) for _ in range(6)],
-                        np.empty(m, dtype=np.bool_))
-    live = ~degenerate
-    fly = np.flatnonzero(live & (s0 > t))
+    out, masks = np.empty((7, m)), np.empty((2, m), dtype=np.bool_)
+    n = np.empty(m, dtype=np.intp)
+    s0, tau, (lanes, first) = _disk_chords(x, y, vx, vy, cx, cy, radius, out, masks)
+    # a lane frozen on input neither flies nor hits
+    s0[degenerate] = np.nan
+    first[degenerate[lanes]] = np.inf
+    q = out[2]
+    flagged = _disk_step(s0, tau, (lanes, first), t, q, masks[0], n)
+    # a grazing lane's s0 is inf: one hit by t flies too, and then stops on
+    # the wall
+    fly = np.flatnonzero(s0 > t)
     x[fly] += vx[fly] * t
     y[fly] += vy[fly] * t
-    hit = np.flatnonzero(live & (s0 <= t))
-    ax = vx[hit]
-    ay = vy[hit]
-    s0 = s0[hit]
-    nx, ny, vn, graze, tau = _disk_wall(x[hit], y[hit], ax, ay, v2[hit], s0, cx, cy, radius,
-                                        [np.empty(hit.size) for _ in range(5)],
-                                        np.empty(hit.size, dtype=np.bool_))
-    gz = hit[graze]
-    x[gz] = cx + radius * nx[graze]
-    y[gz] = cy + radius * ny[graze]
-    degenerate[gz] = True
-    ok = ~graze
-    idx = hit[ok]
-    nx, ny, ax, ay, vn, tau, s0 = nx[ok], ny[ok], ax[ok], ay[ok], vn[ok], tau[ok], s0[ok]
-    # the step's hits, k + 1, on lanes that no longer graze
-    hits, k = np.empty(idx.size, dtype=np.intp), np.empty(idx.size)
-    capped = _disk_step(s0, tau, (idx[:0], s0[:0]), t, k, np.empty(idx.size, dtype=np.bool_),
-                        hits)
-    k -= 1.0
-    degenerate[idx[capped]] = True
+    gz = lanes[first <= t]
+    x[gz] = cx + radius * out[3][gz]
+    y[gz] = cy + radius * out[4][gz]
+    degenerate[flagged] = True
+    # the lanes that reflect, k + 1 times; those capped are now flagged
+    idx = np.flatnonzero(n)
+    nx, ny, vn, ax, ay, s0, tau = (a[idx] for a in (*out[3:6], vx, vy, s0, tau))
+    k = q[idx] - 1.0
     # velocity after the first reflection, and the central angle between
     # successive hits, 2 atan2(|v.n|, |n x v|): accurate near normal and
     # grazing incidence alike, signed by the angular momentum
@@ -417,16 +417,14 @@ def _disk_slice(pos, vel, weight, rebounds, degenerate, cx, cy, radius, t, scale
     ca = np.cos(ang)
     sa = np.sin(ang)
     left = (t - s0) - k * tau
-    left[capped] = 0.0
+    left[degenerate[idx]] = 0.0
     ux = radius * nx + left * wx
     uy = radius * ny + left * wy
     x[idx] = cx + (ca * ux - sa * uy)
     y[idx] = cy + (sa * ux + ca * uy)
     vx[idx] = ca * wx - sa * wy
     vy[idx] = sa * wx + ca * wy
-    rebounds[idx] += hits
-    if scale != 1.0:
-        weight[idx] *= scale ** hits
+    rebounds[idx] += n[idx]
 
 
 def _disk_geometry(geom):
@@ -501,15 +499,13 @@ def _select(mask, a, b, flip):
     bits ^= flip
 
 
-def _row_sink(pos, vel, weight, rebounds, degenerate):
+def _row_sink(pos, vel, rebounds, degenerate):
     # a one-time sweep's sink, writing each closing particle's state into
-    # the arrays at its index; a lane weight of None leaves the weights alone
+    # the arrays at its index
     def sink(k, jj, lanes, flag, state):
-        n, w, idx = lanes
+        n, idx = lanes
         cols = idx[jj]
         pos[cols, 0], pos[cols, 1], vel[cols, 0], vel[cols, 1] = state()
-        if w is not None:
-            weight[cols] = w[jj]
         rebounds[cols] = n[jj]
         degenerate[cols] = flag[jj] if isinstance(flag, np.ndarray) else flag
 
@@ -551,27 +547,26 @@ def _drop_rows(rem_buf, rem, closed, kept, row):
     return rem_buf[:(rem.shape[0] - closed) * m].reshape(-1, m)
 
 
-def _held_start(arrays, lo, hi, sink, times, scale):
-    # a sweep's start from the held arrays' particles lo..hi-1, for a sink
-    # writing into them: a cell closed before the first round (a zero time,
-    # a particle flagged on input) holds its state already, so none is handed
-    pos, vel, weight, rebounds, degenerate = (a[lo:hi] for a in arrays)
+def _held_start(arrays, lo, hi, sink, times):
+    # a sweep's start from particles lo..hi-1 of the held arrays (pos, vel,
+    # rebounds, degenerate), for a sink writing into them: a cell closed
+    # before the first round (a zero time, a particle flagged on input)
+    # holds its state already, so none is handed
+    pos, vel, rebounds, degenerate = (a[lo:hi] for a in arrays)
     idx = np.flatnonzero(~degenerate) if times.size and times[-1] > 0.0 else np.arange(0)
     m = idx.size
     state = [pos[idx, 0], pos[idx, 1], vel[idx, 0], vel[idx, 1],
              GRAZE_EPS * np.sqrt(np.sum(vel * vel, axis=1))[idx]]
-    if scale != 1.0:
-        state.append(weight[idx])
     # every buffer of a kind shares one type, whatever the inputs' types
     state = [a.astype(np.float64, copy=False) for a in state]
     ints = [rebounds[idx].astype(np.intp, copy=False), idx]
     return state, ints, [np.empty(m) for _ in range(5)]
 
 
-def _drawn_start(states, lo, hi, sink, times, scale):
+def _drawn_start(states, lo, hi, sink, times):
     # a sweep's start from particles lo..hi-1 drawn by ``states`` as for
-    # disk_tallies, with no rebound, flag or weight, for count sinks: they
-    # read no state and no index lane
+    # disk_tallies, with no rebound or flag, for count sinks: they read no
+    # state and no index lane
     m = hi - lo if times.size and times[-1] > 0.0 else 0
     state = [np.empty(m) for _ in range(5)]
     spare = [np.empty(m) for _ in range(5)]
@@ -585,25 +580,24 @@ def _drawn_start(states, lo, hi, sink, times, scale):
     np.multiply(np.sqrt(gs, out=gs), GRAZE_EPS, out=gs)
     ints = [np.zeros(hi - lo, dtype=np.intp)]
     if times.size and times[0] == 0.0:
-        sink(0, slice(None), (ints[0], None), False, None)
+        sink(0, slice(None), (ints[0],), False, None)
     return state, ints, spare
 
 
-def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, vert_eps):
+def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, vert_eps):
     # Hands each (row, particle) cell of particles lo..hi-1 to ``sink`` once,
     # as its row closes: sink(k, jj, lanes, flag, state) gets row k, the
-    # lanes jj closing in it of lanes = (count, weight, *index), their flag
-    # (a bool or a lane mask) and state(), their positions and velocities;
-    # at scale 1 the lane weight is None.  start(lo, hi, sink, times, scale)
-    # hands the sink the cells closed before the first round and returns the
-    # work buffers of m lanes: the state (position, velocity, graze threshold
-    # GRAZE_EPS * speed, the weight below scale 1), the ints (count, and
-    # index if the sink reads one) and 5 spare floats.  Two spare ints and
+    # lanes jj closing in it of lanes = (count, *index), their flag (a bool
+    # or a lane mask) and state(), their positions and velocities; no lane
+    # carries a weight.  start(lo, hi, sink, times) hands the sink the cells
+    # closed before the first round and returns the work buffers of m lanes:
+    # the state (position, velocity, graze threshold GRAZE_EPS * speed), the
+    # ints (count, and index if the sink reads one) and 5 spare floats.  Two spare ints and
     # two masks join them, used in prefixes, and the remaining times rem
     # (row k is the sink's row k0 + k) and two masks of its shape view flat
     # buffers.  Compaction moves each state array into a spare, and rem to
     # the front of its buffer.
-    state, ints, spare = start(lo, hi, sink, times, scale)
+    state, ints, spare = start(lo, hi, sink, times)
     m = state[0].size
     ispare = [np.empty(m, dtype=np.intp) for _ in range(2)]
     marks = [np.empty(m, dtype=np.bool_) for _ in range(2)]
@@ -618,8 +612,7 @@ def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, ver
     with np.errstate(divide="ignore", invalid="ignore"):
         while m:
             rounds += 1
-            x, y, vx, vy, gs, *w = (a[:m] for a in state)
-            w = w[0] if w else None
+            x, y, vx, vy, gs = (a[:m] for a in state)
             n, *idx = (a[:m] for a in ints)
             s, dv, q, t, u = (a[:m] for a in spare)
             edge, step = (a[:m] for a in ispare)
@@ -650,7 +643,7 @@ def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, ver
             np.greater(rem, 0.0, out=open_)
             flown = np.greater(s, rem, out=closing)
             flown &= open_
-            lanes, here = (n, w, *idx), lambda k, jj: (x[jj], y[jj], vx[jj], vy[jj])
+            lanes, here = (n, *idx), lambda k, jj: (x[jj], y[jj], vx[jj], vy[jj])
             _close(sink, flown, k0, lanes, False,
                    lambda k, jj: (x[jj] + vx[jj] * rem[k, jj], y[jj] + vy[jj] * rem[k, jj],
                                   vx[jj], vy[jj]))
@@ -688,14 +681,12 @@ def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, ver
             graze = np.less(np.abs(vn, out=u), gs, out=first)
             graze |= np.less(near, vert_eps, out=ahead)
             # a reflection writes only the lanes that do not graze:
-            # v -= 2 vn n, the count + 1 and, below scale 1, w *= scale
+            # v -= 2 vn n and the count + 1
             reflect = np.logical_not(graze, out=ahead)
             np.multiply(vn, 2.0, out=u)
             np.subtract(vx, np.multiply(u, nx, out=q), out=vx, where=reflect)
             np.subtract(vy, np.multiply(u, ny, out=q), out=vy, where=reflect)
             np.add(n, reflect, out=n)
-            if w is not None:
-                np.multiply(w, scale, out=w, where=reflect)
             # a graze freezes every row that reached this hit; a reflection
             # closes the rows it leaves with no time
             closes = np.equal(rem, 0.0, out=closing)
@@ -721,7 +712,7 @@ def _sweep_block(start, lo, hi, sink, normals, offsets, verts, times, scale, ver
     return sink
 
 
-def _polygon_sweep(size, start, sink, geom, times, scale):
+def _polygon_sweep(size, start, sink, geom, times):
     # sweeps each block lo..hi-1 of size particles, started by start, into
     # the sink sink(lo, hi), and returns the sinks in block order
     normals, offsets = geom.edge_normals()
@@ -729,7 +720,7 @@ def _polygon_sweep(size, start, sink, geom, times, scale):
     # relative to the largest coordinate, whose magnitude sets the rounding
     # of every hit point, so a table and its scaled copies flag alike
     vert_eps = GRAZE_EPS * float(np.max(np.abs(verts)))
-    consts = (normals, offsets, verts, times, float(scale), vert_eps)
+    consts = (normals, offsets, verts, times, vert_eps)
 
     # particles never interact, so a block swept alone hands its sink
     # bitwise the cells a whole sweep gives it; one block per worker
@@ -751,40 +742,44 @@ def distinct_times(times) -> np.ndarray:
 def polygon_tallies(states, size, geom, times):
     """Integer tallies of a sampled polygon's rebound counts, as
     ``disk_tallies`` gives a disk's, from states it takes alike.  One sweep
-    takes every time, with one row of remaining time each, tracks no weight
-    and writes no row: each block draws its particles straight into its
+    takes every time, with one row of remaining time each, and writes no
+    row: each block draws its particles straight into its
     working state, one ``DISK_CHUNK`` slice at a time, and keeps running
     totals of its cells' counts as they close; the blocks' totals are added
     after the join.
     """
     times = distinct_times(times)
     blocks = _polygon_sweep(size, functools.partial(_drawn_start, states),
-                            lambda lo, hi: _Tally(times.size), geom, times, 1.0)
+                            lambda lo, hi: _Tally(times.size), geom, times)
     return _totals(blocks, times.size)
 
 
 def billiard_transport(pos, vel, weight, rebounds, degenerate, geom, t, scale=1.0):
     """Advance a billiard ensemble by time t in place (arrays are mutated).
 
-    ``scale`` multiplies the particle weight at every reflection (the
-    boundary operator weight).  Grazing hits (below ``GRAZE_EPS``) and
-    polygon vertex hits freeze the particle and set its degenerate flag
-    instead of reflecting.  A particle that would need more than
-    ``ITER_CAP`` reflections stops at the last one and is marked degenerate
-    too.  Returns the five arrays.
+    ``scale`` is the boundary operator weight: a particle that reflects k
+    times by t has its weight multiplied by ``scale ** k``, in one power,
+    and at scale 1 no weight is written.  Grazing hits (below
+    ``GRAZE_EPS``) and polygon vertex hits freeze the particle and set its
+    degenerate flag instead of reflecting.  A particle that would need more
+    than ``ITER_CAP`` reflections stops at the last one and is marked
+    degenerate too.  Returns the five arrays.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError("transport time must be finite and nonnegative")
-    arrays = (pos, vel, weight, rebounds, degenerate)
+    held = (pos, vel, rebounds, degenerate)
+    n0 = rebounds.copy() if scale != 1.0 else None
     if geom.shape == "disk":
         # at t = 0 nothing moves, not even a particle sitting on the wall
         if t > 0.0:
             for lo in range(0, pos.shape[0], DISK_CHUNK):
-                _disk_slice(*(a[lo:lo + DISK_CHUNK] for a in arrays), *_disk_geometry(geom),
-                            float(t), float(scale))
-        return arrays
-    # one row, written straight into the inputs
-    _polygon_sweep(pos.shape[0], functools.partial(_held_start, arrays),
-                   lambda lo, hi: _row_sink(*(a[lo:hi] for a in arrays)),
-                   geom, np.array([float(t)]), scale)
-    return arrays
+                _disk_slice(*(a[lo:lo + DISK_CHUNK] for a in held), *_disk_geometry(geom),
+                            float(t))
+    else:
+        # one row, written straight into the inputs
+        _polygon_sweep(pos.shape[0], functools.partial(_held_start, held),
+                       lambda lo, hi: _row_sink(*(a[lo:hi] for a in held)),
+                       geom, np.array([float(t)]))
+    if n0 is not None:
+        weight *= float(scale) ** (rebounds - n0)
+    return pos, vel, weight, rebounds, degenerate

@@ -557,12 +557,11 @@ def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float
     ``sample_ensemble(geom, n, seed, region).mass()``, and ``trajectory``
     yields ``(t, ReboundTally.from_counts(...))`` over the distinct ``times``
     in ascending order, a particle weighing ``(1 / n) * scale ** k`` after k
-    rebounds on a disk and ``(1 / n) * scale * ... * scale`` on a polygon,
-    as each lane's kernels weigh it.  At scale 1 each tally is bitwise that
-    of ``transport_counts_times`` on the sampled ensemble, and below 1 its
-    histogram is.  Bad requests, times and scales raise ValueError here.
-    No particle is held: each kernel worker draws its own into its
-    buffers, and one pass counts every time.
+    rebounds, as ``billiard_transport`` weighs it.  At scale 1 each tally
+    is bitwise that of ``transport_counts_times`` on the sampled ensemble,
+    and below 1 its histogram is.  Bad requests, times and scales raise
+    ValueError here.  No particle is held: each kernel worker draws its
+    own into its buffers, and one pass counts every time.
     """
     ts = _kernels.distinct_times(times)
     _check_scale(scale)
@@ -571,12 +570,11 @@ def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float
     mass = float(np.broadcast_to(1.0 / n, (n,)).sum())
     if not ts.size:
         return mass, iter(())
-    disk = geom.shape == "disk"
-    tallies = (_kernels.disk_tallies if disk else _kernels.polygon_tallies)(draw, n, geom, ts)
+    tallies = (_kernels.disk_tallies if geom.shape == "disk"
+               else _kernels.polygon_tallies)(draw, n, geom, ts)
     width = max(counts.size for counts, _ in tallies)
     w0, scale = 1.0 / n, float(scale)
-    weights = (w0 * scale ** np.arange(width) if disk
-               else np.cumprod(np.r_[w0, np.full(width - 1, scale)]))
+    weights = w0 * scale ** np.arange(width)
     return mass, zip(ts.tolist(), ReboundTally.from_counts(n, tallies, weights,
                                                            mass if scale == 1.0 else None))
 

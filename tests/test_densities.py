@@ -861,21 +861,31 @@ class TestTalliesFromCounts:
                 assert tally.mass() == pytest.approx(float(w.sum()), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("scale", [1.0, 0.7])
-    def test_weights_follow_each_lanes_law(self, scale):
-        # a disk particle with n rebounds weighs w0 * scale ** n, a polygon
-        # one w0 * scale * ... * scale, multiplied in turn: each bin holds
-        # one weight, so its sum over its count is the histogram's bin
-        for geom, region in ((off_centre_disk(), "domain"), (hexagon(), "domain")):
-            ens = sample_ensemble(geom, 1500, seed=3, region=region)
-            _, trajectory = self.tallies(geom, 1500, 3, region, scale)
-            for (_, tally), (_, counts) in zip(trajectory,
-                                               transport_counts_times(ens, self.TIMES, geom,
-                                                                      scale)):
+    def test_weights_follow_each_lanes_law(self, monkeypatch, scale):
+        # on either shape a particle with n rebounds weighs w0 * scale ** n:
+        # every held weight is bitwise the weight the sampled tallies give
+        # its count, and each bin's sum over its count is the histogram's bin
+        seen = []
+        from_counts = densities.ReboundTally.from_counts
+
+        def spy(size, tallies, weights, mass=None):
+            seen.append(weights)
+            return from_counts(size, tallies, weights, mass)
+
+        monkeypatch.setattr(densities.ReboundTally, "from_counts", staticmethod(spy))
+        for geom in (off_centre_disk(), hexagon()):
+            ens = sample_ensemble(geom, 1500, seed=3)
+            seen.clear()
+            _, trajectory = self.tallies(geom, 1500, 3, "domain", scale)
+            (weights,) = seen
+            held = transport_counts_times(ens, self.TIMES, geom, scale)
+            for (_, tally), (_, counts) in zip(trajectory, held, strict=True):
+                assert counts.rebounds.max() < weights.size
+                assert same_arrays((counts.weight,), (weights[counts.rebounds],))
                 for k in np.unique(counts.rebounds).tolist():
-                    weights = np.unique(counts.weight[counts.rebounds == k])
-                    assert weights.size == 1
                     c = np.sum(counts.rebounds == k)
-                    assert bincount_sum(c, weights[0]) == tally.histogram[k]
+                    assert bincount_sum(c, weights[k]) == tally.histogram[k]
+            assert counts.rebounds.max() > 2
 
 
 def refuse(*args):
@@ -1030,11 +1040,23 @@ class TestTrajectorySnapshots:
             assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
                                (ref.weight, ref.rebounds, ref.degenerate))
 
-    def test_one_sweep_group_copies_no_ensemble(self, monkeypatch):
+    def test_the_call_takes_one_snapshot(self):
+        # the call copies the ensemble's five arrays once and holds that
+        # copy, 49 bytes per particle (four coordinates, a weight, a count
+        # and a flag), and its peak stays below two such copies: a second
+        # copy of the ensemble, held or dropped, reads 98 at the peak
         geom = hexagon()
-        ens = sample_ensemble(geom, 600, seed=8)
-        monkeypatch.setattr(densities.ParticleEnsemble, "copy", None)
-        assert len(rows_of(transport_counts_times(ens, self.TIMES, geom))) == 4
+        n = 1 << 14
+        ens = sample_ensemble(geom, n, seed=8)
+        tracemalloc.start()
+        try:
+            trajectory = transport_counts_times(ens, self.TIMES, geom)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 49.0 <= held / n < 50.0, held / n
+        assert peak / n < 2 * 49.0, peak / n
+        assert len(rows_of(trajectory)) == 4
 
 
 def edge_disk():
@@ -1194,17 +1216,21 @@ def test_polygon_sweep_transient_is_bounded(monkeypatch):
     # reads about 266 bytes per particle at scale 1, at the last time: the
     # snapshot (49), the earlier times' counts (36), the last time's copies
     # of the snapshot (41), the one-time sweep's work buffers (124: the
-    # working state and as many spares, the count and index lanes, 2 spare
-    # ints, 2 masks, the remaining time and its 2 masks) and its start's
-    # gathers.  One sweep writing five rows of counts read about 233
+    # working state of five floats and as many spares, the count and index
+    # lanes, 2 spare ints, 2 masks, the remaining time and its 2 masks) and
+    # its start's gathers; no lane carries a weight.  One sweep writing five
+    # rows of counts read about 233
     per_particle = polygon_sweep_peak(monkeypatch, 1.0)
     assert per_particle < 280.0, per_particle
 
 
 def test_scaled_polygon_sweep_transient_is_bounded(monkeypatch):
-    # below scale 1 every time holds weights of its own (40 more) and the
-    # weights are working state too (8 more): about 314 bytes per particle,
-    # against about 281 for one sweep writing five rows
+    # below scale 1 every time holds weights of its own (40 more), and each
+    # transport holds a copy n0 of its input counts while it sweeps (8 more)
+    # for the weight w0 * scale ** (n - n0) it applies at its end, where the
+    # power's two temporaries (16) come after the sweep's buffers are freed:
+    # about 314 bytes per particle, against about 281 for one sweep writing
+    # five rows
     per_particle = polygon_sweep_peak(monkeypatch, 0.7)
     assert per_particle < 335.0, per_particle
 
@@ -1292,10 +1318,10 @@ class TestDrawnPolygonTallies:
         ens = sample_ensemble(geom, 1000, seed=11, region=region)
         times = _kernels.distinct_times(self.TIMES)
         sink = _kernels._Tally(times.size)
-        held = _kernels._held_start([getattr(ens, name) for name in STATE], 100, 1000,
-                                    refuse, times, 1.0)
+        held = _kernels._held_start((ens.pos, ens.vel, ens.rebounds, ens.degenerate), 100, 1000,
+                                    refuse, times)
         drawn = _kernels._drawn_start(densities._state_sampler(geom, 1000, 11, region), 100, 1000,
-                                      sink, times, 1.0)
+                                      sink, times)
         assert same_arrays(drawn[0], held[0]) and len(drawn[0]) == len(held[0]) == 5
         assert len(drawn[1]) == 1 and same_arrays(drawn[1], held[1][:1])
         assert np.array_equal(held[1][1], np.arange(900))

@@ -407,8 +407,21 @@ class TestPolygonSnapshots:
                 assert degenerate[k, i] == flag
                 assert np.allclose(pos[k, i], p, rtol=0.0, atol=1e-9)
                 assert np.allclose(vel[k, i], v, rtol=0.0, atol=1e-9)
-            expected = ens.weight * scale ** rebounds[k]
-            assert np.allclose(weight[k], expected, rtol=1e-14, atol=0.0)
+            assert np.array_equal(weight[k], ens.weight * scale ** rebounds[k])
+
+    @pytest.mark.parametrize("table", [hexagon_table, off_centre_table])
+    def test_weights_follow_one_law(self, table):
+        # a particle that reflects n - n0 times weighs w0 * scale ** (n - n0),
+        # in one power, on either shape.  Multiplying by scale once per
+        # reflection drifts from that by up to (n - n0) / 2 ulp, which on
+        # this hexagon misses most lanes
+        geom = table()
+        ens = sample_ensemble(geom, 20_000, seed=41)
+        ens.weight[:] = 1e-5
+        ens.rebounds[:] = 3
+        moved = transported(ens, geom, 40.0, scale=0.8)
+        assert np.unique(moved.rebounds).size > 20
+        assert np.array_equal(moved.weight, 1e-5 * 0.8 ** (moved.rebounds - 3))
 
     def test_narrow_types_sweep_in_float64(self):
         # float32 states and weights and int32 counts step as their exact
@@ -672,22 +685,23 @@ class TestExactRound:
 
     def check_square_rows(self, rows, rounds, scale):
         # every particle's count, flag and weight in the one-time transports
-        # against the scalar oracle's events, each reflection multiplying the
-        # weight by scale once, in turn; the tallies of one sweep over every
-        # time are their bincounts
+        # against the scalar oracle's events, the weight w0 * scale ** n for
+        # n reflections; the tallies of one sweep over every time are their
+        # bincounts
         geom = square_table()
         ens = self.square_ensemble()
         times = _kernels.distinct_times(self.SQUARE_TIMES)
         assert len(rows) == len(rounds) == times.size
         for t, moved, (counts, flagged) in zip(times.tolist(), rows, rounds):
+            reflections = []
             for i, (p, v) in enumerate(self.SQUARE_STATES):
                 # at t = 0 nothing moves, not even a particle sitting on a wall
                 events, flag = rebound_sequence((p, v), t, geom) if t else ([], False)
                 assert (moved.rebounds[i], moved.degenerate[i]) == (len(events), flag)
-                w = ens.weight[i]
-                for _ in events:
-                    w *= scale
-                assert moved.weight[i] == w
+                reflections.append(len(events))
+            # numpy's power of an array, which need not round as Python's
+            # float power does
+            assert np.array_equal(moved.weight, ens.weight * scale ** np.array(reflections))
             assert np.array_equal(counts, np.bincount(moved.rebounds))
             assert np.array_equal(flagged, np.bincount(moved.rebounds[moved.degenerate]))
 

@@ -69,6 +69,14 @@ class BoundaryVector:
             self, "entries", tuple((k, v) for k, v in sorted(summed.items()) if v != 0.0))
 
     @classmethod
+    def _trusted(cls, side: str, entries: tuple) -> "BoundaryVector":
+        """Wrap entries sorted by unique int index, float and nonzero."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "side", side)
+        object.__setattr__(out, "entries", entries)
+        return out
+
+    @classmethod
     def from_dict(cls, side: str, d: dict) -> "BoundaryVector":
         return cls(side, tuple(d.items()))
 
@@ -161,11 +169,14 @@ def apply_rule(rule: BoundaryRule, trace: BoundaryVector, geom: IntervalUnion) -
         raise ValueError("specular rule has no action on interval-union traces")
     if trace.side != "outgoing":
         raise ValueError("boundary rule consumes outgoing traces")
+    scale = float(rule.scale)
     out: dict[int, float] = {}
     for k, v in trace.entries:
         for j, p in rule.feeds(k, geom):
-            out[j] = out.get(j, 0.0) + rule.scale * p * v
-    return BoundaryVector.from_dict("incoming", out)
+            out[j] = out.get(j, 0.0) + scale * p * v
+    # int indices and float values, as the trace and the rule's rows hold
+    return BoundaryVector._trusted(
+        "incoming", tuple((j, v) for j, v in sorted(out.items()) if v != 0.0))
 
 
 def flux_gap(trace: BoundaryVector, rule: BoundaryRule, geom: IntervalUnion) -> float:

@@ -32,7 +32,7 @@ from . import _kernels
 from .boundary import BoundaryRule, BoundaryVector, apply_rule, apply_rule_histories, flux_gap
 from .densities import PiecewiseDensity, _ladder_sampler, free_stream
 from .geometry import IntervalUnion
-from .steps import StepFunction, clipped_integral
+from .steps import StepFunction, clipped_integral, running_totals
 
 __all__ = [
     "Expansion",
@@ -62,8 +62,8 @@ class Expansion:
     horizon ``t_max``."""
 
     def __init__(self, geom: IntervalUnion, rule: BoundaryRule, f: PiecewiseDensity, t_max: float):
-        if t_max < 0.0:
-            raise ValueError("time horizon must be nonnegative")
+        if not 0.0 <= t_max < math.inf:
+            raise ValueError(f"time horizon t_max={t_max!r} must be finite and nonnegative")
         if rule.kind == "specular":
             raise ValueError("interval-union expansions need a shift or kernel rule")
         self.geom = geom
@@ -80,6 +80,9 @@ class Expansion:
         self._exhausted_at: int | None = 0 if not psi0 else None
         # (order, t) -> (order mass, [0, t] trace norm, flux gap of that trace)
         self._pass: dict[tuple[int, float], tuple[float, float, float]] = {}
+        # order -> its histories as arrays, built on the order's first read
+        self._in_arrays: dict[int, list] = {}
+        self._out_arrays: dict[int, list] = {}
 
     def _ensure(self, k: int):
         while len(self._outgoing) <= k:
@@ -116,10 +119,22 @@ class Expansion:
         return self._outgoing[k]
 
     def incoming_history(self, k: int) -> dict[int, StepFunction]:
-        if k == 0:
-            return {}
         self._ensure(k)
         return self._incoming[k]
+
+    def _incoming_arrays(self, k: int) -> list:
+        """Order k's incoming histories as ``(a_j, b_j, xs, vals)``."""
+        if k not in self._in_arrays:
+            self._in_arrays[k] = [(self.geom.a(j), self.geom.b(j), h.xs, h.vals)
+                                  for j, h in self.incoming_history(k).items()]
+        return self._in_arrays[k]
+
+    def _outgoing_arrays(self, k: int) -> list:
+        """Order k's outgoing histories as ``(m, xs, vals, integral, running totals)``."""
+        if k not in self._out_arrays:
+            self._out_arrays[k] = [(m, h.xs, h.vals, h.integral(), running_totals(h.xs, h.vals))
+                                   for m, h in self.outgoing_history(k).items()]
+        return self._out_arrays[k]
 
     def _check_t(self, t: float):
         if not 0.0 <= t <= self.t_max:
@@ -159,11 +174,9 @@ class Expansion:
         self._check_t(t)
         if k == 0:
             return free_stream(self.f, t, self.geom).mass()
-        geom = self.geom
         total = 0
-        for j, h in self.incoming_history(k).items():
-            a = geom.a(j)
-            total += clipped_integral((t - h.xs[::-1]) + a, h.vals[::-1], a, geom.b(j))
+        for a, b, xs, vals in self._incoming_arrays(k):
+            total += clipped_integral((t - xs[::-1]) + a, vals[::-1], a, b)
         return float(total)
 
     def integrated_trace(self, k: int, s: float, t: float) -> BoundaryVector:
@@ -171,12 +184,13 @@ class Expansion:
         self._check_t(t)
         if not 0.0 <= s <= t:
             raise ValueError("need 0 <= s <= t")
-        return BoundaryVector(
-            "outgoing",
-            tuple(
-                (m, h.window_integral(s, t)) for m, h in self.outgoing_history(k).items()
-            ),
-        )
+        entries = []
+        for m, xs, vals, whole, _ in self._outgoing_arrays(k):
+            v = whole if s <= xs[0] and t >= xs[-1] else clipped_integral(xs, vals, s, t)
+            if v != 0.0:
+                entries.append((m, v))
+        entries.sort()  # by index, as the indices are unique
+        return BoundaryVector._trusted("outgoing", tuple(entries))
 
     def _order_pass(self, n: int, t: float) -> tuple[float, float, float]:
         """Order n at time t as the order pass reads it: its mass, its [0, t]
@@ -186,7 +200,7 @@ class Expansion:
         all three are exactly 0."""
         got = self._pass.get((n, t))
         if got is None:
-            if n and all(h.xs[0] >= t for h in self.incoming_history(n).values()):
+            if n and all(xs[0] >= t for _, _, xs, _ in self._incoming_arrays(n)):
                 got = (0.0, 0.0, 0.0)
             else:
                 tr = self.integrated_trace(n, 0.0, t)
@@ -323,12 +337,11 @@ def evolve_scaled(
 def mass_balance(
     n: int, t: float, f: PiecewiseDensity, geom: IntervalUnion, rule: BoundaryRule
 ) -> MassBalanceReport:
-    """Exact order-mass balance at truncation order n and time t."""
+    """Exact order-mass balance at truncation order n and time t, from the order pass."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     ex = Expansion(geom, rule, f, t)
-    masses = tuple(ex.order_mass(k, t) for k in range(n + 1))
-    out_norms = [ex.integrated_trace(k, 0.0, t).norm() for k in range(n + 1)]
+    masses, out_norms, _ = zip(*(ex._order_pass(k, t) for k in range(n + 1)))
     brackets = tuple(
         apply_rule(rule, ex.integrated_trace(k, 0.0, t), geom).norm() - out_norms[k]
         for k in range(n)

@@ -30,6 +30,7 @@ from .boundary import (
 from .densities import ParticleEnsemble, PiecewiseDensity, ReboundCounts, ReboundTally
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, evolve
 from .geometry import IntervalUnion
+from .steps import cumulative_at
 
 __all__ = [
     "DefectReport",
@@ -175,16 +176,16 @@ def _settle_windows(ex: Expansion, points, tol: float, n_cap: int) -> list[Defec
     stabilized = np.zeros(n_pairs, dtype=bool)
     open_pairs = np.arange(n_pairs)
     for n in range(n_cap + 1):
-        hist = [h for h in ex.outgoing_history(n).values() if h.xs[0] < end]
+        hist = [h for h in ex._outgoing_arrays(n) if h[1][0] < end]
         if not hist:
             # exhausted: all remaining orders are identically zero on [0, t]
             table.append(np.zeros(n_pairs))
             counts[open_pairs] = n + 1
             stabilized[open_pairs] = True
             break
-        cum = sum(h.cumulative(points) for h in hist)
+        cum = sum(cumulative_at(xs, vals, totals, points) for _, xs, vals, _, totals in hist)
         table.append(cum[hi] - cum[lo])
-        arrivals.append(min(h.xs[0] for h in hist))
+        arrivals.append(min(xs[0] for _, xs, _, _, _ in hist))
         if n < STABLE_SPAN:
             continue
         recent = arrivals[-(STABLE_SPAN + 1):]
@@ -197,13 +198,13 @@ def _settle_windows(ex: Expansion, points, tol: float, n_cap: int) -> list[Defec
         open_pairs = open_pairs[~done]
         if not open_pairs.size:
             break
-    by_pair = np.array(table).T
+    ends = points.tolist()
     reports = []
-    for p in range(n_pairs):
-        entries = tuple(by_pair[p, :counts[p]].tolist())
-        settled = bool(stabilized[p])
+    for i, j, row, count, settled in zip(lo.tolist(), hi.tolist(), np.array(table).T.tolist(),
+                                         counts.tolist(), stabilized.tolist()):
+        entries = tuple(row[:count])
         reports.append(DefectReport(
-            (float(points[lo[p]]), float(points[hi[p]])), entries, entries[-1], settled,
+            (ends[i], ends[j]), entries, entries[-1], settled,
             _classify(entries, tol, settled), tol, n_cap,
         ))
     return reports

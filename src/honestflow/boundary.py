@@ -163,8 +163,8 @@ class BoundaryRule:
         return tuple((j, p) for j, p in self.row(outgoing_index) if j < n)
 
 
-def apply_rule(rule: BoundaryRule, trace: BoundaryVector, geom: IntervalUnion) -> BoundaryVector:
-    """Send an outgoing trace through the boundary rule."""
+def _image(rule: BoundaryRule, trace: BoundaryVector, geom: IntervalUnion) -> list:
+    """``apply_rule``'s entries, nonzero and sorted by index, with no vector built."""
     if rule.kind == "specular":
         raise ValueError("specular rule has no action on interval-union traces")
     if trace.side != "outgoing":
@@ -174,9 +174,13 @@ def apply_rule(rule: BoundaryRule, trace: BoundaryVector, geom: IntervalUnion) -
     for k, v in trace.entries:
         for j, p in rule.feeds(k, geom):
             out[j] = out.get(j, 0.0) + scale * p * v
+    return [(j, v) for j, v in sorted(out.items()) if v != 0.0]
+
+
+def apply_rule(rule: BoundaryRule, trace: BoundaryVector, geom: IntervalUnion) -> BoundaryVector:
+    """Send an outgoing trace through the boundary rule."""
     # int indices and float values, as the trace and the rule's rows hold
-    return BoundaryVector._trusted(
-        "incoming", tuple((j, v) for j, v in sorted(out.items()) if v != 0.0))
+    return BoundaryVector._trusted("incoming", tuple(_image(rule, trace, geom)))
 
 
 def flux_gap(trace: BoundaryVector, rule: BoundaryRule, geom: IntervalUnion) -> float:
@@ -187,7 +191,7 @@ def flux_gap(trace: BoundaryVector, rule: BoundaryRule, geom: IntervalUnion) -> 
     """
     if trace.side != "outgoing":
         raise ValueError("flux gap consumes outgoing traces")
-    return trace.signed_sum() - apply_rule(rule, trace, geom).signed_sum()
+    return trace.signed_sum() - float(sum(v for _, v in _image(rule, trace, geom)))
 
 
 def apply_rule_histories(rule: BoundaryRule, hist: dict[int, StepFunction], geom: IntervalUnion):

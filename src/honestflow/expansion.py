@@ -83,6 +83,8 @@ class Expansion:
         # order -> its histories as arrays, built on the order's first read
         self._in_arrays: dict[int, list] = {}
         self._out_arrays: dict[int, list] = {}
+        # order -> [last outgoing breakpoint, (trace norm, flux gap) from it on]
+        self._covered: dict[int, list] = {}
 
     def _ensure(self, k: int):
         while len(self._outgoing) <= k:
@@ -176,6 +178,9 @@ class Expansion:
             return free_stream(self.f, t, self.geom).mass()
         total = 0
         for a, b, xs, vals in self._incoming_arrays(k):
+            # a history missing (a, b), by clipped_integral's tests, adds 0.0: skip it
+            if (t - xs[-1]) + a >= b or (t - xs[0]) + a <= a:
+                continue
             total += clipped_integral((t - xs[::-1]) + a, vals[::-1], a, b)
         return float(total)
 
@@ -197,14 +202,26 @@ class Expansion:
         outgoing trace norm and that trace's flux gap, computed once.  An
         order whose incoming histories all start at or after t has not
         entered the ladder by t, and its outgoing ones start later still:
-        all three are exactly 0."""
+        all three are exactly 0.
+
+        From the last breakpoint of the order's outgoing histories on, the
+        [0, t] trace reads only whole integrals: those t share one norm and gap."""
         got = self._pass.get((n, t))
         if got is None:
             if n and all(xs[0] >= t for _, _, xs, _ in self._incoming_arrays(n)):
                 got = (0.0, 0.0, 0.0)
             else:
-                tr = self.integrated_trace(n, 0.0, t)
-                got = (self.order_mass(n, t), tr.norm(), flux_gap(tr, self.rule, self.geom))
+                if n not in self._covered:
+                    ends = [xs[-1] for _, xs, *_ in self._outgoing_arrays(n)]
+                    self._covered[n] = [max(ends, default=0.0), None]
+                cover = self._covered[n]
+                trace = cover[1] if t >= cover[0] else None
+                if trace is None:
+                    tr = self.integrated_trace(n, 0.0, t)
+                    trace = (tr.norm(), flux_gap(tr, self.rule, self.geom))
+                    if t >= cover[0]:
+                        cover[1] = trace
+                got = (self.order_mass(n, t), *trace)
             self._pass[(n, t)] = got
         return got
 

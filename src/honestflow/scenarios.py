@@ -55,7 +55,7 @@ import configparser
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -180,6 +180,8 @@ class ScenarioConfig:
     windows: tuple = ()
     grid_points: int = 8
     output_dir: str = "reports"
+    # parse_config's PiecewiseDensity of pieces: None by hand, reset on replacing pieces
+    density: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_billiard(self) -> bool:
@@ -395,7 +397,7 @@ def _parse_density(sec: _Section, geometry) -> tuple:
         pieces = sec.get("pieces")
         f = _made("[density] pieces:", PiecewiseDensity.from_pieces, geometry, pieces)
         sec.reject_unused()
-        return dict(density_kind="piecewise", pieces=pieces), f.is_nonnegative
+        return dict(density_kind="piecewise", pieces=pieces, density=f), f.is_nonnegative
     if not billiard:
         raise ConfigError("[density] ensembles need a billiard geometry")
     count, seed, region = sec.get("count"), sec.get("seed"), sec.get("region")
@@ -485,7 +487,7 @@ def with_overrides(cfg: ScenarioConfig, tol=None, n_cap=None, seed=None) -> Scen
 def initial_density(cfg: ScenarioConfig):
     """Materialize the configured initial state."""
     if cfg.density_kind == "piecewise":
-        return PiecewiseDensity.from_pieces(cfg.geometry, cfg.pieces)
+        return cfg.density or PiecewiseDensity.from_pieces(cfg.geometry, cfg.pieces)
     return sample_ensemble(cfg.geometry, cfg.count, cfg.seed, cfg.region)
 
 
@@ -562,7 +564,7 @@ def _ladder_row(f: PiecewiseDensity, t: float, rep: TruncationReport) -> TimeRow
 
 def _run_ladder(cfg: ScenarioConfig) -> ScenarioResult:
     geom, rule = cfg.geometry, cfg.boundary
-    f = PiecewiseDensity.from_pieces(geom, cfg.pieces)
+    f = initial_density(cfg)
     t_max = max(cfg.times)
     ex = Expansion(geom, rule, f, t_max)
     reports = [ex.partial_sums(t, cfg.tol, cfg.n_cap) for t in cfg.times]
@@ -699,8 +701,8 @@ def time_series_csv(result: ScenarioResult) -> str:
                 _fmt(row.t), _fmt(row.mass), _fmt(row.mass_defect),
                 _fmt(row.residual_bound), str(row.n_used), _fmt(row.converged),
             ]
-            cells += [_fmt(m) for m in row.order_masses]
-            cells += [_fmt(v) for v in row.trace_norms]
+            # floats all: _fmt's last branch, with no type tests
+            cells += [format(float(x), ".17g") for x in row.order_masses + row.trace_norms]
             buf.write(",".join(cells) + "\n")
         return buf.getvalue()
     head = ["t", "mass", "mass_defect", "degenerate_weight", "max_rebounds"]

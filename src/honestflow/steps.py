@@ -19,16 +19,17 @@ validated path.  ``window_integral`` and :func:`clipped_integral` integrate
 the canonical arrays of a truncation without building the object, and give
 the float ``clip(lo, hi).integral()`` gives.
 
-Each integral is one ``np.dot`` on canonical arrays: with numpy 2.4.6 on
-AVX-512 that is a sequential FMA chain below 16 elements, which ``np.sum(a
-* b)`` or a batched ``reduceat`` rounds differently.  So report bytes are
-pinned per machine and numpy build, as is the billiards' ``scale ** n``,
-which follows numpy's ``pow`` dispatch (README, "Command line").
+A window inside one piece integrates to one product (bitwise a one-element
+``np.dot``), any other to one ``np.dot`` on the canonical arrays of the
+pieces it overlaps: a sequential FMA chain below 16 elements on AVX-512
+(numpy 2.4.6), which ``np.sum(a * b)`` or ``reduceat`` rounds differently,
+so report bytes are pinned per machine and numpy build (README).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -70,17 +71,23 @@ def _check_bounds(lo: float, hi: float):
 
 def clipped_integral(xs: np.ndarray, vals: np.ndarray, lo: float, hi: float) -> float:
     """Integral over (lo, hi) of the step function with finite nondecreasing
-    breakpoints ``xs`` and values ``vals``, canonical or not.
-
-    The truncation is brought to canonical form as arrays, so the float is
-    the one ``StepFunction(xs, vals).clip(lo, hi).integral()`` gives.
+    breakpoints ``xs`` and values ``vals``, canonical or not: the float
+    ``StepFunction(xs, vals).clip(lo, hi).integral()`` gives, from the
+    canonical arrays of the pieces that bisection finds overlapping (lo, hi).
     """
     _check_bounds(lo, hi)
     # breakpoints all at or beyond one bound clip to zero-width pieces
     if not lo < hi or not vals.size or xs[0] >= hi or xs[-1] <= lo:
         return 0.0
+    # pieces outside i..j clip to zero width, which the canonical form drops
+    i = max(bisect_right(xs, lo) - 1, 0)
+    j = min(bisect_left(xs, hi), vals.size) - 1
+    if i == j:
+        v, w = vals[i], min(xs[i + 1], hi) - max(xs[i], lo)
+        # a zero value or width makes a piece the canonical form drops
+        return float(v * w) if v and w > 0.0 else 0.0
     # twice as fast as np.clip; a zero's sign differs, which no width sees
-    xs, vals = _canonical(np.minimum(np.maximum(xs, lo), hi), vals)
+    xs, vals = _canonical(np.minimum(np.maximum(xs[i:j + 2], lo), hi), vals[i:j + 1])
     return float(np.dot(vals, xs[1:] - xs[:-1])) if vals.size else 0.0
 
 

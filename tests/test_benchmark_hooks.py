@@ -31,7 +31,8 @@ def test_import_loads_no_thread_pool():
 def test_dishonest_ladder_builds_few_validated_step_functions(monkeypatch):
     # the exact lane transforms and integrates histories on their arrays:
     # one run of this builtin used to validate 1 703 StepFunction
-    # constructions and now validates 1 (the initial density's piece)
+    # constructions and now validates none.  Its parse validates the
+    # initial density's piece, which the run reads
     from honestflow import scenarios
     from honestflow.steps import StepFunction
 
@@ -42,8 +43,8 @@ def test_dishonest_ladder_builds_few_validated_step_functions(monkeypatch):
         calls.append(1)
         init(self, xs, vals)
 
-    cfg = scenarios.resolve_config("geometric-ladder-dishonest")
     monkeypatch.setattr(StepFunction, "__init__", counted)
+    cfg = scenarios.resolve_config("geometric-ladder-dishonest")
     scenarios.run_scenario(cfg)
     assert 0 < len(calls) <= 2
 

@@ -9,7 +9,10 @@ built from ``window_integral``, the flux gap of a rule applied through
 order's histories.  The cases are random shift and kernel ladders on affine,
 geometric and explicit geometries, at scales 1, 0.9 and 0.5, with kernel rows
 of 1, 2 and 3 targets listed in shuffled order, read at a time that falls on
-a history breakpoint and at the horizon itself.
+a history breakpoint and at the horizon itself, plus one geometric ladder
+whose histories hold thousands of pieces.  The pass shares an order's trace
+among the times that cover all its outgoing histories, and is checked in
+either time order.
 
 ``mass_balance`` reads the same order pass, and must give the reports of its
 former two loops.  Every entry point that builds an expansion refuses an
@@ -111,8 +114,18 @@ def builtin_cases():
     return cases
 
 
+def large_history_case():
+    """A geometric ladder whose two-way kernel rows never realign its
+    breakpoints: order 12's histories hold 2743 pieces by t = 3, so trace
+    windows and order masses bisect big arrays."""
+    geom = IntervalUnion("geometric", start=0.0, spacing=3.0, length=1.0, ratio=0.7)
+    rule = BoundaryRule("kernel", 1.0, tuple((k, ((k + 1, 0.5), (k + 2, 0.5))) for k in range(40)))
+    f = PiecewiseDensity.from_pieces(geom, [(0.0, 0.5, 1.0), (0.5, 1.0, 2.0)])
+    return ("geometric-kernel2-large", geom, rule, f, 3.0, 12)
+
+
 CASES = oracle_ladders()
-ALL_CASES = builtin_cases() + CASES
+ALL_CASES = builtin_cases() + CASES + [large_history_case()]
 
 
 def case_ids(cases):
@@ -189,6 +202,16 @@ class TestOrderPassOracle:
                     assert same_vector(image, BoundaryVector(image.side, image.entries))
                     assert bits(flux_gap(trace, rule, geom)) == bits(
                         validated_flux_gap(trace, rule, geom))
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=case_ids(ALL_CASES))
+    def test_order_pass_read_from_the_horizon_back(self, case):
+        # an order's trace is shared only by the times at or after its last
+        # outgoing breakpoint, whichever time the pass reads first
+        _, geom, rule, f, t_max, n_cap = case
+        ex = Expansion(geom, rule, f, t_max)
+        for t in reversed(times_of(ex)):
+            want = Expansion(geom, rule, f, t_max).partial_sums(t, 1e-12, n_cap, n_cap)
+            assert repr(ex.partial_sums(t, 1e-12, n_cap, n_cap)) == repr(want), t
 
     def test_an_image_entry_that_cancels_is_dropped(self):
         # a signed trace whose two entries feed one index and cancel there

@@ -1068,6 +1068,26 @@ class TestRunScenario:
         run_scenario(replace(cfg, windows=((1.0, 2.0), (0.5, 3.0))))
         assert horizons == [max(cfg.times), 3.0]
 
+    def test_one_initial_density_per_ladder_parse_and_run(self, monkeypatch):
+        # parse_config builds the density to validate its pieces, and the
+        # run reads that one; a config built by hand builds its own, to the
+        # same report bytes
+        built = []
+        from_pieces = PiecewiseDensity.from_pieces.__func__
+
+        def counted(cls, geom, pieces):
+            built.append(pieces)
+            return from_pieces(cls, geom, pieces)
+
+        monkeypatch.setattr(PiecewiseDensity, "from_pieces", classmethod(counted))
+        cfg = parse_config(builtin_config_text("geometric-ladder-dishonest"), label="dishonest")
+        result = run_scenario(cfg)
+        assert len(built) == 1
+        by_hand = run_scenario(replace(cfg, density=None))
+        assert len(built) == 2
+        assert time_series_csv(by_hand) == time_series_csv(result)
+        assert summary_text(by_hand) == summary_text(result)
+
     def test_order_mass_once_per_order_and_time(self, monkeypatch):
         calls = []
         order_mass = Expansion.order_mass

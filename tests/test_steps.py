@@ -32,6 +32,35 @@ def same(f, g):
     return f.xs.tobytes() == g.xs.tobytes() and f.vals.tobytes() == g.vals.tobytes()
 
 
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def raw_arrays():
+    """Nondecreasing breakpoints and values that need not be canonical:
+    breakpoints drawn from a few values repeat, values drawn from a few
+    repeat or vanish (zero end pieces), and signed values near the least
+    float make products that underflow."""
+    point = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(-4.0, 4.0)
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e-300, 5e-324, -5e-324]) | st.floats(
+        -4.0, 4.0)
+    return st.lists(point, min_size=2, max_size=9).flatmap(
+        lambda xs: st.lists(value, min_size=len(xs) - 1, max_size=len(xs) - 1).map(
+            lambda vals: (np.array(sorted(xs)), np.array(vals))))
+
+
+def windows_on(xs):
+    """Windows (lo, hi), lo < hi: ends on a breakpoint, anywhere, or
+    infinite, and windows 2**-k wide."""
+    end = st.sampled_from(xs.tolist()) | st.floats(-5.0, 5.0)
+    return st.one_of(
+        st.tuples(end, end).filter(lambda w: w[0] < w[1]),
+        st.tuples(end, st.integers(1, 50)).map(lambda w: (w[0], w[0] + 2.0**-w[1])),
+        st.tuples(st.just(-math.inf), end),
+        st.tuples(end, st.just(math.inf)),
+    )
+
+
 class TestConstruction:
     def test_zero(self):
         z = StepFunction.zero()
@@ -173,6 +202,65 @@ class TestTrustedTransforms:
         assert same(f.clip(0.5, 1.0), StepFunction([0.5, 1.0], [1.0]))
         assert same(f.clip(1.0, 2.0), StepFunction.zero())
         assert f.window_integral(1.0, 2.0) == 0.0
+
+    # clipped_integral takes arrays that need not be canonical: it bisects
+    # for the pieces the window overlaps, returns one product for a window
+    # inside one piece and canonicalises the slice otherwise
+
+    @given(raw_arrays(), st.data())
+    @settings(max_examples=200)
+    def test_clipped_integral_on_raw_arrays(self, arrays, data):
+        xs, vals = arrays
+        for lo, hi in (data.draw(windows_on(xs)), data.draw(windows_on(xs))):
+            want = StepFunction(xs, vals).clip(lo, hi).integral()
+            assert bits(clipped_integral(xs, vals, lo, hi)) == bits(want), (lo, hi)
+
+    @given(raw_arrays(), st.sampled_from([0.0, 1.0, 3.0, 2.0**52, 1e16]),
+           st.floats(0.0, 4.0), st.data())
+    @settings(max_examples=150)
+    def test_clipped_integral_on_reversed_shifted_arrays(self, arrays, a, t, data):
+        # order_mass's arrays: (t - xs[::-1]) + a, where a large a merges
+        # breakpoints by rounding
+        xs, vals = (t - arrays[0][::-1]) + a, arrays[1][::-1]
+        for lo, hi in ((a, a + 4.0), data.draw(windows_on(xs))):
+            want = StepFunction(xs, vals).clip(lo, hi).integral()
+            assert bits(clipped_integral(xs, vals, lo, hi)) == bits(want), (lo, hi)
+
+    @pytest.mark.parametrize("xs, vals, lo, hi, want", [
+        # inside one piece, and on its breakpoints
+        ([0.0, 1.0, 2.0], [1.0, 3.0], 0.25, 0.75, 0.5),
+        ([0.0, 1.0, 2.0], [1.0, 3.0], 1.0, 2.0, 3.0),
+        ([0.0, 1.0, 2.0], [1.0, 3.0], 0.0, 1.0, 1.0),
+        ([0.0, 1.0, 2.0], [1.0, 3.0], 0.3, 0.3 + 2.0**-40, 2.0**-40 * 1.0),
+        ([0.0, 1.0, 2.0], [1.0, 3.0], 1.0 - 2.0**-30, 1.0 + 2.0**-30, 4 * 2.0**-30),
+        # duplicate breakpoints, equal neighbours and zero end pieces
+        ([0.0, 1.0, 1.0, 2.0], [2.0, 5.0, 2.0], 0.5, 1.5, 2.0),
+        ([0.0, 0.5, 1.0, 1.5, 2.0], [0.0, 1.0, 1.0, 0.0], -1.0, 3.0, 1.0),
+        ([1.0, 1.0], [4.0], 0.0, 2.0, 0.0),
+        ([1.0, 1.0], [-4.0], 0.0, 2.0, 0.0),
+        ([0.0, 1.0, 2.0], [-0.0, 2.0], 0.25, 0.75, 0.0),
+        # infinite bounds
+        ([0.0, 1.0, 2.0], [1.0, 3.0], -math.inf, 0.5, 0.5),
+        ([0.0, 1.0, 2.0], [1.0, 3.0], 1.5, math.inf, 1.5),
+        ([0.0, 1.0, 2.0], [1.0, 3.0], -math.inf, math.inf, 4.0),
+        # signed products that underflow to -0.0 and +0.0 in one piece; in
+        # two, the zero's sign is np.dot's, whichever it is
+        ([0.0, 1.0], [-1e-300], 0.0, 1e-30, -0.0),
+        ([0.0, 1.0], [1e-300], 0.0, 1e-30, 0.0),
+        ([0.0, 1e-30, 2e-30], [-1e-300, -2e-300], 0.0, 2e-30, None),
+        ([0.0, 1.0, 2.0], [-5e-324, 1.0], 0.75, 1.25, 0.25),
+    ])
+    def test_clipped_integral_cases(self, xs, vals, lo, hi, want):
+        xs, vals = np.array(xs), np.array(vals)
+        got = clipped_integral(xs, vals, lo, hi)
+        assert want is None or bits(got) == bits(want)
+        assert bits(got) == bits(StepFunction(xs, vals).clip(lo, hi).integral())
+
+    @pytest.mark.parametrize("v, w", [(0.1, 0.7), (-1e-200, 1e-200), (1e-200, 1e-200),
+                                      (-5e-324, 0.5), (-3.0, 5e-324), (-0.0, 2.0)])
+    def test_one_element_dot_is_the_product(self, v, w):
+        # what lets a window inside one piece return one product
+        assert bits(np.dot(np.array([v]), np.array([w]))) == bits(np.float64(v) * np.float64(w))
 
 
 class TestNan:

@@ -189,8 +189,6 @@ def flux_gap(trace: BoundaryVector, rule: BoundaryRule, geom: IntervalUnion) -> 
     For nonnegative traces this is the l1 norm lost in one boundary pass
     (zero exactly when the rule is conservative on the trace's support).
     """
-    if trace.side != "outgoing":
-        raise ValueError("flux gap consumes outgoing traces")
     return trace.signed_sum() - float(sum(v for _, v in _image(rule, trace, geom)))
 
 

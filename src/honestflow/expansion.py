@@ -32,7 +32,7 @@ from . import _kernels
 from .boundary import BoundaryRule, BoundaryVector, apply_rule, apply_rule_histories, flux_gap
 from .densities import PiecewiseDensity, _ladder_sampler, free_stream
 from .geometry import IntervalUnion
-from .steps import StepFunction, clipped_integral, running_totals
+from .steps import StepFunction, clipped_integral, misses, running_totals
 
 __all__ = [
     "Expansion",
@@ -178,8 +178,7 @@ class Expansion:
             return free_stream(self.f, t, self.geom).mass()
         total = 0
         for a, b, xs, vals in self._incoming_arrays(k):
-            # a history missing (a, b), by clipped_integral's tests, adds 0.0: skip it
-            if (t - xs[-1]) + a >= b or (t - xs[0]) + a <= a:
+            if misses((t - xs[-1]) + a, (t - xs[0]) + a, a, b):  # it would add 0.0
                 continue
             total += clipped_integral((t - xs[::-1]) + a, vals[::-1], a, b)
         return float(total)
@@ -202,10 +201,9 @@ class Expansion:
         outgoing trace norm and that trace's flux gap, computed once.  An
         order whose incoming histories all start at or after t has not
         entered the ladder by t, and its outgoing ones start later still:
-        all three are exactly 0.
-
-        From the last breakpoint of the order's outgoing histories on, the
-        [0, t] trace reads only whole integrals: those t share one norm and gap."""
+        all three are exactly 0.  From the last breakpoint of the order's
+        outgoing histories on, the [0, t] trace reads only whole integrals:
+        those t share one norm and gap."""
         got = self._pass.get((n, t))
         if got is None:
             if n and all(xs[0] >= t for _, _, xs, _ in self._incoming_arrays(n)):
@@ -214,13 +212,12 @@ class Expansion:
                 if n not in self._covered:
                     ends = [xs[-1] for _, xs, *_ in self._outgoing_arrays(n)]
                     self._covered[n] = [max(ends, default=0.0), None]
-                cover = self._covered[n]
-                trace = cover[1] if t >= cover[0] else None
-                if trace is None:
+                end, trace = self._covered[n]
+                if t < end or trace is None:
                     tr = self.integrated_trace(n, 0.0, t)
                     trace = (tr.norm(), flux_gap(tr, self.rule, self.geom))
-                    if t >= cover[0]:
-                        cover[1] = trace
+                    if t >= end:
+                        self._covered[n][1] = trace
                 got = (self.order_mass(n, t), *trace)
             self._pass[(n, t)] = got
         return got

@@ -180,8 +180,8 @@ class ScenarioConfig:
     windows: tuple = ()
     grid_points: int = 8
     output_dir: str = "reports"
-    # parse_config's PiecewiseDensity of pieces: None by hand, reset on replacing pieces
-    density: object = field(default=None, compare=False, repr=False)
+    # parse_config's density of pieces; not an init field, so replace() leaves None
+    density: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def is_billiard(self) -> bool:
@@ -388,8 +388,7 @@ SIGNED_DENSITY = "[density] pieces: honesty verdicts are defined for nonnegative
 
 
 def _parse_density(sec: _Section, geometry) -> tuple:
-    # the ScenarioConfig fields of the density, and whether it is
-    # nonnegative
+    # the density's ScenarioConfig fields, and its validated PiecewiseDensity or None
     billiard = isinstance(geometry, Billiard)
     if sec.get("kind") == "piecewise":
         if billiard:
@@ -397,13 +396,13 @@ def _parse_density(sec: _Section, geometry) -> tuple:
         pieces = sec.get("pieces")
         f = _made("[density] pieces:", PiecewiseDensity.from_pieces, geometry, pieces)
         sec.reject_unused()
-        return dict(density_kind="piecewise", pieces=pieces, density=f), f.is_nonnegative
+        return dict(density_kind="piecewise", pieces=pieces), f
     if not billiard:
         raise ConfigError("[density] ensembles need a billiard geometry")
     count, seed, region = sec.get("count"), sec.get("seed"), sec.get("region")
     _made("[density] region:", _region_spec, region, geometry)
     sec.reject_unused()
-    return dict(density_kind="ensemble", count=count, seed=seed, region=region), True
+    return dict(density_kind="ensemble", count=count, seed=seed, region=region), None
 
 
 def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
@@ -427,7 +426,7 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
         raise ConfigError("[boundary] kind: billiard scenarios use the specular rule")
     if isinstance(geometry, IntervalUnion) and boundary.kind == "specular":
         raise ConfigError("[boundary] kind: interval-union scenarios use shift or kernel rules")
-    density, nonnegative = _parse_density(sections["density"], geometry)
+    density, f = _parse_density(sections["density"], geometry)
 
     run = sections["run"]
     plan = {key: run.get(key) for key in _FIELDS["run"]}
@@ -440,9 +439,11 @@ def parse_config(text: str, label: str | None = None) -> ScenarioConfig:
         raise ConfigError("[run] lambdas: resolvent diagnostics are not defined for billiards")
     if isinstance(geometry, Billiard) and any(s != 0.0 for s, _ in plan["windows"]):
         raise ConfigError("[run] windows: billiard honesty windows must start at 0")
-    if (plan["windows"] or plan["lambdas"]) and not nonnegative:
+    if (plan["windows"] or plan["lambdas"]) and f is not None and not f.is_nonnegative:
         raise ConfigError(SIGNED_DENSITY)
-    return ScenarioConfig(geometry=geometry, boundary=boundary, **plan, **density)
+    cfg = ScenarioConfig(geometry=geometry, boundary=boundary, **plan, **density)
+    object.__setattr__(cfg, "density", f)
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:

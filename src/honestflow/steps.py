@@ -33,7 +33,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-__all__ = ["StepFunction", "clipped_integral", "cumulative_at", "running_totals"]
+__all__ = ["StepFunction", "clipped_integral", "cumulative_at", "misses", "running_totals"]
 
 
 def _canonical(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,6 +69,11 @@ def _check_bounds(lo: float, hi: float):
         raise ValueError(f"clip bounds must not be nan, got ({lo}, {hi})")
 
 
+def misses(first: float, last: float, lo: float, hi: float) -> bool:
+    # breakpoints first..last all at or beyond one bound clip to zero-width pieces
+    return first >= hi or last <= lo
+
+
 def clipped_integral(xs: np.ndarray, vals: np.ndarray, lo: float, hi: float) -> float:
     """Integral over (lo, hi) of the step function with finite nondecreasing
     breakpoints ``xs`` and values ``vals``, canonical or not: the float
@@ -76,8 +81,7 @@ def clipped_integral(xs: np.ndarray, vals: np.ndarray, lo: float, hi: float) -> 
     canonical arrays of the pieces that bisection finds overlapping (lo, hi).
     """
     _check_bounds(lo, hi)
-    # breakpoints all at or beyond one bound clip to zero-width pieces
-    if not lo < hi or not vals.size or xs[0] >= hi or xs[-1] <= lo:
+    if not lo < hi or not vals.size or misses(xs[0], xs[-1], lo, hi):
         return 0.0
     # pieces outside i..j clip to zero width, which the canonical form drops
     i = max(bisect_right(xs, lo) - 1, 0)

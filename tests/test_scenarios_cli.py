@@ -1070,7 +1070,7 @@ class TestRunScenario:
 
     def test_one_initial_density_per_ladder_parse_and_run(self, monkeypatch):
         # parse_config builds the density to validate its pieces, and the
-        # run reads that one; a config built by hand builds its own, to the
+        # run reads that one; a replace()d config builds its own, to the
         # same report bytes
         built = []
         from_pieces = PiecewiseDensity.from_pieces.__func__
@@ -1083,10 +1083,22 @@ class TestRunScenario:
         cfg = parse_config(builtin_config_text("geometric-ladder-dishonest"), label="dishonest")
         result = run_scenario(cfg)
         assert len(built) == 1
-        by_hand = run_scenario(replace(cfg, density=None))
+        assert replace(cfg).density is None
+        rebuilt = run_scenario(replace(cfg))
         assert len(built) == 2
-        assert time_series_csv(by_hand) == time_series_csv(result)
-        assert summary_text(by_hand) == summary_text(result)
+        assert time_series_csv(rebuilt) == time_series_csv(result)
+        assert summary_text(rebuilt) == summary_text(result)
+
+    def test_replaced_pieces_run_as_parsed(self):
+        # the parsed density is not carried over to a config with new pieces
+        text = builtin_config_text("geometric-ladder-dishonest")
+        cfg = parse_config(text, label="dishonest")
+        other = parse_config(text.replace("pieces = 0, 1, 1", "pieces = 0, 0.5, 2; 0.5, 1, 1"),
+                             label="dishonest")
+        got, want = run_scenario(replace(cfg, pieces=other.pieces)), run_scenario(other)
+        assert time_series_csv(got) == time_series_csv(want)
+        assert summary_text(got) == summary_text(want)
+        assert time_series_csv(got) != time_series_csv(run_scenario(cfg))
 
     def test_order_mass_once_per_order_and_time(self, monkeypatch):
         calls = []

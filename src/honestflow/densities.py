@@ -13,13 +13,14 @@ of indices can be drawn alone.
 
 A :class:`ReboundCounts` holds the last three arrays alone.  A particle's
 rebound count is the expansion order it contributes to, so these are all
-that the ensemble reports read, and only through a :class:`ReboundTally`:
-the mass, the rebound histogram, its tail weights and the degenerate
-weight.  ``transport_counts_times`` yields a held ensemble's counts along a
+that the ensemble reports read, and only through a ``ReboundTally``: the
+mass, the rebound histogram, its tail weights and the degenerate weight.
+``transport_counts_times`` yields a held ensemble's counts along a
 trajectory, one full-state transport per time.  A sampled ensemble's
 particles start alike, so its tallies come from integer counts alone
 (``ReboundTally.from_counts``); ``sample_counts`` counts a sampled
 ensemble at every time in one pass, and never holds its particles.  The
+scenario reports read those two, which the package does not export.  The
 billiard entry points refuse a boundary weight scale outside (0, 1].
 """
 
@@ -40,10 +41,8 @@ __all__ = [
     "PiecewiseDensity",
     "ParticleEnsemble",
     "ReboundCounts",
-    "ReboundTally",
     "free_stream",
     "restrict",
-    "sample_counts",
     "sample_ensemble",
     "sample_ladder_positions",
     "transport_counts_times",
@@ -157,15 +156,6 @@ class PiecewiseDensity:
 
     def l1_distance(self, other: "PiecewiseDensity") -> float:
         return (self - other).abs_mass()
-
-    def to_rows(self):
-        """Flat ``(k, lo, hi, value)`` rows for reports."""
-        rows = []
-        for k in self.indices():
-            f = self.parts[k]
-            for i in range(f.vals.size):
-                rows.append((k, float(f.xs[i]), float(f.xs[i + 1]), float(f.vals[i])))
-        return rows
 
 
 def restrict(f: PiecewiseDensity, k: int) -> PiecewiseDensity:

@@ -81,7 +81,7 @@ class Expansion:
         # (order, t) -> (order mass, [0, t] trace norm, flux gap of that trace)
         self._pass: dict[tuple[int, float], tuple[float, float, float]] = {}
         # order -> its histories as arrays, built on the order's first read
-        self._in_arrays: dict[int, list] = {}
+        self._in_arrays: dict[int, tuple[list, float]] = {}
         self._out_arrays: dict[int, list] = {}
         # order -> [last outgoing breakpoint, (trace norm, flux gap) from it on]
         self._covered: dict[int, list] = {}
@@ -110,12 +110,6 @@ class Expansion:
             if not psi:
                 self._exhausted_at = len(self._outgoing) - 1
 
-    @property
-    def exhausted_order(self) -> int | None:
-        """First order whose outgoing histories vanish identically (all
-        later orders vanish too), if reached yet."""
-        return self._exhausted_at
-
     def outgoing_history(self, k: int) -> dict[int, StepFunction]:
         self._ensure(k)
         return self._outgoing[k]
@@ -124,11 +118,13 @@ class Expansion:
         self._ensure(k)
         return self._incoming[k]
 
-    def _incoming_arrays(self, k: int) -> list:
-        """Order k's incoming histories as ``(a_j, b_j, xs, vals)``."""
+    def _incoming_arrays(self, k: int) -> tuple[list, float]:
+        """Order k's incoming histories as ``(a_j, b_j, xs, vals)``, and the
+        least start of any of them (``inf`` for none)."""
         if k not in self._in_arrays:
-            self._in_arrays[k] = [(self.geom.a(j), self.geom.b(j), h.xs, h.vals)
-                                  for j, h in self.incoming_history(k).items()]
+            rows = [(self.geom.a(j), self.geom.b(j), h.xs, h.vals)
+                    for j, h in self.incoming_history(k).items()]
+            self._in_arrays[k] = rows, min((xs[0] for _, _, xs, _ in rows), default=math.inf)
         return self._in_arrays[k]
 
     def _outgoing_arrays(self, k: int) -> list:
@@ -177,7 +173,7 @@ class Expansion:
         if k == 0:
             return free_stream(self.f, t, self.geom).mass()
         total = 0
-        for a, b, xs, vals in self._incoming_arrays(k):
+        for a, b, xs, vals in self._incoming_arrays(k)[0]:
             if misses((t - xs[-1]) + a, (t - xs[0]) + a, a, b):  # it would add 0.0
                 continue
             total += clipped_integral((t - xs[::-1]) + a, vals[::-1], a, b)
@@ -206,7 +202,7 @@ class Expansion:
         those t share one norm and gap."""
         got = self._pass.get((n, t))
         if got is None:
-            if n and all(xs[0] >= t for _, _, xs, _ in self._incoming_arrays(n)):
+            if n and self._incoming_arrays(n)[1] >= t:
                 got = (0.0, 0.0, 0.0)
             else:
                 if n not in self._covered:

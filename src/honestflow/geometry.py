@@ -171,10 +171,6 @@ class IntervalUnion:
             return self.length * self.ratio**i / (1.0 - self.ratio)
         return float(sum(b - a for a, b in self.intervals[i:]))
 
-    @property
-    def total_length(self) -> float:
-        return self.tail_delta(0)
-
     def reach_index(self, k_from: int, horizon: float, min_delta: float = 1e-30) -> int:
         """Largest interval index mass starting in interval ``k_from`` can
         occupy within ``horizon`` time units.
@@ -234,28 +230,6 @@ class IntervalUnion:
             return "incoming", k + 1
         return "outside", None
 
-    def index_of_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorised interior-index lookup; -1 marks non-interior points."""
-        xs = np.asarray(xs, dtype=np.float64)
-        if self.rule == "explicit":
-            starts = np.array([a for a, _ in self.intervals])
-            ends = np.array([b for _, b in self.intervals])
-            k = np.searchsorted(starts, xs, side="right") - 1
-            ok = (k >= 0) & (k < len(self.intervals))
-            kk = np.clip(k, 0, len(self.intervals) - 1)
-            ok &= (starts[kk] < xs) & (xs < ends[kk])
-            return np.where(ok, k, -1)
-        k = np.floor((xs - self.start) / self.spacing).astype(np.int64)
-        ok = k >= 0
-        kk = np.maximum(k, 0)
-        a = self.start + self.spacing * kk
-        if self.rule == "affine":
-            d = np.full_like(xs, self.length)
-        else:
-            d = self.length * self.ratio ** kk.astype(np.float64)
-        ok &= (a < xs) & (xs < a + d)
-        return np.where(ok, k, -1)
-
 
 # ---------------------------------------------------------------------------
 # 2D convex billiards
@@ -283,14 +257,6 @@ class VelocitySpec:
                 raise ValueError("annulus needs 0 < speed_min <= speed_max")
         else:
             raise ValueError(f"unknown velocity spec {self.kind!r}")
-
-    @property
-    def max_speed(self) -> float:
-        return max(self.speeds) if self.kind == "speeds" else self.speed_max
-
-    @property
-    def min_speed(self) -> float:
-        return min(self.speeds) if self.kind == "speeds" else self.speed_min
 
 
 @dataclass(frozen=True)

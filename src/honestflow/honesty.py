@@ -39,14 +39,13 @@ __all__ = [
     "SufficiencyReport",
     "MassLossResult",
     "EnsembleDecayReport",
-    "STABLE_SPAN",
-    "flux_gap",
     "mass_loss",
     "defect",
     "honesty_on_interval",
     "resolvent_defect",
     "sufficient_honesty_check",
     "absorption_rate_estimate",
+    "mass_defect_estimate",
     "ensemble_trace_decay",
 ]
 

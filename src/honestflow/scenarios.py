@@ -70,6 +70,12 @@ from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, TruncationReport
 from .geometry import Billiard, IntervalUnion, VelocitySpec
 from . import honesty as _hon
 
+__all__ = [
+    "BUILTIN_NAMES", "ConfigError", "ScenarioConfig", "ScenarioResult", "builtin_config_text",
+    "initial_density", "load_config", "parse_config", "resolve_config", "run_scenario",
+    "summary_text", "time_series_csv", "with_overrides", "write_reports",
+]
+
 BUILTIN_NAMES = ("unit-ladder-honest", "geometric-ladder-dishonest", "disk-billiard")
 
 # a ladder window holds G(G-1)/2 subwindow reports, built from one entry

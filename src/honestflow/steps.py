@@ -15,9 +15,11 @@ function, so each checks the one thing its arithmetic can break (a shift or
 reflection can merge close breakpoints; a scale can underflow a value to 0
 or round two neighbours to the same value) and hands arrays that are still
 canonical straight to the object; when the check fails they take the
-validated path.  ``window_integral`` and :func:`clipped_integral` integrate
+validated path.  ``window_integral`` and ``clipped_integral`` integrate
 the canonical arrays of a truncation without building the object, and give
-the float ``clip(lo, hi).integral()`` gives.
+the float ``clip(lo, hi).integral()`` gives.  The module exports only
+:class:`StepFunction`; ``clipped_integral``, ``running_totals``,
+``cumulative_at`` and ``misses`` are array helpers of the order pass.
 
 A window inside one piece integrates to one product (bitwise a one-element
 ``np.dot``), any other to one ``np.dot`` on the canonical arrays of the
@@ -33,7 +35,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-__all__ = ["StepFunction", "clipped_integral", "cumulative_at", "misses", "running_totals"]
+__all__ = ["StepFunction"]
 
 
 def _canonical(xs: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +182,8 @@ class StepFunction:
         return np.array_equal(self.xs, other.xs) and np.array_equal(self.vals, other.vals)
 
     def __hash__(self):
-        return hash((self.xs.tobytes(), self.vals.tobytes()))
+        # adding 0.0 maps -0.0 to 0.0, which __eq__ does not tell apart
+        return hash(((self.xs + 0.0).tobytes(), (self.vals + 0.0).tobytes()))
 
     def __repr__(self):
         if self.is_zero:
@@ -201,11 +204,6 @@ class StepFunction:
         if self.is_zero:
             return 0.0
         return float(min(self.vals.min(), 0.0))
-
-    def max_value(self) -> float:
-        if self.is_zero:
-            return 0.0
-        return float(max(self.vals.max(), 0.0))
 
     # -- geometry of the graph ----------------------------------------------
 
@@ -245,11 +243,6 @@ class StepFunction:
         if np.isfinite(vals).all() and vals.all() and (vals[1:] != vals[:-1]).all():
             return StepFunction._trusted(self.xs, vals)
         return StepFunction(self.xs, vals)
-
-    def abs(self) -> "StepFunction":
-        if self.is_zero:
-            return self
-        return StepFunction(self.xs, np.abs(self.vals))
 
     # -- linear combination --------------------------------------------------
 

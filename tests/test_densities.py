@@ -66,10 +66,6 @@ class TestPiecewiseDensity:
         assert restrict(f, 1).mass() == pytest.approx(2.0)
         assert restrict(f, 5).mass() == 0.0
 
-    def test_to_rows(self, unit_ladder):
-        f = PiecewiseDensity.from_pieces(unit_ladder, [(0.0, 0.5, 2.0)])
-        assert f.to_rows() == [(0, 0.0, 0.5, 2.0)]
-
 
 class TestFreeStream:
     def test_drift_within_interval(self, unit_ladder):

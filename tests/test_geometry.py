@@ -38,22 +38,15 @@ class TestIntervalUnion:
         # lengths 2^-k from index i sum to 2^(1-i)
         assert geometric_ladder.tail_delta(0) == pytest.approx(2.0, rel=1e-15)
         assert geometric_ladder.tail_delta(3) == pytest.approx(0.25, rel=1e-15)
-        assert geometric_ladder.total_length == pytest.approx(2.0, rel=1e-15)
 
     def test_tail_delta_affine_is_infinite(self, unit_ladder):
         assert unit_ladder.tail_delta(0) == math.inf
-        assert unit_ladder.total_length == math.inf
 
     def test_classify(self, unit_ladder):
         assert unit_ladder.classify(0.5) == ("interior", 0)
         assert unit_ladder.classify(2.0) == ("incoming", 1)
         assert unit_ladder.classify(1.0) == ("outgoing", 0)
         assert unit_ladder.classify(1.5)[0] == "outside"
-
-    def test_index_of_array(self, unit_ladder):
-        xs = np.array([0.5, 1.5, 2.5, -3.0, 4.1])
-        idx = unit_ladder.index_of_array(xs)
-        assert list(idx) == [0, -1, 1, -1, 2]
 
     def test_reach_index_affine(self, unit_ladder):
         # 2.5 time units fit through two more unit intervals but not three

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from honestflow import StepFunction
+from honestflow import PiecewiseDensity, StepFunction
 from honestflow.steps import clipped_integral
 
 from conftest import dyadics
@@ -83,6 +83,17 @@ class TestConstruction:
         f = StepFunction.indicator(0.0, 1.0, 1.0) + StepFunction.indicator(1.0, 2.0, 1.0)
         assert f == StepFunction.indicator(0.0, 2.0, 1.0)
         assert f.xs.size == 2
+        assert repr(f) == "StepFunction([0.0, 2.0], [1.0])"
+        assert repr(PiecewiseDensity({0: f})) == "PiecewiseDensity({0: StepFunction([0.0, 2.0], [1.0])})"
+        assert repr(f - f) == "StepFunction.zero()"
+        # equal functions hash alike, also where their arrays differ in a zero's sign
+        a, b = StepFunction([-0.0, 1.0], [1.0]), StepFunction([0.0, 1.0], [1.0])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        g = (StepFunction.indicator(0.0, 1.0) + StepFunction.indicator(2.0, 3.0)).scale(-1.0)
+        h = StepFunction.indicator(0.0, 1.0, -1.0) + StepFunction.indicator(2.0, 3.0, -1.0)
+        assert g.vals.tolist() == [-1.0, -0.0, -1.0] and math.copysign(1.0, g.vals[1]) == -1.0
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert -h == StepFunction.indicator(0.0, 1.0) + StepFunction.indicator(2.0, 3.0)
 
     def test_interior_zero_run_kept(self):
         f = StepFunction.indicator(0.0, 1.0, 1.0) + StepFunction.indicator(2.0, 3.0, 1.0)
@@ -124,10 +135,9 @@ class TestTransforms:
         assert f.support() == (1.0, 2.5)
         assert f.integral() == 1.5
 
-    def test_scale_and_abs(self):
+    def test_scale(self):
         f = StepFunction.indicator(0.0, 1.0, -2.0)
         assert f.scale(-0.5) == StepFunction.indicator(0.0, 1.0, 1.0)
-        assert f.abs() == StepFunction.indicator(0.0, 1.0, 2.0)
 
     @given(pieces_strategy(), dyadics())
     @settings(max_examples=60)
@@ -329,13 +339,9 @@ class TestAlgebra:
     def test_sub_self_is_zero(self, f):
         assert (f - f).is_zero
 
-    def test_min_max_include_zero_off_support(self):
-        f = StepFunction.indicator(0.0, 1.0, 2.0)
-        assert f.min_value() == 0.0
-        assert f.max_value() == 2.0
-        g = StepFunction.indicator(0.0, 1.0, -3.0)
-        assert g.min_value() == -3.0
-        assert g.max_value() == 0.0
+    def test_min_value_includes_zero_off_support(self):
+        assert StepFunction.indicator(0.0, 1.0, 2.0).min_value() == 0.0
+        assert StepFunction.indicator(0.0, 1.0, -3.0).min_value() == -3.0
 
 
 class TestIntegrals:

@@ -18,9 +18,10 @@ mass, the rebound histogram, its tail weights and the degenerate weight.
 ``transport_counts_times`` yields a held ensemble's counts along a
 trajectory, one full-state transport per time.  A sampled ensemble's
 particles start alike, so its tallies come from integer counts alone
-(``ReboundTally.from_counts``); ``sample_counts`` counts a sampled
+(``ReboundTally._from_counts``); ``sample_counts`` counts a sampled
 ensemble at every time in one pass, and never holds its particles.  The
-scenario reports read those two, which the package does not export.  The
+scenario reports read its tallies, which ``ensemble_trace_decay`` takes;
+the package exports ``ReboundTally`` but not ``sample_counts``.  The
 billiard entry points refuse a boundary weight scale outside (0, 1].
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "PiecewiseDensity",
     "ParticleEnsemble",
     "ReboundCounts",
+    "ReboundTally",
     "free_stream",
     "restrict",
     "sample_ensemble",
@@ -225,7 +227,7 @@ class ReboundTally:
         self.histogram.flags.writeable = False
 
     @classmethod
-    def from_counts(cls, size, tallies, weights, mass=None) -> list["ReboundTally"]:
+    def _from_counts(cls, size, tallies, weights, mass=None) -> list["ReboundTally"]:
         """The tallies of ``size`` particles, one per ``(counts, flagged)`` of
         ``tallies``: ``counts[n]`` of them with n < ``weights.size`` rebounds,
         ``flagged[n]`` of those degenerate, each weighing ``weights[n]``.
@@ -545,7 +547,7 @@ def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float
 
     Returns ``(mass, trajectory)``: ``mass`` is bitwise
     ``sample_ensemble(geom, n, seed, region).mass()``, and ``trajectory``
-    yields ``(t, ReboundTally.from_counts(...))`` over the distinct ``times``
+    yields ``(t, ReboundTally._from_counts(...))`` over the distinct ``times``
     in ascending order, a particle weighing ``(1 / n) * scale ** k`` after k
     rebounds, as ``billiard_transport`` weighs it.  At scale 1 each tally
     is bitwise that of ``transport_counts_times`` on the sampled ensemble,
@@ -565,8 +567,8 @@ def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float
     width = max(counts.size for counts, _ in tallies)
     w0, scale = 1.0 / n, float(scale)
     weights = w0 * scale ** np.arange(width)
-    return mass, zip(ts.tolist(), ReboundTally.from_counts(n, tallies, weights,
-                                                           mass if scale == 1.0 else None))
+    return mass, zip(ts.tolist(), ReboundTally._from_counts(n, tallies, weights,
+                                                            mass if scale == 1.0 else None))
 
 
 # a position may lie this far outside the table, relative to the table's

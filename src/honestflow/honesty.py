@@ -119,6 +119,16 @@ def _require_nonnegative(f: PiecewiseDensity):
         raise ValueError("honesty verdicts are defined for nonnegative densities")
 
 
+# verdicts from best to worst: one dishonest part makes the whole dishonest,
+# else one inconclusive part leaves it inconclusive
+_RANKED = (HONEST, INCONCLUSIVE, DISHONEST)
+
+
+def _worst(verdicts) -> str:
+    """The worst of verdicts; honest when there are none."""
+    return max(verdicts, key=_RANKED.index, default=HONEST)
+
+
 def _classify(entries: list[float], tol: float, stabilized: bool) -> str:
     if not stabilized:
         return INCONCLUSIVE
@@ -294,15 +304,8 @@ def honesty_on_interval(
     grid = np.linspace(s, t, grid_points)
     reports = _settle_windows(ex, grid, tol, n_cap)
     worst = max(reports, key=lambda r: r.limit_estimate)
-    if any(r.verdict == DISHONEST for r in reports):
-        verdict = DISHONEST
-    elif any(r.verdict == INCONCLUSIVE for r in reports):
-        verdict = INCONCLUSIVE
-    else:
-        verdict = HONEST
-    return IntervalHonestyReport(
-        (s, t), verdict, worst.window, worst.limit_estimate, grid_points, tuple(reports)
-    )
+    return IntervalHonestyReport((s, t), _worst(r.verdict for r in reports), worst.window,
+                                 worst.limit_estimate, grid_points, tuple(reports))
 
 
 def resolvent_defect(

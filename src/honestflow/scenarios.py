@@ -52,7 +52,6 @@ only formats.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -542,15 +541,8 @@ class ScenarioResult:
     @property
     def verdict(self) -> str:
         """Worst verdict across all diagnostics in the bundle."""
-        verdicts = [r.verdict for r in self.window_reports]
-        verdicts += [r.verdict for r in self.resolvent_reports]
-        if self.decay_report is not None:
-            verdicts.append(self.decay_report.verdict)
-        if _hon.DISHONEST in verdicts:
-            return _hon.DISHONEST
-        if _hon.INCONCLUSIVE in verdicts:
-            return _hon.INCONCLUSIVE
-        return _hon.HONEST
+        reports = [*self.window_reports, *self.resolvent_reports, self.decay_report]
+        return _hon._worst(r.verdict for r in reports if r is not None)
 
 
 def _ladder_row(f: PiecewiseDensity, t: float, rep: TruncationReport) -> TimeRow:
@@ -629,20 +621,12 @@ def _sampled_counts(cfg: ScenarioConfig, times):
 def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:
     ends = [_window_end(w) for w in cfg.windows]
     initial_mass, trajectory = _sampled_counts(cfg, (*cfg.times, *ends))
+    # each time tallied once; rows and windows keep config order
+    tallies = dict(trajectory)
+    rows = [_ensemble_row(t, tallies[t], initial_mass) for t in cfg.times]
+    window_reports = tuple(_hon.ensemble_trace_decay(tallies[end], end) for end in ends)
     t_max = max(cfg.times)
-    rows = [None] * len(cfg.times)
-    window_reports = [None] * len(ends)
-    # one pass over the trajectory's rebound counts, each time tallied
-    # once; rows and windows keep config order
-    for t, counts in trajectory:
-        for i, ti in enumerate(cfg.times):
-            if ti == t:
-                rows[i] = _ensemble_row(ti, counts, initial_mass)
-        for i, end in enumerate(ends):
-            if end == t:
-                window_reports[i] = _hon.ensemble_trace_decay(counts, end)
-        if t == t_max:
-            decay = _hon.ensemble_trace_decay(counts, t_max)
+    decay = _hon.ensemble_trace_decay(tallies[t_max], t_max)
     n_orders = max(len(row.rebound_masses) - 1 for row in rows)
     padded = tuple(
         replace(
@@ -658,7 +642,7 @@ def _run_ensemble(cfg: ScenarioConfig) -> ScenarioResult:
         initial_mass=initial_mass,
         rows=padded,
         n_orders=n_orders,
-        window_reports=tuple(window_reports),
+        window_reports=window_reports,
         decay_report=decay,
     )
 
@@ -694,37 +678,28 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# each row kind's columns: its fixed ones, then its two per-order fields with
+# their CSV header prefixes.  The CSV writes them all; each [time-series]
+# line of the summary writes the fixed ones as name=value, with - for _
+_LAYOUTS = {
+    "ladder": (("t", "mass", "mass_defect", "residual_bound", "n_used", "converged"),
+               (("order_masses", "mass_order_"), ("trace_norms", "trace_order_"))),
+    "ensemble": (("t", "mass", "mass_defect", "degenerate_weight", "max_rebounds"),
+                 (("rebound_masses", "rebound_mass_"), ("tail_weights", "tail_weight_"))),
+}
+
+
 def time_series_csv(result: ScenarioResult) -> str:
     """CSV time series: fixed column order, 17 significant digits."""
-    k = result.n_orders
-    buf = io.StringIO()
-    if result.kind == "ladder":
-        head = ["t", "mass", "mass_defect", "residual_bound", "n_used", "converged"]
-        head += [f"mass_order_{n}" for n in range(k + 1)]
-        head += [f"trace_order_{n}" for n in range(k + 1)]
-        buf.write(",".join(head) + "\n")
-        for row in result.rows:
-            cells = [
-                _fmt(row.t), _fmt(row.mass), _fmt(row.mass_defect),
-                _fmt(row.residual_bound), str(row.n_used), _fmt(row.converged),
-            ]
-            # floats all: _fmt's last branch, with no type tests
-            cells += [format(float(x), ".17g") for x in row.order_masses + row.trace_norms]
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
-    head = ["t", "mass", "mass_defect", "degenerate_weight", "max_rebounds"]
-    head += [f"rebound_mass_{n}" for n in range(k + 1)]
-    head += [f"tail_weight_{n}" for n in range(k + 1)]
-    buf.write(",".join(head) + "\n")
+    columns, per_order = _LAYOUTS[result.kind]
+    orders = range(result.n_orders + 1)
+    lines = [",".join([*columns, *(f"{prefix}{n}" for _, prefix in per_order for n in orders)])]
     for row in result.rows:
-        cells = [
-            _fmt(row.t), _fmt(row.mass), _fmt(row.mass_defect),
-            _fmt(row.degenerate_weight), str(row.max_rebounds),
-        ]
+        cells = [_fmt(getattr(row, name)) for name in columns]
         # floats all: _fmt's last branch, with no type tests
-        cells += [format(float(x), ".17g") for x in row.rebound_masses + row.tail_weights]
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+        cells += [format(float(x), ".17g") for name, _ in per_order for x in getattr(row, name)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _describe_geometry(geom) -> str:
@@ -755,19 +730,9 @@ def summary_text(result: ScenarioResult) -> str:
         "",
         "[time-series]",
     ]
-    if result.kind == "ladder":
-        for row in result.rows:
-            lines.append(
-                f"t={_fmt(row.t)} mass={_fmt(row.mass)} mass-defect={_fmt(row.mass_defect)} "
-                f"residual-bound={_fmt(row.residual_bound)} n-used={row.n_used} "
-                f"converged={_fmt(row.converged)}"
-            )
-    else:
-        for row in result.rows:
-            lines.append(
-                f"t={_fmt(row.t)} mass={_fmt(row.mass)} mass-defect={_fmt(row.mass_defect)} "
-                f"degenerate-weight={_fmt(row.degenerate_weight)} max-rebounds={row.max_rebounds}"
-            )
+    columns, _ = _LAYOUTS[result.kind]
+    lines += [" ".join(f"{name.replace('_', '-')}={_fmt(getattr(row, name))}" for name in columns)
+              for row in result.rows]
     if result.window_reports:
         lines += ["", "[windows]"]
         for rep in result.window_reports:

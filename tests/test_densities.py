@@ -516,7 +516,7 @@ def reductions(counts, scale=1.0):
     here from the arrays, floats as their bits: the histogram, the
     degenerate weight, the mass and the largest rebound count.  At scale 1
     the two totals are the arrays' own sums; below 1 they are ``math.fsum``
-    of their ``bincount`` bins, the formula of ``ReboundTally.from_counts``."""
+    of their ``bincount`` bins, the formula of ``ReboundTally._from_counts``."""
     w, n, d = counts.weight, counts.rebounds, counts.degenerate
     hist = np.bincount(n, weights=w)
     if scale == 1.0:
@@ -862,13 +862,13 @@ class TestTalliesFromCounts:
         # every held weight is bitwise the weight the sampled tallies give
         # its count, and each bin's sum over its count is the histogram's bin
         seen = []
-        from_counts = densities.ReboundTally.from_counts
+        from_counts = densities.ReboundTally._from_counts
 
         def spy(size, tallies, weights, mass=None):
             seen.append(weights)
             return from_counts(size, tallies, weights, mass)
 
-        monkeypatch.setattr(densities.ReboundTally, "from_counts", staticmethod(spy))
+        monkeypatch.setattr(densities.ReboundTally, "_from_counts", staticmethod(spy))
         for geom in (off_centre_disk(), hexagon()):
             ens = sample_ensemble(geom, 1500, seed=3)
             seen.clear()

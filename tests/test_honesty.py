@@ -1,4 +1,6 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from honestflow import (
     IntervalUnion,
     ParticleEnsemble,
     PiecewiseDensity,
+    ScenarioResult,
     VelocitySpec,
     absorption_rate_estimate,
     defect,
@@ -26,6 +29,7 @@ from honestflow import (
     transport_ensemble,
 )
 
+from honestflow import honesty
 from honestflow.honesty import STABLE_SPAN
 
 from conftest import dyadics
@@ -162,6 +166,40 @@ class TestIntervalHonesty:
     def test_degenerate_window_rejected(self, unit_ladder, unit_box, shift_rule):
         with pytest.raises(ValueError):
             honesty_on_interval((1.0, 1.0), unit_box, unit_ladder, shift_rule)
+
+
+VERDICTS = ("honest", "inconclusive", "dishonest")
+
+
+def _worst_by_hand(verdicts):
+    if "dishonest" in verdicts:
+        return "dishonest"
+    return "inconclusive" if "inconclusive" in verdicts else "honest"
+
+
+class TestVerdictPrecedence:
+    """A bundle's verdict and a window's verdict over its subwindows both
+    follow dishonest > inconclusive > honest."""
+
+    @pytest.mark.parametrize("parts", itertools.product((None, *VERDICTS), repeat=3))
+    def test_worst_part_decides(self, monkeypatch, parts, geometric_ladder, geo_box,
+                                shift_rule):
+        window, resolvent, decay = (() if v is None else (SimpleNamespace(verdict=v),)
+                                    for v in parts)
+        result = ScenarioResult(None, "ladder", 1.0, (), 0, window_reports=window,
+                                resolvent_reports=resolvent,
+                                decay_report=decay[0] if decay else None)
+        present = [v for v in parts if v is not None]
+        assert result.verdict == _worst_by_hand(present)
+        if not present:
+            return
+        # the same verdicts as the subwindows of one window
+        subwindows = [SimpleNamespace(window=(0.0, k + 1.0), limit_estimate=float(k), verdict=v)
+                      for k, v in enumerate(present)]
+        monkeypatch.setattr(honesty, "_settle_windows", lambda *args: subwindows)
+        rep = honesty_on_interval((0.0, 1.0), geo_box, geometric_ladder, shift_rule)
+        assert rep.verdict == _worst_by_hand(present)
+        assert rep.witness_window == subwindows[-1].window
 
 
 def _reference_sequence(ex, lo, hi, tol, n_cap):

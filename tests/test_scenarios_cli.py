@@ -1217,15 +1217,31 @@ class TestRunScenario:
         assert time_series_csv(first) == time_series_csv(second)
         assert summary_text(first) == summary_text(second)
 
-    def test_csv_shape(self):
-        result = run_scenario(parse_config(LADDER_TEXT))
+    @pytest.mark.parametrize("source", [*BUILTIN_NAMES, "hexagon-billiard.cfg"])
+    def test_csv_shape_and_summary_rows(self, source):
+        # the CSV's fixed columns, then two per-order blocks; each summary
+        # [time-series] line is its CSV row's fixed cells as name=value
+        if source.endswith(".cfg"):
+            source = str(Path(__file__).resolve().parent.parent / ".github/cli-cases" / source)
+        result = run_scenario(resolve_config(source))
         lines = time_series_csv(result).strip().split("\n")
         assert len(lines) == 1 + len(result.rows)
         header = lines[0].split(",")
-        assert header[:6] == ["t", "mass", "mass_defect", "residual_bound", "n_used", "converged"]
-        assert len(header) == 6 + 2 * (result.n_orders + 1)
-        for line in lines[1:]:
-            assert len(line.split(",")) == len(header)
+        fixed = {"ladder": ["t", "mass", "mass_defect", "residual_bound", "n_used", "converged"],
+                 "ensemble": ["t", "mass", "mass_defect", "degenerate_weight",
+                              "max_rebounds"]}[result.kind]
+        prefixes = {"ladder": ("mass_order_", "trace_order_"),
+                    "ensemble": ("rebound_mass_", "tail_weight_")}[result.kind]
+        orders = range(result.n_orders + 1)
+        assert header == fixed + [f"{prefix}{n}" for prefix in prefixes for n in orders]
+        summary = summary_text(result).split("\n")
+        start = summary.index("[time-series]") + 1
+        assert summary[start + len(result.rows)] == ""
+        for line, said in zip(lines[1:], summary[start:]):
+            cells = line.split(",")
+            assert len(cells) == len(header)
+            assert said == " ".join(f"{name.replace('_', '-')}={cell}"
+                                    for name, cell in zip(fixed, cells))
 
     def test_summary_mentions_verdict_and_label(self):
         result = run_scenario(parse_config(LADDER_TEXT))

@@ -11,14 +11,13 @@ based (splitmix64 keyed by seed, particle index and draw stream), so an
 ensemble is a pure function of (geometry, spec, seed, size), and any slice
 of indices can be drawn alone.
 
-A :class:`ReboundCounts` holds the last three arrays alone.  A particle's
-rebound count is the expansion order it contributes to, so these are all
-that the ensemble reports read, and only through a ``ReboundTally``: the
-mass, the rebound histogram, its tail weights and the degenerate weight.
-``transport_counts_times`` yields a held ensemble's counts along a
-trajectory, one full-state transport per time.  A sampled ensemble's
-particles start alike, so its tallies come from integer counts alone
-(``ReboundTally._from_counts``); ``sample_counts`` counts a sampled
+A particle's rebound count is the expansion order it contributes to, so
+the ensemble reports read the weights, rebound counters and degeneracy
+flags alone, and only through a ``ReboundTally``: the mass, the rebound
+histogram, its tail weights and the degenerate weight.  A held ensemble's
+tally is ``transport_ensemble(ens, t, geom, scale).tally()``.  A sampled
+ensemble's particles start alike, so its tallies come from integer counts
+alone (``ReboundTally._from_counts``); ``sample_counts`` counts a sampled
 ensemble at every time in one pass, and never holds its particles.  The
 scenario reports read its tallies, which ``ensemble_trace_decay`` takes;
 the package exports ``ReboundTally`` but not ``sample_counts``.  The
@@ -30,7 +29,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,13 +39,11 @@ from .steps import StepFunction
 __all__ = [
     "PiecewiseDensity",
     "ParticleEnsemble",
-    "ReboundCounts",
     "ReboundTally",
     "free_stream",
     "restrict",
     "sample_ensemble",
     "sample_ladder_positions",
-    "transport_counts_times",
     "transport_ensemble",
 ]
 
@@ -287,50 +283,6 @@ class ReboundTally:
         return out if n_max is None else out[: n_max + 1]
 
 
-@dataclass(frozen=True, eq=False)
-class ReboundCounts:
-    """Weights, rebound counters and degeneracy flags of N particles.
-
-    Treat the arrays as read-only: the report values are tallied once, on
-    first use, and every report derived from this record reads that tally.
-    Along a ``transport_counts_times`` trajectory at scale 1 no weight
-    changes, and every time's record holds the snapshot's one read-only
-    weight array.
-    """
-
-    weight: np.ndarray
-    rebounds: np.ndarray
-    degenerate: np.ndarray
-
-    def __len__(self) -> int:
-        return self.weight.shape[0]
-
-    def mass(self) -> float:
-        """Total weight, degenerate (frozen) particles included."""
-        return float(self.weight.sum())
-
-    @cached_property
-    def _tally(self) -> ReboundTally:
-        hist = (np.bincount(self.rebounds, weights=self.weight) if len(self)
-                else np.zeros(1))
-        return ReboundTally(len(self), self.mass(), hist,
-                            float(self.weight[self.degenerate].sum()))
-
-    def degenerate_weight(self) -> float:
-        return self._tally.degenerate_weight()
-
-    def rebound_histogram(self) -> np.ndarray:
-        """As ``ReboundTally.rebound_histogram``."""
-        return self._tally.rebound_histogram()
-
-    def max_rebounds(self) -> int:
-        return self._tally.max_rebounds()
-
-    def tail_weights(self, n_max: int | None = None) -> np.ndarray:
-        """As ``ReboundTally.tail_weights``."""
-        return self._tally.tail_weights(n_max)
-
-
 @dataclass
 class ParticleEnsemble:
     """Weighted billiard population.  Arrays share one length N."""
@@ -353,17 +305,12 @@ class ParticleEnsemble:
         ):
             raise ValueError("ensemble arrays have inconsistent shapes")
 
-    @property
-    def counts(self) -> ReboundCounts:
-        """The weights, rebound counters and flags, not copied."""
-        return ReboundCounts(self.weight, self.rebounds, self.degenerate)
-
     def __len__(self) -> int:
-        return len(self.counts)
+        return self.weight.shape[0]
 
     def mass(self) -> float:
         """Total weight, degenerate (frozen) particles included."""
-        return self.counts.mass()
+        return float(self.weight.sum())
 
     def speeds(self) -> np.ndarray:
         return np.sqrt(np.sum(self.vel * self.vel, axis=1))
@@ -378,19 +325,13 @@ class ParticleEnsemble:
             self.seed,
         )
 
-    def degenerate_weight(self) -> float:
-        return self.counts.degenerate_weight()
-
-    def rebound_histogram(self) -> np.ndarray:
-        """Weight per rebound count, as ``ReboundCounts.rebound_histogram``."""
-        return self.counts.rebound_histogram()
-
-    def max_rebounds(self) -> int:
-        return self.counts.max_rebounds()
-
-    def tail_weights(self, n_max: int | None = None) -> np.ndarray:
-        """Tail weights per order, as ``ReboundCounts.tail_weights``."""
-        return self.counts.tail_weights(n_max)
+    def tally(self) -> ReboundTally:
+        """The report values of the weights, rebound counters and flags as
+        they stand now; ``billiard_transport`` moves an ensemble in place,
+        so each call tallies afresh."""
+        hist = np.bincount(self.rebounds, weights=self.weight) if len(self) else np.zeros(1)
+        return ReboundTally(len(self), self.mass(), hist,
+                            float(self.weight[self.degenerate].sum()))
 
 
 def _numbers(text: str) -> tuple:
@@ -550,10 +491,11 @@ def sample_counts(geom: Billiard, n: int, seed: int, region, times, scale: float
     yields ``(t, ReboundTally._from_counts(...))`` over the distinct ``times``
     in ascending order, a particle weighing ``(1 / n) * scale ** k`` after k
     rebounds, as ``billiard_transport`` weighs it.  At scale 1 each tally
-    is bitwise that of ``transport_counts_times`` on the sampled ensemble,
-    and below 1 its histogram is.  Bad requests, times and scales raise
-    ValueError here.  No particle is held: each kernel worker draws its
-    own into its buffers, and one pass counts every time.
+    is bitwise ``transport_ensemble(ens, t, geom, scale).tally()`` of the
+    sampled ensemble ``ens``, and below 1 its histogram is.  Bad requests,
+    times and scales raise ValueError here.  No particle is held: each
+    kernel worker draws its own into its buffers, and one pass counts
+    every time.
     """
     ts = _kernels.distinct_times(times)
     _check_scale(scale)
@@ -623,41 +565,6 @@ def transport_ensemble(
         out.pos, out.vel, out.weight, out.rebounds, out.degenerate, geom, t, scale=scale
     )
     return out
-
-
-def transport_counts_times(ens: ParticleEnsemble, times, geom: Billiard, scale: float = 1.0):
-    """The rebound counts of an ensemble's trajectory at several times.
-
-    Returns an iterator of ``(t, counts)`` over the distinct ``times`` in
-    ascending order; each ``counts`` is bitwise ``transport_ensemble(ens, t,
-    geom, scale).counts``.  Bad times and scales, and particles outside the
-    table as ``transport_ensemble`` refuses them, raise ValueError here.
-    The result is a snapshot of ``ens`` at the call, its weights read-only;
-    no times give an empty trajectory at once, with no snapshot.  Each time
-    is then one ``_kernels.billiard_transport`` on fresh copies of the
-    snapshot, and at scale 1 every time holds the snapshot's weights, which
-    no kernel writes there.
-    """
-    ts = _kernels.distinct_times(times)
-    _check_scale(scale)
-    _check_on_table(ens, geom)
-    if not ts.size:
-        return iter(())
-    snapshot = [a.copy() for a in (ens.pos, ens.vel, ens.weight, ens.rebounds, ens.degenerate)]
-    snapshot[2].flags.writeable = False
-    return _trajectory(snapshot, ts.tolist(), geom, float(scale))
-
-
-def _trajectory(snapshot, ts, geom: Billiard, scale: float):
-    # (t, counts) over ts, each moved from fresh copies of the snapshot;
-    # the positions and velocities are dropped as the kernel returns
-    pos, vel, weight, rebounds, degenerate = snapshot
-    for t in ts:
-        counts = ReboundCounts(weight if scale == 1.0 else weight.copy(), rebounds.copy(),
-                               degenerate.copy())
-        _kernels.billiard_transport(pos.copy(), vel.copy(), counts.weight, counts.rebounds,
-                                    counts.degenerate, geom, t, scale=scale)
-        yield t, counts
 
 
 # ---------------------------------------------------------------------------

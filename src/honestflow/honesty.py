@@ -27,7 +27,7 @@ import numpy as np
 from .boundary import (
     BoundaryRule, BoundaryVector, apply_rule, damped_transit, flux_gap, outgoing_resolvent_trace,
 )
-from .densities import ParticleEnsemble, PiecewiseDensity, ReboundCounts, ReboundTally
+from .densities import PiecewiseDensity, ReboundTally
 from .expansion import DEFAULT_N_CAP, DEFAULT_TOL, Expansion, evolve
 from .geometry import IntervalUnion
 from .steps import cumulative_at
@@ -437,11 +437,11 @@ def mass_defect_estimate(
     return sum(rep.order_masses) + rep.absorbed - f.mass(), rep.converged
 
 
-def ensemble_trace_decay(ens: ParticleEnsemble | ReboundCounts | ReboundTally, elapsed: float,
+def ensemble_trace_decay(ens: ReboundTally, elapsed: float,
                          stat_tol: float | None = None) -> EnsembleDecayReport:
-    """Trace-decay check for a transported billiard ensemble, for its
-    rebound counts alone, or for their tally: all offer the same report
-    methods.
+    """Trace-decay check for the rebound tally of a transported billiard
+    ensemble: ``sample_counts`` gives a sampled one's, and a held
+    ensemble's is ``ParticleEnsemble.tally()``.
 
     ``tail_weights()[n]`` estimates the order-n integrated outgoing trace
     norm; for a bounded convex table it must reach zero at finite order.

@@ -164,7 +164,7 @@ def test_criterion_06_disk_billiard_ensemble():
         moved = transport_ensemble(ens, t, geom)
         assert abs(moved.mass() - ens.mass()) <= 1e-12
         assert float(np.max(np.abs(moved.speeds() - 1.0))) <= 1e-12
-        tails = moved.tail_weights()
+        tails = moved.tally().tail_weights()
         n_floor = math.ceil(t * 1.0 / 2.0)  # at least one diameter per rebound
         assert np.all(np.diff(tails[n_floor:]) <= 0.0)
         max_rebounds = int(moved.rebounds.max())

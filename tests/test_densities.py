@@ -14,14 +14,12 @@ from honestflow import (
     IntervalUnion,
     ParticleEnsemble,
     PiecewiseDensity,
-    ReboundCounts,
     StepFunction,
     VelocitySpec,
     free_stream,
     restrict,
     sample_ensemble,
     sample_ladder_positions,
-    transport_counts_times,
     transport_ensemble,
 )
 
@@ -150,37 +148,42 @@ class TestEnsemble:
     def test_rebound_histogram_and_tails(self):
         disk = small_disk()
         ens = transport_ensemble(sample_ensemble(disk, 3000, seed=5), 3.0, disk)
-        hist = ens.rebound_histogram()
-        tails = ens.tail_weights()
+        hist = ens.tally().rebound_histogram()
+        tails = ens.tally().tail_weights()
         assert hist.sum() == pytest.approx(ens.mass(), abs=1e-12)
         # tails[n] = weight with more than n rebounds: complementary cumulative
         assert tails[0] == pytest.approx(ens.mass() - hist[0], abs=1e-12)
         assert np.all(np.diff(tails) <= 1e-15)
         assert tails[-1] == 0.0
 
-    def test_counts_are_a_view_with_one_histogram(self):
+    def test_tally_reads_the_arrays_with_one_histogram(self):
         disk = small_disk()
         ens = transport_ensemble(sample_ensemble(disk, 500, seed=5), 3.0, disk)
         ens.degenerate[:7] = True
-        counts = ens.counts
-        assert isinstance(counts, ReboundCounts)
-        for name in ("weight", "rebounds", "degenerate"):
-            assert getattr(counts, name) is getattr(ens, name)
-        hist = counts.rebound_histogram()
-        assert counts.rebound_histogram() is hist and not hist.flags.writeable
-        assert np.array_equal(hist, ens.rebound_histogram())
-        assert np.array_equal(counts.tail_weights(), ens.tail_weights())
-        assert np.array_equal(counts.tail_weights(40), ens.tail_weights(40))
-        assert len(counts) == len(ens) == 500
-        assert counts.mass() == ens.mass()
-        assert counts.max_rebounds() == int(ens.rebounds.max())
-        assert counts.degenerate_weight() == float(ens.weight[ens.degenerate].sum()) > 0.0
+        tally = ens.tally()
+        hist = tally.rebound_histogram()
+        assert tally.rebound_histogram() is hist and not hist.flags.writeable
+        assert same_arrays((hist,), (np.bincount(ens.rebounds, weights=ens.weight),))
+        tails = tally.tail_weights()
+        assert tally.max_rebounds() == int(ens.rebounds.max()) < 40
+        # padded with zeros to 41 orders
+        assert np.array_equal(tally.tail_weights(40)[:tails.size], tails)
+        assert tally.tail_weights(40).size == 41 and not tally.tail_weights(40)[tails.size:].any()
+        assert len(tally) == len(ens) == 500
+        assert tally.mass() == ens.mass()
+        assert tally.degenerate_weight() == float(ens.weight[ens.degenerate].sum()) > 0.0
+        # a tally is the arrays' at the call: the kernel moves an ensemble in
+        # place, and the next call reads the moved arrays
+        ens.degenerate[:] = False
+        assert ens.tally().degenerate_weight() == 0.0 < tally.degenerate_weight()
 
-    def test_empty_counts(self):
-        counts = ReboundCounts(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
-        assert np.array_equal(counts.rebound_histogram(), [0.0])
-        assert np.array_equal(counts.tail_weights(), [0.0])
-        assert counts.max_rebounds() == 0 and counts.mass() == 0.0
+    def test_empty_tally(self):
+        ens = ParticleEnsemble(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0),
+                               np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), 0)
+        tally = ens.tally()
+        assert np.array_equal(tally.rebound_histogram(), [0.0])
+        assert np.array_equal(tally.tail_weights(), [0.0])
+        assert tally.max_rebounds() == 0 and tally.mass() == 0.0 and len(tally) == 0
 
     def test_transport_conserves_weight_and_speed(self):
         disk = small_disk()
@@ -242,22 +245,9 @@ def transported(ens, geom, t, scale):
 
 class TestTransportTimes:
     @pytest.mark.parametrize("table", [small_square, small_disk])
-    def test_snapshots_equal_separate_transports(self, table):
-        geom = table()
-        ens = sample_ensemble(geom, 500, seed=12)
-        times = (5.0, 0.0, 2.5, 5.0)
-        got = list(transport_counts_times(ens, times, geom, 0.9))
-        assert [t for t, _ in got] == [0.0, 2.5, 5.0]
-        assert got[-1][1].rebounds.max() > 3
-        refs = [transport_ensemble(ens, t, geom, scale=0.9) for t, _ in got]
-        for (_, counts), ref in zip(got, refs):
-            for name in ("weight", "rebounds", "degenerate"):
-                assert np.array_equal(getattr(counts, name), getattr(ref, name))
-
-    @pytest.mark.parametrize("table", [small_square, small_disk])
     def test_one_transport_per_time_on_fresh_copies(self, monkeypatch, table):
-        # each time moves its own copies of the snapshot, in ascending order,
-        # as it is iterated
+        # each time moves its own copies of the ensemble, one kernel call
+        # per transport
         geom = table()
         ens = sample_ensemble(geom, 200, seed=12)
         calls = []
@@ -268,18 +258,17 @@ class TestTransportTimes:
             return transport(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "billiard_transport", counted)
-        trajectory = transport_counts_times(ens, (4.0, 0.0, 1.5, 4.0), geom, 0.9)
-        assert calls == []
-        got = [next(trajectory)]
-        assert calls == [0.0]
-        got += list(trajectory)
+        got = [(t, transport_ensemble(ens, t, geom, scale=0.9)) for t in (0.0, 1.5, 4.0)]
         assert calls == [t for t, _ in got] == [0.0, 1.5, 4.0]
-        for t, counts in got:
-            ref = transport_ensemble(ens, t, geom, scale=0.9)
-            assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
-                               (ref.weight, ref.rebounds, ref.degenerate))
-        assert not any(np.shares_memory(a.rebounds, b.rebounds)
-                       for k, (_, a) in enumerate(got) for _, b in got[k + 1:])
+        monkeypatch.setattr(_kernels, "billiard_transport", transport)
+        for t, moved in got:
+            ref = transported(ens, geom, t, 0.9)
+            assert same_arrays([getattr(moved, name) for name in STATE],
+                               [getattr(ref, name) for name in STATE])
+        assert got[-1][1].rebounds.max() > 3
+        assert not any(np.shares_memory(getattr(a, name), getattr(b, name))
+                       for k, (_, a) in enumerate([(0.0, ens)] + got)
+                       for _, b in got[k:] for name in STATE)
 
     @pytest.mark.parametrize("scale", [0.9, 1.0])
     def test_disk_special_states_at_every_time(self, monkeypatch, scale):
@@ -299,10 +288,10 @@ class TestTransportTimes:
         # several slices, the last one short
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 64)
         times = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
-        # the tangent start lies outside the table: transport_counts_times
+        # the tangent start lies outside the table: transport_ensemble
         # refuses it, and the kernel it runs moves whatever it is given
         with pytest.raises(ValueError, match="particle 0 "):
-            transport_counts_times(ens, times, geom, scale)
+            transport_ensemble(ens, 5.0, geom, scale)
         got = [(t, transported(ens, geom, t, scale)) for t in _kernels.distinct_times(times)]
         assert [t for t, _ in got] == [0.0, 0.5, 2.5, 5.0, 9.0]
         assert got[-1][1].rebounds.max() > 3
@@ -318,7 +307,8 @@ class TestTransportTimes:
         ens = sample_ensemble(geom, 300, seed=4)
         times = (2.0, 6.0)
         monkeypatch.setattr(_kernels, "ITER_CAP", 3)
-        for t, counts in transport_counts_times(ens, times, geom, 0.7):
+        for t in times:
+            counts = transport_ensemble(ens, t, geom, 0.7)
             ref = transported(ens, geom, t, 0.7)
             assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
                                (ref.weight, ref.rebounds, ref.degenerate))
@@ -331,13 +321,10 @@ class TestTransportTimes:
         geom = table()
         ens = sample_ensemble(geom, 10, seed=1)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            transport_counts_times(ens, (1.0, t), geom)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
             transport_ensemble(ens, t, geom)
 
 
-@pytest.mark.parametrize("entry", ["transport_ensemble", "transport_counts_times",
-                                   "sample_counts"])
+@pytest.mark.parametrize("entry", ["transport_ensemble", "sample_counts"])
 @pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, math.inf, math.nan])
 def test_scale_outside_the_unit_interval_refused(entry, scale):
     # the boundary operator has unit norm times a weight in (0, 1]; each
@@ -348,7 +335,6 @@ def test_scale_outside_the_unit_interval_refused(entry, scale):
     ens = sample_ensemble(geom, 1000, seed=3)
     calls = {
         "transport_ensemble": lambda: transport_ensemble(ens, 5.0, geom, scale=scale),
-        "transport_counts_times": lambda: transport_counts_times(ens, (5.0,), geom, scale),
         "sample_counts": lambda: densities.sample_counts(geom, 1000, 3, "domain", (5.0,), scale),
     }
     with pytest.raises(ValueError, match=r"^boundary weight scale must lie in \(0, 1\]$"):
@@ -363,8 +349,9 @@ def far_triangle():
 
 
 class TestStatesOutsideTheTable:
-    """A particle outside the table is refused, naming its index, by both
-    transports; states on the wall pass, every transported state included."""
+    """A particle outside the table is refused, naming its index, by
+    ``transport_ensemble``; states on the wall pass, every transported state
+    included."""
 
     @pytest.mark.parametrize("table, pos, vel", [
         (small_square, (2.0, 0.5), (-1.0, 0.1)),
@@ -380,8 +367,6 @@ class TestStatesOutsideTheTable:
         ens.pos[11] = (math.nan, 0.0)
         with pytest.raises(ValueError, match=r"^particle 7 at .* lies outside the table"):
             transport_ensemble(ens, 3.0, geom)
-        with pytest.raises(ValueError, match=r"^particle 7 at .* lies outside the table"):
-            transport_counts_times(ens, (1.0, 3.0), geom)
         # a position that is not a number is refused too
         ens.pos[7] = ens.pos[0]
         with pytest.raises(ValueError, match=r"^particle 11 at \[nan, 0.0\]"):
@@ -404,7 +389,6 @@ class TestStatesOutsideTheTable:
             moved = transport_ensemble(ens, t, geom, scale=0.9)
             again = transport_ensemble(moved, 1.0, geom, scale=0.9)
             assert again.rebounds.sum() > moved.rebounds.sum()
-            assert len(list(transport_counts_times(moved, (0.5, 1.0), geom))) == 2
 
 
 def three_speed_disk():
@@ -443,7 +427,7 @@ class TestDiskChords:
         geom = table()
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
         ens = sample_ensemble(geom, n, seed=2024, region=region)
-        rows = rows_of(transport_counts_times(ens, self.TIMES, geom, 0.7))
+        rows = [transport_ensemble(ens, t, geom, 0.7) for t in self.TIMES]
         assert rows[-1].rebounds.max() > 2 and not rows[-1].degenerate.all()
         reduced = [reductions(counts, 0.7) for counts in rows]
         want = _kernels.disk_tallies(views(ens), n, geom, self.TIMES)
@@ -536,16 +520,16 @@ def tally_values(tally):
 
 
 class TestSampledTallies:
-    """A sampled disk's trajectory yields, per time, the reductions of the
-    counts ``transport_counts_times`` gives for the sampled ensemble, as
+    """A sampled disk's trajectory yields, per time in ascending order, the
+    reductions of ``transport_ensemble`` of the sampled ensemble, as
     ``reductions`` forms them, for any number of workers and any slicing."""
 
     TIMES = (5.0, 0.0, 0.5, 2.5, 5.0, 9.0)
 
     def expected(self, geom, n, seed, region, scale):
         ens = sample_ensemble(geom, n, seed=seed, region=region)
-        return [(t, reductions(counts, scale))
-                for t, counts in transport_counts_times(ens, self.TIMES, geom, scale)]
+        return [(t, reductions(transport_ensemble(ens, t, geom, scale), scale))
+                for t in sorted(set(self.TIMES))]
 
     def tallies(self, geom, n, seed, region, scale):
         _, trajectory = densities.sample_counts(geom, n, seed, region, self.TIMES, scale)
@@ -809,8 +793,8 @@ TALLY_CASES = [
 
 class TestTalliesFromCounts:
     """A sampled ensemble's tallies come from integer counts alone.  The
-    oracle is the held rows path: ``ReboundCounts._tally`` of what
-    ``transport_counts_times`` yields for the same sampled ensemble.  At
+    oracle is the held rows path: ``ParticleEnsemble.tally`` of what
+    ``transport_ensemble`` makes of the same sampled ensemble.  At
     scale 1 every field is its bits.  Below 1 the histogram is, and the
     mass and degenerate weight are ``math.fsum`` of their bins."""
 
@@ -830,8 +814,8 @@ class TestTalliesFromCounts:
             monkeypatch.setattr(_kernels, "ITER_CAP", cap)
         monkeypatch.setattr(_kernels, "DISK_CHUNK", 256)
         ens = sample_ensemble(geom, 2001, seed=13, region=region)
-        held = [(t, counts._tally) for t, counts in transport_counts_times(ens, self.TIMES, geom,
-                                                                           scale)]
+        rows = [transport_ensemble(ens, t, geom, scale) for t in self.TIMES]
+        held = [(t, row.tally()) for t, row in zip(self.TIMES, rows)]
         monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: workers)
         mass, trajectory = self.tallies(geom, 2001, 13, region, scale)
         got = list(trajectory)
@@ -847,9 +831,8 @@ class TestTalliesFromCounts:
                 assert tally.mass().hex() == want.mass().hex() == mass.hex()
                 assert tally.degenerate_weight().hex() == want.degenerate_weight().hex()
         if scale != 1.0:
-            for (t, tally), (_, counts) in zip(got, transport_counts_times(ens, self.TIMES, geom,
-                                                                           scale)):
-                w, n, d = counts.weight, counts.rebounds, counts.degenerate
+            for (t, tally), row in zip(got, rows):
+                w, n, d = row.weight, row.rebounds, row.degenerate
                 assert tally.mass() == math.fsum(tally.histogram.tolist())
                 assert tally.degenerate_weight() == math.fsum(
                     np.bincount(n[d], weights=w[d]).tolist())
@@ -874,8 +857,9 @@ class TestTalliesFromCounts:
             seen.clear()
             _, trajectory = self.tallies(geom, 1500, 3, "domain", scale)
             (weights,) = seen
-            held = transport_counts_times(ens, self.TIMES, geom, scale)
-            for (_, tally), (_, counts) in zip(trajectory, held, strict=True):
+            for (t, tally), want in zip(trajectory, self.TIMES, strict=True):
+                assert t == want
+                counts = transport_ensemble(ens, t, geom, scale)
                 assert counts.rebounds.max() < weights.size
                 assert same_arrays((counts.weight,), (weights[counts.rebounds],))
                 for k in np.unique(counts.rebounds).tolist():
@@ -888,17 +872,9 @@ def refuse(*args):
     raise AssertionError("a pass ran for no times")
 
 
-class Uncopied(np.ndarray):
-    """An array whose copy() fails."""
-
-    def copy(self, order="C"):
-        raise AssertionError("an array was copied for no times")
-
-
 class TestNoTimes:
     """No times give an empty trajectory, and no pass runs for them: not a
-    sampled disk's, nor a sampled polygon's sweep; a held ensemble is not
-    copied, and no transport runs."""
+    sampled disk's, nor a sampled polygon's sweep."""
 
     @pytest.mark.parametrize("scale", [1.0, 0.7])
     def test_sampled_disk_runs_no_pass(self, monkeypatch, scale):
@@ -914,17 +890,6 @@ class TestNoTimes:
         assert list(trajectory) == []
         assert mass.hex() == sample_ensemble(hexagon(), 300, seed=5).mass().hex()
 
-    @pytest.mark.parametrize("scale", [1.0, 0.7])
-    @pytest.mark.parametrize("table", [small_disk, hexagon])
-    def test_held_trajectory_is_empty(self, monkeypatch, table, scale):
-        geom = table()
-        ens = sample_ensemble(geom, 300, seed=5)
-        for name in ("billiard_transport", "_sweep_block", "_disk_slice"):
-            monkeypatch.setattr(_kernels, name, refuse)
-        for name in STATE:
-            setattr(ens, name, getattr(ens, name).view(Uncopied))
-        assert list(transport_counts_times(ens, (), geom, scale)) == []
-
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000, 8191, 8192, 8193, 10**6 + 3])
 def test_initial_mass_is_the_sum_of_the_sampled_weights(n):
@@ -935,16 +900,10 @@ def test_initial_mass_is_the_sum_of_the_sampled_weights(n):
     assert mass.hex() == float(np.full(n, 1.0 / n).sum()).hex()
 
 
-def assert_read_only(weight):
-    assert not weight.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        weight[0] = 1.0
-
-
 class TestSharedWeights:
-    """At scale 1 no weight changes: every time of a trajectory holds one
-    shared read-only weight array, never the caller's writable one.  Below 1
-    every time holds weights of its own."""
+    """At scale 1 no weight changes, so every time shares the initial mass,
+    and every transported time holds a copy of the initial weights, never
+    the caller's array.  Below 1 every time holds weights of its own."""
 
     TIMES = (0.0, 1.0, 4.0)
 
@@ -957,27 +916,21 @@ class TestSharedWeights:
             assert tally.mass() == mass
 
     @pytest.mark.parametrize("table", [small_disk, hexagon])
-    def test_trajectory_holds_one_read_only_copy(self, table):
+    def test_unscaled_times_hold_copies_of_the_initial_weights(self, table):
         geom = table()
         ens = sample_ensemble(geom, 3000, seed=5)
         want = ens.weight.copy()
-        trajectory = transport_counts_times(ens, self.TIMES, geom)
-        # after the call, and before a polygon's lazy sweep runs
-        ens.weight[:] = 7.0
-        rows = rows_of(trajectory)
+        rows = [transport_ensemble(ens, t, geom) for t in self.TIMES]
         ens.weight[:] = 9.0
         assert rows[-1].rebounds.max() > 0
         for counts in rows:
-            assert np.shares_memory(counts.weight, rows[0].weight)
             assert not np.shares_memory(counts.weight, ens.weight)
-            assert np.array_equal(counts.weight, want)
-            assert_read_only(counts.weight)
-        # the ensemble itself stays writable
-        assert all(getattr(ens, name).flags.writeable for name in STATE)
+            assert same_arrays((counts.weight,), (want,))
+            assert counts.weight.flags.writeable
 
     @pytest.mark.parametrize("table", [off_centre_disk, hexagon])
     def test_transport_writes_no_weight_at_scale_1(self, table):
-        # so every time of a trajectory can share one read-only array
+        # so a sampled ensemble's tallies at scale 1 read its initial mass
         geom = table()
         ens = sample_ensemble(geom, 300, seed=5)
         ens.degenerate[::7] = True
@@ -1000,7 +953,7 @@ class TestSharedWeights:
     def test_scaled_times_hold_weights_of_their_own(self, table):
         geom = table()
         ens = sample_ensemble(geom, 3000, seed=5)
-        rows = rows_of(transport_counts_times(ens, self.TIMES, geom, 0.7))
+        rows = [transport_ensemble(ens, t, geom, 0.7) for t in self.TIMES]
         for k, (t, counts) in enumerate(zip(self.TIMES, rows)):
             ref = transported(ens, geom, t, 0.7)
             assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
@@ -1009,50 +962,6 @@ class TestSharedWeights:
             assert not any(np.shares_memory(counts.weight, other.weight)
                            for other in rows[k + 1:])
         assert rows[-1].weight.min() < rows[0].weight.min()
-
-
-class TestTrajectorySnapshots:
-    """A trajectory is a snapshot of the ensemble at the call: a write to
-    the ensemble after the call and before iterating never reaches the
-    rows."""
-
-    TIMES = (0.0, 1.0, 2.5, 4.0)
-
-    @pytest.mark.parametrize("table", [off_centre_disk, hexagon])
-    def test_later_writes_do_not_reach_the_rows(self, table):
-        geom = table()
-        ens = sample_ensemble(geom, 600, seed=8)
-        ens.rebounds[::7] = 2
-        want = [transported(ens, geom, t, 0.8) for t in self.TIMES]
-        trajectory = transport_counts_times(ens, self.TIMES, geom, 0.8)
-        ens.pos[:] = 0.0
-        ens.vel[:] *= -1.0
-        ens.weight[:] = 7.0
-        ens.rebounds[:] = 50
-        ens.degenerate[:] = True
-        rows = rows_of(trajectory)
-        assert rows[-1].rebounds.max() > 3
-        for counts, ref in zip(rows, want, strict=True):
-            assert same_arrays((counts.weight, counts.rebounds, counts.degenerate),
-                               (ref.weight, ref.rebounds, ref.degenerate))
-
-    def test_the_call_takes_one_snapshot(self):
-        # the call copies the ensemble's five arrays once and holds that
-        # copy, 49 bytes per particle (four coordinates, a weight, a count
-        # and a flag), and its peak stays below two such copies: a second
-        # copy of the ensemble, held or dropped, reads 98 at the peak
-        geom = hexagon()
-        n = 1 << 14
-        ens = sample_ensemble(geom, n, seed=8)
-        tracemalloc.start()
-        try:
-            trajectory = transport_counts_times(ens, self.TIMES, geom)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 49.0 <= held / n < 50.0, held / n
-        assert peak / n < 2 * 49.0, peak / n
-        assert len(rows_of(trajectory)) == 4
 
 
 def edge_disk():
@@ -1192,43 +1101,43 @@ def test_sampled_disk_slices_allocate_nothing(monkeypatch):
 
 
 def polygon_sweep_peak(monkeypatch, scale):
-    # the traced peak per particle of a five-time hexagon sweep of 2^16
-    # particles, on one block, so no two threads' peaks overlap by chance
+    # the traced peak per particle of five hexagon transports of 2^16
+    # particles, each on one block, so no two threads' peaks overlap by
+    # chance, keeping each time's tally alone
     monkeypatch.setattr(_kernels, "_sweep_workers", lambda n: 1)
     n = 1 << 16
     geom = hexagon()
     ens = sample_ensemble(geom, n, 7)
     tracemalloc.start()
     try:
-        held = rows_of(transport_counts_times(ens, (0.5, 2.0, 5.0, 10.0, 20.0), geom, scale))
+        held = [transport_ensemble(ens, t, geom, scale).tally()
+                for t in (0.5, 2.0, 5.0, 10.0, 20.0)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(held) == 5 and held[-1].rebounds.max() > 10
+    assert len(held) == 5 and held[-1].max_rebounds() > 10
     return peak / n
 
 
 def test_polygon_sweep_transient_is_bounded(monkeypatch):
-    # reads about 266 bytes per particle at scale 1, at the last time: the
-    # snapshot (49), the earlier times' counts (36), the last time's copies
-    # of the snapshot (41), the one-time sweep's work buffers (124: the
-    # working state of five floats and as many spares, the count and index
-    # lanes, 2 spare ints, 2 masks, the remaining time and its 2 masks) and
-    # its start's gathers; no lane carries a weight.  One sweep writing five
-    # rows of counts read about 233
+    # reads about 204 bytes per particle at scale 1: the transported copy of
+    # the ensemble (49), the one-time sweep's work buffers (124: the working
+    # state of five floats and as many spares, the count and index lanes, 2
+    # spare ints, 2 masks, the remaining time and its 2 masks) and its
+    # start's gathers; no lane carries a weight.  Holding a snapshot and
+    # every earlier time's counts besides read about 266
     per_particle = polygon_sweep_peak(monkeypatch, 1.0)
-    assert per_particle < 280.0, per_particle
+    assert per_particle < 220.0, per_particle
 
 
 def test_scaled_polygon_sweep_transient_is_bounded(monkeypatch):
-    # below scale 1 every time holds weights of its own (40 more), and each
-    # transport holds a copy n0 of its input counts while it sweeps (8 more)
-    # for the weight w0 * scale ** (n - n0) it applies at its end, where the
-    # power's two temporaries (16) come after the sweep's buffers are freed:
-    # about 314 bytes per particle, against about 281 for one sweep writing
-    # five rows
+    # below scale 1 each transport holds a copy n0 of its input counts while
+    # it sweeps (8 more) for the weight w0 * scale ** (n - n0) it applies at
+    # its end, where the power's two temporaries (16) come after the sweep's
+    # buffers are freed: about 212 bytes per particle.  Holding a snapshot
+    # and every earlier time's counts and weights besides read about 314
     per_particle = polygon_sweep_peak(monkeypatch, 0.7)
-    assert per_particle < 335.0, per_particle
+    assert per_particle < 230.0, per_particle
 
 
 def test_sampled_polygon_holds_no_ensemble(monkeypatch):

@@ -482,7 +482,7 @@ class TestEnsembleDecay:
                         velocities=VelocitySpec("speeds", speeds=(1.0,)))
         ens = sample_ensemble(geom, 20_000, seed=42)
         moved = transport_ensemble(ens, 5.0, geom)
-        rep = ensemble_trace_decay(moved, 5.0)
+        rep = ensemble_trace_decay(moved.tally(), 5.0)
         assert rep.verdict == "honest"
         assert rep.tail_weights[-1] == 0.0
         assert rep.degenerate_weight <= rep.stat_tol
@@ -499,10 +499,10 @@ class TestEnsembleDecay:
             degenerate=np.array([True, True, False, False]),
             seed=0,
         )
-        blocked = ensemble_trace_decay(ens, 1.0, stat_tol=0.1)
+        blocked = ensemble_trace_decay(ens.tally(), 1.0, stat_tol=0.1)
         assert blocked.verdict == "inconclusive"
         assert blocked.degenerate_weight == pytest.approx(0.5, abs=1e-15)
-        relaxed = ensemble_trace_decay(ens, 1.0, stat_tol=0.6)
+        relaxed = ensemble_trace_decay(ens.tally(), 1.0, stat_tol=0.6)
         assert relaxed.verdict == "honest"
         assert relaxed.max_rebounds == 3
         assert relaxed.tail_weights == (0.75, 0.5, 0.25, 0.0)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honestflow import (Billiard, ParticleEnsemble, VelocitySpec, rebound_sequence,
-                        sample_ensemble, transport_counts_times, transport_ensemble)
+                        sample_ensemble, transport_ensemble)
 from honestflow import _kernels
 from honestflow._kernels import SURVIVAL_STREAM_BASE, ladder_survival, uniform_array
 
@@ -524,8 +524,8 @@ class TestPolygonSnapshots:
         geom = hexagon_table()
         ens = sample_ensemble(geom, 100, seed=2)
         before = ens.copy()
-        rows = list(transport_counts_times(ens, (1.0, 5.0), geom, scale=0.5))
-        assert rows[-1][1].rebounds.max() > 0
+        rows = [transport_ensemble(ens, t, geom, scale=0.5) for t in (1.0, 5.0)]
+        assert rows[-1].rebounds.max() > 0
         assert tallies(ens, geom, (1.0, 5.0))[-1][0].size > 1
         for name in STATE:
             assert np.array_equal(getattr(ens, name), getattr(before, name))
@@ -533,12 +533,6 @@ class TestPolygonSnapshots:
     def test_rows_follow_the_distinct_ascending_times(self):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 100, seed=2)
-        got = list(transport_counts_times(ens, (5.0, 1.0, 5.0, 0.0), geom, scale=0.5))
-        want = list(transport_counts_times(ens, (0.0, 1.0, 5.0), geom, scale=0.5))
-        assert [t for t, _ in got] == [t for t, _ in want] == [0.0, 1.0, 5.0]
-        for (_, a), (_, b) in zip(got, want):
-            for name in ("weight", "rebounds", "degenerate"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
         rows = tallies(ens, geom, (5.0, 1.0, 5.0, 0.0))
         assert len(rows) == 3
         assert same_tallies(rows, tallies(ens, geom, (0.0, 1.0, 5.0)))
@@ -547,8 +541,9 @@ class TestPolygonSnapshots:
     def test_times_must_be_finite_and_nonnegative(self, times):
         geom = hexagon_table()
         ens = sample_ensemble(geom, 10, seed=2)
+        bad = next(t for t in times if not 0.0 <= t < math.inf)
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            transport_counts_times(ens, times, geom)
+            transport_ensemble(ens, bad, geom)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             tallies(ens, geom, times)
 
@@ -557,9 +552,9 @@ class TestPolygonSnapshots:
         ens = sample_ensemble(geom, 80, seed=6)
         ens.degenerate[::9] = True
         times = (0.0, 1.25, 3.5, 6.0)
-        want = list(transport_counts_times(ens, times, geom, scale=0.7))
+        want = [(t, transport_ensemble(ens, t, geom, scale=0.7)) for t in times]
         assert want[-1][1].rebounds.max() > 3
-        # each time of a trajectory is a separate in-place transport to it
+        # each transport_ensemble is an in-place transport of a copy
         for t, counts in want:
             out = ens.copy()
             arrays = tuple(getattr(out, name) for name in STATE)

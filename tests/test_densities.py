@@ -11,6 +11,7 @@ import pytest
 from honestflow import _kernels, densities
 from honestflow import (
     Billiard,
+    BoundaryRule,
     IntervalUnion,
     ParticleEnsemble,
     PiecewiseDensity,
@@ -270,6 +271,32 @@ class TestTransportTimes:
                        for k, (_, a) in enumerate([(0.0, ens)] + got)
                        for _, b in got[k:] for name in STATE)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    @pytest.mark.parametrize("table", [off_centre_disk, small_square])
+    def test_time_zero_moves_nothing(self, table, scale):
+        # no time, no rebound: the state held at t = 0 is the initial one,
+        # bit for bit, and so is its tally
+        geom = table()
+        ens = sample_ensemble(geom, 300, seed=5)
+        moved = transport_ensemble(ens, 0.0, geom, scale)
+        assert same_arrays([getattr(moved, name) for name in STATE],
+                           [getattr(ens, name) for name in STATE])
+        assert tally_values(moved.tally()) == tally_values(ens.tally())
+
+    @pytest.mark.parametrize("scale", [1.0, 0.9])
+    @pytest.mark.parametrize("table", [small_square, small_disk])
+    def test_rebounds_never_decrease_with_time(self, table, scale):
+        # along the sorted times each particle's order only grows, and it
+        # weighs its initial weight times scale ** order, bit for bit
+        geom = table()
+        ens = sample_ensemble(geom, 500, seed=12)
+        rows = [transport_ensemble(ens, t, geom, scale) for t in (0.0, 0.5, 2.5, 5.0)]
+        assert rows[-1].rebounds.max() > 3
+        for earlier, later in zip(rows, rows[1:]):
+            assert np.all(earlier.rebounds <= later.rebounds)
+        for row in rows:
+            assert same_arrays((row.weight,), (ens.weight * scale ** row.rebounds,))
+
     @pytest.mark.parametrize("scale", [0.9, 1.0])
     def test_disk_special_states_at_every_time(self, monkeypatch, scale):
         geom = off_centre_disk()
@@ -324,18 +351,19 @@ class TestTransportTimes:
             transport_ensemble(ens, t, geom)
 
 
-@pytest.mark.parametrize("entry", ["transport_ensemble", "sample_counts"])
+@pytest.mark.parametrize("entry", ["transport_ensemble", "sample_counts", "BoundaryRule"])
 @pytest.mark.parametrize("scale", [0.0, -0.5, 1.5, math.inf, math.nan])
 def test_scale_outside_the_unit_interval_refused(entry, scale):
     # the boundary operator has unit norm times a weight in (0, 1]; each
     # billiard entry point refuses any other weight at its call, before a
-    # lazy trajectory is iterated.  Scale 1.5 once gave this disk mass 21.24
+    # lazy trajectory is iterated, as the boundary rule itself does.  Scale 1.5 once gave this disk mass 21.24
     # at t = 5, and NaN gave mass NaN or 0.0 depending on the lane
     geom = small_disk()
     ens = sample_ensemble(geom, 1000, seed=3)
     calls = {
         "transport_ensemble": lambda: transport_ensemble(ens, 5.0, geom, scale=scale),
         "sample_counts": lambda: densities.sample_counts(geom, 1000, 3, "domain", (5.0,), scale),
+        "BoundaryRule": lambda: BoundaryRule("specular", scale=scale),
     }
     with pytest.raises(ValueError, match=r"^boundary weight scale must lie in \(0, 1\]$"):
         calls[entry]()
@@ -962,6 +990,48 @@ class TestSharedWeights:
             assert not any(np.shares_memory(counts.weight, other.weight)
                            for other in rows[k + 1:])
         assert rows[-1].weight.min() < rows[0].weight.min()
+
+
+class TestTallySnapshots:
+    """A tally holds the ensemble's report values at the call, in a
+    histogram of its own: a later write to the ensemble, or a transport
+    that moves it in place, never reaches it."""
+
+    @pytest.mark.parametrize("table", [off_centre_disk, hexagon])
+    def test_later_writes_do_not_reach_the_tally(self, table):
+        geom = table()
+        ens = transport_ensemble(sample_ensemble(geom, 600, seed=8), 2.5, geom, 0.8)
+        ens.degenerate[::7] = True
+        hist = np.bincount(ens.rebounds, weights=ens.weight)
+        tally = ens.tally()
+        want = tally_values(tally)
+        assert want[0] == hist.tobytes() and want[3] > 3
+        _kernels.billiard_transport(ens.pos, ens.vel, ens.weight, ens.rebounds,
+                                    ens.degenerate, geom, 4.0, scale=0.8)
+        assert tally_values(ens.tally()) != want
+        ens.weight[:] = 7.0
+        ens.rebounds[:] = 50
+        ens.degenerate[:] = True
+        assert tally_values(tally) == want
+
+    def test_a_tally_holds_no_particle(self):
+        # one histogram bin per order, so a tally of 2^14 particles holds
+        # under a kilobyte; its peak is the gather of the flagged weights (a
+        # fifth of them here, 1.6 bytes per particle), where a copy of the
+        # weights or the counts would add 8
+        geom = hexagon()
+        n = 1 << 14
+        ens = transport_ensemble(sample_ensemble(geom, n, seed=8), 4.0, geom)
+        ens.degenerate[::5] = True
+        tracemalloc.start()
+        try:
+            tally = ens.tally()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1024, held
+        assert peak / n < 4.0, peak / n
+        assert len(tally) == n and tally.max_rebounds() > 3
 
 
 def edge_disk():
